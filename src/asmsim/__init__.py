@@ -17,7 +17,7 @@ from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
 from .features import (PatternSet, PatternUniverse, ProgramFeatures,
                        build_universe, compute_features, existence_set,
                        extract_ngrams, features_for_program, features_to_dict,
-                       frequency_vector, to_boolean_vector)
+                       frequency_vector)
 from .metrics import (METRIC_ORDER, MetricKind, SimilarityValue, cosine,
                       euclidean_pattern_distance, jaccard, measure)
 

@@ -9,6 +9,7 @@ control-flow edges.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -154,7 +155,9 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
                     if mnemonic.endswith((".n", ".w")):
                         mnemonic = mnemonic[:-2]
                     operands = head[1].strip() if len(head) > 1 else ""
-                    instructions.append(Instruction(mnemonic, operands, line_no))
+                    # one str object per distinct mnemonic, so pattern tuples
+                    # compare by identity when universes are sorted and indexed
+                    instructions.append(Instruction(sys.intern(mnemonic), operands, line_no))
 
         if problem is not None:
             if config.strict:

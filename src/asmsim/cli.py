@@ -21,7 +21,7 @@ from typing import Sequence
 from .asm_parser import AssemblyProgram, parse_assembly
 from .config import ToolConfig, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
-                     build_universes, load_datasets, run_study)
+                     load_datasets, run_study)
 from .crosscompile import compile_corpus
 from .errors import AsmSimError, InputError, ToolError
 from .features import ProgramFeatures, features_for_program, features_to_dict
@@ -250,13 +250,9 @@ def corpus_features(entries: Sequence[ProgramEntry],
 
 
 def run_manifest_study(manifest: ManifestData, config: ToolConfig) -> str:
-    reports = []
-    for name, entries in manifest.datasets:
-        grid = build_grid(entries)
-        features = corpus_features(entries, config)
-        report = run_study(grid, features, strides=config.strides,
-                           dataset_name=name, universes=build_universes(features))
-        reports.append(report)
+    reports = [run_study(build_grid(entries), corpus_features(entries, config),
+                         strides=config.strides, dataset_name=name)
+               for name, entries in manifest.datasets]
     suite = build_suite(reports)
     metadata = dict(manifest.metadata)
     metadata["ngram_mode"] = config.ngram_mode

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -22,7 +22,7 @@ from .errors import (DuplicateIdError, EmptyProgramError, IncompleteGridError,
                      InputError, InvalidStrideError, ManifestError,
                      NormalizationError)
 from .features import PatternUniverse, ProgramFeatures, build_universe
-from .metrics import METRIC_ORDER, MetricKind, measure
+from .metrics import METRIC_ORDER, MetricKind, pair_scorer
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,21 @@ def default_strides(n: int) -> list[int]:
     return coprime_strides(n)[:3]
 
 
+def _check_strides(grid: CorpusGrid, strides: Iterable[int | None]) -> int:
+    """Side n of a square grid; raises unless every stride partitions it."""
+    n = len(grid.programmers)
+    if len(grid.applications) != n:
+        raise InvalidStrideError(
+            f"totally-different groupings need a square grid, got "
+            f"{len(grid.applications)}x{n}")
+    for stride in strides:
+        if stride is None or not 1 <= stride < n or math.gcd(stride, n) != 1:
+            raise InvalidStrideError(
+                f"stride {stride} is invalid for a {n}x{n} grid; valid strides: "
+                f"{coprime_strides(n)}")
+    return n
+
+
 @dataclass(frozen=True)
 class Subset:
     scheme: GroupingScheme
@@ -253,16 +268,8 @@ def enumerate_subsets(grid: CorpusGrid, scheme: GroupingScheme) -> list[Subset]:
                        tuple(grid.cells[(a, programmer)] for a in grid.applications))
                 for programmer in grid.programmers]
 
-    n = len(grid.programmers)
-    if len(grid.applications) != n:
-        raise InvalidStrideError(
-            f"totally-different groupings need a square grid, got "
-            f"{len(grid.applications)}x{n}")
     stride = scheme.stride
-    if stride is None or not 1 <= stride < n or math.gcd(stride, n) != 1:
-        raise InvalidStrideError(
-            f"stride {stride} is invalid for a {n}x{n} grid; valid strides: "
-            f"{coprime_strides(n)}")
+    n = _check_strides(grid, [stride])
     apps = sorted(grid.applications)
     programmers = sorted(grid.programmers)
     subsets = []
@@ -284,18 +291,23 @@ def pairwise_values(subset: Subset, kind: MetricKind,
                     features: Mapping[str, ProgramFeatures],
                     universes: Mapping[int, PatternUniverse] | None = None,
                     ) -> list[PairValue]:
-    """One metric value per unordered member pair, in (i < j) index order."""
-    members = subset.members
+    """One metric value per unordered member pair, in (i < j) index order.
+    Without ``universes``, a universe of the subset gives the same distances."""
+    ids = [m.id for m in subset.members]
+    members = [features[i] for i in ids]
+    n = kind.ngram_length
+    vectors = None if n is None or universes is None else [
+        universes[n].program_vector(i, f.pattern_set(n)) for i, f in zip(ids, members)]
+    score = pair_scorer(kind, members, vectors)
     values: list[PairValue] = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            a, b = members[i], members[j]
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
             try:
-                value = measure(kind, features[a.id], features[b.id], universes).value
+                value = score(i, j)
             except EmptyProgramError as exc:
-                raise EmptyProgramError(f"{exc.message} (pair {a.id}, {b.id})",
-                                        entity=f"{a.id},{b.id}") from exc
-            values.append(PairValue(a.id, b.id, value))
+                raise EmptyProgramError(f"{exc.message} (pair {ids[i]}, {ids[j]})",
+                                        entity=f"{ids[i]},{ids[j]}") from exc
+            values.append(PairValue(ids[i], ids[j], value))
     return values
 
 
@@ -387,20 +399,23 @@ class StudyReport:
 
 
 def build_universes(features: Mapping[str, ProgramFeatures]) -> dict[int, PatternUniverse]:
-    """Corpus-wide pattern universes for n = 2 and 3."""
+    """Corpus-wide pattern universes for n = 2 and 3, with every program's vector."""
     ids = sorted(features)
-    return {
-        2: build_universe([features[i].patterns2 for i in ids], n=2),
-        3: build_universe([features[i].patterns3 for i in ids], n=3),
-    }
+    universes = {}
+    for n in (2, 3):
+        sets = [features[i].pattern_set(n) for i in ids]
+        universe = build_universe(sets, n=n)
+        universes[n] = replace(universe, vectors={
+            i: (s, universe.presence_vector(s)) for i, s in zip(ids, sets)})
+    return universes
 
 
-def _normalized_cells(groupings: dict[str, GroupingResult], td: float,
+def _normalized_cells(means: Mapping[str, float], td: float,
                       kind: MetricKind) -> dict[str, float | None]:
     cells: dict[str, float | None] = {}
     for label in (PROGRAMMER_SPECIFIC.label, APPLICATION_SPECIFIC.label):
         try:
-            cells[label] = normalize(groupings[label].mean, td, kind)
+            cells[label] = normalize(means[label], td, kind)
         except NormalizationError:
             cells[label] = None
     cells[TD_LABEL] = 1.0 if td > 0 else None
@@ -409,18 +424,13 @@ def _normalized_cells(groupings: dict[str, GroupingResult], td: float,
 
 def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
               strides: Sequence[int] | None = None,
-              dataset_name: str = "dataset",
-              universes: Mapping[int, PatternUniverse] | None = None) -> StudyReport:
+              dataset_name: str = "dataset") -> StudyReport:
     """Score every grouping of a square grid under all four metrics.
 
     Deterministic: groupings, subsets, and pairs are traversed in a fixed
     order, so identical inputs produce identical reports.
     """
-    n = len(grid.programmers)
-    if len(grid.applications) != n:
-        raise InvalidStrideError(
-            "the study needs a square grid for its totally-different baseline; "
-            f"got {len(grid.applications)}x{n}")
+    n = _check_strides(grid, [])
     for entry in grid.entries:
         entry_features = features.get(entry.id)
         if entry_features is None:
@@ -429,19 +439,11 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
             raise EmptyProgramError(f"program {entry.id!r} has no instructions",
                                     entity=entry.id)
 
-    if strides is None:
-        strides = default_strides(n)
-    strides = list(strides)
+    strides = list(default_strides(n) if strides is None else strides)
     if not strides:
         raise InvalidStrideError("at least one totally-different stride is required")
-    for stride in strides:
-        if not 1 <= stride < n or math.gcd(stride, n) != 1:
-            raise InvalidStrideError(
-                f"stride {stride} is invalid for a {n}x{n} grid; valid strides: "
-                f"{coprime_strides(n)}")
-
-    if universes is None:
-        universes = build_universes(features)
+    _check_strides(grid, strides)
+    universes = build_universes(features)
 
     schemes = [PROGRAMMER_SPECIFIC, APPLICATION_SPECIFIC]
     schemes += [totally_different(s) for s in strides]
@@ -461,8 +463,8 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
             if scheme.kind is GroupingKind.TOTALLY_DIFFERENT:
                 td_means.append(mean)
         td = td_aggregate(td_means)
-        metrics[kind] = MetricStudy(kind, groupings, td,
-                                    _normalized_cells(groupings, td, kind))
+        metrics[kind] = MetricStudy(kind, groupings, td, _normalized_cells(
+            {label: g.mean for label, g in groupings.items()}, td, kind))
 
     return StudyReport(dataset_name, list(grid.programmers),
                        list(grid.applications), strides, metrics)
@@ -505,12 +507,5 @@ def build_suite(reports: Sequence[StudyReport]) -> StudySuite:
             if g.scheme.kind is GroupingKind.TOTALLY_DIFFERENT)
         means = {PROGRAMMER_SPECIFIC.label: ps, APPLICATION_SPECIFIC.label: as_,
                  TD_LABEL: td}
-        normalized: dict[str, float | None] = {}
-        for label in (PROGRAMMER_SPECIFIC.label, APPLICATION_SPECIFIC.label):
-            try:
-                normalized[label] = normalize(means[label], td, kind)
-            except NormalizationError:
-                normalized[label] = None
-        normalized[TD_LABEL] = 1.0 if td > 0 else None
-        summary[kind] = SuiteSummary(kind, means, normalized)
+        summary[kind] = SuiteSummary(kind, means, _normalized_cells(means, td, kind))
     return StudySuite(list(reports), summary)

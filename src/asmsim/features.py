@@ -8,8 +8,9 @@ basic blocks (n = 2 and 3 by default).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
                          DEFAULT_CONFIG, linear_blocks, segment_basic_blocks)
@@ -48,15 +49,42 @@ class PatternUniverse:
 
     The order is lexicographic by mnemonic tuple, so the same corpus
     always yields the same vector layout. ``n == 0`` marks the empty
-    universe produced from no input sets.
+    universe produced from no input sets. ``vectors`` maps program ids to
+    (pattern set, its presence vector) for the programs it was built from.
     """
 
     n: int
     ordered: tuple[NGram, ...]
     index: dict[NGram, int]
+    vectors: Mapping[str, tuple[PatternSet, int]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.ordered)
+
+    def presence_vector(self, pattern_set: PatternSet) -> int:
+        """Presence vector as an int: bit i is set when ``ordered[i]`` is present."""
+        if pattern_set.patterns and pattern_set.n != self.n:
+            raise PatternMismatchError(f"pattern set of length {pattern_set.n} cannot "
+                                       f"embed in a universe of length {self.n}")
+        # a byte buffer, since OR-ing in 1 << i copies the whole int per pattern
+        buffer = bytearray((len(self.ordered) + 7) // 8)
+        try:
+            for position in map(self.index.__getitem__, pattern_set.patterns):
+                buffer[position >> 3] |= 1 << (position & 7)
+        except KeyError:
+            missing = min(pattern_set.patterns.difference(self.index))
+            raise PatternMismatchError(f"pattern {missing!r} is missing from the universe; "
+                                       "it was built from a different corpus") from None
+        return int.from_bytes(buffer, "little")
+
+    def program_vector(self, program_id: str, pattern_set: PatternSet) -> int:
+        """A program's vector, recomputed (so checked) for a set it was not built from."""
+        source, bits = self.vectors.get(program_id, (None, 0))
+        if source is None:
+            raise PatternMismatchError(f"program {program_id!r} has no presence vector "
+                                       "in the universe", entity=program_id)
+        return bits if source is pattern_set else self.presence_vector(pattern_set)
 
 
 def extract_ngrams(blocks: Sequence[BasicBlock], n: int) -> PatternSet:
@@ -92,28 +120,8 @@ def build_universe(sets: Iterable[PatternSet], n: int | None = None) -> PatternU
         n = lengths[0]
     elif n is None:
         n = 0
-    union: set[NGram] = set()
-    for s in sets:
-        union.update(s.patterns)
-    ordered = tuple(sorted(union))
+    ordered = tuple(sorted(set().union(*(s.patterns for s in sets))))
     return PatternUniverse(n, ordered, {p: i for i, p in enumerate(ordered)})
-
-
-def to_boolean_vector(pattern_set: PatternSet, universe: PatternUniverse) -> tuple[int, ...]:
-    """Presence vector of a pattern set over a universe (1 = present)."""
-    if pattern_set.patterns and pattern_set.n != universe.n:
-        raise PatternMismatchError(
-            f"pattern set of length {pattern_set.n} cannot embed in a "
-            f"universe of length {universe.n}")
-    vector = [0] * len(universe.ordered)
-    for pattern in pattern_set.patterns:
-        position = universe.index.get(pattern)
-        if position is None:
-            raise PatternMismatchError(
-                f"pattern {pattern!r} is missing from the universe; it was "
-                "built from a different corpus")
-        vector[position] = 1
-    return tuple(vector)
 
 
 @dataclass(frozen=True)
@@ -124,6 +132,13 @@ class ProgramFeatures:
     frequency: Counter[str]
     patterns2: PatternSet
     patterns3: PatternSet
+
+    def pattern_set(self, n: int) -> PatternSet:
+        return self.patterns2 if n == 2 else self.patterns3
+
+    @cached_property
+    def frequency_norm_sq(self) -> int:
+        return sum(v * v for v in self.frequency.values())
 
 
 def compute_features(program: AssemblyProgram, blocks: Sequence[BasicBlock]) -> ProgramFeatures:
@@ -160,6 +175,5 @@ def features_to_dict(features: ProgramFeatures) -> dict:
 __all__ = [
     "NGram", "PatternSet", "PatternUniverse", "ProgramFeatures",
     "existence_set", "frequency_vector", "extract_ngrams", "build_universe",
-    "to_boolean_vector", "compute_features", "features_for_program",
-    "features_to_dict",
+    "compute_features", "features_for_program", "features_to_dict",
 ]

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Mapping, NamedTuple
+from itertools import repeat
+from operator import mul
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyProgramError, PatternMismatchError
 from .features import PatternSet, PatternUniverse, ProgramFeatures, build_universe
@@ -28,11 +30,7 @@ class MetricKind(str, Enum):
 
     @property
     def ngram_length(self) -> int | None:
-        if self is MetricKind.EUCLIDEAN2:
-            return 2
-        if self is MetricKind.EUCLIDEAN3:
-            return 3
-        return None
+        return {MetricKind.EUCLIDEAN2: 2, MetricKind.EUCLIDEAN3: 3}.get(self)
 
 
 METRIC_ORDER = (MetricKind.JACCARD, MetricKind.COSINE,
@@ -56,71 +54,65 @@ def jaccard(s1: frozenset[str], s2: frozenset[str]) -> float:
     return len(s1 & s2) / len(s1 | s2)
 
 
-def cosine(a: Mapping[str, int], b: Mapping[str, int]) -> float:
+def cosine(a: Mapping[str, int], b: Mapping[str, int],
+           norm_sq_a: int | None = None, norm_sq_b: int | None = None) -> float:
     """Cosine of the angle between two frequency vectors, in [0, 1].
 
-    The sum runs over the union of mnemonics; counts are integers, so the
-    dot product and squared norms are exact and the result is reproducible
-    regardless of key order. Raises :class:`EmptyProgramError` for an
-    empty vector, for which the cosine is undefined.
+    Counts are integers, so the dot product and the squared norms (which
+    callers may pass in, computed once) are exact. Raises
+    :class:`EmptyProgramError` for an empty vector, whose cosine is undefined.
     """
     if not a or not b:
         raise EmptyProgramError("cosine similarity is undefined for an empty program")
-    if dict(a) == dict(b):
+    norm_sq_a = sum(v * v for v in a.values()) if norm_sq_a is None else norm_sq_a
+    norm_sq_b = sum(v * v for v in b.values()) if norm_sq_b is None else norm_sq_b
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    # sum of small[key] * large.get(key, 0), with the loop run in C
+    dot = sum(map(mul, small.values(), map(large.get, small, repeat(0))))
+    # |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, so this holds exactly when a == b
+    if dot == norm_sq_a == norm_sq_b:
         return 1.0
-    dot = 0
-    for key in sorted(set(a) | set(b)):
-        dot += a.get(key, 0) * b.get(key, 0)
-    norm_sq_a = sum(v * v for v in a.values())
-    norm_sq_b = sum(v * v for v in b.values())
-    # One sqrt of the exact integer product keeps identical inputs at 1.0.
+    # One sqrt of the exact integer product keeps the result reproducible.
     value = dot / math.sqrt(norm_sq_a * norm_sq_b)
     return min(max(value, 0.0), 1.0)
 
 
+def presence_distance(bits_a: int, bits_b: int) -> float:
+    """Euclidean distance between two int presence vectors: sqrt(popcount(a ^ b))."""
+    return math.sqrt((bits_a ^ bits_b).bit_count())
+
+
 def euclidean_pattern_distance(p1: PatternSet, p2: PatternSet,
                                universe: PatternUniverse) -> float:
-    """Euclidean distance between the boolean presence vectors of p1 and p2.
-
-    Equals the square root of the symmetric-difference size, so the value
-    does not change when the universe is extended with patterns absent
-    from both arguments. The universe is still required and validated:
-    a pattern outside it means it was built from the wrong corpus.
-    """
+    """Euclidean distance between the presence vectors of p1 and p2 over
+    ``universe``: sqrt of the symmetric-difference size, whatever else the
+    universe holds. A pattern outside it raises :class:`PatternMismatchError`."""
     if p1.n != p2.n:
         raise PatternMismatchError(
             f"cannot compare pattern sets of lengths {p1.n} and {p2.n}")
-    for ps in (p1, p2):
-        if not ps.patterns:
-            continue
-        if ps.n != universe.n:
-            raise PatternMismatchError(
-                f"pattern set of length {ps.n} does not match universe of "
-                f"length {universe.n}")
-        missing = ps.patterns.difference(universe.index)
-        if missing:
-            raise PatternMismatchError(
-                f"pattern {sorted(missing)[0]!r} is missing from the universe")
-    return math.sqrt(len(p1.patterns ^ p2.patterns))
+    return presence_distance(universe.presence_vector(p1),
+                             universe.presence_vector(p2))
 
 
-def measure(kind: MetricKind, a: ProgramFeatures, b: ProgramFeatures,
-            universes: Mapping[int, PatternUniverse] | None = None) -> SimilarityValue:
-    """Apply one metric to two feature bundles.
-
-    For the pattern metrics a universe per n may be supplied (corpus-wide
-    layout); otherwise one is built from the two programs alone, which
-    yields the same distance.
-    """
+def pair_scorer(kind: MetricKind, members: Sequence[ProgramFeatures],
+                vectors: Sequence[int] | None = None) -> Callable[[int, int], float]:
+    """``score(i, j)``: one metric for members i and j from per-program values.
+    Pattern metrics take presence vectors, or build a universe of the members."""
     if kind is MetricKind.JACCARD:
-        return SimilarityValue(kind, jaccard(a.existence, b.existence))
+        sets = [f.existence for f in members]
+        return lambda i, j: jaccard(sets[i], sets[j])
     if kind is MetricKind.COSINE:
-        return SimilarityValue(kind, cosine(a.frequency, b.frequency))
-    n = kind.ngram_length
-    assert n is not None
-    pa, pb = (a.patterns2, b.patterns2) if n == 2 else (a.patterns3, b.patterns3)
-    if universes is not None and n in universes:
-        universe = universes[n]
-    else:
-        universe = build_universe([pa, pb], n=n)
-    return SimilarityValue(kind, euclidean_pattern_distance(pa, pb, universe))
+        freqs = [f.frequency for f in members]
+        norms = [f.frequency_norm_sq for f in members]
+        return lambda i, j: cosine(freqs[i], freqs[j], norms[i], norms[j])
+    if vectors is None:
+        sets = [f.pattern_set(kind.ngram_length) for f in members]
+        universe = build_universe(sets, n=kind.ngram_length)
+        vectors = [universe.presence_vector(s) for s in sets]
+    return lambda i, j: presence_distance(vectors[i], vectors[j])
+
+
+def measure(kind: MetricKind, a: ProgramFeatures, b: ProgramFeatures) -> SimilarityValue:
+    """Apply one metric to two feature bundles; the pattern metrics use a
+    universe of the two programs, which yields the corpus-wide distance."""
+    return SimilarityValue(kind, pair_scorer(kind, [a, b])(0, 1))

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from pathlib import Path
 
@@ -7,13 +8,15 @@ import pytest
 from asmsim.asm_parser import parse_assembly
 from asmsim.corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL,
                            GroupingKind, ProgramEntry, build_grid, build_suite,
-                           coprime_strides, cross_dataset_mean, default_strides,
-                           enumerate_subsets, group_mean, load_datasets,
-                           load_manifest, normalize, pairwise_values, run_study,
-                           subset_mean, td_aggregate, totally_different)
+                           build_universes, coprime_strides, cross_dataset_mean,
+                           default_strides, enumerate_subsets, group_mean,
+                           load_datasets, load_manifest, normalize,
+                           pairwise_values, run_study, subset_mean,
+                           td_aggregate, totally_different)
 from asmsim.errors import (DuplicateIdError, EmptyProgramError,
                            IncompleteGridError, InputError, InvalidStrideError,
-                           ManifestError, NormalizationError)
+                           ManifestError, NormalizationError,
+                           PatternMismatchError)
 from asmsim.features import features_for_program
 from asmsim.metrics import METRIC_ORDER, MetricKind
 
@@ -403,6 +406,73 @@ class TestRunStudy:
                     # same subsets, possibly listed in a different order
                     assert sorted((s.label, s.mean) for s in grouping.subsets) == \
                         sorted((s.label, s.mean) for s in got.groupings[label].subsets)
+
+
+def closed_form(kind, fa, fb):
+    """A pair value straight from its definition over exact integers."""
+    if kind is MetricKind.JACCARD:
+        a, b = fa.existence, fb.existence
+        return len(a & b) / len(a | b)
+    if kind is MetricKind.COSINE:
+        a, b = fa.frequency, fb.frequency
+        dot = sum(a[m] * b[m] for m in a)
+        na = sum(v * v for v in a.values())
+        nb = sum(v * v for v in b.values())
+        return dot / math.sqrt(na * nb)
+    n = kind.ngram_length
+    pa, pb = fa.pattern_set(n).patterns, fb.pattern_set(n).patterns
+    return math.sqrt(len(pa ^ pb))
+
+
+class TestPairKernels:
+    def fixture_5x5(self, fixtures_dir):
+        entries = load_manifest(fixtures_dir / "corpus5x5" / "manifest.json")
+        features = {e.id: features_for_program(parse_assembly(e.path.read_text()))
+                    for e in entries}
+        return build_grid(entries), features
+
+    def test_study_pairs_equal_closed_forms(self, fixtures_dir):
+        grid, features = self.fixture_5x5(fixtures_dir)
+        report = run_study(grid, features)
+        checked = 0
+        for kind, study in report.metrics.items():
+            for grouping in study.groupings.values():
+                for subset in grouping.subsets:
+                    for pair in subset.pairs:
+                        expected = closed_form(kind, features[pair.id_a],
+                                               features[pair.id_b])
+                        assert pair.value == expected, (kind, pair)
+                        checked += 1
+        assert checked == 4 * 5 * 5 * 10
+
+    def test_foreign_pattern_rejected(self, fixtures_dir):
+        grid, features = self.fixture_5x5(fixtures_dir)
+        universes = build_universes(features)
+        subset = enumerate_subsets(grid, APPLICATION_SPECIFIC)[0]
+        member = subset.members[0].id
+        foreign = dict(features)
+        foreign[member] = features_of("\tvmul d0, d1\n\tvmul d0, d1\n\tvmul d0, d1\n")
+        for kind in (MetricKind.EUCLIDEAN2, MetricKind.EUCLIDEAN3):
+            with pytest.raises(PatternMismatchError, match="vmul"):
+                pairwise_values(subset, kind, foreign, universes)
+
+    def test_program_missing_from_universes_rejected(self, fixtures_dir):
+        grid, features = self.fixture_5x5(fixtures_dir)
+        other = build_grid(grid_entries(5, 5))
+        universes = build_universes(uniform_features([e.id for e in other.entries]))
+        subset = enumerate_subsets(grid, APPLICATION_SPECIFIC)[0]
+        for kind in (MetricKind.EUCLIDEAN2, MetricKind.EUCLIDEAN3):
+            with pytest.raises(PatternMismatchError) as excinfo:
+                pairwise_values(subset, kind, features, universes)
+            assert excinfo.value.entity == subset.members[0].id
+
+    def test_universes_are_optional(self, fixtures_dir):
+        grid, features = self.fixture_5x5(fixtures_dir)
+        universes = build_universes(features)
+        for subset in enumerate_subsets(grid, totally_different(2)):
+            for kind in METRIC_ORDER:
+                assert pairwise_values(subset, kind, features) == \
+                    pairwise_values(subset, kind, features, universes)
 
 
 class TestSuite:

@@ -7,7 +7,7 @@ from asmsim.errors import PatternMismatchError
 from asmsim.features import (PatternSet, build_universe, compute_features,
                              existence_set, extract_ngrams,
                              features_for_program, features_to_dict,
-                             frequency_vector, to_boolean_vector)
+                             frequency_vector)
 
 import oracles
 
@@ -125,29 +125,31 @@ class TestPatternUniverse:
 
 
 class TestBooleanVector:
+    """Presence vectors as ints: bit i stands for ``universe.ordered[i]``."""
+
     def test_empty_set(self):
         universe = build_universe([patterns(2, ("a", "b"), ("b", "c"), ("c", "d"))])
-        assert to_boolean_vector(patterns(2), universe) == (0, 0, 0)
+        assert universe.presence_vector(patterns(2)) == 0b000
 
     def test_partial(self):
         universe = build_universe([patterns(2, ("a", "b"), ("b", "c"))])
-        assert to_boolean_vector(patterns(2, ("b", "c")), universe) == (0, 1)
+        assert universe.presence_vector(patterns(2, ("b", "c"))) == 0b10
 
     def test_full(self):
         pset = patterns(2, ("a", "b"), ("b", "c"))
         universe = build_universe([pset])
-        assert to_boolean_vector(pset, universe) == (1, 1)
+        assert universe.presence_vector(pset) == 0b11
 
     def test_pattern_outside_universe_rejected(self):
         universe = build_universe([patterns(2, ("a", "b"))])
         with pytest.raises(PatternMismatchError):
-            to_boolean_vector(patterns(2, ("x", "y")), universe)
+            universe.presence_vector(patterns(2, ("x", "y")))
 
     def test_roundtrip(self):
         pset = patterns(2, ("a", "b"), ("c", "d"))
         universe = build_universe([pset, patterns(2, ("b", "c"))])
-        vector = to_boolean_vector(pset, universe)
-        back = frozenset(universe.ordered[i] for i, bit in enumerate(vector) if bit)
+        vector = universe.presence_vector(pset)
+        back = frozenset(p for i, p in enumerate(universe.ordered) if vector >> i & 1)
         assert back == pset.patterns
 
 

@@ -8,7 +8,7 @@ from asmsim.asm_parser import is_branch, parse_assembly, segment_basic_blocks
 from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            enumerate_subsets, APPLICATION_SPECIFIC,
                            PROGRAMMER_SPECIFIC, totally_different)
-from asmsim.features import PatternSet, build_universe, extract_ngrams, to_boolean_vector
+from asmsim.features import PatternSet, build_universe, extract_ngrams
 from asmsim.metrics import cosine, euclidean_pattern_distance, jaccard
 
 import oracles
@@ -90,9 +90,10 @@ class TestFeatureProperties:
     @given(pattern_sets, pattern_sets)
     def test_boolean_vector_roundtrip(self, p1, p2):
         universe = build_universe([p1, p2], n=2)
-        vector = to_boolean_vector(p1, universe)
-        assert frozenset(universe.ordered[i] for i, bit in enumerate(vector)
-                         if bit) == p1.patterns
+        vector = universe.presence_vector(p1)
+        assert vector.bit_length() <= len(universe)
+        assert frozenset(p for i, p in enumerate(universe.ordered)
+                         if vector >> i & 1) == p1.patterns
 
 
 class TestMetricProperties:
