@@ -15,9 +15,8 @@ from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
                      ManifestError, NormalizationError, ParseError,
                      PatternMismatchError, ToolError)
 from .features import (PatternSet, PatternUniverse, ProgramFeatures,
-                       build_universe, compute_features, existence_set,
-                       extract_ngrams, features_for_program, features_to_dict,
-                       frequency_vector)
+                       build_universe, compute_features, extract_ngrams,
+                       features_for_program, features_to_dict, frequency_vector)
 from .metrics import (METRIC_ORDER, MetricKind, SimilarityValue, cosine,
                       euclidean_pattern_distance, jaccard, measure)
 

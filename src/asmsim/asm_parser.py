@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ParseError
 
@@ -47,6 +48,12 @@ class ParserConfig:
     def __post_init__(self) -> None:
         if not self.branch_mnemonics:
             raise ValueError("branch_mnemonics must not be empty")
+
+    @cached_property
+    def branch_set(self) -> frozenset[str]:
+        """Branch mnemonics, bare and with every condition suffix."""
+        return self.branch_mnemonics | {b + s for b in self.branch_mnemonics
+                                        for s in CONDITION_SUFFIXES}
 
 
 DEFAULT_CONFIG = ParserConfig()
@@ -172,12 +179,7 @@ def is_branch(instruction: Instruction, config: ParserConfig = DEFAULT_CONFIG) -
     mnemonic = instruction.mnemonic
     if mnemonic == "pop":
         return bool(_PC_RE.search(instruction.operands_raw.lower()))
-    for entry in config.branch_mnemonics:
-        if mnemonic == entry:
-            return True
-        if mnemonic.startswith(entry) and mnemonic[len(entry):] in CONDITION_SUFFIXES:
-            return True
-    return False
+    return mnemonic in config.branch_set
 
 
 def segment_basic_blocks(program: AssemblyProgram,

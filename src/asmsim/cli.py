@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .asm_parser import AssemblyProgram, parse_assembly
+from .asm_parser import parse_assembly
 from .config import ToolConfig, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
                      load_datasets, run_study)
@@ -51,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["markdown", "csv", "json", "text"],
                         help="output format (study: markdown/csv/json; compare: text/json)")
     common.add_argument("--jobs", type=int, metavar="N",
-                        help="worker threads for per-file work")
+                        help="compiler processes run at once (compile)")
     common.add_argument("--strict", action="store_true", default=None,
                         help="abort on unclassifiable assembly lines")
     common.add_argument("--linear-ngrams", action="store_true", default=None,
@@ -119,13 +118,6 @@ def resolve_config(args: argparse.Namespace) -> ToolConfig:
     return config
 
 
-def _read_text(path: Path, entity: str | None = None) -> str:
-    try:
-        return path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise InputError(f"cannot read file: {exc}", entity=entity or str(path)) from exc
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text, encoding="utf-8")
@@ -133,13 +125,22 @@ def _write_text(path: Path, text: str) -> None:
         raise InputError(f"cannot write file: {exc}", entity=str(path)) from exc
 
 
-def _parse_file(path: Path, config: ToolConfig) -> AssemblyProgram:
-    return parse_assembly(_read_text(path), config.parser, source_name=str(path))
+def file_features(path: Path, config: ToolConfig,
+                  entity: str | None = None) -> ProgramFeatures:
+    """Read, parse and featurize one assembly file.
 
-
-def _warn_diagnostics(path: Path, program: AssemblyProgram) -> None:
+    Prints a ``warning: <path>:<line>: ...`` line on stderr for every line
+    lenient mode skipped; ``entity`` names the file in a read error.
+    """
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise InputError(f"cannot read file: {exc}", entity=entity or str(path)) from exc
+    program = parse_assembly(text, config.parser, source_name=str(path))
     for line_no, message in program.diagnostics:
         print(f"warning: {path}:{line_no}: {message}", file=sys.stderr)
+    return features_for_program(program, config.parser,
+                                linear=config.ngram_mode == "linear")
 
 
 def collect_inputs(paths: Sequence[Path], glob_pattern: str) -> list[Path]:
@@ -156,7 +157,6 @@ def collect_inputs(paths: Sequence[Path], glob_pattern: str) -> list[Path]:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    linear = config.ngram_mode == "linear"
     files = collect_inputs(args.paths, args.glob)
 
     if args.out is not None:
@@ -167,10 +167,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                              entity=str(args.out)) from exc
         used: set[str] = set()
     for path in files:
-        program = _parse_file(path, config)
-        _warn_diagnostics(path, program)
-        dump = features_to_dict(features_for_program(program, config.parser,
-                                                     linear=linear))
+        dump = features_to_dict(file_features(path, config))
         if args.out is None:
             print(json.dumps(dump))
             continue
@@ -188,14 +185,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.format in ("csv", "markdown"):
         raise InputError(f"compare renders text or json, not {args.format}")
     config = resolve_config(args)
-    linear = config.ngram_mode == "linear"
     features = []
     for path in (args.file_a, args.file_b):
         if not path.is_file():
             raise InputError("no such file", entity=str(path))
-        program = _parse_file(path, config)
-        _warn_diagnostics(path, program)
-        features.append(features_for_program(program, config.parser, linear=linear))
+        features.append(file_features(path, config))
 
     names = list(COMPARE_METRICS) if args.metric == "all" else [args.metric]
     results = {name: measure(COMPARE_METRICS[name], features[0], features[1])
@@ -227,26 +221,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _entry_features(entry: ProgramEntry, config: ToolConfig) -> ProgramFeatures:
-    text = _read_text(entry.path, entity=entry.id)
-    program = parse_assembly(text, config.parser, source_name=str(entry.path))
-    return features_for_program(program, config.parser,
-                                linear=config.ngram_mode == "linear")
-
-
 def corpus_features(entries: Sequence[ProgramEntry],
                     config: ToolConfig) -> dict[str, ProgramFeatures]:
-    """Parse and featurize corpus entries, optionally on worker threads.
-
-    Results are consumed in entry order, so the worker count never
-    changes the outcome.
-    """
-    if config.jobs == 1:
-        computed = [_entry_features(entry, config) for entry in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            computed = list(pool.map(lambda e: _entry_features(e, config), entries))
-    return {entry.id: feats for entry, feats in zip(entries, computed)}
+    """Features of every corpus entry, keyed by entry id, in entry order."""
+    return {entry.id: file_features(entry.path, config, entry.id) for entry in entries}
 
 
 def run_manifest_study(manifest: ManifestData, config: ToolConfig) -> str:

@@ -2,8 +2,10 @@
 
 Each source is compiled into ``<out>/cache/<hash>.s`` where the hash
 covers the source bytes, the compiler command, and its flags; reruns with
-unchanged inputs never invoke the compiler. A derived manifest pointing
-at the assembly files is written next to the cache so the study step can
+unchanged inputs never invoke the compiler. ``jobs`` compiler processes
+run at once, each distinct hash is compiled once per run, and a compile
+replaces its cache file only on success. A derived manifest pointing at
+the assembly files is written next to the cache so the study step can
 consume it directly.
 """
 
@@ -11,9 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
 import subprocess
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -88,18 +93,16 @@ def compiler_version(template: str) -> str | None:
 
 
 def compile_entry(entry: ProgramEntry, config: ToolConfig,
-                  cache_dir: Path) -> CompileOutcome:
-    try:
-        source = entry.path.read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read source: {exc}", entity=entry.id) from exc
-    key = content_hash(source, config.compiler_command, config.compiler_flags)
-    target = cache_dir / f"{key}.s"
-    if target.is_file():
-        return CompileOutcome(entry, target, cached=True)
+                  target: Path) -> CompileOutcome:
+    """Compile one entry into the cache file ``target``.
 
+    The compiler writes a name private to this process, which replaces
+    ``target`` only on success, so a killed or failed compile never leaves
+    a partial ``target`` for a later run to take as a cache hit.
+    """
+    partial = target.with_name(f"{target.stem}.{os.getpid()}.partial.s")
     argv = build_command(config.compiler_command, config.compiler_flags,
-                         entry.path, target)
+                         entry.path, partial)
     try:
         proc = subprocess.run(argv, capture_output=True, text=True)
     except FileNotFoundError as exc:
@@ -107,13 +110,14 @@ def compile_entry(entry: ProgramEntry, config: ToolConfig,
     except OSError as exc:
         raise ToolError(f"cannot run compiler: {exc}", entity=entry.id) from exc
     if proc.returncode != 0:
-        target.unlink(missing_ok=True)
+        partial.unlink(missing_ok=True)
         detail = proc.stderr.strip().splitlines()
         message = detail[-1] if detail else f"compiler exited with {proc.returncode}"
         return CompileOutcome(entry, None, error=message)
-    if not target.is_file():
+    if not partial.is_file():
         return CompileOutcome(entry, None,
                               error="compiler reported success but wrote no output")
+    os.replace(partial, target)
     return CompileOutcome(entry, target, cached=False)
 
 
@@ -123,25 +127,46 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
 
     Individual compile failures are recorded and skipped so one bad file
     cannot sink a corpus run; the caller decides how to report them.
+    Outcomes are those of a serial run: the first entry with an uncached
+    hash compiles it; later ones report a cache hit or the same error.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
     cache_dir.mkdir(exist_ok=True)
 
+    entries = [entry for _, dataset in manifest.datasets for entry in dataset]
+    keys = []
+    for entry in entries:
+        try:
+            source = entry.path.read_bytes()
+        except OSError as exc:
+            raise InputError(f"cannot read source: {exc}", entity=entry.id) from exc
+        keys.append(content_hash(source, config.compiler_command, config.compiler_flags))
+    first: dict[str, int] = {}  # uncached hash -> index of the entry that compiles it
+    for index, key in enumerate(keys):
+        if key not in first and not (cache_dir / f"{key}.s").is_file():
+            first[key] = index
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        futures = {key: pool.submit(compile_entry, entries[index], config,
+                                    cache_dir / f"{key}.s")
+                   for key, index in first.items()}
+
     outcomes: list[CompileOutcome] = []
+    for index, (entry, key) in enumerate(zip(entries, keys)):
+        if key in futures:
+            outcome = futures[key].result()
+            if first[key] != index:
+                outcome = replace(outcome, entry=entry, cached=outcome.error is None)
+        else:
+            outcome = CompileOutcome(entry, cache_dir / f"{key}.s", cached=True)
+        outcomes.append(outcome)
+
+    results = iter(outcomes)
     derived_datasets = []
-    for name, entries in manifest.datasets:
-        programs = []
-        for entry in entries:
-            outcome = compile_entry(entry, config, cache_dir)
-            outcomes.append(outcome)
-            if outcome.output is not None:
-                programs.append({
-                    "id": entry.id,
-                    "path": str(outcome.output.relative_to(out_dir)),
-                    "programmer": entry.programmer,
-                    "application": entry.application,
-                })
+    for name, dataset in manifest.datasets:
+        programs = [{"id": o.entry.id, "path": str(o.output.relative_to(out_dir)),
+                     "programmer": o.entry.programmer, "application": o.entry.application}
+                    for o in islice(results, len(dataset)) if o.output is not None]
         derived_datasets.append({"name": name, "programs": programs})
 
     metadata = dict(manifest.metadata)

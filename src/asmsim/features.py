@@ -1,8 +1,8 @@
 """Feature families consumed by the similarity metrics.
 
-A parsed program is reduced to three views: which mnemonics exist, how
-often each occurs, and which length-n mnemonic patterns occur inside its
-basic blocks (n = 2 and 3 by default).
+A parsed program is reduced to two views: how often each mnemonic occurs
+(its keys are the mnemonics that exist), and which length-n mnemonic
+patterns occur inside its basic blocks (n = 2 and 3 by default).
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ from .asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
 from .errors import PatternMismatchError
 
 NGram = tuple[str, ...]
-
-
-def existence_set(program: AssemblyProgram) -> frozenset[str]:
-    """Distinct mnemonics of a program, regardless of occurrence counts."""
-    return frozenset(ins.mnemonic for ins in program.instructions)
 
 
 def frequency_vector(program: AssemblyProgram) -> Counter[str]:
@@ -128,7 +123,6 @@ def build_universe(sets: Iterable[PatternSet], n: int | None = None) -> PatternU
 class ProgramFeatures:
     """Everything the four metrics need to know about one program."""
 
-    existence: frozenset[str]
     frequency: Counter[str]
     patterns2: PatternSet
     patterns3: PatternSet
@@ -143,7 +137,6 @@ class ProgramFeatures:
 
 def compute_features(program: AssemblyProgram, blocks: Sequence[BasicBlock]) -> ProgramFeatures:
     return ProgramFeatures(
-        existence=existence_set(program),
         frequency=frequency_vector(program),
         patterns2=extract_ngrams(blocks, 2),
         patterns3=extract_ngrams(blocks, 3),
@@ -165,7 +158,7 @@ def features_for_program(program: AssemblyProgram,
 def features_to_dict(features: ProgramFeatures) -> dict:
     """JSON-ready dump with a stable field and element order."""
     return {
-        "mnemonics": sorted(features.existence),
+        "mnemonics": sorted(features.frequency),
         "freq": {m: features.frequency[m] for m in sorted(features.frequency)},
         "ngrams2": [list(p) for p in sorted(features.patterns2.patterns)],
         "ngrams3": [list(p) for p in sorted(features.patterns3.patterns)],
@@ -174,6 +167,6 @@ def features_to_dict(features: ProgramFeatures) -> dict:
 
 __all__ = [
     "NGram", "PatternSet", "PatternUniverse", "ProgramFeatures",
-    "existence_set", "frequency_vector", "extract_ngrams", "build_universe",
+    "frequency_vector", "extract_ngrams", "build_universe",
     "compute_features", "features_for_program", "features_to_dict",
 ]

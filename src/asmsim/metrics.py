@@ -1,8 +1,9 @@
 """Pairwise program comparison functions.
 
-Existence sets are compared with Jaccard similarity, frequency vectors
-with cosine similarity (bag-of-words), and n-gram pattern sets with the
-Euclidean distance between their boolean presence vectors.
+Mnemonic sets (the keys of the frequency vectors) are compared with
+Jaccard similarity, frequency vectors with cosine similarity
+(bag-of-words), and n-gram pattern sets with the Euclidean distance
+between their boolean presence vectors.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def pair_scorer(kind: MetricKind, members: Sequence[ProgramFeatures],
     """``score(i, j)``: one metric for members i and j from per-program values.
     Pattern metrics take presence vectors, or build a universe of the members."""
     if kind is MetricKind.JACCARD:
-        sets = [f.existence for f in members]
+        sets = [frozenset(f.frequency) for f in members]
         return lambda i, j: jaccard(sets[i], sets[j])
     if kind is MetricKind.COSINE:
         freqs = [f.frequency for f in members]

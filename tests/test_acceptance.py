@@ -156,7 +156,7 @@ class TestCriterion4OracleEquivalence:
                             oracles.oracle_features(program, blocks)))
 
         for (fa, oa), (fb, ob) in zip(bundles, bundles[1:]):
-            assert abs(jaccard(fa.existence, fb.existence)
+            assert abs(jaccard(frozenset(fa.frequency), frozenset(fb.frequency))
                        - oracles.naive_jaccard(oa["existence"], ob["existence"])) <= 1e-12
             if fa.frequency and fb.frequency:
                 assert abs(cosine(fa.frequency, fb.frequency)

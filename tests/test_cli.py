@@ -243,6 +243,21 @@ class TestStudy:
         code, entity, _ = last_diagnostic(result)
         assert code == 3 and entity == f"{bad}:2"
 
+    def test_lenient_warns_on_stderr_report_unchanged(self, tmp_path):
+        for name in ("a", "b"):
+            for app in ("x", "y"):
+                write_asm(tmp_path / f"{name}{app}.s", "mov r0, r1", f"add r{ord(name) % 4}, r1")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"programs": [
+            {"id": f"{n}-{a}", "path": f"{n}{a}.s", "programmer": n, "application": a}
+            for n in ("a", "b") for a in ("x", "y")]}))
+        clean = run_cli("study", manifest)
+        bad = write_asm(tmp_path / "ax.s", "mov r0, r1", "=== junk", "add r1, r1")
+        result = run_cli("study", manifest)
+        assert result.returncode == 0
+        assert f"warning: {bad}:2:" in result.stderr.decode()
+        assert result.stdout == clean.stdout
+
     def test_linear_ngrams_change_pattern_metrics_only(self, corpus_manifest):
         blocks = json.loads(run_cli("study", corpus_manifest, "--format", "json").stdout)
         linear = json.loads(run_cli("study", corpus_manifest, "--format", "json",

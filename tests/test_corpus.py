@@ -411,7 +411,7 @@ class TestRunStudy:
 def closed_form(kind, fa, fb):
     """A pair value straight from its definition over exact integers."""
     if kind is MetricKind.JACCARD:
-        a, b = fa.existence, fb.existence
+        a, b = fa.frequency.keys(), fb.frequency.keys()
         return len(a & b) / len(a | b)
     if kind is MetricKind.COSINE:
         a, b = fa.frequency, fb.frequency

@@ -1,5 +1,6 @@
 import json
 import shutil
+import signal
 import sys
 from pathlib import Path
 
@@ -25,6 +26,38 @@ if "FAIL" in src:
     sys.stderr.write("fake-cc: cannot compile\\n")
     sys.exit(1)
 pathlib.Path(out).write_text(src)
+"""
+
+
+# Writes half of its output, then SIGKILLs the `asmsim compile` process
+# that started it, as an interrupted run would. It kills nothing else.
+KILLING_CC = """\
+import os, pathlib, signal, sys
+args = sys.argv[1:]
+out = args[args.index("-o") + 1]
+src = pathlib.Path(args[-1]).read_text()
+pathlib.Path(out).write_text(src[:len(src) // 2])
+parent = os.getppid()
+argv = pathlib.Path(f"/proc/{parent}/cmdline").read_bytes().split(b"\\0")
+if argv[1:4] != [b"-m", b"asmsim", b"compile"]:
+    sys.exit("fake-cc: parent is not asmsim compile")
+os.kill(parent, signal.SIGKILL)
+"""
+
+# Copies input to output once a second compile has started, so it
+# succeeds only when compiles run side by side.
+PAIRED_CC = """\
+import pathlib, sys, time
+args = sys.argv[1:]
+here = pathlib.Path(__file__).parent
+(here / ("started-" + pathlib.Path(args[-1]).name)).touch()
+deadline = time.monotonic() + 20
+while len(list(here.glob("started-*"))) < 2:
+    if time.monotonic() > deadline:
+        sys.exit("fake-cc: no second compile started")
+    time.sleep(0.01)
+out = args[args.index("-o") + 1]
+pathlib.Path(out).write_text(pathlib.Path(args[-1]).read_text())
 """
 
 
@@ -142,6 +175,37 @@ class TestCompileCorpus:
         # identical sources across datasets hit the cache instead of recompiling
         assert result.cache_hits == 4
 
+    def test_repeated_source_same_result_for_any_jobs(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["programs"][3]["path"] = doc["programs"][0]["path"]
+        manifest.write_text(json.dumps(doc))
+        compiler = f"{sys.executable} {fake_cc}"
+        lines, calls = [], []
+        for jobs in (1, 2):
+            result = run_cli("compile", manifest, "--out", tmp_path / f"out{jobs}",
+                             "--cc", compiler, "--jobs", jobs)
+            assert result.returncode == 0
+            lines.append(result.stdout.decode().splitlines()[0])
+            calls.append(call_count(fake_cc))
+        assert lines == ["compiled 3, cached 1, failed 0"] * 2
+        assert calls == [3, 6]  # one compiler call per distinct source
+        one, two = tmp_path / "out1", tmp_path / "out2"
+        assert (one / "manifest.json").read_bytes() == (two / "manifest.json").read_bytes()
+        assert sorted(p.name for p in (one / "cache").iterdir()) == \
+            sorted(p.name for p in (two / "cache").iterdir())
+        for path in (one / "cache").iterdir():
+            assert path.read_bytes() == (two / "cache" / path.name).read_bytes()
+
+    def test_jobs_run_compilers_side_by_side(self, tmp_path):
+        manifest = make_sources(tmp_path)
+        paired = tmp_path / "paired_cc.py"
+        paired.write_text(PAIRED_CC)
+        config = ToolConfig(compiler_command=f"{sys.executable} {paired}",
+                            compiler_flags=(), jobs=2)
+        result = compile_corpus(load_datasets(manifest), config, tmp_path / "out")
+        assert not result.failures and result.cache_hits == 0
+
     def test_missing_compiler(self, tmp_path):
         manifest = make_sources(tmp_path)
         config = ToolConfig(compiler_command="/no/such/compiler")
@@ -176,6 +240,25 @@ class TestCompileCli:
         assert result.returncode == 4
         assert "failed 1" in result.stdout.decode()
         assert 'entity="a-x"' in result.stderr.decode()
+
+    @pytest.mark.skipif(not Path("/proc/self/cmdline").is_file(),
+                        reason="the killing fake compiler reads /proc")
+    def test_killed_compile_leaves_no_cache_hit(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        compiler = f"{sys.executable} {fake_cc}"  # one command, so one cache key
+        fake_cc.write_text(KILLING_CC)
+        killed = run_cli("compile", manifest, "--out", out, "--jobs", 1, "--cc", compiler)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr.decode()
+
+        fake_cc.write_text(FAKE_CC)
+        rerun = run_cli("compile", manifest, "--out", out, "--cc", compiler)
+        assert rerun.returncode == 0
+        assert "compiled 4, cached 0, failed 0" in rerun.stdout.decode()
+        [(_, sources)] = load_datasets(manifest).datasets
+        [(_, derived)] = load_datasets(out / "manifest.json").datasets
+        assert {e.id: e.path.read_text() for e in derived} == \
+            {e.id: e.path.read_text() for e in sources}
 
     def test_cli_missing_compiler_exit_code(self, tmp_path):
         manifest = make_sources(tmp_path)

@@ -5,9 +5,8 @@ import pytest
 from asmsim.asm_parser import parse_assembly, segment_basic_blocks
 from asmsim.errors import PatternMismatchError
 from asmsim.features import (PatternSet, build_universe, compute_features,
-                             existence_set, extract_ngrams,
-                             features_for_program, features_to_dict,
-                             frequency_vector)
+                             extract_ngrams, features_for_program,
+                             features_to_dict, frequency_vector)
 
 import oracles
 
@@ -21,30 +20,30 @@ def patterns(n, *tuples):
 
 
 class TestBagFeatures:
+    """Existence is the key set of the frequency vector."""
+
     def test_existence_collapses_duplicates(self):
-        assert existence_set(program_of("mov r0", "mov r1", "add r2")) == {"mov", "add"}
+        program = program_of("mov r0", "mov r1", "add r2")
+        assert frequency_vector(program).keys() == {"mov", "add"}
 
     def test_existence_empty(self):
-        assert existence_set(parse_assembly("")) == frozenset()
+        assert frequency_vector(parse_assembly("")).keys() == frozenset()
 
     def test_existence_enumeration(self):
         program = program_of("push {lr}", "mov r0", "bl f", "mov r1", "pop {pc}")
-        assert existence_set(program) == {"push", "mov", "bl", "pop"}
+        assert frequency_vector(program).keys() == {"push", "mov", "bl", "pop"}
 
     def test_frequency_counts(self):
         assert frequency_vector(program_of("mov r0", "mov r1", "add r2")) == {
             "mov": 2, "add": 1}
+        program = program_of("mov r0", "add r1", "mov r2", "b out")
+        assert sum(frequency_vector(program).values()) == len(program.instructions)
 
     def test_frequency_empty(self):
         assert frequency_vector(parse_assembly("")) == {}
 
     def test_frequency_single_mnemonic(self):
         assert frequency_vector(program_of("b x", "b x", "b x", "b x")) == {"b": 4}
-
-    def test_existence_equals_frequency_keys(self):
-        program = program_of("mov r0", "add r1", "mov r2", "b out")
-        assert existence_set(program) == set(frequency_vector(program))
-        assert sum(frequency_vector(program).values()) == len(program.instructions)
 
 
 class TestExtractNgrams:
@@ -157,11 +156,11 @@ class TestFeatureBundle:
     def test_compute_features_consistent(self):
         program = program_of("mov r0", "add r1", "mov r2")
         features = compute_features(program, segment_basic_blocks(program))
-        assert features.existence == set(features.frequency)
+        assert features.frequency == {"mov": 2, "add": 1}
         assert features.patterns2.n == 2 and features.patterns3.n == 3
         for pattern_set in (features.patterns2, features.patterns3):
             for pattern in pattern_set.patterns:
-                assert set(pattern) <= features.existence
+                assert set(pattern) <= features.frequency.keys()
 
     def test_dump_schema_and_order(self):
         program = program_of("mov r0", "add r1", "mov r2")

@@ -99,7 +99,8 @@ class TestMeasure:
     def test_dispatch_matches_direct_calls(self):
         a = features_for_program(parse_assembly("\tmov r0, r1\n\tadd r0, r1\n"))
         b = features_for_program(parse_assembly("\tmov r0, r1\n\tsub r0, r1\n"))
-        assert measure(MetricKind.JACCARD, a, b).value == jaccard(a.existence, b.existence)
+        assert measure(MetricKind.JACCARD, a, b).value == \
+            jaccard(frozenset(a.frequency), frozenset(b.frequency))
         assert measure(MetricKind.COSINE, a, b).value == cosine(a.frequency, b.frequency)
         # without an explicit universe, one is built from the two programs
         expected = math.sqrt(len(a.patterns2.patterns ^ b.patterns2.patterns))
