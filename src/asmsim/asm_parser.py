@@ -163,7 +163,7 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
                         mnemonic = mnemonic[:-2]
                     operands = head[1].strip() if len(head) > 1 else ""
                     # one str object per distinct mnemonic, so pattern tuples
-                    # compare by identity when universes are sorted and indexed
+                    # compare by identity in the pair scorers' set intersections
                     instructions.append(Instruction(sys.intern(mnemonic), operands, line_no))
 
         if problem is not None:

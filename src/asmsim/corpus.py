@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +23,7 @@ from .errors import (DuplicateIdError, EmptyProgramError, IncompleteGridError,
                      InputError, InvalidStrideError, ManifestError,
                      NormalizationError)
 from .features import PatternUniverse, ProgramFeatures, build_universe
-from .metrics import METRIC_ORDER, MetricKind, pair_scorer
+from .metrics import METRIC_ORDER, MetricKind, pair_value
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,7 @@ class ManifestData:
 _ENTRY_FIELDS = ("id", "path", "programmer", "application")
 
 
-def _parse_entries(raw: object, base: Path, *, where: str,
-                   check_paths: bool = True) -> list[ProgramEntry]:
+def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]:
     if not isinstance(raw, list):
         raise ManifestError('"programs" must be a list', entity=where)
     entries: list[ProgramEntry] = []
@@ -66,14 +66,14 @@ def _parse_entries(raw: object, base: Path, *, where: str,
             raise DuplicateIdError(f"duplicate program id {values['id']!r}", entity=entity)
         seen.add(values["id"])
         full = base / values["path"]
-        if check_paths and not full.is_file():
+        if not full.is_file():
             raise InputError(f"program file not found: {full}", entity=entity)
         entries.append(ProgramEntry(values["id"], full,
                                     values["programmer"], values["application"]))
     return entries
 
 
-def load_datasets(path: str | Path, *, check_paths: bool = True) -> ManifestData:
+def load_datasets(path: str | Path) -> ManifestData:
     """Load a manifest holding either one dataset or a list of them.
 
     Single form: ``{"name"?: str, "programs": [...]}``. Multi form:
@@ -113,14 +113,12 @@ def load_datasets(path: str | Path, *, check_paths: bool = True) -> ManifestData
             if name in names:
                 raise ManifestError(f"duplicate dataset name {name!r}", entity=entity)
             names.add(name)
-            datasets.append((name, _parse_entries(item.get("programs"), base,
-                                                  where=entity, check_paths=check_paths)))
+            datasets.append((name, _parse_entries(item.get("programs"), base, where=entity)))
     elif "programs" in doc:
         name = doc.get("name", path.stem)
         if not isinstance(name, str) or not name:
             raise ManifestError('"name" must be a non-empty string', entity=str(path))
-        datasets.append((name, _parse_entries(doc["programs"], base,
-                                              where=str(path), check_paths=check_paths)))
+        datasets.append((name, _parse_entries(doc["programs"], base, where=str(path))))
     else:
         raise ManifestError('manifest needs a "programs" or "datasets" field',
                             entity=str(path))
@@ -292,22 +290,20 @@ def pairwise_values(subset: Subset, kind: MetricKind,
                     universes: Mapping[int, PatternUniverse] | None = None,
                     ) -> list[PairValue]:
     """One metric value per unordered member pair, in (i < j) index order.
-    Without ``universes``, a universe of the subset gives the same distances."""
-    ids = [m.id for m in subset.members]
-    members = [features[i] for i in ids]
+    Given ``universes``, every member's pattern set is checked against them."""
+    members = [(m.id, features[m.id]) for m in subset.members]
     n = kind.ngram_length
-    vectors = None if n is None or universes is None else [
-        universes[n].program_vector(i, f.pattern_set(n)) for i, f in zip(ids, members)]
-    score = pair_scorer(kind, members, vectors)
+    if n is not None and universes is not None:
+        for member_id, member in members:
+            universes[n].check(member.pattern_set(n), entity=member_id)
     values: list[PairValue] = []
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            try:
-                value = score(i, j)
-            except EmptyProgramError as exc:
-                raise EmptyProgramError(f"{exc.message} (pair {ids[i]}, {ids[j]})",
-                                        entity=f"{ids[i]},{ids[j]}") from exc
-            values.append(PairValue(ids[i], ids[j], value))
+    for (id_a, a), (id_b, b) in combinations(members, 2):
+        try:
+            value = pair_value(kind, a, b)
+        except EmptyProgramError as exc:
+            raise EmptyProgramError(f"{exc.message} (pair {id_a}, {id_b})",
+                                    entity=f"{id_a},{id_b}") from exc
+        values.append(PairValue(id_a, id_b, value))
     return values
 
 
@@ -399,15 +395,9 @@ class StudyReport:
 
 
 def build_universes(features: Mapping[str, ProgramFeatures]) -> dict[int, PatternUniverse]:
-    """Corpus-wide pattern universes for n = 2 and 3, with every program's vector."""
-    ids = sorted(features)
-    universes = {}
-    for n in (2, 3):
-        sets = [features[i].pattern_set(n) for i in ids]
-        universe = build_universe(sets, n=n)
-        universes[n] = replace(universe, vectors={
-            i: (s, universe.presence_vector(s)) for i, s in zip(ids, sets)})
-    return universes
+    """Corpus-wide pattern universes for n = 2 and 3."""
+    return {n: build_universe((f.pattern_set(n) for f in features.values()), n=n)
+            for n in (2, 3)}
 
 
 def _normalized_cells(means: Mapping[str, float], td: float,
@@ -443,7 +433,6 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
     if not strides:
         raise InvalidStrideError("at least one totally-different stride is required")
     _check_strides(grid, strides)
-    universes = build_universes(features)
 
     schemes = [PROGRAMMER_SPECIFIC, APPLICATION_SPECIFIC]
     schemes += [totally_different(s) for s in strides]
@@ -455,7 +444,7 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
         for scheme in schemes:
             summaries = []
             for subset in enumerate_subsets(grid, scheme):
-                pairs = pairwise_values(subset, kind, features, universes)
+                pairs = pairwise_values(subset, kind, features)
                 summaries.append(SubsetSummary(subset.label, pairs,
                                                subset_mean(p.value for p in pairs)))
             mean = group_mean(s.mean for s in summaries)

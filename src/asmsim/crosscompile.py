@@ -1,12 +1,13 @@
 """Cross-compile corpus sources to assembly, with content-hash caching.
 
 Each source is compiled into ``<out>/cache/<hash>.s`` where the hash
-covers the source bytes, the compiler command, and its flags; reruns with
-unchanged inputs never invoke the compiler. ``jobs`` compiler processes
-run at once, each distinct hash is compiled once per run, and a compile
-replaces its cache file only on success. A derived manifest pointing at
-the assembly files is written next to the cache so the study step can
-consume it directly.
+covers the source bytes, the compiler command, its flags, and the first
+line of its ``--version`` output; reruns with unchanged inputs never
+invoke the compiler. ``jobs`` compiler processes run at once, each
+distinct hash is compiled once per run, and a compile replaces its cache
+file only on success. A derived manifest pointing at the assembly files
+is written (atomically) next to the cache so the study step can consume
+it directly.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ def build_command(template: str, flags: Sequence[str],
     return argv
 
 
-def content_hash(source: bytes, template: str, flags: Sequence[str]) -> str:
+def content_hash(source: bytes, template: str, flags: Sequence[str],
+                 version: str | None) -> str:
     digest = hashlib.sha256()
     digest.update(source)
     digest.update(b"\x00")
-    digest.update(json.dumps([template, list(flags)]).encode("utf-8"))
+    digest.update(json.dumps([template, list(flags), version]).encode("utf-8"))
     return digest.hexdigest()[:16]
 
 
@@ -135,13 +137,15 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     cache_dir.mkdir(exist_ok=True)
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]
+    version = compiler_version(config.compiler_command)
     keys = []
     for entry in entries:
         try:
             source = entry.path.read_bytes()
         except OSError as exc:
             raise InputError(f"cannot read source: {exc}", entity=entry.id) from exc
-        keys.append(content_hash(source, config.compiler_command, config.compiler_flags))
+        keys.append(content_hash(source, config.compiler_command, config.compiler_flags,
+                                 version))
     first: dict[str, int] = {}  # uncached hash -> index of the entry that compiles it
     for index, key in enumerate(keys):
         if key not in first and not (cache_dir / f"{key}.s").is_file():
@@ -172,7 +176,6 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     metadata = dict(manifest.metadata)
     metadata["compiler_command"] = config.compiler_command
     metadata["compiler_flags"] = list(config.compiler_flags)
-    version = compiler_version(config.compiler_command)
     if version is not None:
         metadata["compiler_version"] = version
 
@@ -183,6 +186,12 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
         doc = {"datasets": derived_datasets}
     doc["metadata"] = metadata
 
+    # a failed write leaves the previous manifest whole, as for the cache
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    partial = out_dir / f"manifest.{os.getpid()}.partial.json"
+    try:
+        partial.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        os.replace(partial, manifest_path)
+    finally:
+        partial.unlink(missing_ok=True)
     return CompileResult(outcomes, manifest_path)

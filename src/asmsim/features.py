@@ -8,9 +8,9 @@ patterns occur inside its basic blocks (n = 2 and 3 by default).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
                          DEFAULT_CONFIG, linear_blocks, segment_basic_blocks)
@@ -44,42 +44,28 @@ class PatternUniverse:
 
     The order is lexicographic by mnemonic tuple, so the same corpus
     always yields the same vector layout. ``n == 0`` marks the empty
-    universe produced from no input sets. ``vectors`` maps program ids to
-    (pattern set, its presence vector) for the programs it was built from.
+    universe produced from no input sets.
     """
 
     n: int
     ordered: tuple[NGram, ...]
     index: dict[NGram, int]
-    vectors: Mapping[str, tuple[PatternSet, int]] = field(
-        default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.ordered)
 
-    def presence_vector(self, pattern_set: PatternSet) -> int:
-        """Presence vector as an int: bit i is set when ``ordered[i]`` is present."""
+    def check(self, pattern_set: PatternSet, entity: str | None = None) -> None:
+        """Raise :class:`PatternMismatchError` unless ``pattern_set`` embeds
+        in this universe: same length, every pattern present."""
         if pattern_set.patterns and pattern_set.n != self.n:
             raise PatternMismatchError(f"pattern set of length {pattern_set.n} cannot "
-                                       f"embed in a universe of length {self.n}")
-        # a byte buffer, since OR-ing in 1 << i copies the whole int per pattern
-        buffer = bytearray((len(self.ordered) + 7) // 8)
-        try:
-            for position in map(self.index.__getitem__, pattern_set.patterns):
-                buffer[position >> 3] |= 1 << (position & 7)
-        except KeyError:
-            missing = min(pattern_set.patterns.difference(self.index))
-            raise PatternMismatchError(f"pattern {missing!r} is missing from the universe; "
-                                       "it was built from a different corpus") from None
-        return int.from_bytes(buffer, "little")
-
-    def program_vector(self, program_id: str, pattern_set: PatternSet) -> int:
-        """A program's vector, recomputed (so checked) for a set it was not built from."""
-        source, bits = self.vectors.get(program_id, (None, 0))
-        if source is None:
-            raise PatternMismatchError(f"program {program_id!r} has no presence vector "
-                                       "in the universe", entity=program_id)
-        return bits if source is pattern_set else self.presence_vector(pattern_set)
+                                       f"embed in a universe of length {self.n}",
+                                       entity=entity)
+        missing = pattern_set.patterns.difference(self.index)
+        if missing:
+            raise PatternMismatchError(f"pattern {min(missing)!r} is missing from the "
+                                       "universe; it was built from a different corpus",
+                                       entity=entity)
 
 
 def extract_ngrams(blocks: Sequence[BasicBlock], n: int) -> PatternSet:
@@ -131,6 +117,11 @@ class ProgramFeatures:
         return self.patterns2 if n == 2 else self.patterns3
 
     @cached_property
+    def mnemonics(self) -> frozenset[str]:
+        """The mnemonics that occur: the keys of ``frequency``."""
+        return frozenset(self.frequency)
+
+    @cached_property
     def frequency_norm_sq(self) -> int:
         return sum(v * v for v in self.frequency.values())
 
@@ -158,7 +149,7 @@ def features_for_program(program: AssemblyProgram,
 def features_to_dict(features: ProgramFeatures) -> dict:
     """JSON-ready dump with a stable field and element order."""
     return {
-        "mnemonics": sorted(features.frequency),
+        "mnemonics": sorted(features.mnemonics),
         "freq": {m: features.frequency[m] for m in sorted(features.frequency)},
         "ngrams2": [list(p) for p in sorted(features.patterns2.patterns)],
         "ngrams3": [list(p) for p in sorted(features.patterns3.patterns)],

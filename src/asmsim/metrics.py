@@ -12,10 +12,10 @@ import math
 from enum import Enum
 from itertools import repeat
 from operator import mul
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .errors import EmptyProgramError, PatternMismatchError
-from .features import PatternSet, PatternUniverse, ProgramFeatures, build_universe
+from .features import NGram, PatternSet, PatternUniverse, ProgramFeatures
 
 
 class MetricKind(str, Enum):
@@ -78,9 +78,10 @@ def cosine(a: Mapping[str, int], b: Mapping[str, int],
     return min(max(value, 0.0), 1.0)
 
 
-def presence_distance(bits_a: int, bits_b: int) -> float:
-    """Euclidean distance between two int presence vectors: sqrt(popcount(a ^ b))."""
-    return math.sqrt((bits_a ^ bits_b).bit_count())
+def pattern_distance(a: frozenset[NGram], b: frozenset[NGram]) -> float:
+    """Euclidean distance between the boolean presence vectors of two pattern
+    sets over any universe that holds both: sqrt(|a ^ b|)."""
+    return math.sqrt(len(a) + len(b) - 2 * len(a & b))
 
 
 def euclidean_pattern_distance(p1: PatternSet, p2: PatternSet,
@@ -91,29 +92,21 @@ def euclidean_pattern_distance(p1: PatternSet, p2: PatternSet,
     if p1.n != p2.n:
         raise PatternMismatchError(
             f"cannot compare pattern sets of lengths {p1.n} and {p2.n}")
-    return presence_distance(universe.presence_vector(p1),
-                             universe.presence_vector(p2))
+    universe.check(p1)
+    universe.check(p2)
+    return pattern_distance(p1.patterns, p2.patterns)
 
 
-def pair_scorer(kind: MetricKind, members: Sequence[ProgramFeatures],
-                vectors: Sequence[int] | None = None) -> Callable[[int, int], float]:
-    """``score(i, j)``: one metric for members i and j from per-program values.
-    Pattern metrics take presence vectors, or build a universe of the members."""
+def pair_value(kind: MetricKind, a: ProgramFeatures, b: ProgramFeatures) -> float:
+    """One metric for one pair of programs, from values each program keeps."""
     if kind is MetricKind.JACCARD:
-        sets = [frozenset(f.frequency) for f in members]
-        return lambda i, j: jaccard(sets[i], sets[j])
+        return jaccard(a.mnemonics, b.mnemonics)
     if kind is MetricKind.COSINE:
-        freqs = [f.frequency for f in members]
-        norms = [f.frequency_norm_sq for f in members]
-        return lambda i, j: cosine(freqs[i], freqs[j], norms[i], norms[j])
-    if vectors is None:
-        sets = [f.pattern_set(kind.ngram_length) for f in members]
-        universe = build_universe(sets, n=kind.ngram_length)
-        vectors = [universe.presence_vector(s) for s in sets]
-    return lambda i, j: presence_distance(vectors[i], vectors[j])
+        return cosine(a.frequency, b.frequency, a.frequency_norm_sq, b.frequency_norm_sq)
+    n = kind.ngram_length
+    return pattern_distance(a.pattern_set(n).patterns, b.pattern_set(n).patterns)
 
 
 def measure(kind: MetricKind, a: ProgramFeatures, b: ProgramFeatures) -> SimilarityValue:
-    """Apply one metric to two feature bundles; the pattern metrics use a
-    universe of the two programs, which yields the corpus-wide distance."""
-    return SimilarityValue(kind, pair_scorer(kind, [a, b])(0, 1))
+    """Apply one metric to two feature bundles."""
+    return SimilarityValue(kind, pair_value(kind, a, b))

@@ -60,6 +60,18 @@ out = args[args.index("-o") + 1]
 pathlib.Path(out).write_text(pathlib.Path(args[-1]).read_text())
 """
 
+# Copies input to output; answers `--version` with the line kept in
+# version.txt next to it, so a test can upgrade it between runs.
+VERSIONED_CC = """\
+import pathlib, sys
+args = sys.argv[1:]
+if args == ["--version"]:
+    print(pathlib.Path(__file__).with_name("version.txt").read_text().strip())
+    sys.exit()
+out = args[args.index("-o") + 1]
+pathlib.Path(out).write_text(pathlib.Path(args[-1]).read_text())
+"""
+
 
 @pytest.fixture
 def fake_cc(tmp_path):
@@ -107,11 +119,13 @@ class TestBuildCommand:
 
 class TestContentHash:
     def test_sensitive_to_inputs(self):
-        base = content_hash(b"src", "cc", ["-S"])
-        assert base == content_hash(b"src", "cc", ["-S"])
-        assert base != content_hash(b"other", "cc", ["-S"])
-        assert base != content_hash(b"src", "cc2", ["-S"])
-        assert base != content_hash(b"src", "cc", ["-O2"])
+        base = content_hash(b"src", "cc", ["-S"], "cc 1.0")
+        assert base == content_hash(b"src", "cc", ["-S"], "cc 1.0")
+        assert base != content_hash(b"other", "cc", ["-S"], "cc 1.0")
+        assert base != content_hash(b"src", "cc2", ["-S"], "cc 1.0")
+        assert base != content_hash(b"src", "cc", ["-O2"], "cc 1.0")
+        assert base != content_hash(b"src", "cc", ["-S"], "cc 1.1")
+        assert base != content_hash(b"src", "cc", ["-S"], None)
 
 
 class TestCompileCorpus:
@@ -206,6 +220,25 @@ class TestCompileCorpus:
         result = compile_corpus(load_datasets(manifest), config, tmp_path / "out")
         assert not result.failures and result.cache_hits == 0
 
+    def test_failed_manifest_write_keeps_previous(self, tmp_path, fake_cc, monkeypatch):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        compile_corpus(load_datasets(manifest), fake_config(fake_cc), out)
+        before = (out / "manifest.json").read_bytes()
+
+        def half_write(path, data, *args, **kwargs):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        datasets = load_datasets(manifest)
+        monkeypatch.setattr(Path, "write_text", half_write)
+        with pytest.raises(OSError, match="disk full"):
+            compile_corpus(datasets, fake_config(fake_cc), out)
+        monkeypatch.undo()
+        assert (out / "manifest.json").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["cache", "manifest.json"]
+
     def test_missing_compiler(self, tmp_path):
         manifest = make_sources(tmp_path)
         config = ToolConfig(compiler_command="/no/such/compiler")
@@ -259,6 +292,24 @@ class TestCompileCli:
         [(_, derived)] = load_datasets(out / "manifest.json").datasets
         assert {e.id: e.path.read_text() for e in derived} == \
             {e.id: e.path.read_text() for e in sources}
+
+    def test_compiler_upgrade_invalidates_cache(self, tmp_path):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        compiler = tmp_path / "versioned_cc"
+        compiler.write_text(f"#!{sys.executable}\n" + VERSIONED_CC)
+        compiler.chmod(0o755)
+        lines = []
+        for release in ("fake-cc 1.0", "fake-cc 1.1", "fake-cc 1.1"):
+            compiler.with_name("version.txt").write_text(release + "\n")
+            result = run_cli("compile", manifest, "--out", out, "--cc", compiler)
+            assert result.returncode == 0, result.stderr.decode()
+            lines.append(result.stdout.decode().splitlines()[0])
+            metadata = json.loads((out / "manifest.json").read_text())["metadata"]
+            assert metadata["compiler_version"] == release
+        assert lines == ["compiled 4, cached 0, failed 0",
+                         "compiled 4, cached 0, failed 0",
+                         "compiled 0, cached 4, failed 0"]
 
     def test_cli_missing_compiler_exit_code(self, tmp_path):
         manifest = make_sources(tmp_path)

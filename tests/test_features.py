@@ -122,34 +122,22 @@ class TestPatternUniverse:
         with pytest.raises(PatternMismatchError):
             build_universe([patterns(2, ("a", "b"))], n=3)
 
-
-class TestBooleanVector:
-    """Presence vectors as ints: bit i stands for ``universe.ordered[i]``."""
-
-    def test_empty_set(self):
-        universe = build_universe([patterns(2, ("a", "b"), ("b", "c"), ("c", "d"))])
-        assert universe.presence_vector(patterns(2)) == 0b000
-
-    def test_partial(self):
+    def test_check_accepts_member_sets(self):
         universe = build_universe([patterns(2, ("a", "b"), ("b", "c"))])
-        assert universe.presence_vector(patterns(2, ("b", "c"))) == 0b10
+        universe.check(patterns(2, ("b", "c")))
+        universe.check(patterns(2))
+        universe.check(patterns(3))
 
-    def test_full(self):
-        pset = patterns(2, ("a", "b"), ("b", "c"))
-        universe = build_universe([pset])
-        assert universe.presence_vector(pset) == 0b11
-
-    def test_pattern_outside_universe_rejected(self):
+    def test_check_rejects_pattern_outside_universe(self):
         universe = build_universe([patterns(2, ("a", "b"))])
-        with pytest.raises(PatternMismatchError):
-            universe.presence_vector(patterns(2, ("x", "y")))
+        with pytest.raises(PatternMismatchError, match="x") as excinfo:
+            universe.check(patterns(2, ("a", "b"), ("x", "y")), entity="prog")
+        assert excinfo.value.entity == "prog"
 
-    def test_roundtrip(self):
-        pset = patterns(2, ("a", "b"), ("c", "d"))
-        universe = build_universe([pset, patterns(2, ("b", "c"))])
-        vector = universe.presence_vector(pset)
-        back = frozenset(p for i, p in enumerate(universe.ordered) if vector >> i & 1)
-        assert back == pset.patterns
+    def test_check_rejects_wrong_length(self):
+        universe = build_universe([patterns(2, ("a", "b"))])
+        with pytest.raises(PatternMismatchError, match="length 3"):
+            universe.check(patterns(3, ("a", "b", "c")))
 
 
 class TestFeatureBundle:

@@ -9,7 +9,8 @@ from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            enumerate_subsets, APPLICATION_SPECIFIC,
                            PROGRAMMER_SPECIFIC, totally_different)
 from asmsim.features import PatternSet, build_universe, extract_ngrams
-from asmsim.metrics import cosine, euclidean_pattern_distance, jaccard
+from asmsim.metrics import (cosine, euclidean_pattern_distance, jaccard,
+                            pattern_distance)
 
 import oracles
 
@@ -87,13 +88,6 @@ class TestFeatureProperties:
         backward = build_universe(list(reversed(sets)), n=2)
         assert forward.ordered == backward.ordered
 
-    @given(pattern_sets, pattern_sets)
-    def test_boolean_vector_roundtrip(self, p1, p2):
-        universe = build_universe([p1, p2], n=2)
-        vector = universe.presence_vector(p1)
-        assert vector.bit_length() <= len(universe)
-        assert frozenset(p for i, p in enumerate(universe.ordered)
-                         if vector >> i & 1) == p1.patterns
 
 
 class TestMetricProperties:
@@ -119,6 +113,11 @@ class TestMetricProperties:
         universe = build_universe([p1, p2], n=2)
         assert euclidean_pattern_distance(p1, p2, universe) == \
             math.sqrt(len(p1.patterns ^ p2.patterns))
+
+    @given(pattern_sets, pattern_sets)
+    def test_pattern_distance_matches_oracle(self, p1, p2):
+        a, b = p1.patterns, p2.patterns
+        assert pattern_distance(a, b) == oracles.naive_euclidean(a, b, a | b)
 
     @given(pattern_sets, pattern_sets, pattern_sets)
     def test_euclidean_triangle_inequality(self, pa, pb, pc):
