@@ -2,12 +2,13 @@
 
 Each source is compiled into ``<out>/cache/<hash>.s`` where the hash
 covers the source bytes, the compiler command, its flags, and the first
-line of its ``--version`` output; reruns with unchanged inputs never
-invoke the compiler. ``jobs`` compiler processes run at once, each
+line of the compiler's ``--version`` output; reruns with unchanged inputs
+never invoke the compiler. ``jobs`` compiler processes run at once, each
 distinct hash is compiled once per run, and a compile replaces its cache
-file only on success. A derived manifest pointing at the assembly files
-is written (atomically) next to the cache so the study step can consume
-it directly.
+file only on success; partial files of compiles whose process is gone
+are removed. A derived manifest pointing at the assembly files is
+written (atomically) next to the cache so the study step can consume it
+directly.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, takewhile
 from pathlib import Path
 from typing import Sequence
 
@@ -79,13 +81,22 @@ def content_hash(source: bytes, template: str, flags: Sequence[str],
     return digest.hexdigest()[:16]
 
 
+def _names_program(word: str) -> bool:
+    return not (word.startswith("-") or "{input}" in word or "{output}" in word)
+
+
 def compiler_version(template: str) -> str | None:
-    """First line of ``<compiler> --version``, if the tool cooperates."""
-    argv = shlex.split(template)
+    """First line of ``<compiler> --version``, if the tool cooperates.
+
+    ``<compiler>`` is the template's leading words, up to the first option or
+    placeholder, so a wrapped compiler (``ccache gcc``, ``python3 cc.py``,
+    ``env CC=clang cc``) reports its own version, not the wrapper's.
+    """
+    argv = list(takewhile(_names_program, shlex.split(template)))
     if not argv:
         return None
     try:
-        proc = subprocess.run([argv[0], "--version"], capture_output=True,
+        proc = subprocess.run([*argv, "--version"], capture_output=True,
                               text=True, timeout=30)
     except (OSError, subprocess.SubprocessError):
         return None
@@ -123,6 +134,24 @@ def compile_entry(entry: ProgramEntry, config: ToolConfig,
     return CompileOutcome(entry, target, cached=False)
 
 
+_PARTIAL = re.compile(r"[0-9a-f]{16}\.(\d{1,9})\.partial\.s")
+
+
+def remove_stale_partials(cache_dir: Path) -> None:
+    """Delete the ``<hash>.<pid>.partial.s`` files of compiles whose process is
+    gone, as a killed run leaves them; a live run's files stay."""
+    for path in cache_dir.iterdir():
+        match = _PARTIAL.fullmatch(path.name)
+        if match is None:
+            continue
+        try:
+            os.kill(int(match[1]), 0)
+        except ProcessLookupError:
+            path.unlink(missing_ok=True)
+        except PermissionError:
+            pass  # alive, under another user
+
+
 def compile_corpus(manifest: ManifestData, config: ToolConfig,
                    out_dir: Path) -> CompileResult:
     """Compile every dataset entry and write the derived manifest.
@@ -135,6 +164,7 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
     cache_dir.mkdir(exist_ok=True)
+    remove_stale_partials(cache_dir)
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]
     version = compiler_version(config.compiler_command)

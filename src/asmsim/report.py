@@ -15,8 +15,7 @@ import io
 import json
 from typing import Mapping
 
-from .corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, StudyReport,
-                     StudySuite, TD_LABEL)
+from .corpus import APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL, StudySuite
 from .metrics import METRIC_ORDER, MetricKind
 
 METRIC_TITLES = {
@@ -127,54 +126,55 @@ def render_csv(suite: StudySuite, metadata: Mapping | None = None) -> str:
     return buffer.getvalue()
 
 
-def report_to_dict(report: StudyReport) -> dict:
-    metrics = {}
-    for kind in METRIC_ORDER:
-        study = report.metrics[kind]
-        groupings = {}
-        for label, grouping in study.groupings.items():
-            groupings[label] = {
-                "mean": grouping.mean,
-                "subsets": [
-                    {
-                        "label": subset.label,
-                        "mean": subset.mean,
-                        "pairs": [{"a": p.id_a, "b": p.id_b, "value": p.value}
-                                  for p in subset.pairs],
-                    }
-                    for subset in grouping.subsets
-                ],
-            }
-        metrics[kind.value] = {
-            "groupings": groupings,
-            "td_mean": study.td_mean,
-            "normalized": dict(study.normalized),
-        }
-    return {
-        "name": report.dataset,
-        "programmers": report.programmers,
-        "applications": report.applications,
-        "strides": report.strides,
-        "metrics": metrics,
-    }
+_quote = json.encoder.encode_basestring_ascii
+_NL = tuple("\n" + "  " * depth for depth in range(12))  # newline, indent at depth
 
 
-def suite_to_dict(suite: StudySuite, metadata: Mapping | None = None) -> dict:
-    return {
-        "metadata": dict(metadata or {}),
-        "datasets": [report_to_dict(report) for report in suite.reports],
-        "summary": {
-            kind.value: {
-                "means": dict(suite.summary[kind].means),
-                "normalized": dict(suite.summary[kind].normalized),
-            }
-            for kind in METRIC_ORDER
-        },
-    }
+def _dumps(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` nested ``depth`` levels deep."""
+    return json.dumps(value, indent=2).replace("\n", _NL[depth])  # no raw \n in strings
+
+
+def _members(out: list[str], items, depth: int, close: str):
+    """Yield ``items``; append to ``out`` the separator ``json.dumps(indent=2)``
+    writes before each at ``depth``, then ``close``, led by the closing bracket."""
+    sep, rest = _NL[depth], "," + _NL[depth]
+    for item in items:
+        out.append(sep)
+        yield item
+        sep = rest
+    out.append(_NL[depth - 1] + close if sep is rest else close)
 
 
 def render_json(suite: StudySuite, metadata: Mapping | None = None) -> str:
-    return json.dumps(suite_to_dict(suite, metadata), indent=2) + "\n"
+    """Metadata, datasets and summary, byte for byte as ``json.dumps(indent=2)`` writes
+    them, in one pass. Pair values are finite floats, so ``repr`` is their JSON."""
+    out = ['{\n  "metadata": ', _dumps(dict(metadata or {}), 1), ',\n  "datasets": [']
+    for report in _members(out, suite.reports, 2, '],\n  "summary": {'):
+        out.append(f'{{{_NL[3]}"name": {_quote(report.dataset)},'
+                   f'{_NL[3]}"programmers": {_dumps(report.programmers, 3)},'
+                   f'{_NL[3]}"applications": {_dumps(report.applications, 3)},'
+                   f'{_NL[3]}"strides": {_dumps(report.strides, 3)},{_NL[3]}"metrics": {{')
+        for kind in _members(out, METRIC_ORDER, 4, "}" + _NL[2] + "}"):
+            study = report.metrics[kind]
+            out.append(f'{_quote(kind.value)}: {{{_NL[5]}"groupings": {{')
+            for label, grouping in _members(out, study.groupings.items(), 6, "}"):
+                out.append(f'{_quote(label)}: {{{_NL[7]}"mean": '
+                           f'{_dumps(grouping.mean, 7)},{_NL[7]}"subsets": [')
+                for subset in _members(out, grouping.subsets, 8, "]" + _NL[6] + "}"):
+                    out.append(f'{{{_NL[9]}"label": {_quote(subset.label)},{_NL[9]}'
+                               f'"mean": {_dumps(subset.mean, 9)},{_NL[9]}"pairs": [')
+                    for p in _members(out, subset.pairs, 10, "]" + _NL[8] + "}"):
+                        out.append(f'{{{_NL[11]}"a": {_quote(p.id_a)},'
+                                   f'{_NL[11]}"b": {_quote(p.id_b)},'
+                                   f'{_NL[11]}"value": {p.value!r}{_NL[10]}}}')
+            out.append(f',{_NL[5]}"td_mean": {_dumps(study.td_mean, 5)},{_NL[5]}'
+                       f'"normalized": {_dumps(study.normalized, 5)}{_NL[4]}}}')
+    for kind in _members(out, METRIC_ORDER, 2, "}\n}\n"):
+        summary = suite.summary[kind]
+        out.append(f'{_quote(kind.value)}: {{{_NL[3]}"means": {_dumps(summary.means, 3)},'
+                   f'{_NL[3]}"normalized": {_dumps(summary.normalized, 3)}{_NL[2]}}}')
+    return "".join(out)
 
 
 RENDERERS = {

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here recomputes results by direct enumeration or naive vector
-materialization, deliberately avoiding the code paths under test. The
-oracle study pipeline is also what generates the frozen golden report
-(see gen_golden.py).
+materialization, deliberately avoiding the code paths under test, and
+lays out the JSON report as plain dicts for ``json.dumps``. The oracle
+study pipeline is also what generates the frozen golden report (see
+gen_golden.py).
 """
 
 from __future__ import annotations
@@ -182,6 +183,57 @@ def oracle_suite(reports: list[StudyReport]) -> StudySuite:
         normalized[TD_LABEL] = 1.0 if td > 0 else None
         summary[kind] = SuiteSummary(kind, means, normalized)
     return StudySuite(list(reports), summary)
+
+
+# --- report layout -------------------------------------------------------------
+
+def report_to_dict(report: StudyReport) -> dict:
+    """One dataset of the JSON report as plain data, for ``json.dumps``."""
+    metrics = {}
+    for kind in METRIC_ORDER:
+        study = report.metrics[kind]
+        groupings = {}
+        for label, grouping in study.groupings.items():
+            groupings[label] = {
+                "mean": grouping.mean,
+                "subsets": [
+                    {
+                        "label": subset.label,
+                        "mean": subset.mean,
+                        "pairs": [{"a": p.id_a, "b": p.id_b, "value": p.value}
+                                  for p in subset.pairs],
+                    }
+                    for subset in grouping.subsets
+                ],
+            }
+        metrics[kind.value] = {
+            "groupings": groupings,
+            "td_mean": study.td_mean,
+            "normalized": dict(study.normalized),
+        }
+    return {
+        "name": report.dataset,
+        "programmers": report.programmers,
+        "applications": report.applications,
+        "strides": report.strides,
+        "metrics": metrics,
+    }
+
+
+def suite_to_dict(suite: StudySuite, metadata=None) -> dict:
+    """The JSON report's document: ``render_json`` must write exactly
+    ``json.dumps(suite_to_dict(suite, metadata), indent=2) + "\\n"``."""
+    return {
+        "metadata": dict(metadata or {}),
+        "datasets": [report_to_dict(report) for report in suite.reports],
+        "summary": {
+            kind.value: {
+                "means": dict(suite.summary[kind].means),
+                "normalized": dict(suite.summary[kind].normalized),
+            }
+            for kind in METRIC_ORDER
+        },
+    }
 
 
 # --- random assembly generation -----------------------------------------------

@@ -238,6 +238,14 @@ class TestCriterion6GoldenRun:
 
         announce(6, f"golden 3x3 study, byte-identical in {elapsed:.2f}s")
 
+    def test_golden_json_bytes(self, corpus_manifest):
+        # study_3x3.json was written by json.dumps(indent=2), before the
+        # report writer walked the suite itself
+        golden = (GOLDEN / "study_3x3.json").read_bytes()
+        result = run_cli("study", corpus_manifest, "--format", "json")
+        assert result.returncode == 0
+        assert result.stdout == golden
+
     def test_pipeline_agrees_with_oracle_numbers(self, corpus_manifest):
         entries = load_manifest(corpus_manifest)
         grid = build_grid(entries)

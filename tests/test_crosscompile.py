@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,10 +15,19 @@ from asmsim.errors import ToolError
 
 from conftest import run_cli
 
+# Every fake compiler below but VERSIONED_CC starts with this: it answers
+# `--version` as a real compiler does, since the cache key asks for it.
+ANSWERS_VERSION = """\
+import sys
+if sys.argv[1:] == ["--version"]:
+    print("fake-cc 1.0")
+    sys.exit()
+"""
+
 # Stands in for the cross-compiler: copies input to output (the test
 # sources are already assembly), logs every invocation, and fails on
 # sources containing the FAIL marker.
-FAKE_CC = """\
+FAKE_CC = ANSWERS_VERSION + """\
 import pathlib, sys
 args = sys.argv[1:]
 pathlib.Path(__file__).with_name("calls.log").open("a").write(" ".join(args) + "\\n")
@@ -31,7 +42,7 @@ pathlib.Path(out).write_text(src)
 
 # Writes half of its output, then SIGKILLs the `asmsim compile` process
 # that started it, as an interrupted run would. It kills nothing else.
-KILLING_CC = """\
+KILLING_CC = ANSWERS_VERSION + """\
 import os, pathlib, signal, sys
 args = sys.argv[1:]
 out = args[args.index("-o") + 1]
@@ -46,7 +57,7 @@ os.kill(parent, signal.SIGKILL)
 
 # Copies input to output once a second compile has started, so it
 # succeeds only when compiles run side by side.
-PAIRED_CC = """\
+PAIRED_CC = ANSWERS_VERSION + """\
 import pathlib, sys, time
 args = sys.argv[1:]
 here = pathlib.Path(__file__).parent
@@ -293,15 +304,13 @@ class TestCompileCli:
         assert {e.id: e.path.read_text() for e in derived} == \
             {e.id: e.path.read_text() for e in sources}
 
-    def test_compiler_upgrade_invalidates_cache(self, tmp_path):
+    @staticmethod
+    def assert_upgrade_invalidates_cache(tmp_path, compiler):
         manifest = make_sources(tmp_path)
         out = tmp_path / "out"
-        compiler = tmp_path / "versioned_cc"
-        compiler.write_text(f"#!{sys.executable}\n" + VERSIONED_CC)
-        compiler.chmod(0o755)
         lines = []
         for release in ("fake-cc 1.0", "fake-cc 1.1", "fake-cc 1.1"):
-            compiler.with_name("version.txt").write_text(release + "\n")
+            (tmp_path / "version.txt").write_text(release + "\n")
             result = run_cli("compile", manifest, "--out", out, "--cc", compiler)
             assert result.returncode == 0, result.stderr.decode()
             lines.append(result.stdout.decode().splitlines()[0])
@@ -310,6 +319,34 @@ class TestCompileCli:
         assert lines == ["compiled 4, cached 0, failed 0",
                          "compiled 4, cached 0, failed 0",
                          "compiled 0, cached 4, failed 0"]
+
+    def test_compiler_upgrade_invalidates_cache(self, tmp_path):
+        compiler = tmp_path / "versioned_cc"
+        compiler.write_text(f"#!{sys.executable}\n" + VERSIONED_CC)
+        compiler.chmod(0o755)
+        self.assert_upgrade_invalidates_cache(tmp_path, compiler)
+
+    def test_compiler_upgrade_behind_wrapper_invalidates_cache(self, tmp_path):
+        # `python3 versioned_cc.py --version` reaches the script, not only python3
+        script = tmp_path / "versioned_cc.py"
+        script.write_text(VERSIONED_CC)
+        self.assert_upgrade_invalidates_cache(tmp_path, f"{sys.executable} {script}")
+
+    def test_stale_partial_files_removed(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        compiler = f"{sys.executable} {fake_cc}"
+        assert run_cli("compile", manifest, "--out", out, "--cc", compiler).returncode == 0
+        finished = subprocess.Popen([sys.executable, "-c", ""])
+        finished.wait(timeout=30)  # reaped, so its pid names no process
+        dead = out / "cache" / f"0123456789abcdef.{finished.pid}.partial.s"
+        live = out / "cache" / f"0123456789abcdef.{os.getpid()}.partial.s"
+        dead.write_text("\tmov r0,")
+        live.write_text("\tmov r0,")
+        rerun = run_cli("compile", manifest, "--out", out, "--cc", compiler)
+        assert rerun.stdout.decode().splitlines()[0] == "compiled 0, cached 4, failed 0"
+        assert not dead.exists()
+        assert live.read_text() == "\tmov r0,"
 
     def test_cli_missing_compiler_exit_code(self, tmp_path):
         manifest = make_sources(tmp_path)

@@ -1,25 +1,50 @@
 import csv
 import io
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asmsim.asm_parser import parse_assembly
-from asmsim.corpus import build_grid, build_suite, load_manifest, run_study
+from asmsim.corpus import (PROGRAMMER_SPECIFIC, GroupingResult, PairValue,
+                           ProgramEntry, SubsetSummary, build_grid, build_suite,
+                           load_manifest, run_study)
 from asmsim.features import features_for_program
 from asmsim.metrics import MetricKind
 from asmsim.report import (format_normalized, format_value, render,
-                           render_csv, render_json, render_markdown,
-                           suite_to_dict)
+                           render_csv, render_json, render_markdown)
+
+import oracles
+
+# quotes, backslashes, control characters and non-ASCII text
+AWKWARD = 'q"uo\\te\n\r\t\x00\x1f\x7f é 漢 \U0001f600 \u2028'
+
+
+def fixture_report(fixtures_dir, name):
+    entries = load_manifest(fixtures_dir / name / "manifest.json")
+    features = {e.id: features_for_program(parse_assembly(e.path.read_text()))
+                for e in entries}
+    return run_study(build_grid(entries), features, dataset_name=name)
+
+
+def uniform_suite(name, ids, text="\tmov r0, r1\n"):
+    """A 2x2 study whose four programs are all ``text``."""
+    entries = [ProgramEntry(program_id, Path("x.s"), f"p{i % 2}", f"a{i // 2}")
+               for i, program_id in enumerate(ids)]
+    features = {e.id: features_for_program(parse_assembly(text)) for e in entries}
+    return build_suite([run_study(build_grid(entries), features, dataset_name=name)])
+
+
+def oracle_json(suite, metadata=None):
+    return json.dumps(oracles.suite_to_dict(suite, metadata), indent=2) + "\n"
 
 
 @pytest.fixture(scope="module")
 def suite(fixtures_dir):
-    entries = load_manifest(fixtures_dir / "corpus3x3" / "manifest.json")
-    grid = build_grid(entries)
-    features = {e.id: features_for_program(parse_assembly(e.path.read_text()))
-                for e in entries}
-    return build_suite([run_study(grid, features, dataset_name="corpus3x3")])
+    return build_suite([fixture_report(fixtures_dir, "corpus3x3")])
 
 
 def test_value_formatting():
@@ -81,16 +106,7 @@ def test_json_structure(suite):
 
 
 def test_degenerate_cells_render_as_null_and_na():
-    from pathlib import Path
-
-    from asmsim.corpus import ProgramEntry
-
-    entries = [ProgramEntry(f"p{p}a{a}", Path("x.s"), f"p{p}", f"a{a}")
-               for a in range(2) for p in range(2)]
-    grid = build_grid(entries)
-    features = {e.id: features_for_program(parse_assembly("\tmov r0, r1\n"))
-                for e in entries}
-    degenerate = build_suite([run_study(grid, features, dataset_name="same")])
+    degenerate = uniform_suite("same", [f"p{p}a{a}" for a in range(2) for p in range(2)])
     doc = json.loads(render_json(degenerate))
     cell = doc["datasets"][0]["metrics"]["euclidean2"]["normalized"]
     assert cell["Programmer Specific"] is None
@@ -104,5 +120,42 @@ def test_render_dispatch(suite):
 
 
 def test_dict_round_trips_through_json(suite):
-    doc = suite_to_dict(suite)
+    doc = oracles.suite_to_dict(suite)
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_render_json_matches_oracle_layout(suite, fixtures_dir):
+    five = fixture_report(fixtures_dir, "corpus5x5")
+    degenerate = uniform_suite("same", ["w", "x", "y", "z"])
+    assert degenerate.summary[MetricKind.EUCLIDEAN2].normalized[
+        PROGRAMMER_SPECIFIC.label] is None
+    awkward = uniform_suite(AWKWARD, [AWKWARD + str(i) for i in range(4)],
+                             "\tmov r0, r1\n\tadd r1, r2\n")
+    metadata = {"ngram_mode": "blocks", "nested": [[1, [2.5, None]], {"k": []}],
+                "empty": {}, "list": [], AWKWARD: AWKWARD, "flag": True}
+    cases = [
+        (suite, None),
+        (suite, metadata),
+        (build_suite([five]), {"ngram_mode": "blocks"}),
+        (build_suite([suite.reports[0], five]), metadata),
+        (degenerate, {}),
+        (awkward, metadata),
+    ]
+    for case, case_metadata in cases:
+        assert render_json(case, case_metadata) == oracle_json(case, case_metadata)
+
+
+pair_values = st.builds(PairValue, st.text(), st.text(),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.text(), st.lists(st.lists(pair_values, max_size=4), max_size=3))
+def test_render_json_matches_oracle_on_random_pairs(suite, name, pair_lists):
+    report = suite.reports[0]
+    study = report.metrics[MetricKind.COSINE]
+    subsets = [SubsetSummary(name + str(i), pairs, 0.5) for i, pairs in enumerate(pair_lists)]
+    groupings = {**study.groupings, name: GroupingResult(PROGRAMMER_SPECIFIC, subsets, 0.25)}
+    metrics = {**report.metrics, MetricKind.COSINE: replace(study, groupings=groupings)}
+    random_suite = replace(suite, reports=[replace(report, dataset=name, metrics=metrics)])
+    assert render_json(random_suite, {name: name}) == oracle_json(random_suite, {name: name})
