@@ -16,8 +16,8 @@ from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
                      PatternMismatchError, ToolError)
 from .features import (PatternSet, PatternUniverse, ProgramFeatures,
                        build_universe, compute_features, extract_ngrams,
-                       features_for_program, features_to_dict, frequency_vector)
-from .metrics import (METRIC_ORDER, MetricKind, SimilarityValue, cosine,
-                      euclidean_pattern_distance, jaccard, measure)
+                       features_for_program, features_to_dict)
+from .metrics import (METRIC_ORDER, MetricKind, cosine,
+                      euclidean_pattern_distance, jaccard, pair_value)
 
 __version__ = "0.1.0"

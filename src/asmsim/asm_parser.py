@@ -12,6 +12,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -59,8 +60,7 @@ class ParserConfig:
 DEFAULT_CONFIG = ParserConfig()
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """One instruction: lowercase mnemonic, uninterpreted operand text."""
 
     mnemonic: str
@@ -82,25 +82,11 @@ class AssemblyProgram:
     labels: dict[str, int]
     diagnostics: list[tuple[int, str]] = field(default_factory=list)
 
-    def canonical_source(self) -> str:
-        """Serialize back to assembly text.
 
-        Parsing the result again yields the same instruction stream
-        (labels and diagnostics are dropped).
-        """
-        lines = [f"\t{ins.mnemonic} {ins.operands_raw}".rstrip() for ins in self.instructions]
-        return "".join(line + "\n" for line in lines)
+class BasicBlock(NamedTuple):
+    """A maximal straight-line run of instructions: the half-open span
+    ``program.instructions[start_index:end_index]``."""
 
-
-@dataclass(frozen=True)
-class BasicBlock:
-    """A maximal straight-line run of instructions.
-
-    ``end_index`` is exclusive: ``program.instructions[start_index:end_index]``
-    equals ``instructions``.
-    """
-
-    instructions: tuple[Instruction, ...]
     start_index: int
     end_index: int
 
@@ -138,33 +124,27 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
         rest = _strip_comment(raw_line, config.comment_markers).strip()
         problem: str | None = None
 
-        while rest:
-            head = rest.split(maxsplit=1)
-            token = head[0]
-            if not token.endswith(":"):
-                break
-            name = token[:-1]
+        head = rest.split(maxsplit=1)
+        while head and head[0].endswith(":"):
+            name = head[0][:-1]
             if not _LABEL_RE.match(name):
-                problem = f"malformed label {token!r}"
+                problem = f"malformed label {head[0]!r}"
                 break
             labels[name] = len(instructions)
-            rest = head[1] if len(head) > 1 else ""
+            head = head[1].split(maxsplit=1) if len(head) > 1 else []
 
-        if problem is None and rest:
-            if rest.startswith("."):
-                rest = ""  # directive: contributes no instruction
+        # a directive (first char ".") contributes no instruction
+        if problem is None and head and not head[0].startswith("."):
+            if not _MNEMONIC_RE.match(head[0]):
+                problem = f"unclassifiable line: {raw_line.strip()!r}"
             else:
-                head = rest.split(maxsplit=1)
-                if not _MNEMONIC_RE.match(head[0]):
-                    problem = f"unclassifiable line: {raw_line.strip()!r}"
-                else:
-                    mnemonic = head[0].lower()
-                    if mnemonic.endswith((".n", ".w")):
-                        mnemonic = mnemonic[:-2]
-                    operands = head[1].strip() if len(head) > 1 else ""
-                    # one str object per distinct mnemonic, so pattern tuples
-                    # compare by identity in the pair scorers' set intersections
-                    instructions.append(Instruction(sys.intern(mnemonic), operands, line_no))
+                mnemonic = head[0].lower()
+                if mnemonic.endswith((".n", ".w")):
+                    mnemonic = mnemonic[:-2]
+                operands = head[1] if len(head) > 1 else ""
+                # one str object per distinct mnemonic, so pattern tuples
+                # compare by identity in the pair scorers' set intersections
+                instructions.append(Instruction(sys.intern(mnemonic), operands, line_no))
 
         if problem is not None:
             if config.strict:
@@ -217,10 +197,7 @@ def segment_basic_blocks(program: AssemblyProgram,
             leaders.add(i + 1)
 
     starts = sorted(leaders)
-    blocks = []
-    for start, end in zip(starts, starts[1:] + [len(instructions)]):
-        blocks.append(BasicBlock(tuple(instructions[start:end]), start, end))
-    return blocks
+    return list(map(BasicBlock, starts, starts[1:] + [len(instructions)]))
 
 
 def linear_blocks(program: AssemblyProgram) -> list[BasicBlock]:
@@ -228,4 +205,4 @@ def linear_blocks(program: AssemblyProgram) -> list[BasicBlock]:
     deliberately blind to control flow (sensitivity checks)."""
     if not program.instructions:
         return []
-    return [BasicBlock(tuple(program.instructions), 0, len(program.instructions))]
+    return [BasicBlock(0, len(program.instructions))]

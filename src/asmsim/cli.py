@@ -24,7 +24,7 @@ from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
 from .crosscompile import compile_corpus
 from .errors import AsmSimError, InputError, ToolError
 from .features import ProgramFeatures, features_for_program, features_to_dict
-from .metrics import MetricKind, measure
+from .metrics import MetricKind, pair_value
 from .report import format_value, render
 
 COMPARE_METRICS = {
@@ -192,15 +192,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         features.append(file_features(path, config))
 
     names = list(COMPARE_METRICS) if args.metric == "all" else [args.metric]
-    results = {name: measure(COMPARE_METRICS[name], features[0], features[1])
+    results = {name: pair_value(COMPARE_METRICS[name], features[0], features[1])
                for name in names}
 
     if args.format == "json":
-        print(json.dumps({name: results[name].value for name in names}))
+        print(json.dumps(results))
     else:
-        for name in names:
-            kind, value = results[name]
-            print(f"{name} {format_value(kind, value)}")
+        for name, value in results.items():
+            print(f"{name} {format_value(COMPARE_METRICS[name], value)}")
     return 0
 
 

@@ -224,18 +224,24 @@ def default_strides(n: int) -> list[int]:
     return coprime_strides(n)[:3]
 
 
-def _check_strides(grid: CorpusGrid, strides: Iterable[int | None]) -> int:
-    """Side n of a square grid; raises unless every stride partitions it."""
+def _check_strides(grid: CorpusGrid, strides: Sequence[int | None]) -> int:
+    """Side n of a square grid; raises unless there is at least one stride,
+    no stride repeats and every stride partitions the grid."""
     n = len(grid.programmers)
     if len(grid.applications) != n:
         raise InvalidStrideError(
             f"totally-different groupings need a square grid, got "
             f"{len(grid.applications)}x{n}")
+    if not strides:
+        raise InvalidStrideError("at least one totally-different stride is required")
     for stride in strides:
         if stride is None or not 1 <= stride < n or math.gcd(stride, n) != 1:
             raise InvalidStrideError(
                 f"stride {stride} is invalid for a {n}x{n} grid; valid strides: "
                 f"{coprime_strides(n)}")
+    if len(set(strides)) != len(strides):
+        raise InvalidStrideError(f"strides {list(strides)} repeat a stride; each "
+                                 "totally-different grouping must be distinct")
     return n
 
 
@@ -420,7 +426,8 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
     Deterministic: groupings, subsets, and pairs are traversed in a fixed
     order, so identical inputs produce identical reports.
     """
-    n = _check_strides(grid, [])
+    strides = list(default_strides(len(grid.programmers)) if strides is None else strides)
+    _check_strides(grid, strides)
     for entry in grid.entries:
         entry_features = features.get(entry.id)
         if entry_features is None:
@@ -428,11 +435,6 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
         if not entry_features.frequency:
             raise EmptyProgramError(f"program {entry.id!r} has no instructions",
                                     entity=entry.id)
-
-    strides = list(default_strides(n) if strides is None else strides)
-    if not strides:
-        raise InvalidStrideError("at least one totally-different stride is required")
-    _check_strides(grid, strides)
 
     schemes = [PROGRAMMER_SPECIFIC, APPLICATION_SPECIFIC]
     schemes += [totally_different(s) for s in strides]

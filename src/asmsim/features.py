@@ -19,11 +19,6 @@ from .errors import PatternMismatchError
 NGram = tuple[str, ...]
 
 
-def frequency_vector(program: AssemblyProgram) -> Counter[str]:
-    """Occurrence count per mnemonic; absent mnemonics count as zero."""
-    return Counter(ins.mnemonic for ins in program.instructions)
-
-
 @dataclass(frozen=True)
 class PatternSet:
     """Presence set of length-n mnemonic patterns (no multiplicities)."""
@@ -68,8 +63,9 @@ class PatternUniverse:
                                        entity=entity)
 
 
-def extract_ngrams(blocks: Sequence[BasicBlock], n: int) -> PatternSet:
-    """All length-n sliding windows taken within each block.
+def extract_ngrams(mnemonics: Sequence[str], blocks: Sequence[BasicBlock],
+                   n: int) -> PatternSet:
+    """All length-n sliding windows of ``mnemonics`` taken within each block.
 
     Windows never cross block boundaries; a block of length L contributes
     max(L - n + 1, 0) windows before de-duplication.
@@ -77,10 +73,8 @@ def extract_ngrams(blocks: Sequence[BasicBlock], n: int) -> PatternSet:
     if n < 2:
         raise ValueError(f"pattern length must be >= 2, got {n}")
     found: set[NGram] = set()
-    for block in blocks:
-        mnemonics = [ins.mnemonic for ins in block.instructions]
-        for i in range(len(mnemonics) - n + 1):
-            found.add(tuple(mnemonics[i:i + n]))
+    for start, end in blocks:
+        found.update(zip(*(mnemonics[start + k:end] for k in range(n))))
     return PatternSet(n, frozenset(found))
 
 
@@ -127,10 +121,11 @@ class ProgramFeatures:
 
 
 def compute_features(program: AssemblyProgram, blocks: Sequence[BasicBlock]) -> ProgramFeatures:
+    mnemonics = [ins.mnemonic for ins in program.instructions]
     return ProgramFeatures(
-        frequency=frequency_vector(program),
-        patterns2=extract_ngrams(blocks, 2),
-        patterns3=extract_ngrams(blocks, 3),
+        frequency=Counter(mnemonics),
+        patterns2=extract_ngrams(mnemonics, blocks, 2),
+        patterns3=extract_ngrams(mnemonics, blocks, 3),
     )
 
 
@@ -158,6 +153,6 @@ def features_to_dict(features: ProgramFeatures) -> dict:
 
 __all__ = [
     "NGram", "PatternSet", "PatternUniverse", "ProgramFeatures",
-    "frequency_vector", "extract_ngrams", "build_universe",
+    "extract_ngrams", "build_universe",
     "compute_features", "features_for_program", "features_to_dict",
 ]

@@ -12,7 +12,7 @@ import math
 from enum import Enum
 from itertools import repeat
 from operator import mul
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .errors import EmptyProgramError, PatternMismatchError
 from .features import NGram, PatternSet, PatternUniverse, ProgramFeatures
@@ -36,13 +36,6 @@ class MetricKind(str, Enum):
 
 METRIC_ORDER = (MetricKind.JACCARD, MetricKind.COSINE,
                 MetricKind.EUCLIDEAN2, MetricKind.EUCLIDEAN3)
-
-
-class SimilarityValue(NamedTuple):
-    """A metric result tagged with the metric that produced it."""
-
-    kind: MetricKind
-    value: float
 
 
 def jaccard(s1: frozenset[str], s2: frozenset[str]) -> float:
@@ -105,8 +98,3 @@ def pair_value(kind: MetricKind, a: ProgramFeatures, b: ProgramFeatures) -> floa
         return cosine(a.frequency, b.frequency, a.frequency_norm_sq, b.frequency_norm_sq)
     n = kind.ngram_length
     return pattern_distance(a.pattern_set(n).patterns, b.pattern_set(n).patterns)
-
-
-def measure(kind: MetricKind, a: ProgramFeatures, b: ProgramFeatures) -> SimilarityValue:
-    """Apply one metric to two feature bundles."""
-    return SimilarityValue(kind, pair_value(kind, a, b))

@@ -21,6 +21,18 @@ from asmsim.corpus import (CorpusGrid, GroupingResult, MetricStudy,
 from asmsim.metrics import METRIC_ORDER, MetricKind
 
 
+# --- assembly text -------------------------------------------------------------
+
+def canonical_source(program: AssemblyProgram) -> str:
+    """Serialize back to assembly text.
+
+    Parsing the result again yields the same instruction stream (labels
+    and diagnostics are dropped).
+    """
+    return "".join(f"\t{ins.mnemonic} {ins.operands_raw}".rstrip() + "\n"
+                   for ins in program.instructions)
+
+
 # --- naive feature extraction ------------------------------------------------
 
 def oracle_ngrams(program: AssemblyProgram, blocks: list[BasicBlock], n: int) -> set:

@@ -149,8 +149,9 @@ class TestCriterion4OracleEquivalence:
             program = parse_assembly(oracles.random_program_text(rng, 20))
             assert len(program.instructions) <= 20
             blocks = segment_basic_blocks(program)
+            mnemonics = [ins.mnemonic for ins in program.instructions]
             for n in (2, 3):
-                assert extract_ngrams(blocks, n).patterns == \
+                assert extract_ngrams(mnemonics, blocks, n).patterns == \
                     oracles.oracle_ngrams(program, blocks, n)
             bundles.append((features_for_program(program),
                             oracles.oracle_features(program, blocks)))

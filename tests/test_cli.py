@@ -49,6 +49,16 @@ class TestExtract:
         assert all(list(d) == ["mnemonics", "freq", "ngrams2", "ngrams3"]
                    for d in dumps)
 
+    @pytest.mark.parametrize("flags, golden", [
+        ((), "extract_3x3.jsonl"),
+        (("--linear-ngrams",), "extract_3x3_linear.jsonl"),
+    ])
+    def test_fixture_features_match_golden_bytes(self, fixtures_dir, golden_dir,
+                                                 flags, golden):
+        result = run_cli("extract", fixtures_dir / "corpus3x3", *flags)
+        assert result.returncode == 0
+        assert result.stdout == (golden_dir / golden).read_bytes()
+
     def test_unreadable_path_exits_2(self, tmp_path):
         result = run_cli("extract", tmp_path / "missing.s")
         assert result.returncode == 2
@@ -227,6 +237,14 @@ class TestStudy:
         result = run_cli("study", corpus_manifest, "--strides", "3")
         assert result.returncode == 5
 
+    def test_repeated_stride_exits_5(self, fixtures_dir):
+        manifest = fixtures_dir / "corpus5x5" / "manifest.json"
+        result = run_cli("study", manifest, "--strides", "1,2,2", "--format", "json")
+        assert result.returncode == 5
+        code, _, message = last_diagnostic(result)
+        assert code == 5 and "repeat" in message
+        assert result.stdout == b""
+
     def test_strict_parse_failure_exits_3_with_position(self, tmp_path):
         for name in ("a", "b"):
             for app in ("x", "y"):
@@ -277,6 +295,13 @@ class TestConfigPrecedence:
         overridden = run_cli("study", corpus_manifest, "--config", config,
                              "--format", "markdown")
         assert overridden.stdout.decode().startswith("# Assembly similarity study")
+
+    def test_repeated_config_stride_exits_5(self, corpus_manifest, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"strides": [1, 1]}))
+        result = run_cli("study", corpus_manifest, "--config", config)
+        assert result.returncode == 5
+        assert "repeat" in last_diagnostic(result)[2]
 
     def test_bad_config_exits_2(self, corpus_manifest, tmp_path):
         config = tmp_path / "config.json"

@@ -328,6 +328,13 @@ class TestRunStudy:
         with pytest.raises(InvalidStrideError):
             run_study(grid, features, strides=[3])
 
+    def test_repeated_stride_rejected(self, fixtures_dir):
+        # a repeated stride would count its grouping twice in the dataset's
+        # td_mean but once in the suite summary
+        grid, features = study_fixture(fixtures_dir)
+        with pytest.raises(InvalidStrideError, match="repeat"):
+            run_study(grid, features, strides=[2, 1, 2])
+
     def test_report_shape(self, fixtures_dir):
         grid, features = study_fixture(fixtures_dir)
         report = run_study(grid, features, dataset_name="corpus3x3")

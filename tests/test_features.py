@@ -6,13 +6,21 @@ from asmsim.asm_parser import parse_assembly, segment_basic_blocks
 from asmsim.errors import PatternMismatchError
 from asmsim.features import (PatternSet, build_universe, compute_features,
                              extract_ngrams, features_for_program,
-                             features_to_dict, frequency_vector)
+                             features_to_dict)
 
 import oracles
 
 
 def program_of(*mnemonic_lines):
     return parse_assembly("".join(f"\t{line}\n" for line in mnemonic_lines))
+
+
+def frequency(program):
+    return compute_features(program, []).frequency
+
+
+def ngrams(program, blocks, n):
+    return extract_ngrams([ins.mnemonic for ins in program.instructions], blocks, n)
 
 
 def patterns(n, *tuples):
@@ -24,50 +32,50 @@ class TestBagFeatures:
 
     def test_existence_collapses_duplicates(self):
         program = program_of("mov r0", "mov r1", "add r2")
-        assert frequency_vector(program).keys() == {"mov", "add"}
+        assert frequency(program).keys() == {"mov", "add"}
 
     def test_existence_empty(self):
-        assert frequency_vector(parse_assembly("")).keys() == frozenset()
+        assert frequency(parse_assembly("")).keys() == frozenset()
 
     def test_existence_enumeration(self):
         program = program_of("push {lr}", "mov r0", "bl f", "mov r1", "pop {pc}")
-        assert frequency_vector(program).keys() == {"push", "mov", "bl", "pop"}
+        assert frequency(program).keys() == {"push", "mov", "bl", "pop"}
 
     def test_frequency_counts(self):
-        assert frequency_vector(program_of("mov r0", "mov r1", "add r2")) == {
+        assert frequency(program_of("mov r0", "mov r1", "add r2")) == {
             "mov": 2, "add": 1}
         program = program_of("mov r0", "add r1", "mov r2", "b out")
-        assert sum(frequency_vector(program).values()) == len(program.instructions)
+        assert sum(frequency(program).values()) == len(program.instructions)
 
     def test_frequency_empty(self):
-        assert frequency_vector(parse_assembly("")) == {}
+        assert frequency(parse_assembly("")) == {}
 
     def test_frequency_single_mnemonic(self):
-        assert frequency_vector(program_of("b x", "b x", "b x", "b x")) == {"b": 4}
+        assert frequency(program_of("b x", "b x", "b x", "b x")) == {"b": 4}
 
 
 class TestExtractNgrams:
     def test_sliding_window_single_block(self):
         program = program_of("mov r0", "add r1", "sub r2")
-        got = extract_ngrams(segment_basic_blocks(program), 2)
+        got = ngrams(program, segment_basic_blocks(program), 2)
         assert got.patterns == {("mov", "add"), ("add", "sub")}
 
     def test_windows_confined_to_blocks(self):
         text = "\tmov r0, r1\n\tbeq L\n\tadd r0, r1\nL:\n\tsub r0, r1\n"
         program = parse_assembly(text)
-        got = extract_ngrams(segment_basic_blocks(program), 2)
+        got = ngrams(program, segment_basic_blocks(program), 2)
         # blocks [mov,beq],[add],[sub]: singleton blocks yield no windows
         assert got.patterns == {("mov", "beq")}
 
     def test_trigrams_deduplicated(self):
         program = program_of("mov r0", "add r1", "sub r2", "mov r3", "add r4")
-        got = extract_ngrams(segment_basic_blocks(program), 3)
+        got = ngrams(program, segment_basic_blocks(program), 3)
         assert got.patterns == {("mov", "add", "sub"), ("add", "sub", "mov"),
                                 ("sub", "mov", "add")}
 
     def test_blocks_shorter_than_n(self):
         program = program_of("mov r0")
-        assert extract_ngrams(segment_basic_blocks(program), 3).patterns == frozenset()
+        assert ngrams(program, segment_basic_blocks(program), 3).patterns == frozenset()
 
     def test_window_count_before_dedup(self):
         # L - n + 1 windows for a single block; make them all distinct
@@ -75,19 +83,19 @@ class TestExtractNgrams:
         blocks = segment_basic_blocks(program)
         assert len(blocks) == 1
         for n in (2, 3):
-            assert len(extract_ngrams(blocks, n).patterns) == 9 - n + 1
+            assert len(ngrams(program, blocks, n).patterns) == 9 - n + 1
 
     def test_n_below_two_rejected(self):
         with pytest.raises(ValueError):
-            extract_ngrams([], 1)
+            extract_ngrams([], [], 1)
 
     def test_relabeling_unreferenced_label_keeps_patterns(self):
         base = "\tmov r0, r1\n\tadd r0, r1\n{label}:\n\tsub r0, r1\n"
         one = parse_assembly(base.format(label="alpha"))
         two = parse_assembly(base.format(label="omega"))
         for n in (2, 3):
-            assert extract_ngrams(segment_basic_blocks(one), n) == \
-                extract_ngrams(segment_basic_blocks(two), n)
+            assert ngrams(one, segment_basic_blocks(one), n) == \
+                ngrams(two, segment_basic_blocks(two), n)
 
     def test_linear_mode_crosses_block_boundaries(self):
         text = "\tmov r0, r1\n\tbeq L\nL:\n\tsub r0, r1\n"
@@ -167,5 +175,5 @@ class TestOracleEquivalence:
             program = parse_assembly(oracles.random_program_text(rng))
             blocks = segment_basic_blocks(program)
             for n in (2, 3):
-                assert extract_ngrams(blocks, n).patterns == \
+                assert ngrams(program, blocks, n).patterns == \
                     oracles.oracle_ngrams(program, blocks, n)

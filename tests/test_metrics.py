@@ -7,7 +7,7 @@ from asmsim.asm_parser import parse_assembly
 from asmsim.errors import EmptyProgramError, PatternMismatchError
 from asmsim.features import PatternSet, build_universe, features_for_program
 from asmsim.metrics import (MetricKind, cosine, euclidean_pattern_distance,
-                            jaccard, measure)
+                            jaccard, pair_value)
 
 import oracles
 
@@ -95,22 +95,17 @@ class TestEuclideanPatternDistance:
             euclidean_pattern_distance(p1, p2, large)
 
 
-class TestMeasure:
+class TestPairValue:
     def test_dispatch_matches_direct_calls(self):
         a = features_for_program(parse_assembly("\tmov r0, r1\n\tadd r0, r1\n"))
         b = features_for_program(parse_assembly("\tmov r0, r1\n\tsub r0, r1\n"))
-        assert measure(MetricKind.JACCARD, a, b).value == \
+        assert pair_value(MetricKind.JACCARD, a, b) == \
             jaccard(frozenset(a.frequency), frozenset(b.frequency))
-        assert measure(MetricKind.COSINE, a, b).value == cosine(a.frequency, b.frequency)
-        # without an explicit universe, one is built from the two programs
+        assert pair_value(MetricKind.COSINE, a, b) == cosine(a.frequency, b.frequency)
+        # no universe is needed: the distance is the root of the symmetric
+        # difference size over any universe that holds both pattern sets
         expected = math.sqrt(len(a.patterns2.patterns ^ b.patterns2.patterns))
-        assert measure(MetricKind.EUCLIDEAN2, a, b).value == expected
-
-    def test_tags_result_with_kind(self):
-        a = features_for_program(parse_assembly("\tmov r0, r1\n"))
-        result = measure(MetricKind.JACCARD, a, a)
-        assert result.kind is MetricKind.JACCARD
-        assert result.value == 1.0
+        assert pair_value(MetricKind.EUCLIDEAN2, a, b) == expected
 
 
 class TestAgainstNaiveReferences:
