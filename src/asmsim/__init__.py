@@ -14,10 +14,9 @@ from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
                      IncompleteGridError, InputError, InvalidStrideError,
                      ManifestError, NormalizationError, ParseError,
                      PatternMismatchError, ToolError)
-from .features import (PatternSet, PatternUniverse, ProgramFeatures,
-                       build_universe, compute_features, extract_ngrams,
-                       features_for_program, features_to_dict)
-from .metrics import (METRIC_ORDER, MetricKind, cosine,
-                      euclidean_pattern_distance, jaccard, pair_value)
+from .features import (PatternSet, ProgramFeatures, compute_features,
+                       extract_ngrams, features_for_program, features_to_dict)
+from .metrics import (METRIC_ORDER, MetricKind, cosine, jaccard, pair_value,
+                      pattern_distance)
 
 __version__ = "0.1.0"

@@ -111,7 +111,10 @@ def config_from_dict(doc: Mapping, base: ToolConfig | None = None, *,
         if not isinstance(doc["jobs"], int) or isinstance(doc["jobs"], bool):
             raise InputError('"jobs" must be an integer', entity=entity)
         updates["jobs"] = doc["jobs"]
-    return replace(base, **updates)
+    try:
+        return replace(base, **updates)
+    except InputError as exc:
+        raise InputError(exc.message, entity=entity) from exc
 
 
 def load_tool_config(path: str | Path | None = None, *,

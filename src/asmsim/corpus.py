@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (DuplicateIdError, EmptyProgramError, IncompleteGridError,
                      InputError, InvalidStrideError, ManifestError,
-                     NormalizationError)
-from .features import PatternUniverse, ProgramFeatures, build_universe
+                     NormalizationError, PatternMismatchError)
+from .features import NGram, ProgramFeatures
 from .metrics import METRIC_ORDER, MetricKind, pair_value
 
 
@@ -293,15 +293,19 @@ class PairValue:
 
 def pairwise_values(subset: Subset, kind: MetricKind,
                     features: Mapping[str, ProgramFeatures],
-                    universes: Mapping[int, PatternUniverse] | None = None,
+                    universes: Mapping[int, frozenset[NGram]] | None = None,
                     ) -> list[PairValue]:
     """One metric value per unordered member pair, in (i < j) index order.
-    Given ``universes``, every member's pattern set is checked against them."""
+    Given ``universes``, every member's patterns must lie in them."""
     members = [(m.id, features[m.id]) for m in subset.members]
     n = kind.ngram_length
     if n is not None and universes is not None:
         for member_id, member in members:
-            universes[n].check(member.pattern_set(n), entity=member_id)
+            stray = member.pattern_set(n).patterns - universes[n]
+            if stray:
+                raise PatternMismatchError(
+                    f"pattern {min(stray)!r} is missing from the universe; "
+                    "it was built from a different corpus", entity=member_id)
     values: list[PairValue] = []
     for (id_a, a), (id_b, b) in combinations(members, 2):
         try:
@@ -400,9 +404,10 @@ class StudyReport:
     metrics: dict[MetricKind, MetricStudy]
 
 
-def build_universes(features: Mapping[str, ProgramFeatures]) -> dict[int, PatternUniverse]:
-    """Corpus-wide pattern universes for n = 2 and 3."""
-    return {n: build_universe((f.pattern_set(n) for f in features.values()), n=n)
+def build_universes(features: Mapping[str, ProgramFeatures]) -> dict[int, frozenset[NGram]]:
+    """Corpus-wide pattern universes for n = 2 and 3: the union of every
+    program's patterns of that length."""
+    return {n: frozenset().union(*(f.pattern_set(n).patterns for f in features.values()))
             for n in (2, 3)}
 
 

@@ -161,9 +161,11 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     Outcomes are those of a serial run: the first entry with an uncached
     hash compiles it; later ones report a cache hit or the same error.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
-    cache_dir.mkdir(exist_ok=True)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory: {exc}", entity=str(out_dir)) from exc
     remove_stale_partials(cache_dir)
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]

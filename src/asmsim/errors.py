@@ -50,10 +50,11 @@ class NormalizationError(AsmSimError):
 
 
 class PatternMismatchError(AsmSimError):
-    """Pattern lengths disagree, or a pattern is missing from its universe.
+    """A :class:`PatternSet` holds a pattern of the wrong length, or a
+    program's pattern is missing from the universe it is checked against.
 
-    The missing-pattern case indicates the universe was built from the wrong
-    corpus, which is a programming error rather than bad input.
+    Either case is a programming error rather than bad input: the pattern
+    set was built by hand, or the universe came from a different corpus.
     """
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
                          DEFAULT_CONFIG, linear_blocks, segment_basic_blocks)
@@ -33,36 +33,6 @@ class PatternSet:
                 f"pattern {bad[0]!r} has length {len(bad[0])}, expected {self.n}")
 
 
-@dataclass(frozen=True)
-class PatternUniverse:
-    """Deterministically ordered union of patterns across a corpus.
-
-    The order is lexicographic by mnemonic tuple, so the same corpus
-    always yields the same vector layout. ``n == 0`` marks the empty
-    universe produced from no input sets.
-    """
-
-    n: int
-    ordered: tuple[NGram, ...]
-    index: dict[NGram, int]
-
-    def __len__(self) -> int:
-        return len(self.ordered)
-
-    def check(self, pattern_set: PatternSet, entity: str | None = None) -> None:
-        """Raise :class:`PatternMismatchError` unless ``pattern_set`` embeds
-        in this universe: same length, every pattern present."""
-        if pattern_set.patterns and pattern_set.n != self.n:
-            raise PatternMismatchError(f"pattern set of length {pattern_set.n} cannot "
-                                       f"embed in a universe of length {self.n}",
-                                       entity=entity)
-        missing = pattern_set.patterns.difference(self.index)
-        if missing:
-            raise PatternMismatchError(f"pattern {min(missing)!r} is missing from the "
-                                       "universe; it was built from a different corpus",
-                                       entity=entity)
-
-
 def extract_ngrams(mnemonics: Sequence[str], blocks: Sequence[BasicBlock],
                    n: int) -> PatternSet:
     """All length-n sliding windows of ``mnemonics`` taken within each block.
@@ -76,27 +46,6 @@ def extract_ngrams(mnemonics: Sequence[str], blocks: Sequence[BasicBlock],
     for start, end in blocks:
         found.update(zip(*(mnemonics[start + k:end] for k in range(n))))
     return PatternSet(n, frozenset(found))
-
-
-def build_universe(sets: Iterable[PatternSet], n: int | None = None) -> PatternUniverse:
-    """Sorted union of pattern sets; independent of input order.
-
-    ``n`` may be given explicitly to type an empty universe; when sets are
-    present it is inferred (and checked) from them.
-    """
-    sets = list(sets)
-    lengths = sorted({s.n for s in sets})
-    if len(lengths) > 1:
-        raise PatternMismatchError(f"mixed pattern lengths: {lengths}")
-    if lengths:
-        if n is not None and n != lengths[0]:
-            raise PatternMismatchError(
-                f"requested universe of length {n} from sets of length {lengths[0]}")
-        n = lengths[0]
-    elif n is None:
-        n = 0
-    ordered = tuple(sorted(set().union(*(s.patterns for s in sets))))
-    return PatternUniverse(n, ordered, {p: i for i, p in enumerate(ordered)})
 
 
 @dataclass(frozen=True)
@@ -152,7 +101,6 @@ def features_to_dict(features: ProgramFeatures) -> dict:
 
 
 __all__ = [
-    "NGram", "PatternSet", "PatternUniverse", "ProgramFeatures",
-    "extract_ngrams", "build_universe",
+    "NGram", "PatternSet", "ProgramFeatures", "extract_ngrams",
     "compute_features", "features_for_program", "features_to_dict",
 ]

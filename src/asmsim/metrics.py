@@ -14,8 +14,8 @@ from itertools import repeat
 from operator import mul
 from typing import Mapping
 
-from .errors import EmptyProgramError, PatternMismatchError
-from .features import NGram, PatternSet, PatternUniverse, ProgramFeatures
+from .errors import EmptyProgramError
+from .features import NGram, ProgramFeatures
 
 
 class MetricKind(str, Enum):
@@ -75,19 +75,6 @@ def pattern_distance(a: frozenset[NGram], b: frozenset[NGram]) -> float:
     """Euclidean distance between the boolean presence vectors of two pattern
     sets over any universe that holds both: sqrt(|a ^ b|)."""
     return math.sqrt(len(a) + len(b) - 2 * len(a & b))
-
-
-def euclidean_pattern_distance(p1: PatternSet, p2: PatternSet,
-                               universe: PatternUniverse) -> float:
-    """Euclidean distance between the presence vectors of p1 and p2 over
-    ``universe``: sqrt of the symmetric-difference size, whatever else the
-    universe holds. A pattern outside it raises :class:`PatternMismatchError`."""
-    if p1.n != p2.n:
-        raise PatternMismatchError(
-            f"cannot compare pattern sets of lengths {p1.n} and {p2.n}")
-    universe.check(p1)
-    universe.check(p2)
-    return pattern_distance(p1.patterns, p2.patterns)
 
 
 def pair_value(kind: MetricKind, a: ProgramFeatures, b: ProgramFeatures) -> float:

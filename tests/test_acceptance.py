@@ -18,10 +18,9 @@ from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            normalize, pairwise_values, run_study, td_aggregate,
                            APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC,
                            totally_different)
-from asmsim.features import (PatternSet, build_universe, extract_ngrams,
-                             features_for_program)
-from asmsim.metrics import (METRIC_ORDER, MetricKind, cosine,
-                            euclidean_pattern_distance, jaccard)
+from asmsim.features import extract_ngrams, features_for_program
+from asmsim.metrics import (METRIC_ORDER, MetricKind, cosine, jaccard,
+                            pattern_distance)
 
 import oracles
 import reference_tables
@@ -115,23 +114,17 @@ class TestCriterion3MetricProperties:
             scaled = {m: k * v for m, v in b.items()}
             assert abs(cosine(a, scaled) - c12) <= 1e-12
 
-            p1 = PatternSet(2, frozenset(rng.sample(pool, rng.randint(0, 10))))
-            p2 = PatternSet(2, frozenset(rng.sample(pool, rng.randint(0, 10))))
-            p3 = PatternSet(2, frozenset(rng.sample(pool, rng.randint(0, 10))))
-            universe = build_universe([p1, p2, p3], n=2)
-            d12 = euclidean_pattern_distance(p1, p2, universe)
-            assert d12 == euclidean_pattern_distance(p2, p1, universe)
-            assert euclidean_pattern_distance(p1, p1, universe) == 0.0
-            # sqrt-Hamming identity, exactly
-            assert d12 == math.sqrt(len(p1.patterns ^ p2.patterns))
-            # extending the universe changes the distance by exactly zero
-            extended = build_universe(
-                [p1, p2, p3, PatternSet(2, frozenset(rng.sample(pool, 3)))], n=2)
-            assert euclidean_pattern_distance(p1, p2, extended) == d12
+            p1 = frozenset(rng.sample(pool, rng.randint(0, 10)))
+            p2 = frozenset(rng.sample(pool, rng.randint(0, 10)))
+            p3 = frozenset(rng.sample(pool, rng.randint(0, 10)))
+            d12 = pattern_distance(p1, p2)
+            assert d12 == pattern_distance(p2, p1)
+            assert pattern_distance(p1, p1) == 0.0
+            # sqrt-Hamming identity, exactly; that the universe does not
+            # matter is test_metrics' test_universe_extension_changes_nothing
+            assert d12 == math.sqrt(len(p1 ^ p2))
             # triangle inequality
-            d13 = euclidean_pattern_distance(p1, p3, universe)
-            d23 = euclidean_pattern_distance(p2, p3, universe)
-            assert d13 <= d12 + d23 + 1e-9
+            assert pattern_distance(p1, p3) <= d12 + pattern_distance(p2, p3) + 1e-9
 
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"criterion 3 took {elapsed:.2f}s"
@@ -164,10 +157,9 @@ class TestCriterion4OracleEquivalence:
                            - oracles.naive_cosine(oa["freq"], ob["freq"])) <= 1e-12
             for n, pa, pb in ((2, fa.patterns2, fb.patterns2),
                               (3, fa.patterns3, fb.patterns3)):
-                universe = build_universe([pa, pb], n=n)
-                assert abs(euclidean_pattern_distance(pa, pb, universe)
+                assert abs(pattern_distance(pa.patterns, pb.patterns)
                            - oracles.naive_euclidean(oa[n], ob[n],
-                                                     universe.ordered)) <= 1e-12
+                                                     oa[n] | ob[n])) <= 1e-12
 
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"criterion 4 took {elapsed:.2f}s"

@@ -74,8 +74,10 @@ def test_env_compiler_applies_and_file_wins(tmp_path):
     {"compiler_flags": "-S"},
 ])
 def test_invalid_configs_rejected(tmp_path, doc):
-    with pytest.raises(InputError):
-        load_tool_config(write_config(tmp_path, doc), env={})
+    path = write_config(tmp_path, doc)
+    with pytest.raises(InputError) as excinfo:
+        load_tool_config(path, env={})
+    assert excinfo.value.entity == str(path)
 
 
 def test_missing_config_file(tmp_path):

@@ -354,6 +354,16 @@ class TestCompileCli:
                          "/no/such/compiler")
         assert result.returncode == 4
 
+    def test_out_path_that_cannot_be_created_exits_2(self, tmp_path, corpus_manifest):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x"
+        result = run_cli("compile", corpus_manifest, "--out", out)
+        stderr = result.stderr.decode()
+        assert result.returncode == 2
+        assert f'error: code=2 entity="{out}"' in stderr
+        assert "Traceback" not in stderr
+
 
 class TestCompilerPrecedence:
     def test_cli_beats_file_beats_env(self, tmp_path, fake_cc):

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from asmsim.asm_parser import parse_assembly, segment_basic_blocks
+from asmsim.corpus import build_universes
 from asmsim.errors import PatternMismatchError
-from asmsim.features import (PatternSet, build_universe, compute_features,
+from asmsim.features import (PatternSet, ProgramFeatures, compute_features,
                              extract_ngrams, features_for_program,
                              features_to_dict)
 
@@ -106,46 +108,23 @@ class TestExtractNgrams:
         assert ("beq", "sub") in linear.patterns2.patterns
 
 
+class TestPatternSet:
+    def test_wrong_length_rejected(self):
+        with pytest.raises(PatternMismatchError, match="expected 2"):
+            PatternSet(2, frozenset({("a", "b", "c")}))
+
+
 class TestPatternUniverse:
     def test_union(self):
-        universe = build_universe([patterns(2, ("a", "b")),
-                                   patterns(2, ("a", "b"), ("b", "c"))])
-        assert universe.ordered == (("a", "b"), ("b", "c"))
-        assert universe.index == {("a", "b"): 0, ("b", "c"): 1}
-
-    def test_empty_input(self):
-        universe = build_universe([])
-        assert len(universe) == 0
-
-    def test_order_independent(self):
-        one = build_universe([patterns(2, ("b", "c")), patterns(2, ("a", "b"))])
-        two = build_universe([patterns(2, ("a", "b")), patterns(2, ("b", "c"))])
-        assert one.ordered == two.ordered == (("a", "b"), ("b", "c"))
-
-    def test_mixed_lengths_rejected(self):
-        with pytest.raises(PatternMismatchError):
-            build_universe([patterns(2, ("a", "b")), patterns(3, ("a", "b", "c"))])
-
-    def test_explicit_n_mismatch_rejected(self):
-        with pytest.raises(PatternMismatchError):
-            build_universe([patterns(2, ("a", "b"))], n=3)
-
-    def test_check_accepts_member_sets(self):
-        universe = build_universe([patterns(2, ("a", "b"), ("b", "c"))])
-        universe.check(patterns(2, ("b", "c")))
-        universe.check(patterns(2))
-        universe.check(patterns(3))
-
-    def test_check_rejects_pattern_outside_universe(self):
-        universe = build_universe([patterns(2, ("a", "b"))])
-        with pytest.raises(PatternMismatchError, match="x") as excinfo:
-            universe.check(patterns(2, ("a", "b"), ("x", "y")), entity="prog")
-        assert excinfo.value.entity == "prog"
-
-    def test_check_rejects_wrong_length(self):
-        universe = build_universe([patterns(2, ("a", "b"))])
-        with pytest.raises(PatternMismatchError, match="length 3"):
-            universe.check(patterns(3, ("a", "b", "c")))
+        features = {
+            "p": ProgramFeatures(Counter(), patterns(2, ("a", "b")),
+                                 patterns(3, ("a", "b", "c"))),
+            "q": ProgramFeatures(Counter(), patterns(2, ("a", "b"), ("b", "c")),
+                                 patterns(3)),
+        }
+        assert build_universes(features) == {
+            2: frozenset({("a", "b"), ("b", "c")}), 3: frozenset({("a", "b", "c")})}
+        assert build_universes({}) == {2: frozenset(), 3: frozenset()}
 
 
 class TestFeatureBundle:

@@ -2,18 +2,24 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asmsim.asm_parser import parse_assembly
-from asmsim.errors import EmptyProgramError, PatternMismatchError
-from asmsim.features import PatternSet, build_universe, features_for_program
-from asmsim.metrics import (MetricKind, cosine, euclidean_pattern_distance,
-                            jaccard, pair_value)
+from asmsim.errors import EmptyProgramError
+from asmsim.features import features_for_program
+from asmsim.metrics import (MetricKind, cosine, jaccard, pair_value,
+                            pattern_distance)
 
 import oracles
 
 
-def pset(n, *tuples):
-    return PatternSet(n, frozenset(tuples))
+def pset(*tuples):
+    return frozenset(tuples)
+
+
+PATTERN_POOL = [(a, b) for a in ("mov", "add", "ldr", "b") for b in ("mov", "add", "ldr", "b")]
+pattern_sets = st.frozensets(st.sampled_from(PATTERN_POOL))
 
 
 class TestJaccard:
@@ -58,41 +64,25 @@ class TestCosine:
 
 class TestEuclideanPatternDistance:
     def test_identity(self):
-        p = pset(2, ("a", "b"), ("b", "c"))
-        assert euclidean_pattern_distance(p, p, build_universe([p])) == 0.0
+        p = pset(("a", "b"), ("b", "c"))
+        assert pattern_distance(p, p) == 0.0
 
     def test_symmetric_difference_of_three(self):
-        p1 = pset(2, ("a", "b"), ("b", "c"), ("c", "d"))
-        p2 = pset(2, ("a", "b"), ("d", "e"))
-        universe = build_universe([p1, p2])
-        assert euclidean_pattern_distance(p1, p2, universe) == pytest.approx(
-            1.7320508075688772, abs=0)
+        p1 = pset(("a", "b"), ("b", "c"), ("c", "d"))
+        p2 = pset(("a", "b"), ("d", "e"))
+        assert pattern_distance(p1, p2) == pytest.approx(1.7320508075688772, abs=0)
 
     def test_empty_versus_four(self):
-        p1 = pset(2)
-        p2 = pset(2, ("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"))
-        universe = build_universe([p2])
-        assert euclidean_pattern_distance(p1, p2, universe) == 2.0
+        p1 = pset()
+        p2 = pset(("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"))
+        assert pattern_distance(p1, p2) == 2.0
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(PatternMismatchError):
-            euclidean_pattern_distance(pset(2, ("a", "b")),
-                                       pset(3, ("a", "b", "c")),
-                                       build_universe([pset(2, ("a", "b"))]))
-
-    def test_pattern_outside_universe_rejected(self):
-        universe = build_universe([pset(2, ("a", "b"))])
-        with pytest.raises(PatternMismatchError):
-            euclidean_pattern_distance(pset(2, ("x", "y")), pset(2, ("a", "b")),
-                                       universe)
-
-    def test_universe_extension_changes_nothing(self):
-        p1 = pset(2, ("a", "b"))
-        p2 = pset(2, ("b", "c"))
-        small = build_universe([p1, p2])
-        large = build_universe([p1, p2, pset(2, ("x", "y"), ("y", "z"))])
-        assert euclidean_pattern_distance(p1, p2, small) == \
-            euclidean_pattern_distance(p1, p2, large)
+    @given(pattern_sets, pattern_sets, pattern_sets)
+    def test_universe_extension_changes_nothing(self, a, b, extra):
+        # the paper's presence vectors range over a corpus universe; any
+        # universe that holds both sets gives the same distance
+        assert pattern_distance(a, b) == oracles.naive_euclidean(a, b, a | b) == \
+            oracles.naive_euclidean(a, b, a | b | extra)
 
 
 class TestPairValue:
@@ -123,9 +113,7 @@ class TestAgainstNaiveReferences:
             assert cosine(a, b) == pytest.approx(oracles.naive_cosine(a, b), abs=1e-12)
 
             pool = [(x, y) for x in alphabet[:5] for y in alphabet[:5]]
-            p1 = pset(2, *rng.sample(pool, rng.randint(0, 8)))
-            p2 = pset(2, *rng.sample(pool, rng.randint(0, 8)))
-            universe = build_universe([p1, p2], n=2)
-            assert euclidean_pattern_distance(p1, p2, universe) == pytest.approx(
-                oracles.naive_euclidean(set(p1.patterns), set(p2.patterns),
-                                        universe.ordered), abs=1e-12)
+            p1 = pset(*rng.sample(pool, rng.randint(0, 8)))
+            p2 = pset(*rng.sample(pool, rng.randint(0, 8)))
+            assert pattern_distance(p1, p2) == pytest.approx(
+                oracles.naive_euclidean(p1, p2, sorted(p1 | p2)), abs=1e-12)

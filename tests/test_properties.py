@@ -8,9 +8,8 @@ from asmsim.asm_parser import is_branch, parse_assembly, segment_basic_blocks
 from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            enumerate_subsets, APPLICATION_SPECIFIC,
                            PROGRAMMER_SPECIFIC, totally_different)
-from asmsim.features import PatternSet, build_universe, extract_ngrams
-from asmsim.metrics import (cosine, euclidean_pattern_distance, jaccard,
-                            pattern_distance)
+from asmsim.features import PatternSet, extract_ngrams
+from asmsim.metrics import cosine, jaccard, pattern_distance
 
 import oracles
 
@@ -84,13 +83,6 @@ class TestFeatureProperties:
         assert len(blocks) == 1
         assert extract_ngrams(mnemonics, blocks, n).patterns == set(windows)
 
-    @given(st.lists(pattern_sets, max_size=6))
-    def test_universe_ignores_input_order(self, sets):
-        forward = build_universe(sets, n=2)
-        backward = build_universe(list(reversed(sets)), n=2)
-        assert forward.ordered == backward.ordered
-
-
 
 class TestMetricProperties:
     @given(mnemonic_sets, mnemonic_sets)
@@ -112,8 +104,7 @@ class TestMetricProperties:
 
     @given(pattern_sets, pattern_sets)
     def test_euclidean_is_sqrt_hamming(self, p1, p2):
-        universe = build_universe([p1, p2], n=2)
-        assert euclidean_pattern_distance(p1, p2, universe) == \
+        assert pattern_distance(p1.patterns, p2.patterns) == \
             math.sqrt(len(p1.patterns ^ p2.patterns))
 
     @given(pattern_sets, pattern_sets)
@@ -123,8 +114,7 @@ class TestMetricProperties:
 
     @given(pattern_sets, pattern_sets, pattern_sets)
     def test_euclidean_triangle_inequality(self, pa, pb, pc):
-        universe = build_universe([pa, pb, pc], n=2)
-        d = lambda x, y: euclidean_pattern_distance(x, y, universe)
+        d = lambda x, y: pattern_distance(x.patterns, y.patterns)
         assert d(pa, pc) <= d(pa, pb) + d(pb, pc) + 1e-9
 
 
