@@ -115,16 +115,24 @@ class TestPatternSet:
 
 
 class TestPatternUniverse:
+    FEATURES = {
+        "p": ProgramFeatures(Counter(), patterns(2, ("a", "b")),
+                             patterns(3, ("a", "b", "c"))),
+        "q": ProgramFeatures(Counter(), patterns(2, ("a", "b"), ("b", "c")),
+                             patterns(3)),
+    }
+
     def test_union(self):
-        features = {
-            "p": ProgramFeatures(Counter(), patterns(2, ("a", "b")),
-                                 patterns(3, ("a", "b", "c"))),
-            "q": ProgramFeatures(Counter(), patterns(2, ("a", "b"), ("b", "c")),
-                                 patterns(3)),
-        }
-        assert build_universes(features) == {
+        assert build_universes(self.FEATURES) == {
             2: frozenset({("a", "b"), ("b", "c")}), 3: frozenset({("a", "b", "c")})}
+
+    def test_empty_input(self):
         assert build_universes({}) == {2: frozenset(), 3: frozenset()}
+
+    def test_order_independent(self):
+        reversed_features = dict(reversed(list(self.FEATURES.items())))
+        assert list(reversed_features) == ["q", "p"]
+        assert build_universes(reversed_features) == build_universes(self.FEATURES)
 
 
 class TestFeatureBundle:
