@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 
 # ARM condition-code suffixes. A branch mnemonic followed by one of these
 # (beq, bls, blxne, ...) is still a branch; anything else (bic, bkpt) is not.
@@ -48,7 +48,10 @@ class ParserConfig:
 
     def __post_init__(self) -> None:
         if not self.branch_mnemonics:
-            raise ValueError("branch_mnemonics must not be empty")
+            raise InputError("branch_mnemonics must not be empty")
+        if "" in self.comment_markers:
+            # "" is found at column 0 and would strip every line
+            raise InputError("comment_markers must not contain an empty marker")
 
     @cached_property
     def branch_set(self) -> frozenset[str]:
@@ -171,33 +174,17 @@ def segment_basic_blocks(program: AssemblyProgram,
     and every instruction immediately after a branch-class instruction.
     Labels never referenced by a branch do not create leaders. Indirect
     branches (bx, blx, pop {...pc}) terminate blocks but contribute no
-    leader targets.
+    leader targets. The leaders are found in one pass over the program.
     """
-    instructions = program.instructions
-    if not instructions:
-        return []
-
-    branch_flags = [is_branch(ins, config) for ins in instructions]
-
-    referenced: set[str] = set()
-    for ins, branching in zip(instructions, branch_flags):
-        if not branching:
-            continue
-        for token in _OPERAND_TOKEN_RE.findall(ins.operands_raw):
-            if token in program.labels:
-                referenced.add(token)
-
-    leaders = {0}
-    for name in referenced:
-        index = program.labels[name]
-        if index < len(instructions):
-            leaders.add(index)
-    for i, branching in enumerate(branch_flags):
-        if branching and i + 1 < len(instructions):
+    instructions, labels = program.instructions, program.labels
+    leaders = {0, len(instructions)}  # the end closes the last block
+    for i, ins in enumerate(instructions):
+        if is_branch(ins, config):
             leaders.add(i + 1)
-
+            leaders.update(labels[token] for token in
+                           _OPERAND_TOKEN_RE.findall(ins.operands_raw) if token in labels)
     starts = sorted(leaders)
-    return list(map(BasicBlock, starts, starts[1:] + [len(instructions)]))
+    return list(map(BasicBlock, starts, starts[1:]))
 
 
 def linear_blocks(program: AssemblyProgram) -> list[BasicBlock]:

@@ -67,14 +67,15 @@ def _parser_from_dict(doc: Mapping, base: ParserConfig, entity: str) -> ParserCo
     branches = base.branch_mnemonics
     if "branch_mnemonics" in doc:
         branches = frozenset(_string_list(doc["branch_mnemonics"], "branch_mnemonics", entity))
-        if not branches:
-            raise InputError("branch_mnemonics must not be empty", entity=entity)
     strict = base.strict
     if "strict" in doc:
         if not isinstance(doc["strict"], bool):
             raise InputError('"strict" must be a boolean', entity=entity)
         strict = doc["strict"]
-    return ParserConfig(comment_markers=markers, branch_mnemonics=branches, strict=strict)
+    try:
+        return ParserConfig(comment_markers=markers, branch_mnemonics=branches, strict=strict)
+    except InputError as exc:
+        raise InputError(exc.message, entity=entity) from exc
 
 
 def config_from_dict(doc: Mapping, base: ToolConfig | None = None, *,

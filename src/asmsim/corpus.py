@@ -96,32 +96,30 @@ def load_datasets(path: str | Path) -> ManifestData:
     if not isinstance(metadata, dict):
         raise ManifestError('"metadata" must be an object', entity=str(path))
 
-    base = path.parent
-    datasets: list[tuple[str, list[ProgramEntry]]] = []
     if "datasets" in doc:
         items = doc["datasets"]
         if not isinstance(items, list):
             raise ManifestError('"datasets" must be a list', entity=str(path))
-        names: set[str] = set()
-        for i, item in enumerate(items):
-            entity = f"{path}#datasets[{i}]"
-            if not isinstance(item, dict):
-                raise ManifestError("dataset must be an object", entity=entity)
-            name = item.get("name", f"dataset{i + 1}")
-            if not isinstance(name, str) or not name:
-                raise ManifestError('dataset "name" must be a non-empty string', entity=entity)
-            if name in names:
-                raise ManifestError(f"duplicate dataset name {name!r}", entity=entity)
-            names.add(name)
-            datasets.append((name, _parse_entries(item.get("programs"), base, where=entity)))
+        entities = [f"{path}#datasets[{i}]" for i in range(len(items))]
     elif "programs" in doc:
-        name = doc.get("name", path.stem)
-        if not isinstance(name, str) or not name:
-            raise ManifestError('"name" must be a non-empty string', entity=str(path))
-        datasets.append((name, _parse_entries(doc["programs"], base, where=str(path))))
+        items = [{"name": doc.get("name", path.stem), "programs": doc["programs"]}]
+        entities = [str(path)]
     else:
         raise ManifestError('manifest needs a "programs" or "datasets" field',
                             entity=str(path))
+    datasets: list[tuple[str, list[ProgramEntry]]] = []
+    names: set[str] = set()
+    for i, (item, entity) in enumerate(zip(items, entities)):
+        if not isinstance(item, dict):
+            raise ManifestError("dataset must be an object", entity=entity)
+        name = item.get("name", f"dataset{i + 1}")
+        if not isinstance(name, str) or not name:
+            raise ManifestError('dataset "name" must be a non-empty string', entity=entity)
+        if name in names:
+            raise ManifestError(f"duplicate dataset name {name!r}", entity=entity)
+        names.add(name)
+        datasets.append((name, _parse_entries(item.get("programs"), path.parent,
+                                              where=entity)))
     return ManifestData(datasets, dict(metadata))
 
 
@@ -411,16 +409,24 @@ def build_universes(features: Mapping[str, ProgramFeatures]) -> dict[int, frozen
             for n in (2, 3)}
 
 
-def _normalized_cells(means: Mapping[str, float], td: float,
-                      kind: MetricKind) -> dict[str, float | None]:
-    cells: dict[str, float | None] = {}
+def _summary(groupings: Sequence[Mapping[str, GroupingResult]], kind: MetricKind,
+             ) -> tuple[dict[str, float], dict[str, float | None]]:
+    """Means and normalized indices of the programmer-specific,
+    application-specific and totally-different columns, in that order,
+    pooled over the grouping means of one or more datasets."""
+    means = {label: cross_dataset_mean(g[label].mean for g in groupings)
+             for label in (PROGRAMMER_SPECIFIC.label, APPLICATION_SPECIFIC.label)}
+    td = means[TD_LABEL] = td_aggregate(
+        result.mean for g in groupings for result in g.values()
+        if result.scheme.kind is GroupingKind.TOTALLY_DIFFERENT)
+    normalized: dict[str, float | None] = {}
     for label in (PROGRAMMER_SPECIFIC.label, APPLICATION_SPECIFIC.label):
         try:
-            cells[label] = normalize(means[label], td, kind)
+            normalized[label] = normalize(means[label], td, kind)
         except NormalizationError:
-            cells[label] = None
-    cells[TD_LABEL] = 1.0 if td > 0 else None
-    return cells
+            normalized[label] = None
+    normalized[TD_LABEL] = 1.0 if td > 0 else None
+    return means, normalized
 
 
 def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
@@ -444,23 +450,20 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
     schemes = [PROGRAMMER_SPECIFIC, APPLICATION_SPECIFIC]
     schemes += [totally_different(s) for s in strides]
 
+    subsets = [(scheme, enumerate_subsets(grid, scheme)) for scheme in schemes]
     metrics: dict[MetricKind, MetricStudy] = {}
     for kind in METRIC_ORDER:
         groupings: dict[str, GroupingResult] = {}
-        td_means: list[float] = []
-        for scheme in schemes:
+        for scheme, scheme_subsets in subsets:
             summaries = []
-            for subset in enumerate_subsets(grid, scheme):
+            for subset in scheme_subsets:
                 pairs = pairwise_values(subset, kind, features)
                 summaries.append(SubsetSummary(subset.label, pairs,
                                                subset_mean(p.value for p in pairs)))
-            mean = group_mean(s.mean for s in summaries)
-            groupings[scheme.label] = GroupingResult(scheme, summaries, mean)
-            if scheme.kind is GroupingKind.TOTALLY_DIFFERENT:
-                td_means.append(mean)
-        td = td_aggregate(td_means)
-        metrics[kind] = MetricStudy(kind, groupings, td, _normalized_cells(
-            {label: g.mean for label, g in groupings.items()}, td, kind))
+            groupings[scheme.label] = GroupingResult(
+                scheme, summaries, group_mean(s.mean for s in summaries))
+        means, normalized = _summary([groupings], kind)
+        metrics[kind] = MetricStudy(kind, groupings, means[TD_LABEL], normalized)
 
     return StudyReport(dataset_name, list(grid.programmers),
                        list(grid.applications), strides, metrics)
@@ -486,22 +489,12 @@ def build_suite(reports: Sequence[StudyReport]) -> StudySuite:
 
     Programmer/application columns average their per-dataset group means;
     the totally-different column pools every (dataset, stride) grouping
-    mean, matching the balanced-design pooled mean.
+    mean, matching the balanced-design pooled mean. ``run_study`` derives
+    each report's own td_mean and normalized cells the same way.
     """
     if not reports:
         raise ValueError("cannot summarize zero reports")
-    summary: dict[MetricKind, SuiteSummary] = {}
-    for kind in METRIC_ORDER:
-        ps = cross_dataset_mean(
-            r.metrics[kind].groupings[PROGRAMMER_SPECIFIC.label].mean for r in reports)
-        as_ = cross_dataset_mean(
-            r.metrics[kind].groupings[APPLICATION_SPECIFIC.label].mean for r in reports)
-        td = td_aggregate(
-            g.mean
-            for r in reports
-            for g in r.metrics[kind].groupings.values()
-            if g.scheme.kind is GroupingKind.TOTALLY_DIFFERENT)
-        means = {PROGRAMMER_SPECIFIC.label: ps, APPLICATION_SPECIFIC.label: as_,
-                 TD_LABEL: td}
-        summary[kind] = SuiteSummary(kind, means, _normalized_cells(means, td, kind))
+    summary = {kind: SuiteSummary(kind, *_summary(
+                   [r.metrics[kind].groupings for r in reports], kind))
+               for kind in METRIC_ORDER}
     return StudySuite(list(reports), summary)

@@ -19,7 +19,7 @@ import os
 import re
 import shlex
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice, takewhile
 from pathlib import Path
@@ -97,7 +97,7 @@ def compiler_version(template: str) -> str | None:
         return None
     try:
         proc = subprocess.run([*argv, "--version"], capture_output=True,
-                              text=True, timeout=30)
+                              text=True, errors="replace", timeout=30)
     except (OSError, subprocess.SubprocessError):
         return None
     if proc.returncode != 0 or not proc.stdout:
@@ -117,7 +117,7 @@ def compile_entry(entry: ProgramEntry, config: ToolConfig,
     argv = build_command(config.compiler_command, config.compiler_flags,
                          entry.path, partial)
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, errors="replace")
     except FileNotFoundError as exc:
         raise ToolError(f"compiler not found: {argv[0]}", entity=entry.id) from exc
     except OSError as exc:
@@ -178,20 +178,18 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
             raise InputError(f"cannot read source: {exc}", entity=entry.id) from exc
         keys.append(content_hash(source, config.compiler_command, config.compiler_flags,
                                  version))
-    first: dict[str, int] = {}  # uncached hash -> index of the entry that compiles it
-    for index, key in enumerate(keys):
-        if key not in first and not (cache_dir / f"{key}.s").is_file():
-            first[key] = index
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        futures = {key: pool.submit(compile_entry, entries[index], config,
-                                    cache_dir / f"{key}.s")
-                   for key, index in first.items()}
+        futures: dict[str, Future[CompileOutcome]] = {}
+        for entry, key in zip(entries, keys):
+            target = cache_dir / f"{key}.s"
+            if key not in futures and not target.is_file():
+                futures[key] = pool.submit(compile_entry, entry, config, target)
 
     outcomes: list[CompileOutcome] = []
-    for index, (entry, key) in enumerate(zip(entries, keys)):
+    for entry, key in zip(entries, keys):
         if key in futures:
             outcome = futures[key].result()
-            if first[key] != index:
+            if outcome.entry is not entry:  # a later entry with the same hash
                 outcome = replace(outcome, entry=entry, cached=outcome.error is None)
         else:
             outcome = CompileOutcome(entry, cache_dir / f"{key}.s", cached=True)

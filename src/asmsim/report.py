@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import partial
 from typing import Mapping
 
 from .corpus import APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL, StudySuite
@@ -69,23 +70,11 @@ def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> str:
                 row.append("" if grouping is None else format_value(kind, grouping.mean))
             out.append("| " + " | ".join(row) + " |")
         summary = suite.summary[kind]
-        average = [
-            "Average",
-            format_value(kind, summary.means[PROGRAMMER_SPECIFIC.label]),
-            format_value(kind, summary.means[APPLICATION_SPECIFIC.label]),
-            # the totally-different aggregate pools all strides: one cell
-            format_value(kind, summary.means[TD_LABEL]),
-        ]
-        average += [""] * (len(td_labels) - 1)
-        out.append("| " + " | ".join(average) + " |")
-        normalized = [
-            "Normalized",
-            format_normalized(summary.normalized[PROGRAMMER_SPECIFIC.label]),
-            format_normalized(summary.normalized[APPLICATION_SPECIFIC.label]),
-            format_normalized(summary.normalized[TD_LABEL]),
-        ]
-        normalized += [""] * (len(td_labels) - 1)
-        out.append("| " + " | ".join(normalized) + " |")
+        for name, values, fmt in (("Average", summary.means, partial(format_value, kind)),
+                                  ("Normalized", summary.normalized, format_normalized)):
+            row = [name, *map(fmt, values.values())]  # programmer, application, td
+            row += [""] * (len(td_labels) - 1)  # the td aggregate pools all strides
+            out.append("| " + " | ".join(row) + " |")
         out.append("")
     return "\n".join(out)
 

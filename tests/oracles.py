@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 from asmsim.asm_parser import AssemblyProgram, BasicBlock
 from asmsim.corpus import (CorpusGrid, GroupingResult, MetricStudy,
@@ -31,6 +32,45 @@ def canonical_source(program: AssemblyProgram) -> str:
     """
     return "".join(f"\t{ins.mnemonic} {ins.operands_raw}".rstrip() + "\n"
                    for ins in program.instructions)
+
+
+# --- naive basic blocks -------------------------------------------------------
+
+ORACLE_BRANCHES = ("b", "bl", "blx", "bx", "cbz", "cbnz")
+ORACLE_CONDITIONS = ("eq", "ne", "cs", "hs", "cc", "lo", "mi", "pl",
+                     "vs", "vc", "hi", "ls", "ge", "lt", "gt", "le", "al")
+
+
+def oracle_is_branch(ins) -> bool:
+    """A branch mnemonic, bare or with one condition suffix, or a ``pop``
+    whose register list holds ``pc``."""
+    if ins.mnemonic == "pop":
+        return "pc" in re.findall(r"\w+", ins.operands_raw.lower())
+    return any(ins.mnemonic in (b, *(b + c for c in ORACLE_CONDITIONS))
+               for b in ORACLE_BRANCHES)
+
+
+def oracle_names(operands: str, label: str) -> bool:
+    """True if ``label`` appears in ``operands`` as a whole word."""
+    word = r"[\w.$]"
+    return re.search(f"(?<!{word}){re.escape(label)}(?!{word})", operands) is not None
+
+
+def oracle_blocks(program: AssemblyProgram) -> list[BasicBlock]:
+    """Basic blocks from the leader rules, deciding index by index: an
+    instruction starts a block if it is the first, if it follows a branch,
+    or if a label at its index is named by some branch."""
+    instructions = program.instructions
+    branches = [ins for ins in instructions if oracle_is_branch(ins)]
+    targets = {index for label, index in program.labels.items()
+               if any(oracle_names(b.operands_raw, label) for b in branches)}
+    spans: list[list[int]] = []
+    for i in range(len(instructions)):
+        if i == 0 or oracle_is_branch(instructions[i - 1]) or i in targets:
+            spans.append([i, i + 1])
+        else:
+            spans[-1][1] = i + 1
+    return [BasicBlock(start, end) for start, end in spans]
 
 
 # --- naive feature extraction ------------------------------------------------

@@ -72,6 +72,8 @@ def test_env_compiler_applies_and_file_wins(tmp_path):
     {"parser": {"branch_mnemonics": []}},
     {"parser": {"unknown": True}},
     {"compiler_flags": "-S"},
+    {"parser": {"comment_markers": [""]}},
+    {"parser": {"comment_markers": ["@", ""]}},
 ])
 def test_invalid_configs_rejected(tmp_path, doc):
     path = write_config(tmp_path, doc)

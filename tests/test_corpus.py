@@ -20,6 +20,8 @@ from asmsim.errors import (DuplicateIdError, EmptyProgramError,
 from asmsim.features import features_for_program
 from asmsim.metrics import METRIC_ORDER, MetricKind
 
+import oracles
+
 
 def entry(pid, programmer, application):
     return ProgramEntry(pid, Path(f"{pid}.s"), programmer, application)
@@ -111,6 +113,24 @@ class TestManifest:
         assert [name for name, _ in data.datasets] == ["one", "two"]
         with pytest.raises(ManifestError):
             load_manifest(manifest)
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"name": "", "programs": []}, ""),
+        ({"name": 7, "programs": []}, ""),
+        ([{"name": "a", "programs": []}], ""),
+        ({"datasets": [{"name": "", "programs": []}]}, "#datasets[0]"),
+        ({"datasets": [{"name": "a", "programs": []}, 7]}, "#datasets[1]"),
+        ({"datasets": [{"name": "a", "programs": []}, {"name": "a", "programs": []}]},
+         "#datasets[1]"),
+    ], ids=["single-bad-name", "single-name-not-string", "single-root-not-object",
+            "multi-bad-name", "multi-dataset-not-object", "multi-duplicate-name"])
+    def test_dataset_diagnostics_name_the_dataset(self, tmp_path, doc, where):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError) as excinfo:
+            load_datasets(manifest)
+        assert type(excinfo.value) is ManifestError
+        assert excinfo.value.entity == f"{manifest}{where}"
 
     def test_not_json(self, tmp_path):
         manifest = tmp_path / "m.json"
@@ -504,6 +524,38 @@ class TestSuite:
             expected = one.metrics[kind].groupings[APPLICATION_SPECIFIC.label].mean
             assert suite.summary[kind].means[APPLICATION_SPECIFIC.label] == \
                 pytest.approx(expected)
+
+    def test_two_grids_match_oracle_suite(self, tmp_path, fixtures_dir):
+        datasets = []
+        for name in ("corpus3x3", "corpus5x5"):
+            doc = json.loads((fixtures_dir / name / "manifest.json").read_text())
+            for program in doc["programs"]:
+                program["path"] = str(fixtures_dir / name / program["path"])
+            datasets.append(doc)
+        manifest = tmp_path / "suite.json"
+        manifest.write_text(json.dumps({"datasets": datasets}))
+
+        reports, oracle_reports = [], []
+        for (name, entries), strides in zip(load_datasets(manifest).datasets,
+                                            ([1, 2], [1, 2, 3])):
+            grid = build_grid(entries)
+            programs = {e.id: parse_assembly(e.path.read_text()) for e in entries}
+            reports.append(run_study(grid, {pid: features_for_program(program)
+                                            for pid, program in programs.items()},
+                                     dataset_name=name))
+            assert reports[-1].strides == strides  # the default strides differ
+            oracle_reports.append(oracles.oracle_study_report(
+                grid, {pid: oracles.oracle_features(program, oracles.oracle_blocks(program))
+                       for pid, program in programs.items()}, strides, name))
+        suite, oracle = build_suite(reports), oracles.oracle_suite(oracle_reports)
+        for kind in METRIC_ORDER:
+            for field in ("means", "normalized"):
+                got = getattr(suite.summary[kind], field)
+                expected = getattr(oracle.summary[kind], field)
+                assert list(got) == list(expected)
+                for label, value in expected.items():
+                    assert got[label] == pytest.approx(value, rel=0, abs=1e-12), \
+                        (kind, field, label)
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):

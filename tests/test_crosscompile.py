@@ -83,6 +83,18 @@ out = args[args.index("-o") + 1]
 pathlib.Path(out).write_text(pathlib.Path(args[-1]).read_text())
 """
 
+# Fails every compile; its stderr and `--version` line are not UTF-8 when
+# the script is run with the argument "bad-stderr" or "bad-version".
+FAILING_CC = """\
+import sys
+mode = sys.argv[1]
+if sys.argv[2:] == ["--version"]:
+    sys.stdout.buffer.write(b"cc 1.0 \\xff\\n" if mode == "bad-version" else b"cc 1.0\\n")
+    sys.exit()
+sys.stderr.buffer.write(b"fatal: caf\\xe9\\n" if mode == "bad-stderr" else b"fatal: cafe\\n")
+sys.exit(1)
+"""
+
 
 @pytest.fixture
 def fake_cc(tmp_path):
@@ -284,6 +296,26 @@ class TestCompileCli:
         assert result.returncode == 4
         assert "failed 1" in result.stdout.decode()
         assert 'entity="a-x"' in result.stderr.decode()
+
+    def failing_compile(self, tmp_path, corpus_manifest, mode):
+        script = tmp_path / "failing_cc.py"
+        script.write_text(FAILING_CC)
+        return run_cli("compile", corpus_manifest, "--out", tmp_path / mode, "--cc",
+                       f"{sys.executable} {script} {mode}")
+
+    def test_cli_non_utf8_compiler_stderr_is_a_recorded_failure(self, tmp_path,
+                                                                 corpus_manifest):
+        result = self.failing_compile(tmp_path, corpus_manifest, "bad-stderr")
+        stderr = result.stderr.decode()
+        assert result.returncode == 4
+        assert "Traceback" not in stderr
+        assert 'error: code=4 entity="ada-checksum" message="fatal: caf\ufffd"' in stderr
+
+    def test_cli_non_utf8_compiler_version_does_not_crash(self, tmp_path, corpus_manifest):
+        plain = self.failing_compile(tmp_path, corpus_manifest, "plain")
+        result = self.failing_compile(tmp_path, corpus_manifest, "bad-version")
+        assert "Traceback" not in result.stderr.decode()
+        assert result.returncode == plain.returncode == 4
 
     @pytest.mark.skipif(not Path("/proc/self/cmdline").is_file(),
                         reason="the killing fake compiler reads /proc")

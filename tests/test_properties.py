@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from asmsim.features import PatternSet, extract_ngrams
 from asmsim.metrics import cosine, jaccard, pattern_distance
 
 import oracles
+from conftest import FIXTURES
 
 MNEMONIC_ALPHABET = ["mov", "add", "sub", "ldr", "str", "cmp", "b", "bl", "push"]
 
@@ -44,6 +46,17 @@ class TestParserProperties:
             assert start < end
             for instruction in program.instructions[start:end - 1]:
                 assert not is_branch(instruction)
+
+    @given(st.integers(0, 10**9))
+    def test_blocks_match_leader_oracle(self, seed):
+        program = random_program(seed)
+        assert segment_basic_blocks(program) == oracles.oracle_blocks(program)
+
+    @pytest.mark.parametrize("name", ["conformance_basic.s", "conformance_branches.s",
+                                      "conformance_labels.s"])
+    def test_conformance_blocks_match_leader_oracle(self, name):
+        program = parse_assembly((FIXTURES / name).read_text())
+        assert segment_basic_blocks(program) == oracles.oracle_blocks(program)
 
     @given(st.integers(0, 10**9))
     def test_reparse_of_canonical_source_is_stable(self, seed):
