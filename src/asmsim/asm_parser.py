@@ -59,6 +59,12 @@ class ParserConfig:
         return self.branch_mnemonics | {b + s for b in self.branch_mnemonics
                                         for s in CONDITION_SUFFIXES}
 
+    @cached_property
+    def comment_re(self) -> re.Pattern[str]:
+        """The comment markers as one pattern; its first match starts the
+        comment. With no markers it never matches."""
+        return re.compile("|".join(map(re.escape, sorted(self.comment_markers))) or "(?!)")
+
 
 DEFAULT_CONFIG = ParserConfig()
 
@@ -94,15 +100,6 @@ class BasicBlock(NamedTuple):
     end_index: int
 
 
-def _strip_comment(line: str, markers: frozenset[str]) -> str:
-    cut = len(line)
-    for marker in markers:
-        pos = line.find(marker)
-        if pos != -1 and pos < cut:
-            cut = pos
-    return line[:cut]
-
-
 def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
                    source_name: str = "<asm>") -> AssemblyProgram:
     """Parse GNU-syntax assembly text into an instruction stream.
@@ -118,23 +115,35 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
     Unclassifiable lines raise :class:`ParseError` in strict mode and are
     recorded in ``diagnostics`` otherwise. Any line-ending convention is
     accepted.
+
+    Each call keeps a memo from a raw first token to its mnemonic; only
+    tokens ``_MNEMONIC_RE`` has accepted enter it, so a line starting with
+    a memoised token is an instruction with no further checks.
     """
     instructions: list[Instruction] = []
     labels: dict[str, int] = {}
     diagnostics: list[tuple[int, str]] = []
+    append, comment = instructions.append, config.comment_re.search
+    memo: dict[str, str] = {}
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        rest = _strip_comment(raw_line, config.comment_markers).strip()
+        cut = comment(raw_line)
+        rest = (raw_line[:cut.start()] if cut else raw_line).strip()
+        head = rest.split(None, 1)
+        mnemonic = memo.get(head[0]) if head else None
+        if mnemonic is not None:  # tuple.__new__ skips the NamedTuple's Python __new__
+            append(tuple.__new__(Instruction, (mnemonic, head[1] if len(head) > 1 else "",
+                                               line_no)))
+            continue
         problem: str | None = None
 
-        head = rest.split(maxsplit=1)
         while head and head[0].endswith(":"):
             name = head[0][:-1]
             if not _LABEL_RE.match(name):
                 problem = f"malformed label {head[0]!r}"
                 break
             labels[name] = len(instructions)
-            head = head[1].split(maxsplit=1) if len(head) > 1 else []
+            head = head[1].split(None, 1) if len(head) > 1 else []
 
         # a directive (first char ".") contributes no instruction
         if problem is None and head and not head[0].startswith("."):
@@ -147,7 +156,8 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
                 operands = head[1] if len(head) > 1 else ""
                 # one str object per distinct mnemonic, so pattern tuples
                 # compare by identity in the pair scorers' set intersections
-                instructions.append(Instruction(sys.intern(mnemonic), operands, line_no))
+                mnemonic = memo[head[0]] = sys.intern(mnemonic)
+                append(Instruction(mnemonic, operands, line_no))
 
         if problem is not None:
             if config.strict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 from .asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
@@ -42,10 +43,12 @@ def extract_ngrams(mnemonics: Sequence[str], blocks: Sequence[BasicBlock],
     """
     if n < 2:
         raise ValueError(f"pattern length must be >= 2, got {n}")
-    found: set[NGram] = set()
+    starts = bytearray(len(mnemonics))  # 1 where a window lies inside a block
     for start, end in blocks:
-        found.update(zip(*(mnemonics[start + k:end] for k in range(n))))
-    return PatternSet(n, frozenset(found))
+        if end - start >= n:
+            starts[start:end - n + 1] = b"\x01" * (end - start - n + 1)
+    windows = zip(*(mnemonics[k:] for k in range(n)))
+    return PatternSet(n, frozenset(compress(windows, starts)))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ import math
 import random
 import re
 
-from asmsim.asm_parser import AssemblyProgram, BasicBlock
+from asmsim.asm_parser import AssemblyProgram, BasicBlock, Instruction, ParserConfig
 from asmsim.corpus import (CorpusGrid, GroupingResult, MetricStudy,
                            PairValue, StudyReport, StudySuite, SubsetSummary,
                            SuiteSummary, GroupingScheme, GroupingKind,
                            APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL,
                            totally_different)
+from asmsim.errors import ParseError
 from asmsim.metrics import METRIC_ORDER, MetricKind
 
 
@@ -32,6 +33,60 @@ def canonical_source(program: AssemblyProgram) -> str:
     """
     return "".join(f"\t{ins.mnemonic} {ins.operands_raw}".rstrip() + "\n"
                    for ins in program.instructions)
+
+
+ORACLE_MNEMONIC_RE = re.compile(r"^[A-Za-z][A-Za-z0-9._]*$")
+ORACLE_LABEL_RE = re.compile(r"^(?:[A-Za-z_.$][A-Za-z0-9_.$]*|[0-9]+)$")
+
+
+def oracle_strip_comment(line: str, markers) -> str:
+    """The line up to the earliest occurrence of any comment marker."""
+    cut = len(line)
+    for marker in markers:
+        pos = line.find(marker)
+        if pos != -1 and pos < cut:
+            cut = pos
+    return line[:cut]
+
+
+def oracle_parse(text: str, config: ParserConfig, *,
+                 source_name: str = "<asm>") -> AssemblyProgram:
+    """Classify every line on its own, with no memo: strip the comment by
+    a per-marker ``find``, split off the first token, take leading labels
+    one by one, then a directive, an instruction or a diagnostic."""
+    instructions: list[Instruction] = []
+    labels: dict[str, int] = {}
+    diagnostics: list[tuple[int, str]] = []
+
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        rest = oracle_strip_comment(raw_line, config.comment_markers).strip()
+        problem = None
+
+        head = rest.split(maxsplit=1)
+        while head and head[0].endswith(":"):
+            name = head[0][:-1]
+            if not ORACLE_LABEL_RE.match(name):
+                problem = f"malformed label {head[0]!r}"
+                break
+            labels[name] = len(instructions)
+            head = head[1].split(maxsplit=1) if len(head) > 1 else []
+
+        if problem is None and head and not head[0].startswith("."):
+            if not ORACLE_MNEMONIC_RE.match(head[0]):
+                problem = f"unclassifiable line: {raw_line.strip()!r}"
+            else:
+                mnemonic = head[0].lower()
+                if mnemonic.endswith((".n", ".w")):
+                    mnemonic = mnemonic[:-2]
+                operands = head[1] if len(head) > 1 else ""
+                instructions.append(Instruction(mnemonic, operands, line_no))
+
+        if problem is not None:
+            if config.strict:
+                raise ParseError(problem, entity=f"{source_name}:{line_no}")
+            diagnostics.append((line_no, problem))
+
+    return AssemblyProgram(instructions, labels, diagnostics)
 
 
 # --- naive basic blocks -------------------------------------------------------
@@ -328,3 +383,28 @@ def random_program_text(rng: random.Random, max_instructions: int = 20) -> str:
             regs = "{r4, pc}" if rng.random() < 0.5 else "{r4, r5}"
             lines.append(f"\tpop {regs}")
     return "\n".join(lines) + "\n"
+
+
+LISTING_LINES = (
+    "\tLDR.W r0, [r1]", "\tldr.w r2, [r3, #4]", "\tldr r4, .LC0",
+    "\tmov r0, r1 @ copy", "\tadds r0, #1 // bump", "\tcmp r0, #3 ; limit",
+    "\tsub r0, r1 # note", "@ whole-line comment", "// another", "; custom",
+    "# custom", "\t.align 2", ".text", "\t.word 12 @ literal",
+    "a: b: c: movs r0, #1", ".L1: .L2:", "lit: .word 7", "1: bne 1b",
+    "1abc r0", "bad label: nop", ":", "\t!!! junk", "\tVCVT.F32.S32 s0, s0",
+    "\tmov r0, r1   \t", "", "   ", "\tnop",
+)
+LINE_BREAKS = ("\n", "\n", "\n", "\r\n", "\r", "\x0c")
+
+
+def random_listing_text(rng: random.Random, max_lines: int = 30) -> str:
+    """A listing that mixes every line kind the parser classifies: ``@``,
+    ``//`` and custom-marker (``#``, ``;``) comments, several labels before
+    one instruction, width-qualified and case-mixed mnemonics, directives,
+    malformed labels and lines, blank and trailing-space lines, and
+    ``\\r\\n``, ``\\r`` and ``\\x0c`` line breaks."""
+    lines = [rng.choice(LISTING_LINES) for _ in range(rng.randint(0, max_lines))]
+    for line in LISTING_LINES[:3]:  # one mnemonic in three spellings
+        lines.insert(rng.randint(0, len(lines)), line)
+    lines += [""] * rng.randint(0, 2)  # trailing blank lines
+    return "".join(line + rng.choice(LINE_BREAKS) for line in lines)

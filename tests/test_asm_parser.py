@@ -122,6 +122,50 @@ class TestParseAssembly:
                [(i.mnemonic, i.operands_raw) for i in program.instructions]
 
 
+class TestMnemonicMemo:
+    """Lines whose first token was seen before take a memoised path; these
+    are the cases where it could disagree with a line parsed afresh."""
+
+    def test_label_name_later_used_as_mnemonic(self):
+        program = parse_assembly("foo:\n\tfoo r0\nfoo:\n\tfoo r1\n")
+        assert mnemonics(program) == ["foo", "foo"]
+        assert program.labels == {"foo": 1}
+        assert program.diagnostics == []
+
+    def test_mnemonic_later_used_as_label(self):
+        program = parse_assembly("\tfoo r0\nfoo:\n\tFOO.W r1\nfoo: foo r2\n")
+        assert [(i.mnemonic, i.operands_raw) for i in program.instructions] == [
+            ("foo", "r0"), ("foo", "r1"), ("foo", "r2")]
+        assert program.labels == {"foo": 2}
+
+    def test_malformed_first_token_diagnosed_on_every_line(self):
+        program = parse_assembly("\t1abc r0\n\tnop\n\t1abc r0\n\t1abc r1\n")
+        assert mnemonics(program) == ["nop"]
+        assert [line_no for line_no, _ in program.diagnostics] == [1, 3, 4]
+        assert all("unclassifiable" in message for _, message in program.diagnostics)
+
+    def test_strict_raises_after_many_memoised_lines(self):
+        text = "\tmov r0, r1\n\tadd r0, r1\n" * 2500 + "\tmov !r0\n\t1abc r0\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_assembly(text, ParserConfig(strict=True), source_name="long.s")
+        assert excinfo.value.entity == "long.s:5002"
+        assert "1abc" in excinfo.value.message
+
+    def test_comment_markers_do_not_leak_between_configs(self):
+        text = "\tmov r0, r1 ; one\n\tadd r0, r1 @ two\n"
+        semicolon = ParserConfig(comment_markers=frozenset({";"}))
+        at = ParserConfig(comment_markers=frozenset({"@"}))
+
+        def operands(config):
+            return [i.operands_raw for i in parse_assembly(text, config).instructions]
+
+        assert operands(semicolon) == ["r0, r1", "r0, r1 @ two"]
+        assert operands(at) == ["r0, r1 ; one", "r0, r1"]
+        assert operands(semicolon) == ["r0, r1", "r0, r1 @ two"]
+        assert operands(ParserConfig(comment_markers=frozenset())) == [
+            "r0, r1 ; one", "r0, r1 @ two"]
+
+
 class TestBranchClassification:
     @pytest.mark.parametrize("mnemonic", [
         "b", "beq", "bne", "bls", "bge", "bal", "bl", "bleq", "blx", "blxne",

@@ -2,13 +2,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asmsim.asm_parser import is_branch, parse_assembly, segment_basic_blocks
+from asmsim.asm_parser import (AssemblyProgram, BasicBlock, Instruction, ParserConfig,
+                               is_branch, parse_assembly, segment_basic_blocks)
 from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            enumerate_subsets, APPLICATION_SPECIFIC,
                            PROGRAMMER_SPECIFIC, totally_different)
+from asmsim.errors import ParseError
 from asmsim.features import PatternSet, extract_ngrams
 from asmsim.metrics import cosine, jaccard, pattern_distance
 
@@ -77,7 +79,58 @@ class TestParserProperties:
             assert other.labels == unix.labels
 
 
+MARKER_SETS = [frozenset({"@", "//"}), frozenset({"@", "//", "#", ";"}),
+               frozenset({";"}), frozenset()]
+
+
+class TestParserOracle:
+    @given(st.integers(0, 10**9), st.sampled_from(MARKER_SETS))
+    def test_lenient_parse_matches_oracle(self, seed, markers):
+        text = oracles.random_listing_text(random.Random(seed))
+        config = ParserConfig(comment_markers=markers)
+        program = parse_assembly(text, config)
+        expected = oracles.oracle_parse(text, config)
+        assert program.instructions == expected.instructions
+        assert program.labels == expected.labels
+        assert program.diagnostics == expected.diagnostics
+
+    @given(st.integers(0, 10**9), st.sampled_from(MARKER_SETS))
+    def test_strict_parse_fails_like_oracle(self, seed, markers):
+        text = oracles.random_listing_text(random.Random(seed))
+        config = ParserConfig(comment_markers=markers, strict=True)
+        outcomes = []
+        for parse in (parse_assembly, oracles.oracle_parse):
+            try:
+                outcomes.append(parse(text, config, source_name="t.s").instructions)
+            except ParseError as exc:
+                outcomes.append((exc.message, exc.entity))
+        assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def mnemonics_and_blocks(draw):
+    """A mnemonic list and a block list that need not cover it: sorted
+    disjoint spans, each kept or dropped, so there are gaps, short blocks
+    and blocks that end at the last instruction."""
+    mnemonics = draw(st.lists(st.sampled_from(MNEMONIC_ALPHABET[:4]), max_size=16))
+    points = sorted(draw(st.sets(st.integers(0, len(mnemonics)))))
+    keep = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+    blocks = [BasicBlock(start, end) for start, end, kept in
+              zip(points, points[1:], keep) if kept]
+    return mnemonics, blocks
+
+
 class TestFeatureProperties:
+    @given(mnemonics_and_blocks(), st.integers(2, 4))
+    @example((["mov", "add", "sub"], []), 2)
+    @example((["mov", "add", "sub", "ldr", "mov", "add"], [BasicBlock(1, 2), BasicBlock(3, 6)]), 2)
+    @example((["mov", "add", "sub", "ldr"], [BasicBlock(0, 1), BasicBlock(2, 4)]), 3)
+    def test_ngrams_on_any_block_list_match_oracle(self, case, n):
+        mnemonics, blocks = case
+        program = AssemblyProgram([Instruction(m, "", i) for i, m in enumerate(mnemonics)], {})
+        assert extract_ngrams(mnemonics, blocks, n).patterns == \
+            oracles.oracle_ngrams(program, blocks, n)
+
     @given(st.integers(0, 10**9), st.integers(2, 5))
     def test_ngrams_match_window_oracle(self, seed, n):
         program = random_program(seed)
