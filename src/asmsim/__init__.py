@@ -17,6 +17,6 @@ from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
 from .features import (PatternSet, ProgramFeatures, compute_features,
                        extract_ngrams, features_for_program, features_to_dict)
 from .metrics import (METRIC_ORDER, MetricKind, cosine, jaccard, pair_value,
-                      pattern_distance)
+                      pair_values, pattern_distance)
 
 __version__ = "0.1.0"

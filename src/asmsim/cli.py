@@ -22,7 +22,7 @@ from .config import ToolConfig, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
                      load_datasets, run_study)
 from .crosscompile import compile_corpus
-from .errors import AsmSimError, InputError, ToolError
+from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
 from .features import ProgramFeatures, features_for_program, features_to_dict
 from .metrics import MetricKind, pair_value
 from .report import format_value, render
@@ -192,8 +192,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         features.append(file_features(path, config))
 
     names = list(COMPARE_METRICS) if args.metric == "all" else [args.metric]
-    results = {name: pair_value(COMPARE_METRICS[name], features[0], features[1])
-               for name in names}
+    try:
+        results = {name: pair_value(COMPARE_METRICS[name], *features) for name in names}
+    except EmptyProgramError as exc:
+        empty = args.file_b if features[0].frequency else args.file_a
+        raise EmptyProgramError(exc.message, entity=str(empty)) from exc
 
     if args.format == "json":
         print(json.dumps(results))

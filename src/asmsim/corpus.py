@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (DuplicateIdError, EmptyProgramError, IncompleteGridError,
                      InputError, InvalidStrideError, ManifestError,
                      NormalizationError, PatternMismatchError)
 from .features import NGram, ProgramFeatures
-from .metrics import METRIC_ORDER, MetricKind, pair_value
+from .metrics import METRIC_ORDER, MetricKind, pair_values
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,7 @@ def enumerate_subsets(grid: CorpusGrid, scheme: GroupingScheme) -> list[Subset]:
     return subsets
 
 
-@dataclass(frozen=True)
-class PairValue:
+class PairValue(NamedTuple):
     id_a: str
     id_b: str
     value: float
@@ -304,15 +303,15 @@ def pairwise_values(subset: Subset, kind: MetricKind,
                 raise PatternMismatchError(
                     f"pattern {min(stray)!r} is missing from the universe; "
                     "it was built from a different corpus", entity=member_id)
-    values: list[PairValue] = []
-    for (id_a, a), (id_b, b) in combinations(members, 2):
-        try:
-            value = pair_value(kind, a, b)
-        except EmptyProgramError as exc:
-            raise EmptyProgramError(f"{exc.message} (pair {id_a}, {id_b})",
-                                    entity=f"{id_a},{id_b}") from exc
-        values.append(PairValue(id_a, id_b, value))
-    return values
+    try:
+        values = pair_values(kind, [member for _, member in members])
+    except EmptyProgramError as exc:
+        id_a, id_b = next((id_a, id_b) for (id_a, a), (id_b, b) in combinations(members, 2)
+                          if not (a.frequency and b.frequency))
+        raise EmptyProgramError(f"{exc.message} (pair {id_a}, {id_b})",
+                                entity=f"{id_a},{id_b}") from exc
+    return [PairValue(id_a, id_b, value) for ((id_a, _), (id_b, _)), value
+            in zip(combinations(members, 2), values)]
 
 
 def _mean(values: Iterable[float], what: str) -> float:
@@ -439,8 +438,8 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
     """
     strides = list(default_strides(len(grid.programmers)) if strides is None else strides)
     _check_strides(grid, strides)
-    for entry in grid.entries:
-        entry_features = features.get(entry.id)
+    programs = [features.get(entry.id) for entry in grid.entries]
+    for entry, entry_features in zip(grid.entries, programs):
         if entry_features is None:
             raise ValueError(f"no features for program {entry.id!r}")
         if not entry_features.frequency:
@@ -450,14 +449,21 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
     schemes = [PROGRAMMER_SPECIFIC, APPLICATION_SPECIFIC]
     schemes += [totally_different(s) for s in strides]
 
+    # one pair_values call per metric scores the member pairs of every subset
+    # (as positions in grid.entries); its values are dealt back in that order
     subsets = [(scheme, enumerate_subsets(grid, scheme)) for scheme in schemes]
+    position = {entry.id: k for k, entry in enumerate(grid.entries)}
+    positions = [pair for _, scheme_subsets in subsets for subset in scheme_subsets
+                 for pair in combinations([position[m.id] for m in subset.members], 2)]
     metrics: dict[MetricKind, MetricStudy] = {}
     for kind in METRIC_ORDER:
+        values = iter(pair_values(kind, programs, positions))
         groupings: dict[str, GroupingResult] = {}
         for scheme, scheme_subsets in subsets:
             summaries = []
             for subset in scheme_subsets:
-                pairs = pairwise_values(subset, kind, features)
+                pairs = [tuple.__new__(PairValue, (a.id, b.id, value))  # no Python __new__
+                         for (a, b), value in zip(combinations(subset.members, 2), values)]
                 summaries.append(SubsetSummary(subset.label, pairs,
                                                subset_mean(p.value for p in pairs)))
             groupings[scheme.label] = GroupingResult(

@@ -4,15 +4,19 @@ Mnemonic sets (the keys of the frequency vectors) are compared with
 Jaccard similarity, frequency vectors with cosine similarity
 (bag-of-words), and n-gram pattern sets with the Euclidean distance
 between their boolean presence vectors.
+
+:func:`pair_values` scores many pairs in one call; for Jaccard and Euclidean
+it counts bits of one ``int`` bitset per program, over that call's programs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from enum import Enum
-from itertools import repeat
+from itertools import chain, combinations, count, repeat
 from operator import mul
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import EmptyProgramError
 from .features import NGram, ProgramFeatures
@@ -31,7 +35,8 @@ class MetricKind(str, Enum):
 
     @property
     def ngram_length(self) -> int | None:
-        return {MetricKind.EUCLIDEAN2: 2, MetricKind.EUCLIDEAN3: 3}.get(self)
+        return (2 if self is MetricKind.EUCLIDEAN2 else
+                3 if self is MetricKind.EUCLIDEAN3 else None)
 
 
 METRIC_ORDER = (MetricKind.JACCARD, MetricKind.COSINE,
@@ -77,11 +82,42 @@ def pattern_distance(a: frozenset[NGram], b: frozenset[NGram]) -> float:
     return math.sqrt(len(a) + len(b) - 2 * len(a & b))
 
 
-def pair_value(kind: MetricKind, a: ProgramFeatures, b: ProgramFeatures) -> float:
-    """One metric for one pair of programs, from values each program keeps."""
-    if kind is MetricKind.JACCARD:
-        return jaccard(a.mnemonics, b.mnemonics)
+def _presence_bits(sets: Sequence[frozenset]) -> list[int]:
+    """Each set as an ``int`` with one bit per element that two or more of
+    ``sets`` hold. One Counter (a dict, smaller than a set) counts the elements,
+    then gives the shared ones digits 2, 3, ...; the rest keep digit 1."""
+    index = Counter(chain.from_iterable(sets))
+    shared = [element for element, holders in index.items() if holders > 1]
+    dict.update(index, zip(shared, count(2)))  # Counter.update would add
+    bits = []
+    for elements in sets:
+        digits = bytearray(b"0") * (len(shared) + 2)
+        for k in map(index.__getitem__, elements):
+            digits[k] = 49  # ord("1")
+        digits[1] = 48  # digit 1 took every element of one set only
+        bits.append(int(digits, 2))
+    return bits
+
+
+def pair_values(kind: MetricKind, programs: Sequence[ProgramFeatures],
+                pairs: Sequence[tuple[int, int]] | None = None) -> list[float]:
+    """``kind``'s value for each ``(i, j)`` index pair of ``programs``;
+    by default every pair, in :func:`itertools.combinations` order."""
+    pairs = list(combinations(range(len(programs)), 2)) if pairs is None else pairs
     if kind is MetricKind.COSINE:
-        return cosine(a.frequency, b.frequency, a.frequency_norm_sq, b.frequency_norm_sq)
+        return [cosine(a.frequency, b.frequency, a.frequency_norm_sq, b.frequency_norm_sq)
+                for a, b in ((programs[i], programs[j]) for i, j in pairs)]
     n = kind.ngram_length
-    return pattern_distance(a.pattern_set(n).patterns, b.pattern_set(n).patterns)
+    sets = [p.mnemonics if n is None else p.pattern_set(n).patterns for p in programs]
+    sizes, bits = list(map(len, sets)), _presence_bits(sets)
+    # (|a & b|, |a| + |b|); a self-pair also shares the elements of one set
+    counts = [((bits[i] & bits[j]).bit_count() if i != j else sizes[i], sizes[i] + sizes[j])
+              for i, j in pairs]
+    if n is None:
+        return [common / (total - common) if total else 1.0 for common, total in counts]
+    return [math.sqrt(total - 2 * common) for common, total in counts]
+
+
+def pair_value(kind: MetricKind, a: ProgramFeatures, b: ProgramFeatures) -> float:
+    """One metric for one pair of programs."""
+    return pair_values(kind, (a, b))[0]

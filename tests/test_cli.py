@@ -135,6 +135,16 @@ class TestCompare:
         code, _, message = last_diagnostic(result)
         assert code == 3 and "empty" in message
 
+    def test_empty_program_error_names_the_empty_file(self, tmp_path):
+        empty = tmp_path / "empty.s"
+        empty.write_text("")
+        other = write_asm(tmp_path / "b.s", "mov r0, r1")
+        for a, b in ((empty, empty), (other, empty), (empty, other)):
+            result = run_cli("compare", a, b)
+            assert result.returncode == 3 and result.stdout == b""
+            assert last_diagnostic(result) == (
+                3, str(empty), "cosine similarity is undefined for an empty program")
+
     def test_jaccard_survives_empty_input(self, tmp_path):
         empty = tmp_path / "empty.s"
         empty.write_text("")

@@ -268,6 +268,16 @@ class TestPairwiseAndMeans:
         with pytest.raises(EmptyProgramError) as excinfo:
             pairwise_values(subset, MetricKind.COSINE, features)
         assert "p0a0" in excinfo.value.entity
+        # the first pair in combinations order that holds an empty member
+        grid = build_grid(grid_entries(3, 3))
+        features = uniform_features([e.id for e in grid.entries])
+        subset = enumerate_subsets(grid, APPLICATION_SPECIFIC)[0]
+        first, second, third = (m.id for m in subset.members)
+        features[second] = features[third] = features_of("")
+        with pytest.raises(EmptyProgramError) as excinfo:
+            pairwise_values(subset, MetricKind.COSINE, features)
+        assert excinfo.value.entity == f"{first},{second}"
+        assert excinfo.value.message.endswith(f"(pair {first}, {second})")
 
     def test_means(self):
         assert subset_mean([1.0, 1.0, 1.0]) == 1.0
@@ -547,6 +557,21 @@ class TestSuite:
             oracle_reports.append(oracles.oracle_study_report(
                 grid, {pid: oracles.oracle_features(program, oracles.oracle_blocks(program))
                        for pid, program in programs.items()}, strides, name))
+        for report, expected_report in zip(reports, oracle_reports):
+            for kind in METRIC_ORDER:
+                groupings = report.metrics[kind].groupings
+                expected_groupings = expected_report.metrics[kind].groupings
+                assert list(groupings) == list(expected_groupings)
+                for label, expected in expected_groupings.items():
+                    subsets = groupings[label].subsets
+                    assert [s.label for s in subsets] == [s.label for s in expected.subsets]
+                    for got, want in zip(subsets, expected.subsets):
+                        where = (report.dataset, kind, label, got.label)
+                        assert [(p.id_a, p.id_b) for p in got.pairs] == \
+                            [(p.id_a, p.id_b) for p in want.pairs], where
+                        for pair, want_pair in zip(got.pairs, want.pairs):
+                            assert pair.value == pytest.approx(
+                                want_pair.value, rel=0, abs=1e-12), (where, pair)
         suite, oracle = build_suite(reports), oracles.oracle_suite(oracle_reports)
         for kind in METRIC_ORDER:
             for field in ("means", "normalized"):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +11,10 @@ from asmsim.asm_parser import (AssemblyProgram, BasicBlock, Instruction, ParserC
 from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            enumerate_subsets, APPLICATION_SPECIFIC,
                            PROGRAMMER_SPECIFIC, totally_different)
-from asmsim.errors import ParseError
-from asmsim.features import PatternSet, extract_ngrams
-from asmsim.metrics import cosine, jaccard, pattern_distance
+from asmsim.errors import EmptyProgramError, ParseError
+from asmsim.features import PatternSet, extract_ngrams, features_for_program
+from asmsim.metrics import (MetricKind, cosine, jaccard, pair_values,
+                            pattern_distance)
 
 import oracles
 from conftest import FIXTURES
@@ -182,6 +184,71 @@ class TestMetricProperties:
     def test_euclidean_triangle_inequality(self, pa, pb, pc):
         d = lambda x, y: pattern_distance(x.patterns, y.patterns)
         assert d(pa, pc) <= d(pa, pb) + d(pb, pc) + 1e-9
+
+
+def scored_program(seed):
+    """Features and oracle features of a random program, or of the empty
+    program for ``None``."""
+    text = "" if seed is None else oracles.random_program_text(random.Random(seed))
+    program = parse_assembly(text)
+    return (features_for_program(program),
+            oracles.oracle_features(program, oracles.oracle_blocks(program)))
+
+
+@st.composite
+def scored_programs(draw):
+    """0 to 6 programs drawn with repetition from a pool of up to 4 random
+    or empty ones (so a list may repeat one program object), and a list of
+    index pairs into them that holds self-pairs, repeated and reversed pairs."""
+    pool = [scored_program(seed) for seed in
+            draw(st.lists(st.none() | st.integers(0, 10**9), min_size=1, max_size=4))]
+    programs = draw(st.lists(st.sampled_from(pool), max_size=6))
+    index = st.integers(0, len(programs) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=12)) if programs else []
+    return programs, pairs + [(j, i) for i, j in pairs[:3]] + pairs[:2]
+
+
+def scalar_value(kind, a, b):
+    """One pair through the exported scalar definitions."""
+    if kind is MetricKind.JACCARD:
+        return jaccard(a.mnemonics, b.mnemonics)
+    if kind is MetricKind.COSINE:
+        return cosine(a.frequency, b.frequency)
+    n = kind.ngram_length
+    return pattern_distance(a.pattern_set(n).patterns, b.pattern_set(n).patterns)
+
+
+EMPTY_AND_DUPLICATES = [scored_program(None), scored_program(1), scored_program(None)]
+EMPTY_AND_DUPLICATES.append(EMPTY_AND_DUPLICATES[1])
+
+
+class TestPairValuesProperties:
+    @settings(deadline=None)
+    @given(scored_programs())
+    @example(([], []))
+    @example((EMPTY_AND_DUPLICATES, [(1, 3), (3, 1), (1, 1), (0, 2), (1, 3), (2, 0)]))
+    @example((EMPTY_AND_DUPLICATES[1:2], [(0, 0)]))
+    def test_pair_values_match_scalar_metrics_and_oracle(self, case):
+        scored, explicit = case
+        programs = [features for features, _ in scored]
+        oracle_features = [expected for _, expected in scored]
+        universes = {n: set().union(*(f[n] for f in oracle_features)) for n in (2, 3)}
+        default = list(combinations(range(len(programs)), 2))
+        for kind in MetricKind:
+            for pairs, given_pairs in ((default, None), (explicit, explicit)):
+                if kind is MetricKind.COSINE and any(
+                        not (programs[i].frequency and programs[j].frequency)
+                        for i, j in pairs):
+                    with pytest.raises(EmptyProgramError):
+                        pair_values(kind, programs, given_pairs)
+                    continue
+                values = pair_values(kind, programs, given_pairs)
+                expected = [scalar_value(kind, programs[i], programs[j]) for i, j in pairs]
+                assert values == expected  # bit for bit, in the order of pairs
+                for value, (i, j) in zip(values, pairs):
+                    assert value == pytest.approx(oracles.oracle_pair_value(
+                        kind, oracle_features[i], oracle_features[j], universes),
+                        rel=0, abs=1e-12)
 
 
 class TestGroupingProperties:

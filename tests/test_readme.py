@@ -24,3 +24,6 @@ def test_library_example_runs(tmp_path, monkeypatch):
     namespace: dict = {}
     exec(compile(library_example(), "README.md", "exec"), namespace)
     assert set(namespace["report"].metrics) == set(namespace["MetricKind"])
+    count = len(namespace["programs"])
+    assert count > 2 and len(namespace["distances"]) == count * (count - 1) // 2
+    assert len(namespace["some"]) == 2
