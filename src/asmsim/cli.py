@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 I/O, 3 degenerate input, 4 external tool failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -21,7 +22,6 @@ from .asm_parser import parse_assembly
 from .config import ToolConfig, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
                      load_datasets, run_study)
-from .crosscompile import compile_corpus
 from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
 from .features import ProgramFeatures, features_for_program, features_to_dict
 from .metrics import MetricKind, pair_value
@@ -207,6 +207,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from .crosscompile import compile_corpus  # subprocess, hashlib, a thread pool: compile only
+
     config = resolve_config(args)
     manifest = load_datasets(args.manifest)
     result = compile_corpus(manifest, config, args.out)
@@ -243,7 +245,15 @@ def cmd_study(args: argparse.Namespace) -> int:
     if args.format == "text":
         raise InputError("study renders markdown, csv, or json, not text")
     config = resolve_config(args)
-    text = run_manifest_study(load_datasets(args.manifest), config)
+    # A study allocates about a million small containers and no reference
+    # cycles, so the cyclic collector would only rescan them.
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        text = run_manifest_study(load_datasets(args.manifest), config)
+    finally:
+        if gc_enabled:
+            gc.enable()
     if args.out is not None:
         _write_text(args.out, text)
     else:

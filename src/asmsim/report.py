@@ -137,7 +137,9 @@ def _members(out: list[str], items, depth: int, close: str):
 
 def render_json(suite: StudySuite, metadata: Mapping | None = None) -> str:
     """Metadata, datasets and summary, byte for byte as ``json.dumps(indent=2)`` writes
-    them, in one pass. Pair values are finite floats, so ``repr`` is their JSON."""
+    them, in one pass. Pair values and means are finite floats, so ``repr`` is their
+    JSON; the pure-Python encoder that ``_dumps`` runs leaves a reference cycle per
+    call, so it writes only the few containers."""
     out = ['{\n  "metadata": ', _dumps(dict(metadata or {}), 1), ',\n  "datasets": [']
     for report in _members(out, suite.reports, 2, '],\n  "summary": {'):
         out.append(f'{{{_NL[3]}"name": {_quote(report.dataset)},'
@@ -149,15 +151,15 @@ def render_json(suite: StudySuite, metadata: Mapping | None = None) -> str:
             out.append(f'{_quote(kind.value)}: {{{_NL[5]}"groupings": {{')
             for label, grouping in _members(out, study.groupings.items(), 6, "}"):
                 out.append(f'{_quote(label)}: {{{_NL[7]}"mean": '
-                           f'{_dumps(grouping.mean, 7)},{_NL[7]}"subsets": [')
+                           f'{grouping.mean!r},{_NL[7]}"subsets": [')
                 for subset in _members(out, grouping.subsets, 8, "]" + _NL[6] + "}"):
                     out.append(f'{{{_NL[9]}"label": {_quote(subset.label)},{_NL[9]}'
-                               f'"mean": {_dumps(subset.mean, 9)},{_NL[9]}"pairs": [')
+                               f'"mean": {subset.mean!r},{_NL[9]}"pairs": [')
                     for p in _members(out, subset.pairs, 10, "]" + _NL[8] + "}"):
                         out.append(f'{{{_NL[11]}"a": {_quote(p.id_a)},'
                                    f'{_NL[11]}"b": {_quote(p.id_b)},'
                                    f'{_NL[11]}"value": {p.value!r}{_NL[10]}}}')
-            out.append(f',{_NL[5]}"td_mean": {_dumps(study.td_mean, 5)},{_NL[5]}'
+            out.append(f',{_NL[5]}"td_mean": {study.td_mean!r},{_NL[5]}'
                        f'"normalized": {_dumps(study.normalized, 5)}{_NL[4]}}}')
     for kind in _members(out, METRIC_ORDER, 2, "}\n}\n"):
         summary = suite.summary[kind]

@@ -392,14 +392,15 @@ LISTING_LINES = (
     "# custom", "\t.align 2", ".text", "\t.word 12 @ literal",
     "a: b: c: movs r0, #1", ".L1: .L2:", "lit: .word 7", "1: bne 1b",
     "1abc r0", "bad label: nop", ":", "\t!!! junk", "\tVCVT.F32.S32 s0, s0",
-    "\tmov r0, r1   \t", "", "   ", "\tnop",
+    "\tmov r0, r1   \t", "", "   ", "\tnop", "#APP", '# 12 "a.c" 1', "\t# x",
 )
 LINE_BREAKS = ("\n", "\n", "\n", "\r\n", "\r", "\x0c")
 
 
 def random_listing_text(rng: random.Random, max_lines: int = 30) -> str:
     """A listing that mixes every line kind the parser classifies: ``@``,
-    ``//`` and custom-marker (``#``, ``;``) comments, several labels before
+    ``//`` and custom-marker (``#``, ``;``) comments, GNU ``as`` line markers
+    (``#APP``, ``# 12 "a.c" 1``) and an indented ``#``, several labels before
     one instruction, width-qualified and case-mixed mnemonics, directives,
     malformed labels and lines, blank and trailing-space lines, and
     ``\\r\\n``, ``\\r`` and ``\\x0c`` line breaks."""

@@ -1,9 +1,14 @@
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from conftest import run_cli
+from asmsim.cli import main
+from conftest import REPO_ROOT, run_cli
 
 DIAGNOSTIC_RE = re.compile(r'^error: code=(\d+) entity="(.*)" message="(.*)"$')
 
@@ -317,3 +322,54 @@ class TestConfigPrecedence:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"jobs": 0}))
         assert run_cli("study", corpus_manifest, "--config", config).returncode == 2
+
+
+class TestProcessPolicy:
+    @staticmethod
+    def study_garbage(manifest, fmt, out):
+        """Objects in reference cycles that one in-process study leaves
+        behind; the collector stays off throughout, so none is freed early."""
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["study", str(manifest), "--format", fmt, "--out", str(out)]) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+    def test_study_leaves_no_cycles_per_subset_or_pair(self, fixtures_dir, tmp_path, fmt):
+        small, large = (fixtures_dir / name / "manifest.json"
+                        for name in ("corpus3x3", "corpus5x5"))
+        self.study_garbage(small, fmt, tmp_path / "warm")  # first-call caches
+        assert (self.study_garbage(small, fmt, tmp_path / "small")
+                == self.study_garbage(large, fmt, tmp_path / "large"))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("empty, code", [(False, 0), (True, 3)])
+    def test_study_restores_the_gc_state(self, tmp_path, enabled, empty, code):
+        for name in ("a", "b"):
+            for app in ("x", "y"):
+                write_asm(tmp_path / f"{name}{app}.s", "mov r0, r1", f"add r{ord(name) % 4}, r1")
+        if empty:
+            (tmp_path / "ax.s").write_text("@ only a comment\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"programs": [
+            {"id": f"{n}-{a}", "path": f"{n}{a}.s", "programmer": n, "application": a}
+            for n in ("a", "b") for a in ("x", "y")]}))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["study", str(manifest), "--out", str(tmp_path / "r.md")]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_importing_the_cli_loads_no_compile_modules(self):
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        probe = ("import asmsim.cli, sys; print(sorted({'subprocess', 'concurrent.futures', "
+                 "'hashlib'} & set(sys.modules)))")
+        # -S: no site hooks, whose imports are not the package's
+        result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                                env=env, check=True)
+        assert result.stdout == b"[]\n"

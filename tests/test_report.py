@@ -145,17 +145,22 @@ def test_render_json_matches_oracle_layout(suite, fixtures_dir):
         assert render_json(case, case_metadata) == oracle_json(case, case_metadata)
 
 
-pair_values = st.builds(PairValue, st.text(), st.text(),
-                        st.floats(allow_nan=False, allow_infinity=False))
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16])
+pair_values = st.builds(PairValue, st.text(), st.text(), finite)
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.text(), st.lists(st.lists(pair_values, max_size=4), max_size=3))
-def test_render_json_matches_oracle_on_random_pairs(suite, name, pair_lists):
+@given(st.text(), st.lists(st.tuples(st.lists(pair_values, max_size=4), finite), max_size=3),
+       finite, finite)
+def test_render_json_matches_oracle_on_random_pairs(suite, name, subset_draws,
+                                                    grouping_mean, td_mean):
     report = suite.reports[0]
     study = report.metrics[MetricKind.COSINE]
-    subsets = [SubsetSummary(name + str(i), pairs, 0.5) for i, pairs in enumerate(pair_lists)]
-    groupings = {**study.groupings, name: GroupingResult(PROGRAMMER_SPECIFIC, subsets, 0.25)}
-    metrics = {**report.metrics, MetricKind.COSINE: replace(study, groupings=groupings)}
+    subsets = [SubsetSummary(name + str(i), pairs, mean)
+               for i, (pairs, mean) in enumerate(subset_draws)]
+    groupings = {**study.groupings,
+                 name: GroupingResult(PROGRAMMER_SPECIFIC, subsets, grouping_mean)}
+    metrics = {**report.metrics,
+               MetricKind.COSINE: replace(study, groupings=groupings, td_mean=td_mean)}
     random_suite = replace(suite, reports=[replace(report, dataset=name, metrics=metrics)])
     assert render_json(random_suite, {name: name}) == oracle_json(random_suite, {name: name})
