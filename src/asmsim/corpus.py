@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -449,23 +449,25 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
     schemes = [PROGRAMMER_SPECIFIC, APPLICATION_SPECIFIC]
     schemes += [totally_different(s) for s in strides]
 
-    # one pair_values call per metric scores the member pairs of every subset
-    # (as positions in grid.entries); its values are dealt back in that order
-    subsets = [(scheme, enumerate_subsets(grid, scheme)) for scheme in schemes]
+    # each subset's pairs as two id columns; one pair_values call per metric scores
+    # every subset's pairs (as positions in grid.entries), dealt back in that order
+    subsets = [(scheme, [(subset.label, *zip(*combinations([m.id for m in subset.members], 2)))
+                         for subset in enumerate_subsets(grid, scheme)])
+               for scheme in schemes]
     position = {entry.id: k for k, entry in enumerate(grid.entries)}
-    positions = [pair for _, scheme_subsets in subsets for subset in scheme_subsets
-                 for pair in combinations([position[m.id] for m in subset.members], 2)]
+    positions = [(position[a], position[b]) for _, scheme_subsets in subsets
+                 for _, ids_a, ids_b in scheme_subsets for a, b in zip(ids_a, ids_b)]
     metrics: dict[MetricKind, MetricStudy] = {}
     for kind in METRIC_ORDER:
         values = iter(pair_values(kind, programs, positions))
         groupings: dict[str, GroupingResult] = {}
         for scheme, scheme_subsets in subsets:
             summaries = []
-            for subset in scheme_subsets:
-                pairs = [tuple.__new__(PairValue, (a.id, b.id, value))  # no Python __new__
-                         for (a, b), value in zip(combinations(subset.members, 2), values)]
-                summaries.append(SubsetSummary(subset.label, pairs,
-                                               subset_mean(p.value for p in pairs)))
+            for label, ids_a, ids_b in scheme_subsets:
+                chunk = list(islice(values, len(ids_a)))
+                # tuple.__new__ skips PairValue's Python __new__
+                pairs = list(map(tuple.__new__, repeat(PairValue), zip(ids_a, ids_b, chunk)))
+                summaries.append(SubsetSummary(label, pairs, subset_mean(chunk)))
             groupings[scheme.label] = GroupingResult(
                 scheme, summaries, group_mean(s.mean for s in summaries))
         means, normalized = _summary([groupings], kind)

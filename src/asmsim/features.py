@@ -67,10 +67,6 @@ class ProgramFeatures:
         """The mnemonics that occur: the keys of ``frequency``."""
         return frozenset(self.frequency)
 
-    @cached_property
-    def frequency_norm_sq(self) -> int:
-        return sum(v * v for v in self.frequency.values())
-
 
 def compute_features(program: AssemblyProgram, blocks: Sequence[BasicBlock]) -> ProgramFeatures:
     mnemonics = [ins.mnemonic for ins in program.instructions]

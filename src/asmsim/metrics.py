@@ -5,8 +5,8 @@ Jaccard similarity, frequency vectors with cosine similarity
 (bag-of-words), and n-gram pattern sets with the Euclidean distance
 between their boolean presence vectors.
 
-:func:`pair_values` scores many pairs in one call; for Jaccard and Euclidean
-it counts bits of one ``int`` bitset per program, over that call's programs.
+:func:`pair_values` scores many pairs in one call, over the elements that two or
+more of its programs hold: as ``int`` bitsets, or for cosine as rows of counts.
 """
 
 from __future__ import annotations
@@ -53,18 +53,16 @@ def jaccard(s1: frozenset[str], s2: frozenset[str]) -> float:
     return len(s1 & s2) / len(s1 | s2)
 
 
-def cosine(a: Mapping[str, int], b: Mapping[str, int],
-           norm_sq_a: int | None = None, norm_sq_b: int | None = None) -> float:
+def cosine(a: Mapping[str, int], b: Mapping[str, int]) -> float:
     """Cosine of the angle between two frequency vectors, in [0, 1].
 
-    Counts are integers, so the dot product and the squared norms (which
-    callers may pass in, computed once) are exact. Raises
+    Counts are integers, so the dot product and the squared norms are exact. Raises
     :class:`EmptyProgramError` for an empty vector, whose cosine is undefined.
     """
     if not a or not b:
         raise EmptyProgramError("cosine similarity is undefined for an empty program")
-    norm_sq_a = sum(v * v for v in a.values()) if norm_sq_a is None else norm_sq_a
-    norm_sq_b = sum(v * v for v in b.values()) if norm_sq_b is None else norm_sq_b
+    norm_sq_a = sum(v * v for v in a.values())
+    norm_sq_b = sum(v * v for v in b.values())
     small, large = (a, b) if len(a) <= len(b) else (b, a)
     # sum of small[key] * large.get(key, 0), with the loop run in C
     dot = sum(map(mul, small.values(), map(large.get, small, repeat(0))))
@@ -82,12 +80,16 @@ def pattern_distance(a: frozenset[NGram], b: frozenset[NGram]) -> float:
     return math.sqrt(len(a) + len(b) - 2 * len(a & b))
 
 
+def _holders(collections: Sequence) -> tuple[Counter, list]:
+    """How many of ``collections`` hold each element, and the shared ones (held by 2+)."""
+    holders = Counter(chain.from_iterable(collections))
+    return holders, [element for element, holding in holders.items() if holding > 1]
+
+
 def _presence_bits(sets: Sequence[frozenset]) -> list[int]:
-    """Each set as an ``int`` with one bit per element that two or more of
-    ``sets`` hold. One Counter (a dict, smaller than a set) counts the elements,
-    then gives the shared ones digits 2, 3, ...; the rest keep digit 1."""
-    index = Counter(chain.from_iterable(sets))
-    shared = [element for element, holders in index.items() if holders > 1]
+    """Each set as an ``int`` with one bit per shared element: the holder Counter (a dict,
+    smaller than a set) then gives those digits 2, 3, ...; the rest keep digit 1."""
+    index, shared = _holders(sets)
     dict.update(index, zip(shared, count(2)))  # Counter.update would add
     bits = []
     for elements in sets:
@@ -102,11 +104,20 @@ def _presence_bits(sets: Sequence[frozenset]) -> list[int]:
 def pair_values(kind: MetricKind, programs: Sequence[ProgramFeatures],
                 pairs: Sequence[tuple[int, int]] | None = None) -> list[float]:
     """``kind``'s value for each ``(i, j)`` index pair of ``programs``;
-    by default every pair, in :func:`itertools.combinations` order."""
+    by default every pair, in :func:`itertools.combinations` order. Cosine's integer
+    dot products are exact, so its values equal :func:`cosine`'s bit for bit."""
     pairs = list(combinations(range(len(programs)), 2)) if pairs is None else pairs
     if kind is MetricKind.COSINE:
-        return [cosine(a.frequency, b.frequency, a.frequency_norm_sq, b.frequency_norm_sq)
-                for a, b in ((programs[i], programs[j]) for i, j in pairs)]
+        frequencies = [p.frequency for p in programs]
+        if not all(map(frequencies.__getitem__, chain.from_iterable(pairs))):
+            raise EmptyProgramError("cosine similarity is undefined for an empty program")
+        shared = _holders(frequencies)[1]
+        norms = [sum(map(mul, f.values(), f.values())) for f in frequencies]
+        rows = [list(map(frequency.get, shared, repeat(0))) for frequency in frequencies]
+        # a self-pair's dot product also takes the mnemonics only it holds
+        return [1.0 if dot == a == b else min(max(dot / math.sqrt(a * b), 0.0), 1.0)
+                for i, j in pairs for a, b in [(norms[i], norms[j])]
+                for dot in [sum(map(mul, rows[i], rows[j])) if i != j else a]]
     n = kind.ngram_length
     sets = [p.mnemonics if n is None else p.pattern_set(n).patterns for p in programs]
     sizes, bits = list(map(len, sets)), _presence_bits(sets)

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from functools import partial
+from itertools import chain, repeat
 from typing import Mapping
 
 from .corpus import APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL, StudySuite
@@ -135,11 +136,27 @@ def _members(out: list[str], items, depth: int, close: str):
     out.append(_NL[depth - 1] + close if sep is rest else close)
 
 
+class _Texts(dict):
+    """``text(key)`` for each key, kept after its first lookup unless the key is
+    false: ``0.0 == -0.0`` as a dict key, but their ``repr``s differ."""
+
+    def __init__(self, text) -> None:
+        self.text = text
+
+    def __missing__(self, key) -> str:
+        text = self.text(key)
+        if key:
+            self[key] = text
+        return text
+
+
 def render_json(suite: StudySuite, metadata: Mapping | None = None) -> str:
     """Metadata, datasets and summary, byte for byte as ``json.dumps(indent=2)`` writes
-    them, in one pass. Pair values and means are finite floats, so ``repr`` is their
-    JSON; the pure-Python encoder that ``_dumps`` runs leaves a reference cycle per
-    call, so it writes only the few containers."""
+    them, in one pass. Pair values and means are finite floats, so ``repr`` is their JSON;
+    each subset's pairs are one ``join`` of memoised id and value texts. The pure-Python
+    encoder of ``_dumps`` leaves a reference cycle per call, so it writes few containers."""
+    first = _Texts(lambda i: f'{_NL[10]}{{{_NL[11]}"a": {_quote(i)},{_NL[11]}"b": ')
+    second = _Texts(lambda i: f'{_quote(i)},{_NL[11]}"value": ')
     out = ['{\n  "metadata": ', _dumps(dict(metadata or {}), 1), ',\n  "datasets": [']
     for report in _members(out, suite.reports, 2, '],\n  "summary": {'):
         out.append(f'{{{_NL[3]}"name": {_quote(report.dataset)},'
@@ -147,7 +164,8 @@ def render_json(suite: StudySuite, metadata: Mapping | None = None) -> str:
                    f'{_NL[3]}"applications": {_dumps(report.applications, 3)},'
                    f'{_NL[3]}"strides": {_dumps(report.strides, 3)},{_NL[3]}"metrics": {{')
         for kind in _members(out, METRIC_ORDER, 4, "}" + _NL[2] + "}"):
-            study = report.metrics[kind]
+            # a value memo per metric frees the texts of cosine's rarely repeated values
+            study, value = report.metrics[kind], _Texts(repr)
             out.append(f'{_quote(kind.value)}: {{{_NL[5]}"groupings": {{')
             for label, grouping in _members(out, study.groupings.items(), 6, "}"):
                 out.append(f'{_quote(label)}: {{{_NL[7]}"mean": '
@@ -155,10 +173,13 @@ def render_json(suite: StudySuite, metadata: Mapping | None = None) -> str:
                 for subset in _members(out, grouping.subsets, 8, "]" + _NL[6] + "}"):
                     out.append(f'{{{_NL[9]}"label": {_quote(subset.label)},{_NL[9]}'
                                f'"mean": {subset.mean!r},{_NL[9]}"pairs": [')
-                    for p in _members(out, subset.pairs, 10, "]" + _NL[8] + "}"):
-                        out.append(f'{{{_NL[11]}"a": {_quote(p.id_a)},'
-                                   f'{_NL[11]}"b": {_quote(p.id_b)},'
-                                   f'{_NL[11]}"value": {p.value!r}{_NL[10]}}}')
+                    ids_a, ids_b, values = zip(*subset.pairs) if subset.pairs else ((),) * 3
+                    # after a value: its pair's "}", then "," or the list's and subset's end
+                    ends = chain(repeat(_NL[10] + "},", len(values) - 1),
+                                 (_NL[10] + "}" + _NL[9] + "]" + _NL[8] + "}",))
+                    out.append("".join(chain.from_iterable(zip(
+                        map(first.__getitem__, ids_a), map(second.__getitem__, ids_b),
+                        map(value.__getitem__, values), ends))) or "]" + _NL[8] + "}")
             out.append(f',{_NL[5]}"td_mean": {study.td_mean!r},{_NL[5]}'
                        f'"normalized": {_dumps(study.normalized, 5)}{_NL[4]}}}')
     for kind in _members(out, METRIC_ORDER, 2, "}\n}\n"):

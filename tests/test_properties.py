@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,8 @@ from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            enumerate_subsets, APPLICATION_SPECIFIC,
                            PROGRAMMER_SPECIFIC, totally_different)
 from asmsim.errors import EmptyProgramError, ParseError
-from asmsim.features import PatternSet, extract_ngrams, features_for_program
+from asmsim.features import (PatternSet, ProgramFeatures, extract_ngrams,
+                             features_for_program)
 from asmsim.metrics import (MetricKind, cosine, jaccard, pair_values,
                             pattern_distance)
 
@@ -249,6 +251,47 @@ class TestPairValuesProperties:
                     assert value == pytest.approx(oracles.oracle_pair_value(
                         kind, oracle_features[i], oracle_features[j], universes),
                         rel=0, abs=1e-12)
+
+
+def counted_program(frequency):
+    """Features holding only ``frequency``: cosine reads nothing else."""
+    return ProgramFeatures(Counter(frequency), PatternSet(2, frozenset()),
+                           PatternSet(3, frozenset()))
+
+
+# counts up to 2**40 take |a|^2 |b|^2 past 2**53, where int -> float rounds
+large_frequencies = st.dictionaries(st.sampled_from(MNEMONIC_ALPHABET),
+                                    st.integers(1, 2**40), min_size=1)
+
+
+@st.composite
+def counted_programs(draw):
+    """1 to 6 programs with large counts, and index pairs into them that hold
+    reversed pairs and every self-pair."""
+    programs = [counted_program(f) for f in draw(st.lists(large_frequencies,
+                                                          min_size=1, max_size=6))]
+    index = st.integers(0, len(programs) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=12))
+    return programs, pairs + [(j, i) for i, j in pairs] + [(i, i) for i in range(len(programs))]
+
+
+class TestDenseCosineProperties:
+    @settings(deadline=None)
+    @given(counted_programs())
+    @example(([counted_program({"mov": 2**40, "add": 1}),
+               counted_program({"mov": 2**40 - 1, "add": 3, "sub": 2**39})], [(0, 1), (1, 1)]))
+    def test_dense_cosine_matches_scalar_at_large_counts(self, case):
+        programs, pairs = case
+        default = list(combinations(range(len(programs)), 2))
+        for given_pairs, expected_pairs in ((None, default), (pairs, pairs)):
+            assert pair_values(MetricKind.COSINE, programs, given_pairs) == [
+                cosine(programs[i].frequency, programs[j].frequency)
+                for i, j in expected_pairs]  # bit for bit
+
+    @given(large_frequencies)
+    def test_identical_programs_score_exactly_one(self, frequency):
+        programs = [counted_program(frequency), counted_program(frequency)]
+        assert pair_values(MetricKind.COSINE, programs, [(0, 1), (1, 0), (0, 0)]) == [1.0] * 3
 
 
 class TestGroupingProperties:

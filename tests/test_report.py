@@ -146,14 +146,11 @@ def test_render_json_matches_oracle_layout(suite, fixtures_dir):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16])
-pair_values = st.builds(PairValue, st.text(), st.text(), finite)
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.text(), st.lists(st.tuples(st.lists(pair_values, max_size=4), finite), max_size=3),
-       finite, finite)
-def test_render_json_matches_oracle_on_random_pairs(suite, name, subset_draws,
-                                                    grouping_mean, td_mean):
+def with_subsets(suite, name, subset_draws, grouping_mean, td_mean):
+    """``suite`` with a cosine grouping ``name`` holding one subset per
+    ``(pairs, mean)`` draw, in a dataset renamed ``name``."""
     report = suite.reports[0]
     study = report.metrics[MetricKind.COSINE]
     subsets = [SubsetSummary(name + str(i), pairs, mean)
@@ -162,5 +159,34 @@ def test_render_json_matches_oracle_on_random_pairs(suite, name, subset_draws,
                  name: GroupingResult(PROGRAMMER_SPECIFIC, subsets, grouping_mean)}
     metrics = {**report.metrics,
                MetricKind.COSINE: replace(study, groupings=groupings, td_mean=td_mean)}
-    random_suite = replace(suite, reports=[replace(report, dataset=name, metrics=metrics)])
+    return replace(suite, reports=[replace(report, dataset=name, metrics=metrics)])
+
+
+def test_render_json_memo_keeps_signed_zeros_apart(suite):
+    """0.0 and -0.0 are one dict key with two reprs; repeated ids and values
+    are read back from the memo."""
+    zeros = [PairValue("x", "y", 0.0), PairValue("x", "y", -0.0), PairValue("y", "x", 0.5)]
+    signed = [PairValue("y", "x", -0.0), PairValue("x", "x", 0.0), PairValue("x", "y", 0.5)]
+    repeated = [PairValue(AWKWARD, "x", 0.1), PairValue(AWKWARD, AWKWARD, 0.1),
+                PairValue("x", AWKWARD, 1e16)]
+    memo_suite = with_subsets(suite, "memo", [(zeros, 0.0), (signed, -0.0), ([], 0.5),
+                                               (repeated, 0.1)], -0.0, 0.0)
+    assert render_json(memo_suite, {"memo": -0.0}) == oracle_json(memo_suite, {"memo": -0.0})
+
+
+@st.composite
+def pooled_subsets(draw):
+    """Up to three subsets of up to four pairs each, whose ids and values come
+    from pools of at most three, so that most ids and values repeat."""
+    ids = st.sampled_from(draw(st.lists(st.text(), min_size=1, max_size=3)))
+    values = st.sampled_from(draw(st.lists(finite, min_size=1, max_size=3)))
+    pairs = st.lists(st.builds(PairValue, ids, ids, values), max_size=4)
+    return draw(st.lists(st.tuples(pairs, finite), max_size=3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.text(), pooled_subsets(), finite, finite)
+def test_render_json_matches_oracle_on_random_pairs(suite, name, subset_draws,
+                                                    grouping_mean, td_mean):
+    random_suite = with_subsets(suite, name, subset_draws, grouping_mean, td_mean)
     assert render_json(random_suite, {name: name}) == oracle_json(random_suite, {name: name})
