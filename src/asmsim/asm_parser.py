@@ -12,6 +12,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count
 from typing import NamedTuple
 
 from .errors import InputError, ParseError
@@ -24,9 +25,13 @@ CONDITION_SUFFIXES = frozenset({
 })
 
 # Control-transfer mnemonics for ARM Thumb. `pop {... pc}` also transfers
-# control but only when pc is in the register list, so it is handled in
-# is_branch() rather than listed here.
+# control but only when pc is in the register list, so it is a rule in
+# _OPERAND_BRANCHES rather than listed here.
 DEFAULT_BRANCH_MNEMONICS = frozenset({"b", "bl", "blx", "bx", "cbz", "cbnz"})
+
+# Mnemonics that transfer control only when their lowercased operands
+# match a pattern: `pop` with pc in its register list.
+_OPERAND_BRANCHES = {"pop": re.compile(r"\bpc\b")}
 
 # GNU ARM syntax: `@` and `//` introduce comments; `#` introduces an
 # immediate operand and must never be treated as a comment.
@@ -35,7 +40,6 @@ DEFAULT_COMMENT_MARKERS = frozenset({"@", "//"})
 _MNEMONIC_RE = re.compile(r"^[A-Za-z][A-Za-z0-9._]*$")
 _LABEL_RE = re.compile(r"^(?:[A-Za-z_.$][A-Za-z0-9_.$]*|[0-9]+)$")
 _OPERAND_TOKEN_RE = re.compile(r"[A-Za-z_.$][A-Za-z0-9_.$]*")
-_PC_RE = re.compile(r"\bpc\b")
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,8 @@ DEFAULT_CONFIG = ParserConfig()
 
 
 class Instruction(NamedTuple):
-    """One instruction: lowercase mnemonic, uninterpreted operand text."""
+    """One instruction: lowercase mnemonic, uninterpreted operand text.
+    A row of :attr:`AssemblyProgram.instructions`; the parser builds none."""
 
     mnemonic: str
     operands_raw: str
@@ -79,22 +84,31 @@ class Instruction(NamedTuple):
 
 @dataclass
 class AssemblyProgram:
-    """Parsed instruction stream.
+    """Parsed instruction stream, one list per field: instruction ``i`` is
+    ``mnemonics[i]`` with operand text ``operands[i]`` from source line
+    ``line_nos[i]``.
 
     ``labels`` maps a label name to the index of the instruction that
-    follows it; a label at end of file maps to ``len(instructions)``.
+    follows it; a label at end of file maps to ``len(mnemonics)``.
     ``diagnostics`` records (line_no, message) for lines skipped in
     lenient mode.
     """
 
-    instructions: list[Instruction]
+    mnemonics: list[str]
+    operands: list[str]
+    line_nos: list[int]
     labels: dict[str, int]
     diagnostics: list[tuple[int, str]] = field(default_factory=list)
+
+    @property
+    def instructions(self) -> list[Instruction]:
+        """The three lists zipped into rows; built anew on every read."""
+        return list(map(Instruction, self.mnemonics, self.operands, self.line_nos))
 
 
 class BasicBlock(NamedTuple):
     """A maximal straight-line run of instructions: the half-open span
-    ``program.instructions[start_index:end_index]``."""
+    ``program.mnemonics[start_index:end_index]``."""
 
     start_index: int
     end_index: int
@@ -110,7 +124,7 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
     or an instruction on the same line), or instruction. An instruction's
     mnemonic is its first token, lowercased, with a trailing ``.n``/``.w``
     width qualifier stripped; the rest of the line is kept verbatim as
-    ``operands_raw``.
+    its ``operands`` entry.
 
     Unclassifiable lines raise :class:`ParseError` in strict mode and are
     recorded in ``diagnostics`` otherwise. Any line-ending convention is
@@ -118,12 +132,17 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
 
     Each call keeps a memo from a raw first token to its mnemonic; only
     tokens ``_MNEMONIC_RE`` has accepted enter it, so a line starting with
-    a memoised token is an instruction with no further checks.
+    a memoised token is an instruction with no further checks. An
+    instruction line costs one append to each of the program's three
+    lists and builds no row.
     """
-    instructions: list[Instruction] = []
+    mnemonics: list[str] = []
+    operands: list[str] = []
+    line_nos: list[int] = []
     labels: dict[str, int] = {}
     diagnostics: list[tuple[int, str]] = []
-    append, comment = instructions.append, config.comment_re.search
+    add_mnemonic, add_operands, add_line_no = mnemonics.append, operands.append, line_nos.append
+    comment = config.comment_re.search
     memo: dict[str, str] = {}
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -131,47 +150,49 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
         rest = (raw_line[:cut.start()] if cut else raw_line).strip()
         head = rest.split(None, 1)
         mnemonic = memo.get(head[0]) if head else None
-        if mnemonic is not None:  # tuple.__new__ skips the NamedTuple's Python __new__
-            append(tuple.__new__(Instruction, (mnemonic, head[1] if len(head) > 1 else "",
-                                               line_no)))
-            continue
-        problem: str | None = None
+        if mnemonic is None:  # not a memoised instruction: classify the line
+            problem: str | None = None
+            while head and head[0].endswith(":"):
+                name = head[0][:-1]
+                if not _LABEL_RE.match(name):
+                    problem = f"malformed label {head[0]!r}"
+                    break
+                labels[name] = len(mnemonics)
+                head = head[1].split(None, 1) if len(head) > 1 else []
 
-        while head and head[0].endswith(":"):
-            name = head[0][:-1]
-            if not _LABEL_RE.match(name):
-                problem = f"malformed label {head[0]!r}"
-                break
-            labels[name] = len(instructions)
-            head = head[1].split(None, 1) if len(head) > 1 else []
+            # a directive (first char ".") contributes no instruction
+            if problem is None and head and not head[0].startswith("."):
+                if not _MNEMONIC_RE.match(head[0]):
+                    problem = f"unclassifiable line: {raw_line.strip()!r}"
+                else:
+                    mnemonic = head[0].lower()
+                    if mnemonic.endswith((".n", ".w")):
+                        mnemonic = mnemonic[:-2]
+                    # one str object per distinct mnemonic, so pattern tuples
+                    # compare by identity in the pair scorers' set intersections
+                    mnemonic = memo[head[0]] = sys.intern(mnemonic)
 
-        # a directive (first char ".") contributes no instruction
-        if problem is None and head and not head[0].startswith("."):
-            if not _MNEMONIC_RE.match(head[0]):
-                problem = f"unclassifiable line: {raw_line.strip()!r}"
-            else:
-                mnemonic = head[0].lower()
-                if mnemonic.endswith((".n", ".w")):
-                    mnemonic = mnemonic[:-2]
-                operands = head[1] if len(head) > 1 else ""
-                # one str object per distinct mnemonic, so pattern tuples
-                # compare by identity in the pair scorers' set intersections
-                mnemonic = memo[head[0]] = sys.intern(mnemonic)
-                append(Instruction(mnemonic, operands, line_no))
+            if problem is not None:
+                if config.strict:
+                    raise ParseError(problem, entity=f"{source_name}:{line_no}")
+                diagnostics.append((line_no, problem))
+            if mnemonic is None:
+                continue
+        add_mnemonic(mnemonic)
+        add_operands(head[1] if len(head) > 1 else "")
+        add_line_no(line_no)
 
-        if problem is not None:
-            if config.strict:
-                raise ParseError(problem, entity=f"{source_name}:{line_no}")
-            diagnostics.append((line_no, problem))
-
-    return AssemblyProgram(instructions, labels, diagnostics)
+    return AssemblyProgram(mnemonics, operands, line_nos, labels, diagnostics)
 
 
-def is_branch(instruction: Instruction, config: ParserConfig = DEFAULT_CONFIG) -> bool:
-    """True if the instruction can transfer control away from the next line."""
-    mnemonic = instruction.mnemonic
-    if mnemonic == "pop":
-        return bool(_PC_RE.search(instruction.operands_raw.lower()))
+def is_branch(mnemonic: str, operands_raw: str,
+              config: ParserConfig = DEFAULT_CONFIG) -> bool:
+    """True if the instruction can transfer control away from the next line:
+    its mnemonic is in ``config.branch_set``, or has an ``_OPERAND_BRANCHES``
+    rule that its operands match."""
+    rule = _OPERAND_BRANCHES.get(mnemonic)
+    if rule is not None:
+        return rule.search(operands_raw.lower()) is not None
     return mnemonic in config.branch_set
 
 
@@ -184,22 +205,28 @@ def segment_basic_blocks(program: AssemblyProgram,
     and every instruction immediately after a branch-class instruction.
     Labels never referenced by a branch do not create leaders. Indirect
     branches (bx, blx, pop {...pc}) terminate blocks but contribute no
-    leader targets. The leaders are found in one pass over the program.
+    leader targets.
+
+    One C-level scan of ``program.mnemonics`` finds the branch candidates;
+    :func:`is_branch` runs on those only, and one regex scan over the
+    branches' operands, joined with ``"\\n"`` so that no token spans two
+    of them, finds the labels they name.
     """
-    instructions, labels = program.instructions, program.labels
-    leaders = {0, len(instructions)}  # the end closes the last block
-    for i, ins in enumerate(instructions):
-        if is_branch(ins, config):
-            leaders.add(i + 1)
-            leaders.update(labels[token] for token in
-                           _OPERAND_TOKEN_RE.findall(ins.operands_raw) if token in labels)
-    starts = sorted(leaders)
+    mnemonics, operands, labels = program.mnemonics, program.operands, program.labels
+    candidates = (config.branch_set | _OPERAND_BRANCHES.keys()).__contains__
+    branches = [i for i in compress(count(), map(candidates, mnemonics))
+                if is_branch(mnemonics[i], operands[i], config)]
+    named = labels.keys() & _OPERAND_TOKEN_RE.findall("\n".join(map(operands.__getitem__,
+                                                                   branches)))
+    # the end closes the last block
+    starts = sorted({0, len(mnemonics), *map(labels.__getitem__, named),
+                     *map((1).__add__, branches)})
     return list(map(BasicBlock, starts, starts[1:]))
 
 
 def linear_blocks(program: AssemblyProgram) -> list[BasicBlock]:
     """The whole program as one block, for pattern extraction that is
     deliberately blind to control flow (sensitivity checks)."""
-    if not program.instructions:
+    if not program.mnemonics:
         return []
-    return [BasicBlock(0, len(program.instructions))]
+    return [BasicBlock(0, len(program.mnemonics))]

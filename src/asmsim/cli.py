@@ -4,8 +4,8 @@ Subcommands: ``extract`` (feature dumps), ``compare`` (pairwise metrics),
 ``compile`` (cross-compile a corpus to assembly), ``study`` (run the full
 grouping study and render a report).
 
-Exit codes: 0 ok, 2 I/O, 3 degenerate input, 4 external tool failure,
-5 invalid corpus.
+Exit codes: 0 ok, 2 I/O (a closed stdout included), 3 degenerate input,
+4 external tool failure, 5 invalid corpus.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -264,10 +265,20 @@ def cmd_study(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None if the process started without fd 1
+            sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except AsmSimError as exc:
         print(exc.diagnostic(), file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout (`asmsim extract DIR | head -1`); point
+        # stdout at devnull so the interpreter's own flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(InputError("the reader closed the pipe", entity="<stdout>").diagnostic(),
+              file=sys.stderr)
+        return InputError.exit_code
 
 
 if __name__ == "__main__":

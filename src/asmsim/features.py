@@ -69,7 +69,8 @@ class ProgramFeatures:
 
 
 def compute_features(program: AssemblyProgram, blocks: Sequence[BasicBlock]) -> ProgramFeatures:
-    mnemonics = [ins.mnemonic for ins in program.instructions]
+    """Count ``program.mnemonics`` and slide both pattern windows over it."""
+    mnemonics = program.mnemonics
     return ProgramFeatures(
         frequency=Counter(mnemonics),
         patterns2=extract_ngrams(mnemonics, blocks, 2),

@@ -13,7 +13,7 @@ import math
 import random
 import re
 
-from asmsim.asm_parser import AssemblyProgram, BasicBlock, Instruction, ParserConfig
+from asmsim.asm_parser import AssemblyProgram, BasicBlock, ParserConfig
 from asmsim.corpus import (CorpusGrid, GroupingResult, MetricStudy,
                            PairValue, StudyReport, StudySuite, SubsetSummary,
                            SuiteSummary, GroupingScheme, GroupingKind,
@@ -54,7 +54,9 @@ def oracle_parse(text: str, config: ParserConfig, *,
     """Classify every line on its own, with no memo: strip the comment by
     a per-marker ``find``, split off the first token, take leading labels
     one by one, then a directive, an instruction or a diagnostic."""
-    instructions: list[Instruction] = []
+    mnemonics: list[str] = []
+    operands: list[str] = []
+    line_nos: list[int] = []
     labels: dict[str, int] = {}
     diagnostics: list[tuple[int, str]] = []
 
@@ -68,7 +70,7 @@ def oracle_parse(text: str, config: ParserConfig, *,
             if not ORACLE_LABEL_RE.match(name):
                 problem = f"malformed label {head[0]!r}"
                 break
-            labels[name] = len(instructions)
+            labels[name] = len(mnemonics)
             head = head[1].split(maxsplit=1) if len(head) > 1 else []
 
         if problem is None and head and not head[0].startswith("."):
@@ -78,15 +80,16 @@ def oracle_parse(text: str, config: ParserConfig, *,
                 mnemonic = head[0].lower()
                 if mnemonic.endswith((".n", ".w")):
                     mnemonic = mnemonic[:-2]
-                operands = head[1] if len(head) > 1 else ""
-                instructions.append(Instruction(mnemonic, operands, line_no))
+                mnemonics.append(mnemonic)
+                operands.append(head[1] if len(head) > 1 else "")
+                line_nos.append(line_no)
 
         if problem is not None:
             if config.strict:
                 raise ParseError(problem, entity=f"{source_name}:{line_no}")
             diagnostics.append((line_no, problem))
 
-    return AssemblyProgram(instructions, labels, diagnostics)
+    return AssemblyProgram(mnemonics, operands, line_nos, labels, diagnostics)
 
 
 # --- naive basic blocks -------------------------------------------------------
@@ -348,40 +351,45 @@ def suite_to_dict(suite: StudySuite, metadata=None) -> dict:
 PLAIN_MNEMONICS = ("mov", "movs", "add", "adds", "sub", "ldr", "str", "cmp",
                    "and", "orr", "eor", "lsl", "mul", "nop", "push")
 COND_BRANCHES = ("b", "beq", "bne", "bge", "blt", "bls")
+POPS = ("\tpop {r4, pc}", "\tPOP {r4, PC}", "\tpop {r4, r5}", "\tpop {pcsr}")
 
 
 def random_program_text(rng: random.Random, max_instructions: int = 20) -> str:
-    """Assembly text with random labels and branch structure."""
+    """Assembly text with random labels and branch structure, including
+    ``pop`` with and without ``pc`` in any case (``POP {r4, PC}``,
+    ``pop {pcsr}``), and two branches in a row whose operand texts end and
+    begin with label characters."""
     count = rng.randint(1, max_instructions)
     label_names = [f".L{k}" for k in range(rng.randint(0, 4))]
     label_at = {name: rng.randint(0, count) for name in label_names}
 
-    lines = []
-    for index in range(count + 1):
-        for name in label_names:
-            if label_at[name] == index:
-                lines.append(f"{name}:")
-        if index == count:
-            break
+    def branch() -> str:
+        target = rng.choice(label_names) if label_names and rng.random() < 0.7 else "external"
+        return f"\t{rng.choice(COND_BRANCHES)} {target}"
+
+    body: list[str] = []
+    while len(body) < count:
         roll = rng.random()
         if roll < 0.55:
             mnemonic = rng.choice(PLAIN_MNEMONICS)
-            lines.append(f"\t{mnemonic} r{rng.randint(0, 7)}, r{rng.randint(0, 7)}")
+            body.append(f"\t{mnemonic} r{rng.randint(0, 7)}, r{rng.randint(0, 7)}")
+        elif roll < 0.72:
+            body.append(branch())
         elif roll < 0.80:
-            mnemonic = rng.choice(COND_BRANCHES)
-            if label_names and rng.random() < 0.7:
-                target = rng.choice(label_names)
-            else:
-                target = "external"
-            lines.append(f"\t{mnemonic} {target}")
+            body += [branch(), branch()][:count - len(body)]
         elif roll < 0.88:
-            lines.append(f"\tcbz r{rng.randint(0, 7)}, "
-                         f"{rng.choice(label_names) if label_names else 'external'}")
+            body.append(f"\tcbz r{rng.randint(0, 7)}, "
+                        f"{rng.choice(label_names) if label_names else 'external'}")
         elif roll < 0.94:
-            lines.append("\tbx lr")
+            body.append("\tbx lr")
         else:
-            regs = "{r4, pc}" if rng.random() < 0.5 else "{r4, r5}"
-            lines.append(f"\tpop {regs}")
+            body.append(rng.choice(POPS))
+
+    lines = []
+    for index, line in enumerate([*body, None]):
+        lines += [f"{name}:" for name in label_names if label_at[name] == index]
+        if line is not None:
+            lines.append(line)
     return "\n".join(lines) + "\n"
 
 

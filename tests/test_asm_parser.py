@@ -1,7 +1,7 @@
 import pytest
 
-from asmsim.asm_parser import (Instruction, ParserConfig, is_branch,
-                               linear_blocks, parse_assembly, segment_basic_blocks)
+from asmsim.asm_parser import (ParserConfig, is_branch, linear_blocks,
+                               parse_assembly, segment_basic_blocks)
 from asmsim.errors import ParseError
 
 import oracles
@@ -171,18 +171,18 @@ class TestBranchClassification:
         "b", "beq", "bne", "bls", "bge", "bal", "bl", "bleq", "blx", "blxne",
         "bx", "cbz", "cbnz"])
     def test_branches(self, mnemonic):
-        assert is_branch(Instruction(mnemonic, "somewhere", 1))
+        assert is_branch(mnemonic, "somewhere")
 
     @pytest.mark.parametrize("mnemonic", ["bic", "bics", "bkpt", "bfi", "add",
                                           "mov", "push", "ldr"])
     def test_non_branches(self, mnemonic):
-        assert not is_branch(Instruction(mnemonic, "r0, r1", 1))
+        assert not is_branch(mnemonic, "r0, r1")
 
     def test_pop_with_pc(self):
-        assert is_branch(Instruction("pop", "{r4, r5, pc}", 1))
-        assert not is_branch(Instruction("pop", "{r4, r5}", 1))
+        assert is_branch("pop", "{r4, r5, pc}")
+        assert not is_branch("pop", "{r4, r5}")
         # pc must be a whole token, not a substring
-        assert not is_branch(Instruction("pop", "{pcsr}", 1))
+        assert not is_branch("pop", "{pcsr}")
 
 
 class TestSegmentBasicBlocks:
@@ -226,7 +226,7 @@ class TestSegmentBasicBlocks:
             for start, end in blocks:
                 assert start < end
                 for ins in program.instructions[start:end - 1]:
-                    assert not is_branch(ins)
+                    assert not is_branch(ins.mnemonic, ins.operands_raw)
 
     def test_linear_blocks(self):
         program = parse_assembly("\tmov r0, r1\n\tbeq L\nL:\n\tsub r0, r1\n")

@@ -86,6 +86,21 @@ class TestExtract:
         assert result.returncode == 0
         assert f"warning: {asm}:2:" in result.stderr.decode()
 
+    def test_closed_stdout_exits_2_without_traceback(self, fixtures_dir):
+        # about 400 KB of lines, far more than a pipe and the child's stdout
+        # buffer hold, so writes are still pending when the pipe closes
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "asmsim", "extract", *[str(fixtures_dir / "corpus5x5")] * 40],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert json.loads(child.stdout.readline())
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        assert child.wait() == 2
+        assert "Traceback" not in stderr
+        assert [l for l in stderr.splitlines() if l.startswith("error:")] == [
+            'error: code=2 entity="<stdout>" message="the reader closed the pipe"']
+
     def test_strict_rejects_with_position(self, tmp_path):
         asm = tmp_path / "a.s"
         asm.write_text("\tmov r0, r1\n\t!!!\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asmsim.asm_parser import (AssemblyProgram, BasicBlock, Instruction, ParserConfig,
+from asmsim.asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
                                is_branch, parse_assembly, segment_basic_blocks)
 from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            enumerate_subsets, APPLICATION_SPECIFIC,
@@ -50,8 +50,9 @@ class TestParserProperties:
         program = random_program(seed)
         for start, end in segment_basic_blocks(program):
             assert start < end
-            for instruction in program.instructions[start:end - 1]:
-                assert not is_branch(instruction)
+            for mnemonic, operands in zip(program.mnemonics[start:end - 1],
+                                          program.operands[start:end - 1]):
+                assert not is_branch(mnemonic, operands)
 
     @given(st.integers(0, 10**9))
     def test_blocks_match_leader_oracle(self, seed):
@@ -95,6 +96,9 @@ class TestParserOracle:
         program = parse_assembly(text, config)
         expected = oracles.oracle_parse(text, config)
         assert program.instructions == expected.instructions
+        assert program.mnemonics == expected.mnemonics
+        assert program.operands == expected.operands
+        assert program.line_nos == expected.line_nos
         assert program.labels == expected.labels
         assert program.diagnostics == expected.diagnostics
 
@@ -105,7 +109,9 @@ class TestParserOracle:
         outcomes = []
         for parse in (parse_assembly, oracles.oracle_parse):
             try:
-                outcomes.append(parse(text, config, source_name="t.s").instructions)
+                program = parse(text, config, source_name="t.s")
+                outcomes.append((program.instructions, program.mnemonics,
+                                 program.operands, program.line_nos))
             except ParseError as exc:
                 outcomes.append((exc.message, exc.entity))
         assert outcomes[0] == outcomes[1]
@@ -131,7 +137,8 @@ class TestFeatureProperties:
     @example((["mov", "add", "sub", "ldr"], [BasicBlock(0, 1), BasicBlock(2, 4)]), 3)
     def test_ngrams_on_any_block_list_match_oracle(self, case, n):
         mnemonics, blocks = case
-        program = AssemblyProgram([Instruction(m, "", i) for i, m in enumerate(mnemonics)], {})
+        program = AssemblyProgram(mnemonics, [""] * len(mnemonics),
+                                  list(range(len(mnemonics))), {})
         assert extract_ngrams(mnemonics, blocks, n).patterns == \
             oracles.oracle_ngrams(program, blocks, n)
 
