@@ -16,7 +16,6 @@ from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
                      PatternMismatchError, ToolError)
 from .features import (PatternSet, ProgramFeatures, compute_features,
                        extract_ngrams, features_for_program, features_to_dict)
-from .metrics import (METRIC_ORDER, MetricKind, cosine, jaccard, pair_value,
-                      pair_values, pattern_distance)
+from .metrics import METRIC_ORDER, MetricKind, pair_value, pair_values
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
 from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
 from .features import ProgramFeatures, features_for_program, features_to_dict
 from .metrics import MetricKind, pair_value
-from .report import format_value, render
+from .report import OUTPUT_FORMATS, format_value, render
 
 COMPARE_METRICS = {
     "jaccard": MetricKind.JACCARD,
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, metavar="PATH",
                         help="JSON config file")
-    common.add_argument("--format", choices=["markdown", "csv", "json", "text"],
+    common.add_argument("--format", choices=[*OUTPUT_FORMATS, "text"],
                         help="output format (study: markdown/csv/json; compare: text/json)")
     common.add_argument("--jobs", type=int, metavar="N",
                         help="compiler processes run at once (compile)")
@@ -265,8 +265,13 @@ def cmd_study(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # None if the process started without fd 1; only extract and study
+        # with --out write nothing there
+        if sys.stdout is None and (args.command == "compile"
+                                   or getattr(args, "out", None) is None):
+            raise InputError("stdout is closed", entity="<stdout>")
         code = args.func(args)
-        if sys.stdout is not None:  # None if the process started without fd 1
+        if sys.stdout is not None:
             sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except AsmSimError as exc:

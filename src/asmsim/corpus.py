@@ -419,12 +419,11 @@ def _summary(groupings: Sequence[Mapping[str, GroupingResult]], kind: MetricKind
         result.mean for g in groupings for result in g.values()
         if result.scheme.kind is GroupingKind.TOTALLY_DIFFERENT)
     normalized: dict[str, float | None] = {}
-    for label in (PROGRAMMER_SPECIFIC.label, APPLICATION_SPECIFIC.label):
+    for label in means:  # the baseline normalizes to td / td == 1.0, if it can
         try:
             normalized[label] = normalize(means[label], td, kind)
         except NormalizationError:
             normalized[label] = None
-    normalized[TD_LABEL] = 1.0 if td > 0 else None
     return means, normalized
 
 

@@ -50,11 +50,9 @@ class NormalizationError(AsmSimError):
 
 
 class PatternMismatchError(AsmSimError):
-    """A :class:`PatternSet` holds a pattern of the wrong length, or a
-    program's pattern is missing from the universe it is checked against.
-
-    Either case is a programming error rather than bad input: the pattern
-    set was built by hand, or the universe came from a different corpus.
+    """A program's pattern is missing from the universe that
+    ``corpus.pairwise_values`` checks it against: a programming error rather
+    than bad input, as the universe came from a different corpus.
     """
 
 

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
 from .asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
                          DEFAULT_CONFIG, linear_blocks, segment_basic_blocks)
-from .errors import PatternMismatchError
 
 NGram = tuple[str, ...]
 
@@ -26,12 +24,6 @@ class PatternSet:
 
     n: int
     patterns: frozenset[NGram]
-
-    def __post_init__(self) -> None:
-        bad = [p for p in self.patterns if len(p) != self.n]
-        if bad:
-            raise PatternMismatchError(
-                f"pattern {bad[0]!r} has length {len(bad[0])}, expected {self.n}")
 
 
 def extract_ngrams(mnemonics: Sequence[str], blocks: Sequence[BasicBlock],
@@ -62,11 +54,6 @@ class ProgramFeatures:
     def pattern_set(self, n: int) -> PatternSet:
         return self.patterns2 if n == 2 else self.patterns3
 
-    @cached_property
-    def mnemonics(self) -> frozenset[str]:
-        """The mnemonics that occur: the keys of ``frequency``."""
-        return frozenset(self.frequency)
-
 
 def compute_features(program: AssemblyProgram, blocks: Sequence[BasicBlock]) -> ProgramFeatures:
     """Count ``program.mnemonics`` and slide both pattern windows over it."""
@@ -93,7 +80,7 @@ def features_for_program(program: AssemblyProgram,
 def features_to_dict(features: ProgramFeatures) -> dict:
     """JSON-ready dump with a stable field and element order."""
     return {
-        "mnemonics": sorted(features.mnemonics),
+        "mnemonics": sorted(features.frequency),
         "freq": {m: features.frequency[m] for m in sorted(features.frequency)},
         "ngrams2": [list(p) for p in sorted(features.patterns2.patterns)],
         "ngrams3": [list(p) for p in sorted(features.patterns3.patterns)],

@@ -1,4 +1,4 @@
-"""Pairwise program comparison functions.
+"""Pairwise program comparison: the four metrics, computed only by :func:`pair_values`.
 
 Mnemonic sets (the keys of the frequency vectors) are compared with
 Jaccard similarity, frequency vectors with cosine similarity
@@ -7,6 +7,7 @@ between their boolean presence vectors.
 
 :func:`pair_values` scores many pairs in one call, over the elements that two or
 more of its programs hold: as ``int`` bitsets, or for cosine as rows of counts.
+:func:`pair_value` is its two-program case.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from collections import Counter
 from enum import Enum
 from itertools import chain, combinations, count, repeat
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import EmptyProgramError
-from .features import NGram, ProgramFeatures
+from .features import ProgramFeatures
 
 
 class MetricKind(str, Enum):
@@ -41,43 +42,6 @@ class MetricKind(str, Enum):
 
 METRIC_ORDER = (MetricKind.JACCARD, MetricKind.COSINE,
                 MetricKind.EUCLIDEAN2, MetricKind.EUCLIDEAN3)
-
-
-def jaccard(s1: frozenset[str], s2: frozenset[str]) -> float:
-    """|s1 & s2| / |s1 | s2|, in [0, 1].
-
-    Two empty sets count as identical (1.0); empty versus non-empty is 0.
-    """
-    if not s1 and not s2:
-        return 1.0
-    return len(s1 & s2) / len(s1 | s2)
-
-
-def cosine(a: Mapping[str, int], b: Mapping[str, int]) -> float:
-    """Cosine of the angle between two frequency vectors, in [0, 1].
-
-    Counts are integers, so the dot product and the squared norms are exact. Raises
-    :class:`EmptyProgramError` for an empty vector, whose cosine is undefined.
-    """
-    if not a or not b:
-        raise EmptyProgramError("cosine similarity is undefined for an empty program")
-    norm_sq_a = sum(v * v for v in a.values())
-    norm_sq_b = sum(v * v for v in b.values())
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    # sum of small[key] * large.get(key, 0), with the loop run in C
-    dot = sum(map(mul, small.values(), map(large.get, small, repeat(0))))
-    # |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, so this holds exactly when a == b
-    if dot == norm_sq_a == norm_sq_b:
-        return 1.0
-    # One sqrt of the exact integer product keeps the result reproducible.
-    value = dot / math.sqrt(norm_sq_a * norm_sq_b)
-    return min(max(value, 0.0), 1.0)
-
-
-def pattern_distance(a: frozenset[NGram], b: frozenset[NGram]) -> float:
-    """Euclidean distance between the boolean presence vectors of two pattern
-    sets over any universe that holds both: sqrt(|a ^ b|)."""
-    return math.sqrt(len(a) + len(b) - 2 * len(a & b))
 
 
 def _holders(collections: Sequence) -> tuple[Counter, list]:
@@ -104,8 +68,10 @@ def _presence_bits(sets: Sequence[frozenset]) -> list[int]:
 def pair_values(kind: MetricKind, programs: Sequence[ProgramFeatures],
                 pairs: Sequence[tuple[int, int]] | None = None) -> list[float]:
     """``kind``'s value for each ``(i, j)`` index pair of ``programs``;
-    by default every pair, in :func:`itertools.combinations` order. Cosine's integer
-    dot products are exact, so its values equal :func:`cosine`'s bit for bit."""
+    by default every pair, in :func:`itertools.combinations` order. Counts are exact
+    integers, and each value is one division of them (cosine's by the square root of
+    the product of the squared norms), so it is reproducible bit for bit. Raises
+    :class:`EmptyProgramError` when cosine meets an empty program."""
     pairs = list(combinations(range(len(programs)), 2)) if pairs is None else pairs
     if kind is MetricKind.COSINE:
         frequencies = [p.frequency for p in programs]
@@ -114,12 +80,14 @@ def pair_values(kind: MetricKind, programs: Sequence[ProgramFeatures],
         shared = _holders(frequencies)[1]
         norms = [sum(map(mul, f.values(), f.values())) for f in frequencies]
         rows = [list(map(frequency.get, shared, repeat(0))) for frequency in frequencies]
-        # a self-pair's dot product also takes the mnemonics only it holds
+        # a self-pair's dot product also takes the mnemonics only it holds;
+        # |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, so dot == a == b holds exactly when a == b
         return [1.0 if dot == a == b else min(max(dot / math.sqrt(a * b), 0.0), 1.0)
                 for i, j in pairs for a, b in [(norms[i], norms[j])]
                 for dot in [sum(map(mul, rows[i], rows[j])) if i != j else a]]
     n = kind.ngram_length
-    sets = [p.mnemonics if n is None else p.pattern_set(n).patterns for p in programs]
+    # Jaccard reads the frequency keys: a Counter iterates and sizes as its key set
+    sets = [p.frequency if n is None else p.pattern_set(n).patterns for p in programs]
     sizes, bits = list(map(len, sets)), _presence_bits(sets)
     # (|a & b|, |a| + |b|); a self-pair also shares the elements of one set
     counts = [((bits[i] & bits[j]).bit_count() if i != j else sizes[i], sizes[i] + sizes[j])

@@ -27,8 +27,6 @@ METRIC_TITLES = {
     MetricKind.EUCLIDEAN3: "Three-instruction patterns (Euclidean distance)",
 }
 
-OUTPUT_FORMATS = ("markdown", "csv", "json")
-
 
 def format_value(kind: MetricKind, value: float) -> str:
     return f"{value:.2f}" if kind.is_distance else f"{value:.4f}"
@@ -194,6 +192,7 @@ RENDERERS = {
     "csv": render_csv,
     "json": render_json,
 }
+OUTPUT_FORMATS = tuple(RENDERERS)
 
 
 def render(suite: StudySuite, output_format: str,

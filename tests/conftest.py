@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,22 @@ TESTS_DIR = Path(__file__).parent
 FIXTURES = TESTS_DIR / "fixtures"
 GOLDEN = TESTS_DIR / "golden"
 REPO_ROOT = TESTS_DIR.parent
+
+
+def pair_of(kind, a, b):
+    """``pair_value`` of two programs given as raw collections: mnemonic sets or
+    frequency mappings, or for ``EUCLIDEAN2`` sets of 2-patterns."""
+    # imported here so that this file loads even where asmsim does not import
+    from asmsim.features import PatternSet, ProgramFeatures
+    from asmsim.metrics import MetricKind, pair_value
+
+    def program(raw):
+        if kind is MetricKind.EUCLIDEAN2:
+            return ProgramFeatures(Counter(), PatternSet(2, frozenset(raw)),
+                                   PatternSet(3, frozenset()))
+        return ProgramFeatures(Counter(raw), PatternSet(2, frozenset()),
+                               PatternSet(3, frozenset()))
+    return pair_value(kind, program(a), program(b))
 
 
 def run_cli(*args, cwd=None, env_extra=None):

@@ -179,6 +179,18 @@ def naive_cosine(a: dict, b: dict) -> float:
     return dot / (norm_a * norm_b)
 
 
+def exact_cosine(a: dict, b: dict) -> float:
+    """Cosine from exact integers: the dot product and both squared norms over the
+    union of keys, then one square root of the product of the norms."""
+    keys = set(a) | set(b)
+    if all(a.get(k, 0) == b.get(k, 0) for k in keys):
+        return 1.0
+    dot = sum(a.get(k, 0) * b.get(k, 0) for k in keys)
+    norm_sq_a = sum(a.get(k, 0) ** 2 for k in keys)
+    norm_sq_b = sum(b.get(k, 0) ** 2 for k in keys)
+    return min(max(dot / math.sqrt(norm_sq_a * norm_sq_b), 0.0), 1.0)
+
+
 def naive_euclidean(p1: set, p2: set, universe_patterns) -> float:
     ordered = sorted(set(universe_patterns))
     v1 = [1 if p in p1 else 0 for p in ordered]

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -19,12 +20,11 @@ from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC,
                            totally_different)
 from asmsim.features import extract_ngrams, features_for_program
-from asmsim.metrics import (METRIC_ORDER, MetricKind, cosine, jaccard,
-                            pattern_distance)
+from asmsim.metrics import METRIC_ORDER, MetricKind, pair_value
 
 import oracles
 import reference_tables
-from conftest import GOLDEN, REPO_ROOT, run_cli
+from conftest import GOLDEN, REPO_ROOT, pair_of, run_cli
 from gen_golden import build_oracle_suite
 
 
@@ -95,6 +95,9 @@ class TestCriterion3MetricProperties:
         rng = random.Random(0xA5A5)
         alphabet = [f"op{i}" for i in range(15)]
         pool = [(a, b) for a in alphabet[:5] for b in alphabet[:5]]
+        jaccard = partial(pair_of, MetricKind.JACCARD)
+        cosine = partial(pair_of, MetricKind.COSINE)
+        pattern_distance = partial(pair_of, MetricKind.EUCLIDEAN2)
 
         for _ in range(self.CASES):
             s1 = frozenset(rng.sample(alphabet, rng.randint(0, 12)))
@@ -150,14 +153,13 @@ class TestCriterion4OracleEquivalence:
                             oracles.oracle_features(program, blocks)))
 
         for (fa, oa), (fb, ob) in zip(bundles, bundles[1:]):
-            assert abs(jaccard(frozenset(fa.frequency), frozenset(fb.frequency))
+            assert abs(pair_value(MetricKind.JACCARD, fa, fb)
                        - oracles.naive_jaccard(oa["existence"], ob["existence"])) <= 1e-12
             if fa.frequency and fb.frequency:
-                assert abs(cosine(fa.frequency, fb.frequency)
+                assert abs(pair_value(MetricKind.COSINE, fa, fb)
                            - oracles.naive_cosine(oa["freq"], ob["freq"])) <= 1e-12
-            for n, pa, pb in ((2, fa.patterns2, fb.patterns2),
-                              (3, fa.patterns3, fb.patterns3)):
-                assert abs(pattern_distance(pa.patterns, pb.patterns)
+            for n, kind in ((2, MetricKind.EUCLIDEAN2), (3, MetricKind.EUCLIDEAN3)):
+                assert abs(pair_value(kind, fa, fb)
                            - oracles.naive_euclidean(oa[n], ob[n],
                                                      oa[n] | ob[n])) <= 1e-12
 

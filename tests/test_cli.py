@@ -388,3 +388,26 @@ class TestProcessPolicy:
         result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                                 env=env, check=True)
         assert result.stdout == b"[]\n"
+
+    @pytest.mark.parametrize("args, code", [
+        (("extract", "{corpus}"), 2),
+        (("compare", "{corpus}/ada_fib.s", "{corpus}/ada_minmax.s"), 2),
+        (("study", "{corpus}/manifest.json"), 2),
+        (("compile", "{corpus}/manifest.json", "--out", "{tmp}/asm"), 2),  # prints a summary
+        (("extract", "{corpus}", "--out", "{tmp}/out"), 0),
+        (("study", "{corpus}/manifest.json", "--out", "{tmp}/out"), 0),
+    ], ids=["extract", "compare", "study", "compile", "extract-out", "study-out"])
+    def test_closed_stdout_exits_2_unless_output_goes_to_files(self, fixtures_dir, tmp_path,
+                                                               args, code):
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        argv = [arg.format(corpus=fixtures_dir / "corpus3x3", tmp=tmp_path) for arg in args]
+        # `>&-` starts the interpreter without fd 1, so its sys.stdout is None
+        result = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                                 "asmsim", *argv], capture_output=True, env=env)
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr.decode()
+        if code == 2:
+            assert last_diagnostic(result)[:2] == (2, "<stdout>")
+            assert not (tmp_path / "asm").exists()
+        else:
+            assert (tmp_path / "out").exists()

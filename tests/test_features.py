@@ -5,7 +5,6 @@ import pytest
 
 from asmsim.asm_parser import parse_assembly, segment_basic_blocks
 from asmsim.corpus import build_universes
-from asmsim.errors import PatternMismatchError
 from asmsim.features import (PatternSet, ProgramFeatures, compute_features,
                              extract_ngrams, features_for_program,
                              features_to_dict)
@@ -106,12 +105,6 @@ class TestExtractNgrams:
         linear = features_for_program(program, linear=True)
         assert ("beq", "sub") not in confined.patterns2.patterns
         assert ("beq", "sub") in linear.patterns2.patterns
-
-
-class TestPatternSet:
-    def test_wrong_length_rejected(self):
-        with pytest.raises(PatternMismatchError, match="expected 2"):
-            PatternSet(2, frozenset({("a", "b", "c")}))
 
 
 class TestPatternUniverse:

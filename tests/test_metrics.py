@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -8,14 +9,19 @@ from hypothesis import strategies as st
 from asmsim.asm_parser import parse_assembly
 from asmsim.errors import EmptyProgramError
 from asmsim.features import features_for_program
-from asmsim.metrics import (MetricKind, cosine, jaccard, pair_value,
-                            pattern_distance)
+from asmsim.metrics import MetricKind, pair_value
 
 import oracles
+from conftest import pair_of
 
 
 def pset(*tuples):
     return frozenset(tuples)
+
+
+jaccard = partial(pair_of, MetricKind.JACCARD)
+cosine = partial(pair_of, MetricKind.COSINE)
+pattern_distance = partial(pair_of, MetricKind.EUCLIDEAN2)
 
 
 PATTERN_POOL = [(a, b) for a in ("mov", "add", "ldr", "b") for b in ("mov", "add", "ldr", "b")]
@@ -90,8 +96,9 @@ class TestPairValue:
         a = features_for_program(parse_assembly("\tmov r0, r1\n\tadd r0, r1\n"))
         b = features_for_program(parse_assembly("\tmov r0, r1\n\tsub r0, r1\n"))
         assert pair_value(MetricKind.JACCARD, a, b) == \
-            jaccard(frozenset(a.frequency), frozenset(b.frequency))
-        assert pair_value(MetricKind.COSINE, a, b) == cosine(a.frequency, b.frequency)
+            oracles.naive_jaccard(a.frequency, b.frequency) == 1 / 3
+        assert pair_value(MetricKind.COSINE, a, b) == \
+            oracles.exact_cosine(a.frequency, b.frequency) == 0.5
         # no universe is needed: the distance is the root of the symmetric
         # difference size over any universe that holds both pattern sets
         expected = math.sqrt(len(a.patterns2.patterns ^ b.patterns2.patterns))
@@ -105,15 +112,15 @@ class TestAgainstNaiveReferences:
         for _ in range(200):
             s1 = frozenset(rng.sample(alphabet, rng.randint(0, len(alphabet))))
             s2 = frozenset(rng.sample(alphabet, rng.randint(0, len(alphabet))))
-            assert jaccard(s1, s2) == pytest.approx(
-                oracles.naive_jaccard(s1, s2), abs=1e-12)
+            assert jaccard(s1, s2) == oracles.naive_jaccard(s1, s2)  # bit for bit
 
             a = {m: rng.randint(1, 9) for m in rng.sample(alphabet, rng.randint(1, 5))}
             b = {m: rng.randint(1, 9) for m in rng.sample(alphabet, rng.randint(1, 5))}
+            assert cosine(a, b) == oracles.exact_cosine(a, b)
             assert cosine(a, b) == pytest.approx(oracles.naive_cosine(a, b), abs=1e-12)
 
             pool = [(x, y) for x in alphabet[:5] for y in alphabet[:5]]
             p1 = pset(*rng.sample(pool, rng.randint(0, 8)))
             p2 = pset(*rng.sample(pool, rng.randint(0, 8)))
-            assert pattern_distance(p1, p2) == pytest.approx(
-                oracles.naive_euclidean(p1, p2, sorted(p1 | p2)), abs=1e-12)
+            assert pattern_distance(p1, p2) == \
+                oracles.naive_euclidean(p1, p2, sorted(p1 | p2))

@@ -15,11 +15,10 @@ from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
 from asmsim.errors import EmptyProgramError, ParseError
 from asmsim.features import (PatternSet, ProgramFeatures, extract_ngrams,
                              features_for_program)
-from asmsim.metrics import (MetricKind, cosine, jaccard, pair_values,
-                            pattern_distance)
+from asmsim.metrics import MetricKind, pair_values
 
 import oracles
-from conftest import FIXTURES
+from conftest import FIXTURES, pair_of
 
 MNEMONIC_ALPHABET = ["mov", "add", "sub", "ldr", "str", "cmp", "b", "bl", "push"]
 
@@ -164,34 +163,34 @@ class TestFeatureProperties:
 class TestMetricProperties:
     @given(mnemonic_sets, mnemonic_sets)
     def test_jaccard_symmetric_and_bounded(self, s1, s2):
-        value = jaccard(s1, s2)
-        assert value == jaccard(s2, s1)
+        value = pair_of(MetricKind.JACCARD, s1, s2)
+        assert value == pair_of(MetricKind.JACCARD, s2, s1)
         assert 0.0 <= value <= 1.0
 
     @given(frequency_vectors, frequency_vectors)
     def test_cosine_symmetric_and_bounded(self, a, b):
-        value = cosine(a, b)
-        assert value == cosine(b, a)
+        value = pair_of(MetricKind.COSINE, a, b)
+        assert value == pair_of(MetricKind.COSINE, b, a)
         assert 0.0 <= value <= 1.0
 
     @given(frequency_vectors, st.integers(2, 1000))
     def test_cosine_scale_invariant(self, a, k):
         scaled = {m: k * v for m, v in a.items()}
-        assert abs(cosine(a, scaled) - 1.0) <= 1e-12
+        assert abs(pair_of(MetricKind.COSINE, a, scaled) - 1.0) <= 1e-12
 
     @given(pattern_sets, pattern_sets)
     def test_euclidean_is_sqrt_hamming(self, p1, p2):
-        assert pattern_distance(p1.patterns, p2.patterns) == \
+        assert pair_of(MetricKind.EUCLIDEAN2, p1.patterns, p2.patterns) == \
             math.sqrt(len(p1.patterns ^ p2.patterns))
 
     @given(pattern_sets, pattern_sets)
     def test_pattern_distance_matches_oracle(self, p1, p2):
         a, b = p1.patterns, p2.patterns
-        assert pattern_distance(a, b) == oracles.naive_euclidean(a, b, a | b)
+        assert pair_of(MetricKind.EUCLIDEAN2, a, b) == oracles.naive_euclidean(a, b, a | b)
 
     @given(pattern_sets, pattern_sets, pattern_sets)
     def test_euclidean_triangle_inequality(self, pa, pb, pc):
-        d = lambda x, y: pattern_distance(x.patterns, y.patterns)
+        d = lambda x, y: pair_of(MetricKind.EUCLIDEAN2, x.patterns, y.patterns)
         assert d(pa, pc) <= d(pa, pb) + d(pb, pc) + 1e-9
 
 
@@ -218,13 +217,15 @@ def scored_programs(draw):
 
 
 def scalar_value(kind, a, b):
-    """One pair through the exported scalar definitions."""
+    """One pair through the exact references of tests/oracles.py: the same
+    integers, then the same one float operation."""
     if kind is MetricKind.JACCARD:
-        return jaccard(a.mnemonics, b.mnemonics)
+        return oracles.naive_jaccard(a.frequency, b.frequency)
     if kind is MetricKind.COSINE:
-        return cosine(a.frequency, b.frequency)
+        return oracles.exact_cosine(a.frequency, b.frequency)
     n = kind.ngram_length
-    return pattern_distance(a.pattern_set(n).patterns, b.pattern_set(n).patterns)
+    pa, pb = a.pattern_set(n).patterns, b.pattern_set(n).patterns
+    return oracles.naive_euclidean(pa, pb, pa | pb)
 
 
 EMPTY_AND_DUPLICATES = [scored_program(None), scored_program(1), scored_program(None)]
@@ -292,7 +293,7 @@ class TestDenseCosineProperties:
         default = list(combinations(range(len(programs)), 2))
         for given_pairs, expected_pairs in ((None, default), (pairs, pairs)):
             assert pair_values(MetricKind.COSINE, programs, given_pairs) == [
-                cosine(programs[i].frequency, programs[j].frequency)
+                oracles.exact_cosine(programs[i].frequency, programs[j].frequency)
                 for i, j in expected_pairs]  # bit for bit
 
     @given(large_frequencies)
