@@ -6,10 +6,10 @@ from .asm_parser import (AssemblyProgram, BasicBlock, Instruction, ParserConfig,
 from .corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL,
                      CorpusGrid, GroupingKind, GroupingScheme, ProgramEntry,
                      StudyReport, StudySuite, Subset, build_grid, build_suite,
-                     build_universes, coprime_strides, cross_dataset_mean,
-                     default_strides, enumerate_subsets, group_mean,
-                     load_datasets, load_manifest, normalize, pairwise_values,
-                     run_study, subset_mean, td_aggregate, totally_different)
+                     build_universes, coprime_strides, default_strides,
+                     enumerate_subsets, group_mean, load_datasets, load_manifest,
+                     normalize, pairwise_values, run_study, subset_mean,
+                     td_aggregate, totally_different)
 from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
                      IncompleteGridError, InputError, InvalidStrideError,
                      ManifestError, NormalizationError, ParseError,

@@ -15,12 +15,11 @@ import gc
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from .asm_parser import parse_assembly
-from .config import ToolConfig, load_tool_config
+from .config import ToolConfig, config_from_dict, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
                      load_datasets, run_study)
 from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
@@ -36,9 +35,9 @@ COMPARE_METRICS = {
 }
 
 
-def _parse_strides(value: str) -> tuple[int, ...]:
+def _parse_strides(value: str) -> list[int]:
     try:
-        return tuple(int(part) for part in value.split(","))
+        return [int(part) for part in value.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {value!r}") from None
@@ -48,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, metavar="PATH",
                         help="JSON config file")
-    common.add_argument("--format", choices=[*OUTPUT_FORMATS, "text"],
-                        help="output format (study: markdown/csv/json; compare: text/json)")
     common.add_argument("--jobs", type=int, metavar="N",
                         help="compiler processes run at once (compile)")
     common.add_argument("--strict", action="store_true", default=None,
@@ -80,6 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("file_b", type=Path)
     p_compare.add_argument("--metric", choices=[*COMPARE_METRICS, "all"],
                            default="all")
+    p_compare.add_argument("--format", choices=["text", "json"], default="text",
+                           help="output format (default: text)")
     p_compare.set_defaults(func=cmd_compare)
 
     p_compile = sub.add_parser("compile", parents=[common],
@@ -96,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("manifest", type=Path)
     p_study.add_argument("--out", type=Path, metavar="FILE",
                          help="write the report to a file instead of stdout")
+    p_study.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS,
+                         help="report format (default: markdown)")
     p_study.set_defaults(func=cmd_study)
 
     return parser
@@ -103,20 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> ToolConfig:
     """Defaults < environment < config file < explicit CLI flags."""
-    config = load_tool_config(args.config)
-    if getattr(args, "cc", None):
-        config = replace(config, compiler_command=args.cc)
-    if args.format and args.format != "text":
-        config = replace(config, output_format=args.format)
-    if args.jobs is not None:
-        config = replace(config, jobs=args.jobs)
-    if args.strict:
-        config = replace(config, parser=replace(config.parser, strict=True))
-    if args.linear_ngrams:
-        config = replace(config, ngram_mode="linear")
-    if args.strides is not None:
-        config = replace(config, strides=args.strides)
-    return config
+    flags = {"compiler_command": getattr(args, "cc", None),
+             "output_format": getattr(args, "output_format", None),
+             "jobs": args.jobs,
+             "strides": args.strides,
+             "ngram_mode": "linear" if args.linear_ngrams else None,
+             "parser": {"strict": True} if args.strict else None}
+    return config_from_dict({key: value for key, value in flags.items() if value is not None},
+                            load_tool_config(args.config), entity=None)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -183,8 +178,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.format in ("csv", "markdown"):
-        raise InputError(f"compare renders text or json, not {args.format}")
     config = resolve_config(args)
     features = []
     for path in (args.file_a, args.file_b):
@@ -243,8 +236,6 @@ def run_manifest_study(manifest: ManifestData, config: ToolConfig) -> str:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    if args.format == "text":
-        raise InputError("study renders markdown, csv, or json, not text")
     config = resolve_config(args)
     # A study allocates about a million small containers and no reference
     # cycles, so the cyclic collector would only rescan them.

@@ -1,15 +1,16 @@
 """Tool configuration: defaults, JSON config files, environment overrides.
 
 Precedence, lowest to highest: built-in defaults, the ASMSIM_CC
-environment variable (compiler command only), the config file, CLI flags
-(applied by the CLI itself).
+environment variable (compiler command only; empty is unset), the config
+file, CLI flags. Each layer is a mapping applied by :func:`config_from_dict`,
+so all of them pass the same type and range checks.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -38,6 +39,8 @@ class ToolConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        if not self.compiler_command:
+            raise InputError("compiler_command must not be empty")
         if self.jobs < 1:
             raise InputError(f"jobs must be >= 1, got {self.jobs}")
         if self.output_format not in OUTPUT_FORMATS:
@@ -46,72 +49,47 @@ class ToolConfig:
             raise InputError(f"unknown ngram mode {self.ngram_mode!r}")
 
 
-_TOP_LEVEL_KEYS = {"compiler_command", "compiler_flags", "parser", "strides",
-                   "output_format", "ngram_mode", "jobs"}
-_PARSER_KEYS = {"comment_markers", "branch_mnemonics", "strict"}
+# The JSON type of each ToolConfig and ParserConfig field but `parser`, a
+# nested object; (container, item type) is a list stored as that container.
+_JSON_TYPES: dict[str, type | tuple[type, type]] = {
+    "compiler_command": str,
+    "compiler_flags": (tuple, str),
+    "strides": (tuple, int),
+    "output_format": str,
+    "ngram_mode": str,
+    "jobs": int,
+    "comment_markers": (frozenset, str),
+    "branch_mnemonics": (frozenset, str),
+    "strict": bool,
+}
 
 
-def _string_list(value: object, what: str, entity: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise InputError(f"{what} must be a list of strings", entity=entity)
-    return tuple(value)
-
-
-def _parser_from_dict(doc: Mapping, base: ParserConfig, entity: str) -> ParserConfig:
-    unknown = set(doc) - _PARSER_KEYS
-    if unknown:
-        raise InputError(f"unknown parser config keys: {sorted(unknown)}", entity=entity)
-    markers = base.comment_markers
-    if "comment_markers" in doc:
-        markers = frozenset(_string_list(doc["comment_markers"], "comment_markers", entity))
-    branches = base.branch_mnemonics
-    if "branch_mnemonics" in doc:
-        branches = frozenset(_string_list(doc["branch_mnemonics"], "branch_mnemonics", entity))
-    strict = base.strict
-    if "strict" in doc:
-        if not isinstance(doc["strict"], bool):
-            raise InputError('"strict" must be a boolean', entity=entity)
-        strict = doc["strict"]
-    try:
-        return ParserConfig(comment_markers=markers, branch_mnemonics=branches, strict=strict)
-    except InputError as exc:
-        raise InputError(exc.message, entity=entity) from exc
-
-
-def config_from_dict(doc: Mapping, base: ToolConfig | None = None, *,
-                     entity: str = "<config>") -> ToolConfig:
-    """Apply the keys present in ``doc`` over ``base``."""
+def config_from_dict(doc: Mapping, base: ToolConfig | ParserConfig | None = None, *,
+                     entity: str | None = "<config>") -> ToolConfig | ParserConfig:
+    """Apply the keys present in ``doc`` over ``base`` (default: the
+    built-in defaults). Each key names a field of ``base``; a mapping under
+    ``parser`` applies over ``base.parser`` the same way. Errors name
+    ``entity``, the layer being applied."""
     base = base if base is not None else ToolConfig()
-    unknown = set(doc) - _TOP_LEVEL_KEYS
+    unknown = set(doc) - {f.name for f in fields(base)}
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}", entity=entity)
-
-    updates: dict = {}
-    if "compiler_command" in doc:
-        if not isinstance(doc["compiler_command"], str) or not doc["compiler_command"]:
-            raise InputError('"compiler_command" must be a non-empty string', entity=entity)
-        updates["compiler_command"] = doc["compiler_command"]
-    if "compiler_flags" in doc:
-        updates["compiler_flags"] = _string_list(doc["compiler_flags"],
-                                                 "compiler_flags", entity)
-    if "parser" in doc:
-        if not isinstance(doc["parser"], Mapping):
-            raise InputError('"parser" must be an object', entity=entity)
-        updates["parser"] = _parser_from_dict(doc["parser"], base.parser, entity)
-    if "strides" in doc:
-        strides = doc["strides"]
-        if (not isinstance(strides, list)
-                or not all(isinstance(s, int) and not isinstance(s, bool) for s in strides)):
-            raise InputError('"strides" must be a list of integers', entity=entity)
-        updates["strides"] = tuple(strides)
-    if "output_format" in doc:
-        updates["output_format"] = doc["output_format"]
-    if "ngram_mode" in doc:
-        updates["ngram_mode"] = doc["ngram_mode"]
-    if "jobs" in doc:
-        if not isinstance(doc["jobs"], int) or isinstance(doc["jobs"], bool):
-            raise InputError('"jobs" must be an integer', entity=entity)
-        updates["jobs"] = doc["jobs"]
+    updates = {}
+    for key, value in doc.items():
+        nested = getattr(base, key)
+        if is_dataclass(nested):
+            if not isinstance(value, Mapping):
+                raise InputError(f'"{key}" must be an object', entity=entity)
+            value = config_from_dict(value, nested, entity=entity)
+        elif isinstance(kind := _JSON_TYPES[key], tuple):
+            container, item = kind
+            if type(value) is not list or any(type(v) is not item for v in value):
+                raise InputError(f'"{key}" must be a list of {item.__name__}', entity=entity)
+            value = container(value)
+        elif type(value) is not kind:  # exact: JSON true is no int
+            raise InputError(f'"{key}" must be {kind.__name__}, got {type(value).__name__}',
+                             entity=entity)
+        updates[key] = value
     try:
         return replace(base, **updates)
     except InputError as exc:
@@ -123,17 +101,15 @@ def load_tool_config(path: str | Path | None = None, *,
     """Defaults, then the environment compiler override, then the file."""
     env = os.environ if env is None else env
     config = ToolConfig()
-    env_cc = env.get(COMPILER_ENV_VAR)
-    if env_cc:
-        config = replace(config, compiler_command=env_cc)
+    if env_cc := env.get(COMPILER_ENV_VAR):
+        config = config_from_dict({"compiler_command": env_cc}, config,
+                                  entity=COMPILER_ENV_VAR)
     if path is not None:
         path = Path(path)
         try:
-            raw = path.read_text(encoding="utf-8")
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise InputError(f"cannot read config file: {exc}", entity=str(path)) from exc
-        try:
-            doc = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise InputError(f"config file is not valid JSON: {exc}",
                              entity=str(path)) from exc

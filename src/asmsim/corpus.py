@@ -187,6 +187,10 @@ class GroupingKind(str, Enum):
     TOTALLY_DIFFERENT = "totally_different"
 
 
+# Aggregate column label for the totally-different baseline.
+TD_LABEL = "Totally Different"
+
+
 @dataclass(frozen=True)
 class GroupingScheme:
     kind: GroupingKind
@@ -198,14 +202,11 @@ class GroupingScheme:
             return "Application Specific"
         if self.kind is GroupingKind.PROGRAMMER_SPECIFIC:
             return "Programmer Specific"
-        return f"Totally Different {self.stride}"
+        return f"{TD_LABEL} {self.stride}"
 
 
 APPLICATION_SPECIFIC = GroupingScheme(GroupingKind.APPLICATION_SPECIFIC)
 PROGRAMMER_SPECIFIC = GroupingScheme(GroupingKind.PROGRAMMER_SPECIFIC)
-
-# Aggregate column label for the totally-different baseline.
-TD_LABEL = "Totally Different"
 
 
 def totally_different(stride: int) -> GroupingScheme:
@@ -342,11 +343,6 @@ def td_aggregate(grouping_means: Iterable[float]) -> float:
     return _mean(grouping_means, "grouping means")
 
 
-def cross_dataset_mean(values: Iterable[float]) -> float:
-    """Mean of one grouping's value across datasets."""
-    return _mean(values, "dataset values")
-
-
 def normalize(group_value: float, td_value: float, kind: MetricKind) -> float:
     """Rescale a group value so the totally-different baseline maps to 1.
 
@@ -413,7 +409,7 @@ def _summary(groupings: Sequence[Mapping[str, GroupingResult]], kind: MetricKind
     """Means and normalized indices of the programmer-specific,
     application-specific and totally-different columns, in that order,
     pooled over the grouping means of one or more datasets."""
-    means = {label: cross_dataset_mean(g[label].mean for g in groupings)
+    means = {label: _mean((g[label].mean for g in groupings), "dataset values")
              for label in (PROGRAMMER_SPECIFIC.label, APPLICATION_SPECIFIC.label)}
     td = means[TD_LABEL] = td_aggregate(
         result.mean for g in groupings for result in g.values()

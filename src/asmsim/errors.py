@@ -20,9 +20,14 @@ class AsmSimError(Exception):
         self.entity = entity
 
     def diagnostic(self) -> str:
-        """One machine-parseable line: code, entity, message."""
-        entity = self.entity if self.entity is not None else "-"
-        return f'error: code={self.exit_code} entity="{entity}" message="{self.message}"'
+        """One machine-parseable line: code, entity, message; the quoted
+        values escape each ``\\`` and ``"`` with a backslash."""
+        entity = _quote(self.entity if self.entity is not None else "-")
+        return f"error: code={self.exit_code} entity={entity} message={_quote(self.message)}"
+
+
+def _quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 class InputError(AsmSimError):

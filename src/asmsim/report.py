@@ -17,7 +17,8 @@ from functools import partial
 from itertools import chain, repeat
 from typing import Mapping
 
-from .corpus import APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL, StudySuite
+from .corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL, StudySuite,
+                     totally_different)
 from .metrics import METRIC_ORDER, MetricKind
 
 METRIC_TITLES = {
@@ -39,7 +40,7 @@ def format_normalized(value: float | None) -> str:
 def _td_labels(suite: StudySuite) -> list[str]:
     """Union of per-stride column labels across datasets, by stride."""
     strides = sorted({s for report in suite.reports for s in report.strides})
-    return [f"{TD_LABEL} {s}" for s in strides]
+    return [totally_different(s).label for s in strides]
 
 
 def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> str:

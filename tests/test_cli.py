@@ -10,7 +10,12 @@ import pytest
 from asmsim.cli import main
 from conftest import REPO_ROOT, run_cli
 
-DIAGNOSTIC_RE = re.compile(r'^error: code=(\d+) entity="(.*)" message="(.*)"$')
+QUOTED = r'"((?:[^"\\]|\\.)*)"'
+DIAGNOSTIC_RE = re.compile(rf"^error: code=(\d+) entity={QUOTED} message={QUOTED}$")
+
+
+def unquote(text):
+    return re.sub(r"\\(.)", r"\1", text)
 
 
 def write_asm(path, *lines):
@@ -23,7 +28,7 @@ def last_diagnostic(result):
     assert lines, f"no diagnostic on stderr: {result.stderr!r}"
     match = DIAGNOSTIC_RE.match(lines[-1])
     assert match, f"diagnostic not machine-parseable: {lines[-1]!r}"
-    return int(match.group(1)), match.group(2), match.group(3)
+    return int(match.group(1)), unquote(match.group(2)), unquote(match.group(3))
 
 
 class TestExtract:
@@ -206,6 +211,15 @@ class TestStudy:
     def test_text_format_rejected(self, corpus_manifest):
         assert run_cli("study", corpus_manifest, "--format", "text").returncode == 2
 
+    def test_quotes_and_backslashes_in_a_diagnostic_are_escaped(self, tmp_path):
+        folder = tmp_path / 'say "hi" \\ bye'
+        folder.mkdir()
+        manifest = folder / "manifest.json"
+        manifest.write_text(json.dumps({"programs": {}}))
+        result = run_cli("study", manifest)
+        assert result.returncode == 5
+        assert last_diagnostic(result) == (5, str(manifest), '"programs" must be a list')
+
     def test_unwritable_out_exits_2(self, corpus_manifest, tmp_path):
         target = tmp_path / "no" / "dir" / "report.md"
         result = run_cli("study", corpus_manifest, "--out", target)
@@ -337,6 +351,28 @@ class TestConfigPrecedence:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"jobs": 0}))
         assert run_cli("study", corpus_manifest, "--config", config).returncode == 2
+
+    def test_bad_flag_exits_2_naming_no_entity(self, corpus_manifest):
+        result = run_cli("study", corpus_manifest, "--jobs", "0")
+        assert result.returncode == 2
+        assert last_diagnostic(result)[:2] == (2, "-")
+
+    def test_empty_cc_flag_exits_2_before_compiling(self, corpus_manifest, tmp_path):
+        result = run_cli("compile", corpus_manifest, "--cc", "", "--out", tmp_path / "asm")
+        assert result.returncode == 2
+        assert last_diagnostic(result)[:2] == (2, "-")
+        assert not (tmp_path / "asm").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("extract", "{corpus}/ada_fib.s", "--format", "json"),
+        ("compile", "{corpus}/manifest.json", "--out", "{tmp}/asm", "--format", "csv"),
+    ], ids=["extract", "compile"])
+    def test_format_flag_only_where_it_is_read(self, fixtures_dir, tmp_path, args):
+        argv = [arg.format(corpus=fixtures_dir / "corpus3x3", tmp=tmp_path) for arg in args]
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert b"unrecognized arguments: --format" in result.stderr
+        assert not (tmp_path / "asm").exists()
 
 
 class TestProcessPolicy:

@@ -1,7 +1,9 @@
 import json
+from dataclasses import fields
 
 import pytest
 
+from asmsim.asm_parser import ParserConfig
 from asmsim.config import (COMPILER_ENV_VAR, DEFAULT_COMPILER_COMMAND,
                            ToolConfig, config_from_dict, load_tool_config)
 from asmsim.errors import InputError
@@ -62,6 +64,11 @@ def test_env_compiler_applies_and_file_wins(tmp_path):
     assert config.compiler_command == "file-cc"
 
 
+def test_empty_env_compiler_is_unset():
+    config = load_tool_config(None, env={COMPILER_ENV_VAR: ""})
+    assert config.compiler_command == DEFAULT_COMPILER_COMMAND
+
+
 @pytest.mark.parametrize("doc", [
     {"no_such_key": 1},
     {"jobs": 0},
@@ -74,6 +81,12 @@ def test_env_compiler_applies_and_file_wins(tmp_path):
     {"compiler_flags": "-S"},
     {"parser": {"comment_markers": [""]}},
     {"parser": {"comment_markers": ["@", ""]}},
+    {"jobs": True},
+    {"strides": [True]},
+    {"compiler_command": ""},
+    {"compiler_flags": [1]},
+    {"parser": []},
+    {"parser": {"strict": "yes"}},
 ])
 def test_invalid_configs_rejected(tmp_path, doc):
     path = write_config(tmp_path, doc)
@@ -92,3 +105,19 @@ def test_config_from_dict_layers():
     layered = config_from_dict({"output_format": "json"}, base)
     assert layered.jobs == 3
     assert layered.output_format == "json"
+
+
+def test_every_field_is_set_from_a_file(tmp_path):
+    """A value unlike the default for each field that dataclasses.fields
+    names reaches the loaded config, so no field drops out of the one path."""
+    parser = {"comment_markers": [";"], "branch_mnemonics": ["jmp"], "strict": True}
+    doc = {"compiler_command": "cc", "compiler_flags": ["-S"], "parser": parser,
+           "strides": [1, 2], "output_format": "json", "ngram_mode": "linear", "jobs": 3}
+    config = load_tool_config(write_config(tmp_path, doc), env={})
+    for loaded, default, values in ((config, ToolConfig(), doc),
+                                    (config.parser, ParserConfig(), parser)):
+        for f in fields(loaded):
+            value, got = values[f.name], getattr(loaded, f.name)
+            assert got != getattr(default, f.name)
+            if f.name != "parser":
+                assert got == (type(got)(value) if isinstance(value, list) else value)

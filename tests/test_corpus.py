@@ -8,7 +8,7 @@ import pytest
 from asmsim.asm_parser import parse_assembly
 from asmsim.corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL,
                            GroupingKind, ProgramEntry, build_grid, build_suite,
-                           build_universes, coprime_strides, cross_dataset_mean,
+                           build_universes, coprime_strides,
                            default_strides, enumerate_subsets, group_mean,
                            load_datasets, load_manifest, normalize,
                            pairwise_values, run_study, subset_mean,
@@ -284,10 +284,9 @@ class TestPairwiseAndMeans:
         assert subset_mean([0.2, 0.4]) == pytest.approx(0.3)
         assert group_mean([0.25, 0.75]) == 0.5
         assert td_aggregate([0.5, 0.5, 0.5]) == 0.5
-        assert cross_dataset_mean([1.0, 2.0, 3.0]) == 2.0
 
     def test_means_reject_empty(self):
-        for fn in (subset_mean, group_mean, td_aggregate, cross_dataset_mean):
+        for fn in (subset_mean, group_mean, td_aggregate):
             with pytest.raises(ValueError):
                 fn([])
 

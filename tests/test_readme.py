@@ -1,15 +1,22 @@
-"""The README's library example runs as written."""
+"""The README's library example runs and its config example loads as written."""
 
+import json
 import re
 import shutil
+from dataclasses import fields
 
+from asmsim.asm_parser import ParserConfig
+from asmsim.config import ToolConfig, load_tool_config
 from conftest import FIXTURES, REPO_ROOT
 
 
-def library_example() -> str:
+def readme_block(heading: str, language: str) -> str:
+    """The one ``language`` code block under ``heading``, up to the next
+    heading of the README."""
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    [code] = re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
+    section = readme.split(f"\n{heading}\n", 1)[1]
+    section = re.split(r"^#{2,} ", section, maxsplit=1, flags=re.MULTILINE)[0]
+    [code] = re.findall(rf"^```{language}\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
     return code
 
 
@@ -22,8 +29,17 @@ def test_library_example_runs(tmp_path, monkeypatch):
     shutil.copy(corpus / "manifest.json", tmp_path / "corpus.json")
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
-    exec(compile(library_example(), "README.md", "exec"), namespace)
+    exec(compile(readme_block("## Library", "python"), "README.md", "exec"), namespace)
     assert set(namespace["report"].metrics) == set(namespace["MetricKind"])
     count = len(namespace["programs"])
     assert count > 2 and len(namespace["distances"]) == count * (count - 1) // 2
     assert len(namespace["some"]) == 2
+
+
+def test_config_example_loads_and_names_every_setting(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(readme_block("### Config file", "json"), encoding="utf-8")
+    load_tool_config(path, env={})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert set(doc) == {f.name for f in fields(ToolConfig)}
+    assert set(doc["parser"]) == {f.name for f in fields(ParserConfig)}
