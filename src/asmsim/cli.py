@@ -14,9 +14,10 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .asm_parser import parse_assembly
 from .config import ToolConfig, config_from_dict, load_tool_config
@@ -25,7 +26,7 @@ from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
 from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
 from .features import ProgramFeatures, features_for_program, features_to_dict
 from .metrics import MetricKind, pair_value
-from .report import OUTPUT_FORMATS, format_value, render
+from .report import OUTPUT_FORMATS, format_value, render_parts
 
 COMPARE_METRICS = {
     "jaccard": MetricKind.JACCARD,
@@ -114,11 +115,39 @@ def resolve_config(args: argparse.Namespace) -> ToolConfig:
                             load_tool_config(args.config), entity=None)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_parts(parts: Iterable[str], path: Path | None) -> None:
+    """Write ``parts`` as they come to ``path``, or to stdout if it is None.
+
+    A file is written under a temporary name beside ``path`` and renamed
+    over it when whole, so a failed write leaves no partial file and an old
+    one unchanged; a symlink is followed first, and the new file takes the
+    old one's permissions. A path that exists but is no regular file, such
+    as ``/dev/null`` or a FIFO, is written in place.
+    """
+    if path is None:
+        sys.stdout.flush()
+        # a buffered writer retries a short write, as when the reader closes
+        # the pipe midway; the raw fd under `python -u`'s text layer drops it
+        with open(sys.stdout.fileno(), "wb", closefd=False) as sink:
+            for part in parts:
+                sink.write(part.encode(sys.stdout.encoding, sys.stdout.errors))
+        return
+    in_place = path.exists() and not path.is_file()
+    final = path.resolve()
+    target = path if in_place else final.with_name(f"{final.name}.{os.getpid()}.partial")
     try:
-        path.write_text(text, encoding="utf-8")
+        with open(target, "wb") as sink:
+            if final.is_file():  # an old report, never in place: keep its permissions
+                os.chmod(sink.fileno(), stat.S_IMODE(final.stat().st_mode))
+            for part in parts:
+                sink.write(part.encode("utf-8"))
+        if not in_place:
+            os.replace(target, final)
     except OSError as exc:
         raise InputError(f"cannot write file: {exc}", entity=str(path)) from exc
+    finally:
+        if not in_place:
+            target.unlink(missing_ok=True)  # gone after a rename
 
 
 def file_features(path: Path, config: ToolConfig,
@@ -173,7 +202,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             serial += 1
             name = f"{path.stem}-{serial}.json"
         used.add(name)
-        _write_text(args.out / name, json.dumps(dump, indent=2) + "\n")
+        _write_parts((json.dumps(dump, indent=2), "\n"), args.out / name)
     return 0
 
 
@@ -225,14 +254,16 @@ def corpus_features(entries: Sequence[ProgramEntry],
     return {entry.id: file_features(entry.path, config, entry.id) for entry in entries}
 
 
-def run_manifest_study(manifest: ManifestData, config: ToolConfig) -> str:
+def run_manifest_study(manifest: ManifestData, config: ToolConfig) -> Iterator[str]:
+    """Run the study of every dataset; the report's parts are rendered as
+    they are consumed."""
     reports = [run_study(build_grid(entries), corpus_features(entries, config),
                          strides=config.strides, dataset_name=name)
                for name, entries in manifest.datasets]
     suite = build_suite(reports)
     metadata = dict(manifest.metadata)
     metadata["ngram_mode"] = config.ngram_mode
-    return render(suite, config.output_format, metadata)
+    return render_parts(suite, config.output_format, metadata)
 
 
 def cmd_study(args: argparse.Namespace) -> int:
@@ -242,14 +273,10 @@ def cmd_study(args: argparse.Namespace) -> int:
     gc_enabled = gc.isenabled()
     gc.disable()
     try:
-        text = run_manifest_study(load_datasets(args.manifest), config)
+        _write_parts(run_manifest_study(load_datasets(args.manifest), config), args.out)
     finally:
         if gc_enabled:
             gc.enable()
-    if args.out is not None:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

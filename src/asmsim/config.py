@@ -8,13 +8,14 @@ so all of them pass the same type and range checks.
 
 from __future__ import annotations
 
-import json
 import os
+import shlex
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
 from .asm_parser import ParserConfig
+from .corpus import load_json_object
 from .errors import InputError
 from .report import OUTPUT_FORMATS
 
@@ -39,8 +40,12 @@ class ToolConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if not self.compiler_command:
-            raise InputError("compiler_command must not be empty")
+        try:
+            words = shlex.split(self.compiler_command)
+        except ValueError as exc:  # an unclosed quote or a trailing backslash
+            raise InputError(f"compiler_command is not a shell command: {exc}") from None
+        if not words:
+            raise InputError("compiler_command must name a program")
         if self.jobs < 1:
             raise InputError(f"jobs must be >= 1, got {self.jobs}")
         if self.output_format not in OUTPUT_FORMATS:
@@ -105,16 +110,7 @@ def load_tool_config(path: str | Path | None = None, *,
         config = config_from_dict({"compiler_command": env_cc}, config,
                                   entity=COMPILER_ENV_VAR)
     if path is not None:
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"cannot read config file: {exc}", entity=str(path)) from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file is not valid JSON: {exc}",
-                             entity=str(path)) from exc
-        if not isinstance(doc, dict):
-            raise InputError("config root must be an object", entity=str(path))
+        doc = load_json_object(Path(path), "config file", InputError)
         config = config_from_dict(doc, config, entity=str(path))
     return config
 

@@ -19,9 +19,9 @@ from itertools import combinations, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (DuplicateIdError, EmptyProgramError, IncompleteGridError,
-                     InputError, InvalidStrideError, ManifestError,
-                     NormalizationError, PatternMismatchError)
+from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
+                     IncompleteGridError, InputError, InvalidStrideError,
+                     ManifestError, NormalizationError, PatternMismatchError)
 from .features import NGram, ProgramFeatures
 from .metrics import METRIC_ORDER, MetricKind, pair_values
 
@@ -73,6 +73,23 @@ def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]
     return entries
 
 
+def load_json_object(path: Path, what: str, error: type[AsmSimError]) -> dict:
+    """The JSON object in the UTF-8 file ``path``. A file that cannot be read is
+    an :class:`InputError`; one that is not UTF-8, not JSON or not an object is
+    ``error``. ``what`` names the file in the message."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}", entity=str(path)) from exc
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise error(f"{what} is not valid JSON: {exc}", entity=str(path)) from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} root must be an object", entity=str(path))
+    return doc
+
+
 def load_datasets(path: str | Path) -> ManifestData:
     """Load a manifest holding either one dataset or a list of them.
 
@@ -81,17 +98,7 @@ def load_datasets(path: str | Path) -> ManifestData:
     paths are resolved relative to the manifest location.
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read manifest: {exc}", entity=str(path)) from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}", entity=str(path)) from exc
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest root must be an object", entity=str(path))
-
+    doc = load_json_object(path, "manifest", ManifestError)
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ManifestError('"metadata" must be an object', entity=str(path))

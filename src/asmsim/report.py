@@ -6,6 +6,9 @@ the bottom. CSV carries one row per metric x grouping x subset plus the
 summary rows. JSON keeps full pair-level detail at full float precision.
 Rounding happens only here: 4 decimals for similarities, 2 for distances,
 3 for normalized indices.
+
+Each renderer yields the report as text parts, so that a caller can write
+a large report while it is produced; :func:`render` joins them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import io
 import json
 from functools import partial
 from itertools import chain, repeat
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL, StudySuite,
                      totally_different)
@@ -43,7 +46,7 @@ def _td_labels(suite: StudySuite) -> list[str]:
     return [totally_different(s).label for s in strides]
 
 
-def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> str:
+def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[str]:
     out: list[str] = ["# Assembly similarity study", ""]
     for report in suite.reports:
         strides = ", ".join(str(s) for s in report.strides)
@@ -76,7 +79,7 @@ def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> str:
             row += [""] * (len(td_labels) - 1)  # the td aggregate pools all strides
             out.append("| " + " | ".join(row) + " |")
         out.append("")
-    return "\n".join(out)
+    yield "\n".join(out)
 
 
 CSV_COLUMNS = ("dataset", "metric", "grouping", "subset", "pairs", "value", "kind")
@@ -84,7 +87,7 @@ CSV_COLUMNS = ("dataset", "metric", "grouping", "subset", "pairs", "value", "kin
 SUITE_DATASET = "(all)"
 
 
-def render_csv(suite: StudySuite, metadata: Mapping | None = None) -> str:
+def render_csv(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[str]:
     del metadata  # config belongs in the JSON report, not the flat table
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -112,7 +115,7 @@ def render_csv(suite: StudySuite, metadata: Mapping | None = None) -> str:
         for label, value in summary.normalized.items():
             writer.writerow([SUITE_DATASET, kind.value, label, "", "",
                              format_normalized(value), "normalized"])
-    return buffer.getvalue()
+    yield buffer.getvalue()
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -149,11 +152,12 @@ class _Texts(dict):
         return text
 
 
-def render_json(suite: StudySuite, metadata: Mapping | None = None) -> str:
+def render_json(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[str]:
     """Metadata, datasets and summary, byte for byte as ``json.dumps(indent=2)`` writes
-    them, in one pass. Pair values and means are finite floats, so ``repr`` is their JSON;
-    each subset's pairs are one ``join`` of memoised id and value texts. The pure-Python
-    encoder of ``_dumps`` leaves a reference cycle per call, so it writes few containers."""
+    them, in one pass that yields the text so far after each subset's pairs. Pair values
+    and means are finite floats, so ``repr`` is their JSON; each subset's pairs are one
+    ``join`` of memoised id and value texts. The pure-Python encoder of ``_dumps`` leaves
+    a reference cycle per call, so it writes few containers."""
     first = _Texts(lambda i: f'{_NL[10]}{{{_NL[11]}"a": {_quote(i)},{_NL[11]}"b": ')
     second = _Texts(lambda i: f'{_quote(i)},{_NL[11]}"value": ')
     out = ['{\n  "metadata": ', _dumps(dict(metadata or {}), 1), ',\n  "datasets": [']
@@ -179,13 +183,15 @@ def render_json(suite: StudySuite, metadata: Mapping | None = None) -> str:
                     out.append("".join(chain.from_iterable(zip(
                         map(first.__getitem__, ids_a), map(second.__getitem__, ids_b),
                         map(value.__getitem__, values), ends))) or "]" + _NL[8] + "}")
+                    yield "".join(out)
+                    out.clear()  # the members still to come append to the same list
             out.append(f',{_NL[5]}"td_mean": {study.td_mean!r},{_NL[5]}'
                        f'"normalized": {_dumps(study.normalized, 5)}{_NL[4]}}}')
     for kind in _members(out, METRIC_ORDER, 2, "}\n}\n"):
         summary = suite.summary[kind]
         out.append(f'{_quote(kind.value)}: {{{_NL[3]}"means": {_dumps(summary.means, 3)},'
                    f'{_NL[3]}"normalized": {_dumps(summary.normalized, 3)}{_NL[2]}}}')
-    return "".join(out)
+    yield "".join(out)
 
 
 RENDERERS = {
@@ -196,11 +202,17 @@ RENDERERS = {
 OUTPUT_FORMATS = tuple(RENDERERS)
 
 
-def render(suite: StudySuite, output_format: str,
-           metadata: Mapping | None = None) -> str:
+def render_parts(suite: StudySuite, output_format: str,
+                 metadata: Mapping | None = None) -> Iterator[str]:
+    """The report's text parts, produced as they are consumed."""
     try:
         renderer = RENDERERS[output_format]
     except KeyError:
         raise ValueError(f"unknown output format {output_format!r}; "
                          f"expected one of {OUTPUT_FORMATS}") from None
     return renderer(suite, metadata)
+
+
+def render(suite: StudySuite, output_format: str,
+           metadata: Mapping | None = None) -> str:
+    return "".join(render_parts(suite, output_format, metadata))

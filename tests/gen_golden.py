@@ -16,7 +16,7 @@ from pathlib import Path
 
 from asmsim.asm_parser import parse_assembly, segment_basic_blocks
 from asmsim.corpus import build_grid, load_manifest
-from asmsim.report import render_markdown
+from asmsim.report import render
 
 try:
     from . import oracles
@@ -44,7 +44,7 @@ def build_oracle_suite():
 
 def main() -> None:
     suite = build_oracle_suite()
-    text = render_markdown(suite, {"ngram_mode": "blocks"})
+    text = render(suite, "markdown", {"ngram_mode": "blocks"})
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(text, encoding="utf-8")
     print(f"wrote {GOLDEN} ({len(text)} chars)")

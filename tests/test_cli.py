@@ -2,13 +2,19 @@ import gc
 import json
 import os
 import re
+import resource
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import pytest
 
-from asmsim.cli import main
-from conftest import REPO_ROOT, run_cli
+from asmsim.cli import _write_parts, main, run_manifest_study
+from asmsim.config import ToolConfig
+from asmsim.corpus import load_datasets
+from conftest import GOLDEN, REPO_ROOT, run_cli
 
 QUOTED = r'"((?:[^"\\]|\\.)*)"'
 DIAGNOSTIC_RE = re.compile(rf"^error: code=(\d+) entity={QUOTED} message={QUOTED}$")
@@ -194,7 +200,86 @@ class TestStudy:
         out_file = tmp_path / "report.md"
         to_file = run_cli("study", corpus_manifest, "--out", out_file)
         assert to_file.returncode == 0 and to_file.stdout == b""
+        assert out_file.read_bytes() == direct.stdout == (GOLDEN / "study_3x3.md").read_bytes()
+        assert list(tmp_path.iterdir()) == [out_file]  # no temporary file is left
+
+    @pytest.mark.parametrize("fmt, golden", [("json", "study_3x3.json"), ("csv", None)])
+    def test_stdout_and_out_file_bytes_are_equal(self, corpus_manifest, tmp_path, fmt, golden):
+        direct = run_cli("study", corpus_manifest, "--format", fmt)
+        out_file = tmp_path / "report"
+        to_file = run_cli("study", corpus_manifest, "--format", fmt, "--out", out_file)
+        assert direct.returncode == 0 and to_file.returncode == 0
         assert out_file.read_bytes() == direct.stdout
+        if golden is not None:
+            assert direct.stdout == (GOLDEN / golden).read_bytes()
+        assert list(tmp_path.iterdir()) == [out_file]
+
+    def test_out_keeps_the_old_files_symlink_and_permissions(self, corpus_manifest, tmp_path):
+        (tmp_path / "reports").mkdir()
+        report = tmp_path / "reports" / "report.md"
+        report.write_text("the previous report\n")
+        report.chmod(0o600)
+        link = tmp_path / "latest.md"
+        link.symlink_to(report)
+        assert run_cli("study", corpus_manifest, "--out", link).returncode == 0
+        assert link.is_symlink()
+        assert report.read_bytes() == (GOLDEN / "study_3x3.md").read_bytes()
+        assert stat.S_IMODE(report.stat().st_mode) == 0o600
+        assert sorted(tmp_path.rglob("*")) == [link, report.parent, report]
+
+    def test_out_that_is_no_regular_file_is_written_in_place(self, corpus_manifest, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        # opening a FIFO blocks until the other end opens it too
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        result = run_cli("study", corpus_manifest, "--out", fifo)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert result.returncode == 0
+        assert received == [(GOLDEN / "study_3x3.md").read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_failed_write_keeps_the_old_out_file(self, fixtures_dir, tmp_path):
+        out_file = tmp_path / "report.json"
+        out_file.write_bytes(b"the previous report\n")
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+
+        def limit_file_size():  # the 195 KB report stops at 16 KB with EFBIG
+            resource.setrlimit(resource.RLIMIT_FSIZE,
+                               (16384, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "asmsim", "study", str(fixtures_dir / "corpus5x5" /
+             "manifest.json"), "--format", "json", "--out", str(out_file)],
+            capture_output=True, env=env, preexec_fn=limit_file_size, timeout=60)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr.decode()
+        code, entity, message = last_diagnostic(result)
+        assert (code, entity) == (2, str(out_file)) and "too large" in message
+        assert out_file.read_bytes() == b"the previous report\n"
+        assert list(tmp_path.iterdir()) == [out_file]
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_2_without_traceback(self, fixtures_dir, unbuffered):
+        # a 195 KB report, more than the pipe holds: the reader closes it midway
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        child = subprocess.Popen(
+            [sys.executable, "-m", "asmsim", "study",
+             str(fixtures_dir / "corpus5x5" / "manifest.json"), "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert child.stdout.read(10) == b'{\n  "metad'
+        child.stdout.close()
+        stderr = child.communicate(timeout=60)[1].decode()
+        assert child.returncode == 2
+        assert "Traceback" not in stderr
+        assert [l for l in stderr.splitlines() if l.startswith("error:")] == [
+            'error: code=2 entity="<stdout>" message="the reader closed the pipe"']
 
     def test_csv_format(self, corpus_manifest):
         result = run_cli("study", corpus_manifest, "--format", "csv")
@@ -363,6 +448,26 @@ class TestConfigPrecedence:
         assert last_diagnostic(result)[:2] == (2, "-")
         assert not (tmp_path / "asm").exists()
 
+    @pytest.mark.parametrize("cc", ['gcc "x', "   "], ids=["unclosed-quote", "blank"])
+    def test_cc_flag_without_a_program_exits_2_before_compiling(self, corpus_manifest,
+                                                                tmp_path, cc):
+        result = run_cli("compile", corpus_manifest, "--cc", cc, "--out", tmp_path / "asm")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr.decode()
+        assert last_diagnostic(result)[:2] == (2, "-")
+        assert not (tmp_path / "asm").exists()
+
+    @pytest.mark.parametrize("which, code", [("config", 2), ("manifest", 5)])
+    def test_file_that_is_not_utf8_exits_with_its_code(self, corpus_manifest, tmp_path,
+                                                        which, code):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"jobs": "\xff"}')
+        args = ((corpus_manifest, "--config", bad) if which == "config" else (bad,))
+        result = run_cli("study", *args)
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr.decode()
+        assert last_diagnostic(result)[:2] == (code, str(bad))
+
     @pytest.mark.parametrize("args", [
         ("extract", "{corpus}/ada_fib.s", "--format", "json"),
         ("compile", "{corpus}/manifest.json", "--out", "{tmp}/asm", "--format", "csv"),
@@ -415,6 +520,20 @@ class TestProcessPolicy:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+    def test_streamed_json_report_peaks_below_half_its_length(self, fixtures_dir, tmp_path):
+        manifest = load_datasets(fixtures_dir / "corpus5x5" / "manifest.json")
+        # the study runs here; the report is rendered as it is written below
+        parts = run_manifest_study(manifest, ToolConfig(output_format="json"))
+        report = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            _write_parts(parts, report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a report joined before it is written peaks at about twice its length
+        assert peak < report.stat().st_size / 2
 
     def test_importing_the_cli_loads_no_compile_modules(self):
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}

@@ -87,6 +87,8 @@ def test_empty_env_compiler_is_unset():
     {"compiler_flags": [1]},
     {"parser": []},
     {"parser": {"strict": "yes"}},
+    {"compiler_command": "   "},
+    {"compiler_command": 'gcc "x'},
 ])
 def test_invalid_configs_rejected(tmp_path, doc):
     path = write_config(tmp_path, doc)

@@ -14,8 +14,8 @@ from asmsim.corpus import (PROGRAMMER_SPECIFIC, GroupingResult, PairValue,
                            load_manifest, run_study)
 from asmsim.features import features_for_program
 from asmsim.metrics import MetricKind
-from asmsim.report import (format_normalized, format_value, render,
-                           render_csv, render_json, render_markdown)
+from asmsim.report import (OUTPUT_FORMATS, format_normalized, format_value, render,
+                           render_parts)
 
 import oracles
 
@@ -56,7 +56,7 @@ def test_value_formatting():
 
 
 def test_markdown_layout(suite):
-    text = render_markdown(suite, {"ngram_mode": "blocks"})
+    text = render(suite, "markdown", {"ngram_mode": "blocks"})
     lines = text.splitlines()
     assert lines[0] == "# Assembly similarity study"
     for title in ("## Instruction existence (Jaccard similarity)",
@@ -76,7 +76,7 @@ def test_markdown_layout(suite):
 
 
 def test_csv_schema(suite):
-    text = render_csv(suite)
+    text = render(suite, "csv")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["dataset", "metric", "grouping", "subset", "pairs",
                        "value", "kind"]
@@ -91,7 +91,7 @@ def test_csv_schema(suite):
 
 
 def test_json_structure(suite):
-    doc = json.loads(render_json(suite, {"ngram_mode": "blocks"}))
+    doc = json.loads(render(suite, "json", {"ngram_mode": "blocks"}))
     assert list(doc) == ["metadata", "datasets", "summary"]
     assert doc["metadata"] == {"ngram_mode": "blocks"}
     [dataset] = doc["datasets"]
@@ -107,16 +107,28 @@ def test_json_structure(suite):
 
 def test_degenerate_cells_render_as_null_and_na():
     degenerate = uniform_suite("same", [f"p{p}a{a}" for a in range(2) for p in range(2)])
-    doc = json.loads(render_json(degenerate))
+    doc = json.loads(render(degenerate, "json"))
     cell = doc["datasets"][0]["metrics"]["euclidean2"]["normalized"]
     assert cell["Programmer Specific"] is None
-    assert "| n/a |" in render_markdown(degenerate)
+    assert "| n/a |" in render(degenerate, "markdown")
 
 
 def test_render_dispatch(suite):
-    assert render(suite, "markdown") == render_markdown(suite, None)
+    assert type(render(suite, "markdown")) is str
     with pytest.raises(ValueError):
-        render(suite, "yaml")
+        render_parts(suite, "yaml")  # at the call, before any part is asked for
+
+
+@pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+def test_parts_join_to_the_rendered_report(suite, fmt):
+    parts = list(render_parts(suite, fmt, {"ngram_mode": "blocks"}))
+    assert all(type(part) is str for part in parts)
+    assert "".join(parts) == render(suite, fmt, {"ngram_mode": "blocks"})
+    if fmt == "json":  # one part ends after each subset's pairs, one holds the rest
+        subsets = sum(len(grouping.subsets) for report in suite.reports
+                      for study in report.metrics.values()
+                      for grouping in study.groupings.values())
+        assert len(parts) == subsets + 1
 
 
 def test_dict_round_trips_through_json(suite):
@@ -142,7 +154,7 @@ def test_render_json_matches_oracle_layout(suite, fixtures_dir):
         (awkward, metadata),
     ]
     for case, case_metadata in cases:
-        assert render_json(case, case_metadata) == oracle_json(case, case_metadata)
+        assert render(case, "json", case_metadata) == oracle_json(case, case_metadata)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16])
@@ -171,7 +183,7 @@ def test_render_json_memo_keeps_signed_zeros_apart(suite):
                 PairValue("x", AWKWARD, 1e16)]
     memo_suite = with_subsets(suite, "memo", [(zeros, 0.0), (signed, -0.0), ([], 0.5),
                                                (repeated, 0.1)], -0.0, 0.0)
-    assert render_json(memo_suite, {"memo": -0.0}) == oracle_json(memo_suite, {"memo": -0.0})
+    assert render(memo_suite, "json", {"memo": -0.0}) == oracle_json(memo_suite, {"memo": -0.0})
 
 
 @st.composite
@@ -189,4 +201,4 @@ def pooled_subsets(draw):
 def test_render_json_matches_oracle_on_random_pairs(suite, name, subset_draws,
                                                     grouping_mean, td_mean):
     random_suite = with_subsets(suite, name, subset_draws, grouping_mean, td_mean)
-    assert render_json(random_suite, {name: name}) == oracle_json(random_suite, {name: name})
+    assert render(random_suite, "json", {name: name}) == oracle_json(random_suite, {name: name})
