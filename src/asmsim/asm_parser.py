@@ -41,6 +41,11 @@ _MNEMONIC_RE = re.compile(r"^[A-Za-z][A-Za-z0-9._]*$")
 _LABEL_RE = re.compile(r"^(?:[A-Za-z_.$][A-Za-z0-9_.$]*|[0-9]+)$")
 _OPERAND_TOKEN_RE = re.compile(r"[A-Za-z_.$][A-Za-z0-9_.$]*")
 
+# Raw first token -> interned mnemonic for every parse_assembly call; an
+# entry depends on its token alone, never on a ParserConfig.
+_MNEMONIC_MEMO: dict[str, str] = {}
+_MEMO_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class ParserConfig:
@@ -130,11 +135,11 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
     recorded in ``diagnostics`` otherwise. Any line-ending convention is
     accepted.
 
-    Each call keeps a memo from a raw first token to its mnemonic; only
-    tokens ``_MNEMONIC_RE`` has accepted enter it, so a line starting with
-    a memoised token is an instruction with no further checks. An
-    instruction line costs one append to each of the program's three
-    lists and builds no row.
+    All calls share one memo from a raw first token to its mnemonic,
+    emptied at ``_MEMO_LIMIT`` tokens; only tokens ``_MNEMONIC_RE`` has
+    accepted enter it, so a line starting with a memoised token is an
+    instruction with no further checks. An instruction line costs one
+    append to each of the program's three lists and builds no row.
     """
     mnemonics: list[str] = []
     operands: list[str] = []
@@ -143,7 +148,7 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
     diagnostics: list[tuple[int, str]] = []
     add_mnemonic, add_operands, add_line_no = mnemonics.append, operands.append, line_nos.append
     comment = config.comment_re.search
-    memo: dict[str, str] = {}
+    memo = _MNEMONIC_MEMO
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         cut = comment(raw_line)
@@ -168,6 +173,8 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
                     mnemonic = head[0].lower()
                     if mnemonic.endswith((".n", ".w")):
                         mnemonic = mnemonic[:-2]
+                    if len(memo) >= _MEMO_LIMIT:
+                        memo.clear()
                     # one str object per distinct mnemonic, so pattern tuples
                     # compare by identity in the pair scorers' set intersections
                     mnemonic = memo[head[0]] = sys.intern(mnemonic)

@@ -24,7 +24,7 @@ from .config import ToolConfig, config_from_dict, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
                      load_datasets, run_study)
 from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
-from .features import ProgramFeatures, features_for_program, features_to_dict
+from .features import NGram, ProgramFeatures, features_for_program, features_to_dict
 from .metrics import MetricKind, pair_value
 from .report import OUTPUT_FORMATS, format_value, render_parts
 
@@ -150,8 +150,8 @@ def _write_parts(parts: Iterable[str], path: Path | None) -> None:
             target.unlink(missing_ok=True)  # gone after a rename
 
 
-def file_features(path: Path, config: ToolConfig,
-                  entity: str | None = None) -> ProgramFeatures:
+def file_features(path: Path, config: ToolConfig, entity: str | None = None,
+                  pool: dict[NGram, NGram] | None = None) -> ProgramFeatures:
     """Read, parse and featurize one assembly file.
 
     Prints a ``warning: <path>:<line>: ...`` line on stderr for every line
@@ -165,7 +165,7 @@ def file_features(path: Path, config: ToolConfig,
     for line_no, message in program.diagnostics:
         print(f"warning: {path}:{line_no}: {message}", file=sys.stderr)
     return features_for_program(program, config.parser,
-                                linear=config.ngram_mode == "linear")
+                                linear=config.ngram_mode == "linear", pool=pool)
 
 
 def collect_inputs(paths: Sequence[Path], glob_pattern: str) -> list[Path]:
@@ -250,8 +250,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def corpus_features(entries: Sequence[ProgramEntry],
                     config: ToolConfig) -> dict[str, ProgramFeatures]:
-    """Features of every corpus entry, keyed by entry id, in entry order."""
-    return {entry.id: file_features(entry.path, config, entry.id) for entry in entries}
+    """Features of every corpus entry, keyed by entry id, in entry order;
+    the entries share one tuple per distinct 2-gram."""
+    pool: dict[NGram, NGram] = {}
+    return {entry.id: file_features(entry.path, config, entry.id, pool) for entry in entries}
 
 
 def run_manifest_study(manifest: ManifestData, config: ToolConfig) -> Iterator[str]:

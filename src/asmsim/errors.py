@@ -8,6 +8,8 @@ coordinate, ...) so diagnostics can point at the offending object, and an
 
 from __future__ import annotations
 
+import json
+
 
 class AsmSimError(Exception):
     """Base class for all errors raised by this package."""
@@ -20,14 +22,14 @@ class AsmSimError(Exception):
         self.entity = entity
 
     def diagnostic(self) -> str:
-        """One machine-parseable line: code, entity, message; the quoted
-        values escape each ``\\`` and ``"`` with a backslash."""
+        """One machine-parseable line: code, entity, message; the values are
+        JSON strings, so a ``"``, ``\\`` or control character is escaped."""
         entity = _quote(self.entity if self.entity is not None else "-")
         return f"error: code={self.exit_code} entity={entity} message={_quote(self.message)}"
 
 
 def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(text, ensure_ascii=False)
 
 
 class InputError(AsmSimError):

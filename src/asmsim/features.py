@@ -27,11 +27,12 @@ class PatternSet:
 
 
 def extract_ngrams(mnemonics: Sequence[str], blocks: Sequence[BasicBlock],
-                   n: int) -> PatternSet:
+                   n: int, pool: dict[NGram, NGram] | None = None) -> PatternSet:
     """All length-n sliding windows of ``mnemonics`` taken within each block.
 
     Windows never cross block boundaries; a block of length L contributes
-    max(L - n + 1, 0) windows before de-duplication.
+    max(L - n + 1, 0) windows before de-duplication. A ``pool`` maps each
+    pattern to its one shared tuple; patterns it lacks are added to it.
     """
     if n < 2:
         raise ValueError(f"pattern length must be >= 2, got {n}")
@@ -40,7 +41,10 @@ def extract_ngrams(mnemonics: Sequence[str], blocks: Sequence[BasicBlock],
         if end - start >= n:
             starts[start:end - n + 1] = b"\x01" * (end - start - n + 1)
     windows = zip(*(mnemonics[k:] for k in range(n)))
-    return PatternSet(n, frozenset(compress(windows, starts)))
+    patterns = frozenset(compress(windows, starts))
+    if pool is not None:
+        patterns = frozenset(map(pool.setdefault, patterns, patterns))
+    return PatternSet(n, patterns)
 
 
 @dataclass(frozen=True)
@@ -55,26 +59,30 @@ class ProgramFeatures:
         return self.patterns2 if n == 2 else self.patterns3
 
 
-def compute_features(program: AssemblyProgram, blocks: Sequence[BasicBlock]) -> ProgramFeatures:
-    """Count ``program.mnemonics`` and slide both pattern windows over it."""
+def compute_features(program: AssemblyProgram, blocks: Sequence[BasicBlock],
+                     pool: dict[NGram, NGram] | None = None) -> ProgramFeatures:
+    """Count ``program.mnemonics`` and slide both pattern windows over it;
+    only 2-grams, which recur across a corpus, go through ``pool``."""
     mnemonics = program.mnemonics
     return ProgramFeatures(
         frequency=Counter(mnemonics),
-        patterns2=extract_ngrams(mnemonics, blocks, 2),
+        patterns2=extract_ngrams(mnemonics, blocks, 2, pool),
         patterns3=extract_ngrams(mnemonics, blocks, 3),
     )
 
 
 def features_for_program(program: AssemblyProgram,
                          config: ParserConfig = DEFAULT_CONFIG, *,
-                         linear: bool = False) -> ProgramFeatures:
+                         linear: bool = False,
+                         pool: dict[NGram, NGram] | None = None) -> ProgramFeatures:
     """Segment and featurize in one step.
 
     ``linear=True`` skips basic-block segmentation so patterns may span
-    branch boundaries.
+    branch boundaries. ``pool`` shares the 2-gram tuples of every program
+    featurized through it (see :func:`compute_features`).
     """
     blocks = linear_blocks(program) if linear else segment_basic_blocks(program, config)
-    return compute_features(program, blocks)
+    return compute_features(program, blocks, pool)
 
 
 def features_to_dict(features: ProgramFeatures) -> dict:

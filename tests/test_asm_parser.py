@@ -1,5 +1,6 @@
 import pytest
 
+from asmsim import asm_parser
 from asmsim.asm_parser import (ParserConfig, is_branch, linear_blocks,
                                parse_assembly, segment_basic_blocks)
 from asmsim.errors import ParseError
@@ -164,6 +165,23 @@ class TestMnemonicMemo:
         assert operands(semicolon) == ["r0, r1", "r0, r1 @ two"]
         assert operands(ParserConfig(comment_markers=frozenset())) == [
             "r0, r1 ; one", "r0, r1 @ two"]
+
+    def test_memo_is_shared_by_calls(self):
+        parse_assembly("\tMemoShared.W r0\n")
+        assert asm_parser._MNEMONIC_MEMO["MemoShared.W"] == "memoshared"
+
+    def test_more_tokens_than_the_bound_keep_the_memo_within_it(self):
+        limit = asm_parser._MEMO_LIMIT
+        # every token twice, so some second sightings fall after a clearing
+        text = "".join(f"\tT{i} r0\n\tnop\n" for i in range(limit + 100)) * 2
+        program = parse_assembly(text)
+        assert 0 < len(asm_parser._MNEMONIC_MEMO) <= limit
+        expected = oracles.oracle_parse(text, ParserConfig())
+        assert program.mnemonics == expected.mnemonics
+        assert program.operands == expected.operands
+        assert program.line_nos == expected.line_nos
+        assert program.diagnostics == expected.diagnostics == []
+        assert len(program.mnemonics) == 4 * (limit + 100)
 
 
 class TestBranchClassification:

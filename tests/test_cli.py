@@ -21,7 +21,7 @@ DIAGNOSTIC_RE = re.compile(rf"^error: code=(\d+) entity={QUOTED} message={QUOTED
 
 
 def unquote(text):
-    return re.sub(r"\\(.)", r"\1", text)
+    return json.loads(f'"{text}"')
 
 
 def write_asm(path, *lines):
@@ -106,8 +106,8 @@ class TestExtract:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert json.loads(child.stdout.readline())
         child.stdout.close()
-        stderr = child.stderr.read().decode()
-        assert child.wait() == 2
+        stderr = child.communicate(timeout=60)[1].decode()
+        assert child.returncode == 2
         assert "Traceback" not in stderr
         assert [l for l in stderr.splitlines() if l.startswith("error:")] == [
             'error: code=2 entity="<stdout>" message="the reader closed the pipe"']
@@ -304,6 +304,19 @@ class TestStudy:
         result = run_cli("study", manifest)
         assert result.returncode == 5
         assert last_diagnostic(result) == (5, str(manifest), '"programs" must be a list')
+
+    @pytest.mark.parametrize("name", ["x\n.s", "x\u0000.s", "x\r\t\x1b.s"],
+                             ids=["newline", "nul", "cr-tab-esc"])
+    def test_control_characters_in_a_diagnostic_are_escaped(self, tmp_path, name):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"programs": [
+            {"id": "a", "path": name, "programmer": "p", "application": "x"}]}))
+        result = run_cli("study", manifest)
+        assert result.returncode == 2
+        assert result.stderr.count(b"\n") == 1 and result.stderr.endswith(b"\n")
+        assert not any(byte < 0x20 for byte in result.stderr[:-1])
+        assert last_diagnostic(result) == (2, f"{manifest}#programs[0]",
+                                           f"program file not found: {tmp_path / name}")
 
     def test_unwritable_out_exits_2(self, corpus_manifest, tmp_path):
         target = tmp_path / "no" / "dir" / "report.md"

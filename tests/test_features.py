@@ -4,7 +4,9 @@ from collections import Counter
 import pytest
 
 from asmsim.asm_parser import parse_assembly, segment_basic_blocks
-from asmsim.corpus import build_universes
+from asmsim.cli import corpus_features
+from asmsim.config import ToolConfig
+from asmsim.corpus import build_universes, load_datasets
 from asmsim.features import (PatternSet, ProgramFeatures, compute_features,
                              extract_ngrams, features_for_program,
                              features_to_dict)
@@ -146,6 +148,34 @@ class TestFeatureBundle:
         assert dump["freq"] == {"add": 1, "mov": 2}
         assert dump["ngrams2"] == [["add", "mov"], ["mov", "add"]]
         assert dump["ngrams3"] == [["mov", "add", "mov"]]
+
+
+class TestPatternPool:
+    def test_pool_swaps_in_its_tuples_and_learns_new_ones(self):
+        program = program_of("mov r0", "add r1", "mov r2", "add r3")
+        blocks = segment_basic_blocks(program)
+        shared = ("mov", "add")
+        pool = {shared: shared}
+        pooled = extract_ngrams(program.mnemonics, blocks, 2, pool)
+        assert pooled == extract_ngrams(program.mnemonics, blocks, 2)
+        assert any(pattern is shared for pattern in pooled.patterns)
+        assert pool == {shared: shared, ("add", "mov"): ("add", "mov")}
+        assert all(pool[pattern] is pattern for pattern in pooled.patterns)
+
+    def test_only_2grams_enter_the_pool(self):
+        program = program_of("mov r0", "add r1", "mov r2", "sub r3")
+        pool = {}
+        features = compute_features(program, segment_basic_blocks(program), pool)
+        assert features == compute_features(program, segment_basic_blocks(program))
+        assert set(pool) == features.patterns2.patterns
+
+    def test_corpus_shares_one_tuple_per_2gram(self, fixtures_dir):
+        [(_, entries)] = load_datasets(fixtures_dir / "corpus5x5" / "manifest.json").datasets
+        pooled = corpus_features(entries, ToolConfig())
+        assert pooled == {entry.id: features_for_program(parse_assembly(entry.path.read_text()))
+                          for entry in entries}
+        occurrences = [p for features in pooled.values() for p in features.patterns2.patterns]
+        assert len({id(p) for p in occurrences}) == len(set(occurrences)) < len(occurrences)
 
 
 class TestOracleEquivalence:

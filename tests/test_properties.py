@@ -88,8 +88,15 @@ MARKER_SETS = [frozenset({"@", "//"}), frozenset({"@", "//", "#", ";"}),
 
 
 class TestParserOracle:
-    @given(st.integers(0, 10**9), st.sampled_from(MARKER_SETS))
-    def test_lenient_parse_matches_oracle(self, seed, markers):
+    @given(st.lists(st.tuples(st.integers(0, 10**9), st.sampled_from(MARKER_SETS)),
+                    min_size=1, max_size=5))
+    def test_lenient_parse_matches_oracle(self, listings):
+        # every call shares the mnemonic memo: the listings parsed before,
+        # under other comment markers, must not change the last parse
+        *before, (seed, markers) = listings
+        for other_seed, other_markers in before:
+            parse_assembly(oracles.random_listing_text(random.Random(other_seed)),
+                           ParserConfig(comment_markers=other_markers))
         text = oracles.random_listing_text(random.Random(seed))
         config = ParserConfig(comment_markers=markers)
         program = parse_assembly(text, config)
