@@ -1,15 +1,13 @@
 """Assembly-level program similarity metrics and corpus grouping studies."""
 
-from .asm_parser import (AssemblyProgram, BasicBlock, Instruction, ParserConfig,
-                         is_branch, linear_blocks, parse_assembly,
-                         segment_basic_blocks)
+from .asm_parser import (AssemblyProgram, BasicBlock, ParserConfig, is_branch,
+                         linear_blocks, parse_assembly, segment_basic_blocks)
 from .corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL,
                      CorpusGrid, GroupingKind, GroupingScheme, ProgramEntry,
                      StudyReport, StudySuite, Subset, build_grid, build_suite,
                      build_universes, coprime_strides, default_strides,
-                     enumerate_subsets, group_mean, load_datasets, load_manifest,
-                     normalize, pairwise_values, run_study, subset_mean,
-                     td_aggregate, totally_different)
+                     enumerate_subsets, load_datasets, normalize, pairwise_values,
+                     run_study, totally_different)
 from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
                      IncompleteGridError, InputError, InvalidStrideError,
                      ManifestError, NormalizationError, ParseError,

@@ -78,20 +78,10 @@ class ParserConfig:
 DEFAULT_CONFIG = ParserConfig()
 
 
-class Instruction(NamedTuple):
-    """One instruction: lowercase mnemonic, uninterpreted operand text.
-    A row of :attr:`AssemblyProgram.instructions`; the parser builds none."""
-
-    mnemonic: str
-    operands_raw: str
-    line_no: int
-
-
 @dataclass
 class AssemblyProgram:
     """Parsed instruction stream, one list per field: instruction ``i`` is
-    ``mnemonics[i]`` with operand text ``operands[i]`` from source line
-    ``line_nos[i]``.
+    ``mnemonics[i]`` with operand text ``operands[i]``.
 
     ``labels`` maps a label name to the index of the instruction that
     follows it; a label at end of file maps to ``len(mnemonics)``.
@@ -101,14 +91,14 @@ class AssemblyProgram:
 
     mnemonics: list[str]
     operands: list[str]
-    line_nos: list[int]
     labels: dict[str, int]
     diagnostics: list[tuple[int, str]] = field(default_factory=list)
 
     @property
-    def instructions(self) -> list[Instruction]:
-        """The three lists zipped into rows; built anew on every read."""
-        return list(map(Instruction, self.mnemonics, self.operands, self.line_nos))
+    def instructions(self) -> list[tuple[str, str]]:
+        """(mnemonic, operands) rows, built anew on every read; kept for
+        ``bench/``, which takes their count."""
+        return list(zip(self.mnemonics, self.operands))
 
 
 class BasicBlock(NamedTuple):
@@ -139,14 +129,13 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
     emptied at ``_MEMO_LIMIT`` tokens; only tokens ``_MNEMONIC_RE`` has
     accepted enter it, so a line starting with a memoised token is an
     instruction with no further checks. An instruction line costs one
-    append to each of the program's three lists and builds no row.
+    append to each of the program's two lists and builds no row.
     """
     mnemonics: list[str] = []
     operands: list[str] = []
-    line_nos: list[int] = []
     labels: dict[str, int] = {}
     diagnostics: list[tuple[int, str]] = []
-    add_mnemonic, add_operands, add_line_no = mnemonics.append, operands.append, line_nos.append
+    add_mnemonic, add_operands = mnemonics.append, operands.append
     comment = config.comment_re.search
     memo = _MNEMONIC_MEMO
 
@@ -187,9 +176,8 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
                 continue
         add_mnemonic(mnemonic)
         add_operands(head[1] if len(head) > 1 else "")
-        add_line_no(line_no)
 
-    return AssemblyProgram(mnemonics, operands, line_nos, labels, diagnostics)
+    return AssemblyProgram(mnemonics, operands, labels, diagnostics)
 
 
 def is_branch(mnemonic: str, operands_raw: str,

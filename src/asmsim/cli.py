@@ -14,7 +14,6 @@ import argparse
 import gc
 import json
 import os
-import stat
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -22,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 from .asm_parser import parse_assembly
 from .config import ToolConfig, config_from_dict, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
-                     load_datasets, run_study)
+                     load_datasets, run_study, write_file)
 from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
 from .features import NGram, ProgramFeatures, features_for_program, features_to_dict
 from .metrics import MetricKind, pair_value
@@ -44,110 +43,97 @@ def _parse_strides(value: str) -> list[int]:
             f"expected comma-separated integers, got {value!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, metavar="PATH",
-                        help="JSON config file")
-    common.add_argument("--jobs", type=int, metavar="N",
-                        help="compiler processes run at once (compile)")
-    common.add_argument("--strict", action="store_true", default=None,
-                        help="abort on unclassifiable assembly lines")
-    common.add_argument("--linear-ngrams", action="store_true", default=None,
-                        help="let instruction patterns cross basic-block boundaries")
-    common.add_argument("--strides", type=_parse_strides, metavar="S1,S2,...",
-                        help="explicit totally-different strides")
+# ToolConfig key -> the flag that sets it, whose dest is that key, and its options
+_SETTINGS = {
+    "jobs": ("--jobs", dict(type=int, metavar="N",
+                            help="compiler processes run at once (compile)")),
+    "parser": ("--strict", dict(action="store_const", const={"strict": True},
+                                help="abort on unclassifiable assembly lines")),
+    "ngram_mode": ("--linear-ngrams", dict(
+        action="store_const", const="linear",
+        help="let instruction patterns cross basic-block boundaries")),
+    "strides": ("--strides", dict(type=_parse_strides, metavar="S1,S2,...",
+                                  help="explicit totally-different strides")),
+    "compiler_command": ("--cc", dict(
+        metavar="CMD", help="compiler command template ({input}/{output} placeholders)")),
+    "output_format": ("--format", dict(choices=OUTPUT_FORMATS,
+                                       help="report format (default: markdown)")),
+}
 
+
+def _command(sub, name: str, func, help: str, *settings: str) -> argparse.ArgumentParser:
+    """A subcommand taking ``--config`` and the flags of ``settings``, the
+    ToolConfig keys that it reads."""
+    command = sub.add_parser(name, help=help)
+    command.add_argument("--config", type=Path, metavar="PATH", help="JSON config file")
+    for key in settings:
+        flag, options = _SETTINGS[key]
+        command.add_argument(flag, dest=key, **options)
+    command.set_defaults(func=func)
+    return command
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asmsim",
         description="Assembly-level program similarity metrics and corpus studies.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_extract = sub.add_parser("extract", parents=[common],
-                               help="dump per-file feature sets as JSON")
+    p_extract = _command(sub, "extract", cmd_extract, "dump per-file feature sets as JSON",
+                         "parser", "ngram_mode")
     p_extract.add_argument("paths", nargs="+", type=Path,
                            help="assembly files or directories")
     p_extract.add_argument("--glob", default="*.s", metavar="PATTERN",
                            help="pattern for directory inputs (default: *.s)")
     p_extract.add_argument("--out", type=Path, metavar="DIR",
                            help="write one JSON file per input instead of stdout")
-    p_extract.set_defaults(func=cmd_extract)
 
-    p_compare = sub.add_parser("compare", parents=[common],
-                               help="compare two assembly files")
+    p_compare = _command(sub, "compare", cmd_compare, "compare two assembly files",
+                         "parser", "ngram_mode")
     p_compare.add_argument("file_a", type=Path)
     p_compare.add_argument("file_b", type=Path)
-    p_compare.add_argument("--metric", choices=[*COMPARE_METRICS, "all"],
-                           default="all")
+    p_compare.add_argument("--metric", choices=[*COMPARE_METRICS, "all"], default="all")
     p_compare.add_argument("--format", choices=["text", "json"], default="text",
                            help="output format (default: text)")
-    p_compare.set_defaults(func=cmd_compare)
 
-    p_compile = sub.add_parser("compile", parents=[common],
-                               help="cross-compile corpus sources to assembly")
+    p_compile = _command(sub, "compile", cmd_compile,
+                         "cross-compile corpus sources to assembly",
+                         "jobs", "compiler_command")
     p_compile.add_argument("manifest", type=Path)
     p_compile.add_argument("--out", type=Path, default=Path("asmsim-out"),
                            metavar="DIR", help="output directory (default: asmsim-out)")
-    p_compile.add_argument("--cc", metavar="CMD",
-                           help="compiler command template ({input}/{output} placeholders)")
-    p_compile.set_defaults(func=cmd_compile)
 
-    p_study = sub.add_parser("study", parents=[common],
-                             help="run the grouping study over a corpus manifest")
+    # study reads no jobs; it takes --jobs only because bench/run.py passes it
+    p_study = _command(sub, "study", cmd_study,
+                       "run the grouping study over a corpus manifest",
+                       "parser", "ngram_mode", "strides", "output_format", "jobs")
     p_study.add_argument("manifest", type=Path)
     p_study.add_argument("--out", type=Path, metavar="FILE",
                          help="write the report to a file instead of stdout")
-    p_study.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS,
-                         help="report format (default: markdown)")
-    p_study.set_defaults(func=cmd_study)
 
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> ToolConfig:
-    """Defaults < environment < config file < explicit CLI flags."""
-    flags = {"compiler_command": getattr(args, "cc", None),
-             "output_format": getattr(args, "output_format", None),
-             "jobs": args.jobs,
-             "strides": args.strides,
-             "ngram_mode": "linear" if args.linear_ngrams else None,
-             "parser": {"strict": True} if args.strict else None}
-    return config_from_dict({key: value for key, value in flags.items() if value is not None},
-                            load_tool_config(args.config), entity=None)
+    """Defaults < environment < config file < explicit CLI flags, which
+    are the set args whose dest is a ToolConfig key."""
+    flags = {key: value for key, value in vars(args).items()
+             if key in _SETTINGS and value is not None}
+    return config_from_dict(flags, load_tool_config(args.config), entity=None)
 
 
 def _write_parts(parts: Iterable[str], path: Path | None) -> None:
-    """Write ``parts`` as they come to ``path``, or to stdout if it is None.
-
-    A file is written under a temporary name beside ``path`` and renamed
-    over it when whole, so a failed write leaves no partial file and an old
-    one unchanged; a symlink is followed first, and the new file takes the
-    old one's permissions. A path that exists but is no regular file, such
-    as ``/dev/null`` or a FIFO, is written in place.
-    """
-    if path is None:
-        sys.stdout.flush()
-        # a buffered writer retries a short write, as when the reader closes
-        # the pipe midway; the raw fd under `python -u`'s text layer drops it
-        with open(sys.stdout.fileno(), "wb", closefd=False) as sink:
-            for part in parts:
-                sink.write(part.encode(sys.stdout.encoding, sys.stdout.errors))
+    """Write ``parts`` as they come to the file ``path`` (see
+    :func:`corpus.write_file`), or to stdout if it is None."""
+    if path is not None:
+        write_file(path, parts)
         return
-    in_place = path.exists() and not path.is_file()
-    final = path.resolve()
-    target = path if in_place else final.with_name(f"{final.name}.{os.getpid()}.partial")
-    try:
-        with open(target, "wb") as sink:
-            if final.is_file():  # an old report, never in place: keep its permissions
-                os.chmod(sink.fileno(), stat.S_IMODE(final.stat().st_mode))
-            for part in parts:
-                sink.write(part.encode("utf-8"))
-        if not in_place:
-            os.replace(target, final)
-    except OSError as exc:
-        raise InputError(f"cannot write file: {exc}", entity=str(path)) from exc
-    finally:
-        if not in_place:
-            target.unlink(missing_ok=True)  # gone after a rename
+    sys.stdout.flush()
+    # a buffered writer retries a short write, as when the reader closes
+    # the pipe midway; the raw fd under `python -u`'s text layer drops it
+    with open(sys.stdout.fileno(), "wb", closefd=False) as sink:
+        for part in parts:
+            sink.write(part.encode(sys.stdout.encoding, sys.stdout.errors))
 
 
 def file_features(path: Path, config: ToolConfig, entity: str | None = None,

@@ -114,7 +114,3 @@ def load_tool_config(path: str | Path | None = None, *,
         config = config_from_dict(doc, config, entity=str(path))
     return config
 
-
-__all__ = ["ToolConfig", "config_from_dict", "load_tool_config",
-           "COMPILER_ENV_VAR", "DEFAULT_COMPILER_COMMAND", "DEFAULT_COMPILER_FLAGS",
-           "NGRAM_MODES"]

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice, repeat
@@ -90,6 +92,34 @@ def load_json_object(path: Path, what: str, error: type[AsmSimError]) -> dict:
     return doc
 
 
+def write_file(path: Path, parts: Iterable[str]) -> None:
+    """Write ``parts`` as they come to ``path``, UTF-8 encoded.
+
+    The file is written under a temporary name beside ``path`` and renamed
+    over it when whole, so a failed write leaves no partial file and an old
+    one unchanged; a symlink is followed first, and the new file takes the
+    old one's permissions. A path that exists but is no regular file, such
+    as ``/dev/null`` or a FIFO, is written in place. Any failure is an
+    :class:`InputError`.
+    """
+    in_place = path.exists() and not path.is_file()
+    final = path.resolve()
+    target = path if in_place else final.with_name(f"{final.name}.{os.getpid()}.partial")
+    try:
+        with open(target, "wb") as sink:
+            if final.is_file():  # an old file, never in place: keep its permissions
+                os.chmod(sink.fileno(), stat.S_IMODE(final.stat().st_mode))
+            for part in parts:
+                sink.write(part.encode("utf-8"))
+        if not in_place:
+            os.replace(target, final)
+    except OSError as exc:
+        raise InputError(f"cannot write file: {exc}", entity=str(path)) from exc
+    finally:
+        if not in_place:
+            target.unlink(missing_ok=True)  # gone after a rename
+
+
 def load_datasets(path: str | Path) -> ManifestData:
     """Load a manifest holding either one dataset or a list of them.
 
@@ -128,15 +158,6 @@ def load_datasets(path: str | Path) -> ManifestData:
         datasets.append((name, _parse_entries(item.get("programs"), path.parent,
                                               where=entity)))
     return ManifestData(datasets, dict(metadata))
-
-
-def load_manifest(path: str | Path) -> list[ProgramEntry]:
-    """Load a single-dataset manifest into its program entries."""
-    data = load_datasets(path)
-    if len(data.datasets) != 1:
-        raise ManifestError("manifest holds multiple datasets; use load_datasets",
-                            entity=str(path))
-    return data.datasets[0][1]
 
 
 @dataclass
@@ -322,32 +343,18 @@ def pairwise_values(subset: Subset, kind: MetricKind,
             in zip(combinations(members, 2), values)]
 
 
-def _mean(values: Iterable[float], what: str) -> float:
+def _mean(values: Iterable[float]) -> float:
+    """Arithmetic mean of pair values, subset means or grouping means."""
     values = list(values)
     if not values:
-        raise ValueError(f"cannot average an empty list of {what}")
+        raise ValueError("cannot average an empty list")
     # fsum is correctly rounded, so the result cannot depend on the order
     # in which pairs or subsets happen to be enumerated
     return math.fsum(values) / len(values)
 
 
-def subset_mean(values: Iterable[float]) -> float:
-    """Arithmetic mean of a subset's C(k, 2) pair values."""
-    return _mean(values, "pair values")
-
-
-def group_mean(subset_means: Iterable[float]) -> float:
-    """Arithmetic mean of a grouping's subset means."""
-    return _mean(subset_means, "subset means")
-
-
-def td_aggregate(grouping_means: Iterable[float]) -> float:
-    """Mean of the totally-different grouping means.
-
-    Every grouping has the same pair count, so this equals the pooled
-    mean over all totally-different pair values.
-    """
-    return _mean(grouping_means, "grouping means")
+# bench/traced.py imports these three names
+subset_mean = group_mean = td_aggregate = _mean
 
 
 def normalize(group_value: float, td_value: float, kind: MetricKind) -> float:
@@ -416,9 +423,9 @@ def _summary(groupings: Sequence[Mapping[str, GroupingResult]], kind: MetricKind
     """Means and normalized indices of the programmer-specific,
     application-specific and totally-different columns, in that order,
     pooled over the grouping means of one or more datasets."""
-    means = {label: _mean((g[label].mean for g in groupings), "dataset values")
+    means = {label: _mean(g[label].mean for g in groupings)
              for label in (PROGRAMMER_SPECIFIC.label, APPLICATION_SPECIFIC.label)}
-    td = means[TD_LABEL] = td_aggregate(
+    td = means[TD_LABEL] = _mean(
         result.mean for g in groupings for result in g.values()
         if result.scheme.kind is GroupingKind.TOTALLY_DIFFERENT)
     normalized: dict[str, float | None] = {}
@@ -469,9 +476,9 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
                 chunk = list(islice(values, len(ids_a)))
                 # tuple.__new__ skips PairValue's Python __new__
                 pairs = list(map(tuple.__new__, repeat(PairValue), zip(ids_a, ids_b, chunk)))
-                summaries.append(SubsetSummary(label, pairs, subset_mean(chunk)))
+                summaries.append(SubsetSummary(label, pairs, _mean(chunk)))
             groupings[scheme.label] = GroupingResult(
-                scheme, summaries, group_mean(s.mean for s in summaries))
+                scheme, summaries, _mean(s.mean for s in summaries))
         means, normalized = _summary([groupings], kind)
         metrics[kind] = MetricStudy(kind, groupings, means[TD_LABEL], normalized)
 

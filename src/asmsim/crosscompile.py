@@ -7,8 +7,8 @@ never invoke the compiler. ``jobs`` compiler processes run at once, each
 distinct hash is compiled once per run, and a compile replaces its cache
 file only on success; partial files of compiles whose process is gone
 are removed. A derived manifest pointing at the assembly files is
-written (atomically) next to the cache so the study step can consume it
-directly.
+written (atomically, by :func:`corpus.write_file`) next to the cache so
+the study step can consume it directly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import ToolConfig
-from .corpus import ManifestData, ProgramEntry
+from .corpus import ManifestData, ProgramEntry, write_file
 from .errors import InputError, ToolError
 
 
@@ -216,12 +216,6 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
         doc = {"datasets": derived_datasets}
     doc["metadata"] = metadata
 
-    # a failed write leaves the previous manifest whole, as for the cache
     manifest_path = out_dir / "manifest.json"
-    partial = out_dir / f"manifest.{os.getpid()}.partial.json"
-    try:
-        partial.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        os.replace(partial, manifest_path)
-    finally:
-        partial.unlink(missing_ok=True)
+    write_file(manifest_path, (json.dumps(doc, indent=2), "\n"))
     return CompileResult(outcomes, manifest_path)

@@ -23,13 +23,17 @@ class AsmSimError(Exception):
 
     def diagnostic(self) -> str:
         """One machine-parseable line: code, entity, message; the values are
-        JSON strings, so a ``"``, ``\\`` or control character is escaped."""
+        JSON strings, so ``"``, ``\\``, control characters and line breaks are escaped."""
         entity = _quote(self.entity if self.entity is not None else "-")
         return f"error: code={self.exit_code} entity={entity} message={_quote(self.message)}"
 
 
+# json.dumps leaves these raw, yet str.splitlines breaks lines at them
+_LINE_SEPARATORS = {0x85: "\\u0085", 0x2028: "\\u2028", 0x2029: "\\u2029"}
+
+
 def _quote(text: str) -> str:
-    return json.dumps(text, ensure_ascii=False)
+    return json.dumps(text, ensure_ascii=False).translate(_LINE_SEPARATORS)
 
 
 class InputError(AsmSimError):

@@ -94,8 +94,3 @@ def features_to_dict(features: ProgramFeatures) -> dict:
         "ngrams3": [list(p) for p in sorted(features.patterns3.patterns)],
     }
 
-
-__all__ = [
-    "NGram", "PatternSet", "ProgramFeatures", "extract_ngrams",
-    "compute_features", "features_for_program", "features_to_dict",
-]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from asmsim.asm_parser import parse_assembly, segment_basic_blocks
-from asmsim.corpus import build_grid, load_manifest
+from asmsim.corpus import build_grid, load_datasets
 from asmsim.report import render
 
 try:
@@ -29,7 +29,7 @@ GOLDEN = HERE / "golden" / "study_3x3.md"
 
 
 def build_oracle_suite():
-    entries = load_manifest(CORPUS / "manifest.json")
+    entries = load_datasets(CORPUS / "manifest.json").datasets[0][1]
     grid = build_grid(entries)
     features = {}
     for entry in entries:

@@ -31,8 +31,8 @@ def canonical_source(program: AssemblyProgram) -> str:
     Parsing the result again yields the same instruction stream (labels
     and diagnostics are dropped).
     """
-    return "".join(f"\t{ins.mnemonic} {ins.operands_raw}".rstrip() + "\n"
-                   for ins in program.instructions)
+    return "".join(f"\t{mnemonic} {operands}".rstrip() + "\n"
+                   for mnemonic, operands in zip(program.mnemonics, program.operands))
 
 
 ORACLE_MNEMONIC_RE = re.compile(r"^[A-Za-z][A-Za-z0-9._]*$")
@@ -56,7 +56,6 @@ def oracle_parse(text: str, config: ParserConfig, *,
     one by one, then a directive, an instruction or a diagnostic."""
     mnemonics: list[str] = []
     operands: list[str] = []
-    line_nos: list[int] = []
     labels: dict[str, int] = {}
     diagnostics: list[tuple[int, str]] = []
 
@@ -82,14 +81,13 @@ def oracle_parse(text: str, config: ParserConfig, *,
                     mnemonic = mnemonic[:-2]
                 mnemonics.append(mnemonic)
                 operands.append(head[1] if len(head) > 1 else "")
-                line_nos.append(line_no)
 
         if problem is not None:
             if config.strict:
                 raise ParseError(problem, entity=f"{source_name}:{line_no}")
             diagnostics.append((line_no, problem))
 
-    return AssemblyProgram(mnemonics, operands, line_nos, labels, diagnostics)
+    return AssemblyProgram(mnemonics, operands, labels, diagnostics)
 
 
 # --- naive basic blocks -------------------------------------------------------
@@ -99,12 +97,12 @@ ORACLE_CONDITIONS = ("eq", "ne", "cs", "hs", "cc", "lo", "mi", "pl",
                      "vs", "vc", "hi", "ls", "ge", "lt", "gt", "le", "al")
 
 
-def oracle_is_branch(ins) -> bool:
+def oracle_is_branch(mnemonic: str, operands: str) -> bool:
     """A branch mnemonic, bare or with one condition suffix, or a ``pop``
     whose register list holds ``pc``."""
-    if ins.mnemonic == "pop":
-        return "pc" in re.findall(r"\w+", ins.operands_raw.lower())
-    return any(ins.mnemonic in (b, *(b + c for c in ORACLE_CONDITIONS))
+    if mnemonic == "pop":
+        return "pc" in re.findall(r"\w+", operands.lower())
+    return any(mnemonic in (b, *(b + c for c in ORACLE_CONDITIONS))
                for b in ORACLE_BRANCHES)
 
 
@@ -118,13 +116,14 @@ def oracle_blocks(program: AssemblyProgram) -> list[BasicBlock]:
     """Basic blocks from the leader rules, deciding index by index: an
     instruction starts a block if it is the first, if it follows a branch,
     or if a label at its index is named by some branch."""
-    instructions = program.instructions
-    branches = [ins for ins in instructions if oracle_is_branch(ins)]
+    instructions = list(zip(program.mnemonics, program.operands))
+    branches = [operands for mnemonic, operands in instructions
+                if oracle_is_branch(mnemonic, operands)]
     targets = {index for label, index in program.labels.items()
-               if any(oracle_names(b.operands_raw, label) for b in branches)}
+               if any(oracle_names(operands, label) for operands in branches)}
     spans: list[list[int]] = []
     for i in range(len(instructions)):
-        if i == 0 or oracle_is_branch(instructions[i - 1]) or i in targets:
+        if i == 0 or oracle_is_branch(*instructions[i - 1]) or i in targets:
             spans.append([i, i + 1])
         else:
             spans[-1][1] = i + 1
@@ -136,7 +135,7 @@ def oracle_blocks(program: AssemblyProgram) -> list[BasicBlock]:
 def oracle_ngrams(program: AssemblyProgram, blocks: list[BasicBlock], n: int) -> set:
     """Enumerate every run of n consecutive instruction indices and keep
     the windows that do not span a block boundary."""
-    mnemonics = [ins.mnemonic for ins in program.instructions]
+    mnemonics = program.mnemonics
     spans = [(b.start_index, b.end_index) for b in blocks]
     found = set()
     for i in range(len(mnemonics) - n + 1):
@@ -146,7 +145,7 @@ def oracle_ngrams(program: AssemblyProgram, blocks: list[BasicBlock], n: int) ->
 
 
 def oracle_features(program: AssemblyProgram, blocks: list[BasicBlock]) -> dict:
-    mnemonics = [ins.mnemonic for ins in program.instructions]
+    mnemonics = program.mnemonics
     freq: dict[str, int] = {}
     for m in mnemonics:
         freq[m] = freq.get(m, 0) + 1

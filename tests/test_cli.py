@@ -8,12 +8,14 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
-from asmsim.cli import _write_parts, main, run_manifest_study
+from asmsim.cli import _write_parts, build_parser, main, resolve_config, run_manifest_study
 from asmsim.config import ToolConfig
 from asmsim.corpus import load_datasets
+from asmsim.errors import InputError
 from conftest import GOLDEN, REPO_ROOT, run_cli
 
 QUOTED = r'"((?:[^"\\]|\\.)*)"'
@@ -35,6 +37,17 @@ def last_diagnostic(result):
     match = DIAGNOSTIC_RE.match(lines[-1])
     assert match, f"diagnostic not machine-parseable: {lines[-1]!r}"
     return int(match.group(1)), unquote(match.group(2)), unquote(match.group(3))
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"],
+                         ids=["nel", "line-separator", "paragraph-separator"])
+def test_unicode_line_breaks_in_a_diagnostic_are_escaped(separator):
+    error = InputError(f"no such{separator}file", entity=f"x y{separator}.s")
+    [line] = error.diagnostic().splitlines()
+    match = DIAGNOSTIC_RE.match(line)
+    assert match and match.group(1) == "2"
+    assert unquote(match.group(2)) == f"x y{separator}.s"
+    assert unquote(match.group(3)) == f"no such{separator}file"
 
 
 class TestExtract:
@@ -491,6 +504,82 @@ class TestConfigPrecedence:
         assert result.returncode == 2
         assert b"unrecognized arguments: --format" in result.stderr
         assert not (tmp_path / "asm").exists()
+
+
+# The ToolConfig keys that each command reads, and the flags that it takes.
+READS = {"extract": {"parser", "ngram_mode"},
+         "compare": {"parser", "ngram_mode"},
+         "compile": {"compiler_command", "compiler_flags", "jobs"},
+         "study": {"parser", "ngram_mode", "strides", "output_format"}}
+TAKES = {"extract": ["--config", "--strict", "--linear-ngrams"],
+         "compare": ["--config", "--strict", "--linear-ngrams"],
+         "compile": ["--config", "--jobs", "--cc"],
+         "study": ["--config", "--strict", "--linear-ngrams", "--strides", "--format",
+                   "--jobs"]}
+# flags that set no config key: inputs, outputs and compare's own --format
+NOT_SETTINGS = {"-h", "--help", "--out", "--glob", "--metric"}
+POSITIONAL = {"extract": ["a.s"], "compare": ["a.s", "b.s"],
+              "compile": ["m.json"], "study": ["m.json"]}
+FLAG_VALUES = {"--strict": [], "--linear-ngrams": [], "--strides": ["1"], "--jobs": ["2"],
+               "--cc": ["other-cc"], "--format": ["csv"]}
+KEY_VALUES = {"parser": {"strict": True}, "ngram_mode": "linear", "strides": [1],
+              "output_format": "csv", "compiler_command": "other-cc",
+              "compiler_flags": ["-O1"], "jobs": 3}
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("args, flag", [
+        (("extract", "{corpus}/ada_fib.s", "--strides", "1"), b"--strides"),
+        (("compare", "{corpus}/ada_fib.s", "{corpus}/ben_fib.s", "--jobs", "2"), b"--jobs"),
+        (("compile", "{corpus}/manifest.json", "--out", "{tmp}/asm", "--strict"), b"--strict"),
+    ], ids=["extract-strides", "compare-jobs", "compile-strict"])
+    def test_a_flag_the_command_does_not_read_exits_2(self, fixtures_dir, tmp_path,
+                                                      args, flag):
+        argv = [arg.format(corpus=fixtures_dir / "corpus3x3", tmp=tmp_path) for arg in args]
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert b"unrecognized arguments: " + flag in result.stderr
+        assert not (tmp_path / "asm").exists()
+
+    @pytest.mark.parametrize("command", list(TAKES))
+    def test_each_command_takes_only_its_flags(self, command, capsys):
+        [subparsers] = [a for a in build_parser()._actions if a.choices]
+        options = {option for action in subparsers.choices[command]._actions
+                   for option in action.option_strings}
+        if command == "compare":
+            options.discard("--format")  # text or json; no config key
+        assert sorted(options - NOT_SETTINGS) == sorted(TAKES[command])
+        for flag in set().union(*TAKES.values()) - set(TAKES[command]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(
+                    [command, *POSITIONAL[command], flag, *FLAG_VALUES[flag]])
+            assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in TAKES for f in TAKES[c]])
+    def test_each_flag_changes_a_setting_the_command_reads(self, command, flag, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.delenv("ASMSIM_CC", raising=False)
+        if flag == "--config":
+            values = [tmp_path / "config.json"]
+            values[0].write_text(json.dumps({key: KEY_VALUES[key] for key in READS[command]}))
+        else:
+            values = FLAG_VALUES[flag]
+
+        def config(*flag_args):
+            return resolve_config(build_parser().parse_args(
+                [command, *POSITIONAL[command], *map(str, flag_args)]))
+
+        plain, flagged = config(), config(flag, *values)
+        changed = {f.name for f in fields(ToolConfig)
+                   if getattr(plain, f.name) != getattr(flagged, f.name)}
+        if (command, flag) == ("study", "--jobs"):
+            # the known exception: bench/run.py passes it, study reads no jobs
+            assert changed == {"jobs"}
+        elif flag == "--config":
+            assert changed == READS[command]
+        else:
+            assert len(changed) == 1 and changed <= READS[command]
 
 
 class TestProcessPolicy:

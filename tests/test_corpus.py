@@ -7,12 +7,11 @@ import pytest
 
 from asmsim.asm_parser import parse_assembly
 from asmsim.corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL,
-                           GroupingKind, ProgramEntry, build_grid, build_suite,
+                           GroupingKind, ProgramEntry, _mean, build_grid, build_suite,
                            build_universes, coprime_strides,
-                           default_strides, enumerate_subsets, group_mean,
-                           load_datasets, load_manifest, normalize,
-                           pairwise_values, run_study, subset_mean,
-                           td_aggregate, totally_different)
+                           default_strides, enumerate_subsets,
+                           load_datasets, normalize,
+                           pairwise_values, run_study, totally_different)
 from asmsim.errors import (DuplicateIdError, EmptyProgramError,
                            IncompleteGridError, InputError, InvalidStrideError,
                            ManifestError, NormalizationError,
@@ -42,7 +41,7 @@ def uniform_features(ids, text="\tmov r0, r1\n\tadd r0, r1\n\tsub r0, r1\n"):
 
 class TestManifest:
     def test_bundled_manifest(self, corpus_manifest):
-        entries = load_manifest(corpus_manifest)
+        entries = load_datasets(corpus_manifest).datasets[0][1]
         assert len(entries) == 9
         assert all(e.path.is_file() for e in entries)
         assert entries[0].id == "ada-checksum"
@@ -50,7 +49,7 @@ class TestManifest:
         assert entries[0].application == "checksum"
 
     def test_bundled_5x5_manifest(self, fixtures_dir):
-        entries = load_manifest(fixtures_dir / "corpus5x5" / "manifest.json")
+        entries = load_datasets(fixtures_dir / "corpus5x5" / "manifest.json").datasets[0][1]
         assert len(entries) == 25
         grid = build_grid(entries)
         assert len(grid.programmers) == 5 and len(grid.applications) == 5
@@ -58,7 +57,7 @@ class TestManifest:
     def test_empty_program_list(self, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text('{"programs": []}')
-        assert load_manifest(manifest) == []
+        assert load_datasets(manifest).datasets[0][1] == []
 
     def test_duplicate_id(self, tmp_path):
         (tmp_path / "a.s").write_text("\tnop\n")
@@ -68,7 +67,7 @@ class TestManifest:
             {"id": "x", "path": "a.s", "programmer": "q", "application": "b"},
         ]}))
         with pytest.raises(DuplicateIdError) as excinfo:
-            load_manifest(manifest)
+            load_datasets(manifest)
         assert "programs[1]" in excinfo.value.entity
 
     def test_missing_field(self, tmp_path):
@@ -77,7 +76,7 @@ class TestManifest:
             {"id": "x", "path": "a.s", "programmer": "p"},
         ]}))
         with pytest.raises(ManifestError) as excinfo:
-            load_manifest(manifest)
+            load_datasets(manifest)
         assert "application" in excinfo.value.message
 
     def test_unreadable_program_path(self, tmp_path):
@@ -86,7 +85,7 @@ class TestManifest:
             {"id": "x", "path": "missing.s", "programmer": "p", "application": "a"},
         ]}))
         with pytest.raises(InputError) as excinfo:
-            load_manifest(manifest)
+            load_datasets(manifest)
         assert "programs[0]" in excinfo.value.entity
 
     def test_paths_resolved_relative_to_manifest(self, tmp_path):
@@ -97,7 +96,7 @@ class TestManifest:
         manifest.write_text(json.dumps({"programs": [
             {"id": "x", "path": "deep/a.s", "programmer": "p", "application": "a"},
         ]}))
-        [loaded] = load_manifest(manifest)
+        [loaded] = load_datasets(manifest).datasets[0][1]
         assert loaded.path == tmp_path / "deep" / "a.s"
 
     def test_multi_dataset_form(self, tmp_path):
@@ -111,8 +110,6 @@ class TestManifest:
         ]}))
         data = load_datasets(manifest)
         assert [name for name, _ in data.datasets] == ["one", "two"]
-        with pytest.raises(ManifestError):
-            load_manifest(manifest)
 
     @pytest.mark.parametrize("doc, where", [
         ({"name": "", "programs": []}, ""),
@@ -280,15 +277,14 @@ class TestPairwiseAndMeans:
         assert excinfo.value.message.endswith(f"(pair {first}, {second})")
 
     def test_means(self):
-        assert subset_mean([1.0, 1.0, 1.0]) == 1.0
-        assert subset_mean([0.2, 0.4]) == pytest.approx(0.3)
-        assert group_mean([0.25, 0.75]) == 0.5
-        assert td_aggregate([0.5, 0.5, 0.5]) == 0.5
+        assert _mean([1.0, 1.0, 1.0]) == 1.0
+        assert _mean([0.2, 0.4]) == pytest.approx(0.3)
+        assert _mean([0.25, 0.75]) == 0.5
+        assert _mean(iter([0.5, 0.5, 0.5])) == 0.5
 
     def test_means_reject_empty(self):
-        for fn in (subset_mean, group_mean, td_aggregate):
-            with pytest.raises(ValueError):
-                fn([])
+        with pytest.raises(ValueError):
+            _mean([])
 
 
 class TestNormalize:
@@ -316,7 +312,7 @@ class TestNormalize:
 
 
 def study_fixture(fixtures_dir):
-    entries = load_manifest(fixtures_dir / "corpus3x3" / "manifest.json")
+    entries = load_datasets(fixtures_dir / "corpus3x3" / "manifest.json").datasets[0][1]
     grid = build_grid(entries)
     features = {
         e.id: features_for_program(parse_assembly(e.path.read_text()))
@@ -379,12 +375,12 @@ class TestRunStudy:
                     assert len(subset.pairs) == 3
                     assert subset.mean == pytest.approx(
                         sum(p.value for p in subset.pairs) / 3)
-            assert study.td_mean == pytest.approx(td_aggregate(
+            assert study.td_mean == pytest.approx(_mean(
                 [study.groupings["Totally Different 1"].mean,
                  study.groupings["Totally Different 2"].mean]))
 
     def test_5x5_study_uses_three_td_groupings(self, fixtures_dir):
-        entries = load_manifest(fixtures_dir / "corpus5x5" / "manifest.json")
+        entries = load_datasets(fixtures_dir / "corpus5x5" / "manifest.json").datasets[0][1]
         grid = build_grid(entries)
         features = {
             e.id: features_for_program(parse_assembly(e.path.read_text()))
@@ -421,7 +417,7 @@ class TestRunStudy:
         assert run_study(grid, features) == run_study(grid, features)
 
     def test_manifest_order_does_not_change_numbers(self, fixtures_dir):
-        entries = load_manifest(fixtures_dir / "corpus3x3" / "manifest.json")
+        entries = load_datasets(fixtures_dir / "corpus3x3" / "manifest.json").datasets[0][1]
         features = {
             e.id: features_for_program(parse_assembly(e.path.read_text()))
             for e in entries
@@ -462,7 +458,7 @@ def closed_form(kind, fa, fb):
 
 class TestPairKernels:
     def fixture_5x5(self, fixtures_dir):
-        entries = load_manifest(fixtures_dir / "corpus5x5" / "manifest.json")
+        entries = load_datasets(fixtures_dir / "corpus5x5" / "manifest.json").datasets[0][1]
         features = {e.id: features_for_program(parse_assembly(e.path.read_text()))
                     for e in entries}
         return build_grid(entries), features

@@ -11,7 +11,7 @@ import pytest
 from asmsim.config import ToolConfig
 from asmsim.corpus import load_datasets
 from asmsim.crosscompile import (build_command, compile_corpus, content_hash)
-from asmsim.errors import ToolError
+from asmsim.errors import InputError, ToolError
 
 from conftest import run_cli
 
@@ -249,16 +249,22 @@ class TestCompileCorpus:
         compile_corpus(load_datasets(manifest), fake_config(fake_cc), out)
         before = (out / "manifest.json").read_bytes()
 
-        def half_write(path, data, *args, **kwargs):
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(data[:len(data) // 2])
+        real_replace = os.replace
+
+        def failing_replace(source, target):
+            if Path(target).name != "manifest.json":
+                return real_replace(source, target)
+            # the new manifest is whole beside the old one, then the rename fails
+            assert Path(source).parent == Path(target).parent
+            assert Path(source).read_bytes() == before
             raise OSError("disk full")
 
         datasets = load_datasets(manifest)
-        monkeypatch.setattr(Path, "write_text", half_write)
-        with pytest.raises(OSError, match="disk full"):
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(InputError, match="disk full") as excinfo:
             compile_corpus(datasets, fake_config(fake_cc), out)
         monkeypatch.undo()
+        assert excinfo.value.entity == str(out / "manifest.json")
         assert (out / "manifest.json").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == ["cache", "manifest.json"]
 
@@ -385,6 +391,18 @@ class TestCompileCli:
         result = run_cli("compile", manifest, "--out", tmp_path / "out", "--cc",
                          "/no/such/compiler")
         assert result.returncode == 4
+
+    def test_manifest_path_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        result = run_cli("compile", manifest, "--out", out, "--cc",
+                         f"{sys.executable} {fake_cc}")
+        stderr = result.stderr.decode()
+        assert result.returncode == 2
+        assert f'error: code=2 entity="{out / "manifest.json"}"' in stderr
+        assert "Traceback" not in stderr
+        assert (out / "manifest.json").is_dir()
 
     def test_out_path_that_cannot_be_created_exits_2(self, tmp_path, corpus_manifest):
         blocker = tmp_path / "file"

@@ -23,7 +23,7 @@ def frequency(program):
 
 
 def ngrams(program, blocks, n):
-    return extract_ngrams([ins.mnemonic for ins in program.instructions], blocks, n)
+    return extract_ngrams(program.mnemonics, blocks, n)
 
 
 def patterns(n, *tuples):
@@ -48,7 +48,7 @@ class TestBagFeatures:
         assert frequency(program_of("mov r0", "mov r1", "add r2")) == {
             "mov": 2, "add": 1}
         program = program_of("mov r0", "add r1", "mov r2", "b out")
-        assert sum(frequency(program).values()) == len(program.instructions)
+        assert sum(frequency(program).values()) == len(program.mnemonics)
 
     def test_frequency_empty(self):
         assert frequency(parse_assembly("")) == {}

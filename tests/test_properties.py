@@ -42,7 +42,7 @@ class TestParserProperties:
         program = random_program(seed)
         blocks = segment_basic_blocks(program)
         covered = [i for start, end in blocks for i in range(start, end)]
-        assert covered == list(range(len(program.instructions)))
+        assert covered == list(range(len(program.mnemonics)))
 
     @given(st.integers(0, 10**9))
     def test_branches_only_terminate_blocks(self, seed):
@@ -68,8 +68,8 @@ class TestParserProperties:
     def test_reparse_of_canonical_source_is_stable(self, seed):
         program = random_program(seed)
         again = parse_assembly(oracles.canonical_source(program))
-        assert [(i.mnemonic, i.operands_raw) for i in again.instructions] == \
-            [(i.mnemonic, i.operands_raw) for i in program.instructions]
+        assert again.mnemonics == program.mnemonics
+        assert again.operands == program.operands
 
     @given(st.integers(0, 10**9))
     def test_line_ending_convention_is_irrelevant(self, seed):
@@ -79,7 +79,8 @@ class TestParserProperties:
         dos = parse_assembly(text.replace("\n", "\r\n"))
         mac = parse_assembly(text.replace("\n", "\r"))
         for other in (dos, mac):
-            assert other.instructions == unix.instructions
+            assert other.mnemonics == unix.mnemonics
+            assert other.operands == unix.operands
             assert other.labels == unix.labels
 
 
@@ -101,10 +102,8 @@ class TestParserOracle:
         config = ParserConfig(comment_markers=markers)
         program = parse_assembly(text, config)
         expected = oracles.oracle_parse(text, config)
-        assert program.instructions == expected.instructions
         assert program.mnemonics == expected.mnemonics
         assert program.operands == expected.operands
-        assert program.line_nos == expected.line_nos
         assert program.labels == expected.labels
         assert program.diagnostics == expected.diagnostics
 
@@ -116,8 +115,8 @@ class TestParserOracle:
         for parse in (parse_assembly, oracles.oracle_parse):
             try:
                 program = parse(text, config, source_name="t.s")
-                outcomes.append((program.instructions, program.mnemonics,
-                                 program.operands, program.line_nos))
+                outcomes.append((program.mnemonics, program.operands,
+                                 program.labels, program.diagnostics))
             except ParseError as exc:
                 outcomes.append((exc.message, exc.entity))
         assert outcomes[0] == outcomes[1]
@@ -143,8 +142,7 @@ class TestFeatureProperties:
     @example((["mov", "add", "sub", "ldr"], [BasicBlock(0, 1), BasicBlock(2, 4)]), 3)
     def test_ngrams_on_any_block_list_match_oracle(self, case, n):
         mnemonics, blocks = case
-        program = AssemblyProgram(mnemonics, [""] * len(mnemonics),
-                                  list(range(len(mnemonics))), {})
+        program = AssemblyProgram(mnemonics, [""] * len(mnemonics), {})
         assert extract_ngrams(mnemonics, blocks, n).patterns == \
             oracles.oracle_ngrams(program, blocks, n)
 
@@ -152,8 +150,7 @@ class TestFeatureProperties:
     def test_ngrams_match_window_oracle(self, seed, n):
         program = random_program(seed)
         blocks = segment_basic_blocks(program)
-        mnemonics = [ins.mnemonic for ins in program.instructions]
-        assert extract_ngrams(mnemonics, blocks, n).patterns == \
+        assert extract_ngrams(program.mnemonics, blocks, n).patterns == \
             oracles.oracle_ngrams(program, blocks, n)
 
     @given(st.lists(st.sampled_from(["mov", "add", "sub", "ldr", "str", "cmp"]),

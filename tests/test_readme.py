@@ -31,6 +31,9 @@ def test_library_example_runs(tmp_path, monkeypatch):
     namespace: dict = {}
     exec(compile(readme_block("## Library", "python"), "README.md", "exec"), namespace)
     assert set(namespace["report"].metrics) == set(namespace["MetricKind"])
+    assert namespace["name"] == "corpus3x3" and len(namespace["entries"]) == 9
+    a, block = namespace["a"], namespace["first_block"]
+    assert block and block == list(zip(a.mnemonics, a.operands))[:len(block)]
     count = len(namespace["programs"])
     assert count > 2 and len(namespace["distances"]) == count * (count - 1) // 2
     assert len(namespace["some"]) == 2

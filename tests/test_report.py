@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from asmsim.asm_parser import parse_assembly
 from asmsim.corpus import (PROGRAMMER_SPECIFIC, GroupingResult, PairValue,
                            ProgramEntry, SubsetSummary, build_grid, build_suite,
-                           load_manifest, run_study)
+                           load_datasets, run_study)
 from asmsim.features import features_for_program
 from asmsim.metrics import MetricKind
 from asmsim.report import (OUTPUT_FORMATS, format_normalized, format_value, render,
@@ -24,7 +24,7 @@ AWKWARD = 'q"uo\\te\n\r\t\x00\x1f\x7f é 漢 \U0001f600 \u2028'
 
 
 def fixture_report(fixtures_dir, name):
-    entries = load_manifest(fixtures_dir / name / "manifest.json")
+    entries = load_datasets(fixtures_dir / name / "manifest.json").datasets[0][1]
     features = {e.id: features_for_program(parse_assembly(e.path.read_text()))
                 for e in entries}
     return run_study(build_grid(entries), features, dataset_name=name)
