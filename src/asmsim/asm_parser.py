@@ -3,17 +3,18 @@
 The parser keeps just enough structure for instruction-level similarity
 work: normalized mnemonics, the raw operand text, label positions, and the
 basic-block boundaries needed to keep instruction patterns from crossing
-control-flow edges.
+control-flow edges. Its records are immutable named tuples; a
+:class:`ParserConfig` checks its values when constructed, so a changed copy
+is built through the class, never with ``_replace``, which skips the checks.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 from itertools import compress, count
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, ParseError
 
@@ -47,39 +48,44 @@ _MNEMONIC_MEMO: dict[str, str] = {}
 _MEMO_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class ParserConfig:
-    """Knobs for parsing and block segmentation."""
-
+class _ParserFields(NamedTuple):
     comment_markers: frozenset[str] = DEFAULT_COMMENT_MARKERS
     branch_mnemonics: frozenset[str] = DEFAULT_BRANCH_MNEMONICS
     strict: bool = False
 
-    def __post_init__(self) -> None:
+
+class ParserConfig(_ParserFields):
+    """Knobs for parsing and block segmentation, checked when constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ParserConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.branch_mnemonics:
             raise InputError("branch_mnemonics must not be empty")
         if "" in self.comment_markers:
             # "" is found at column 0 and would strip every line
             raise InputError("comment_markers must not contain an empty marker")
+        return self
 
-    @cached_property
-    def branch_set(self) -> frozenset[str]:
-        """Branch mnemonics, bare and with every condition suffix."""
-        return self.branch_mnemonics | {b + s for b in self.branch_mnemonics
-                                        for s in CONDITION_SUFFIXES}
 
-    @cached_property
-    def comment_re(self) -> re.Pattern[str]:
-        """The comment markers as one pattern; its first match starts the
-        comment. With no markers it never matches."""
-        return re.compile("|".join(map(re.escape, sorted(self.comment_markers))) or "(?!)")
+@lru_cache(maxsize=32)
+def branch_set(branch_mnemonics: frozenset[str]) -> frozenset[str]:
+    """Branch mnemonics, bare and with every condition suffix."""
+    return branch_mnemonics | {b + s for b in branch_mnemonics for s in CONDITION_SUFFIXES}
+
+
+@lru_cache(maxsize=32)
+def comment_re(comment_markers: frozenset[str]) -> re.Pattern[str]:
+    """The comment markers as one pattern; its first match starts the
+    comment. With no markers it never matches."""
+    return re.compile("|".join(map(re.escape, sorted(comment_markers))) or "(?!)")
 
 
 DEFAULT_CONFIG = ParserConfig()
 
 
-@dataclass
-class AssemblyProgram:
+class AssemblyProgram(NamedTuple):
     """Parsed instruction stream, one list per field: instruction ``i`` is
     ``mnemonics[i]`` with operand text ``operands[i]``.
 
@@ -92,7 +98,7 @@ class AssemblyProgram:
     mnemonics: list[str]
     operands: list[str]
     labels: dict[str, int]
-    diagnostics: list[tuple[int, str]] = field(default_factory=list)
+    diagnostics: Sequence[tuple[int, str]] = ()
 
     @property
     def instructions(self) -> list[tuple[str, str]]:
@@ -136,7 +142,7 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
     labels: dict[str, int] = {}
     diagnostics: list[tuple[int, str]] = []
     add_mnemonic, add_operands = mnemonics.append, operands.append
-    comment = config.comment_re.search
+    comment = comment_re(config.comment_markers).search
     memo = _MNEMONIC_MEMO
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -183,12 +189,12 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
 def is_branch(mnemonic: str, operands_raw: str,
               config: ParserConfig = DEFAULT_CONFIG) -> bool:
     """True if the instruction can transfer control away from the next line:
-    its mnemonic is in ``config.branch_set``, or has an ``_OPERAND_BRANCHES``
-    rule that its operands match."""
+    its mnemonic is in ``branch_set(config.branch_mnemonics)``, or has an
+    ``_OPERAND_BRANCHES`` rule that its operands match."""
     rule = _OPERAND_BRANCHES.get(mnemonic)
     if rule is not None:
         return rule.search(operands_raw.lower()) is not None
-    return mnemonic in config.branch_set
+    return mnemonic in branch_set(config.branch_mnemonics)
 
 
 def segment_basic_blocks(program: AssemblyProgram,
@@ -208,7 +214,7 @@ def segment_basic_blocks(program: AssemblyProgram,
     of them, finds the labels they name.
     """
     mnemonics, operands, labels = program.mnemonics, program.operands, program.labels
-    candidates = (config.branch_set | _OPERAND_BRANCHES.keys()).__contains__
+    candidates = (branch_set(config.branch_mnemonics) | _OPERAND_BRANCHES.keys()).__contains__
     branches = [i for i in compress(count(), map(candidates, mnemonics))
                 if is_branch(mnemonics[i], operands[i], config)]
     named = labels.keys() & _OPERAND_TOKEN_RE.findall("\n".join(map(operands.__getitem__,

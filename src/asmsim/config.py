@@ -3,18 +3,18 @@
 Precedence, lowest to highest: built-in defaults, the ASMSIM_CC
 environment variable (compiler command only; empty is unset), the config
 file, CLI flags. Each layer is a mapping applied by :func:`config_from_dict`,
-so all of them pass the same type and range checks.
+so all of them pass the same type and range checks: it builds each result
+through the class, as ``_replace`` would skip the checks.
 """
 
 from __future__ import annotations
 
 import os
 import shlex
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .asm_parser import ParserConfig
+from .asm_parser import DEFAULT_CONFIG, ParserConfig
 from .corpus import load_json_object
 from .errors import InputError
 from .report import OUTPUT_FORMATS
@@ -29,17 +29,21 @@ DEFAULT_COMPILER_FLAGS = ("-S", "-mthumb", "-O0")
 NGRAM_MODES = ("blocks", "linear")
 
 
-@dataclass(frozen=True)
-class ToolConfig:
+class _ToolFields(NamedTuple):
     compiler_command: str = DEFAULT_COMPILER_COMMAND
     compiler_flags: tuple[str, ...] = DEFAULT_COMPILER_FLAGS
-    parser: ParserConfig = field(default_factory=ParserConfig)
+    parser: ParserConfig = DEFAULT_CONFIG
     strides: tuple[int, ...] | None = None
     output_format: str = "markdown"
     ngram_mode: str = "blocks"
     jobs: int = 1
 
-    def __post_init__(self) -> None:
+
+class ToolConfig(_ToolFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ToolConfig:
+        self = super().__new__(cls, *args, **kwargs)
         try:
             words = shlex.split(self.compiler_command)
         except ValueError as exc:  # an unclosed quote or a trailing backslash
@@ -52,6 +56,7 @@ class ToolConfig:
             raise InputError(f"unknown output format {self.output_format!r}")
         if self.ngram_mode not in NGRAM_MODES:
             raise InputError(f"unknown ngram mode {self.ngram_mode!r}")
+        return self
 
 
 # The JSON type of each ToolConfig and ParserConfig field but `parser`, a
@@ -76,13 +81,13 @@ def config_from_dict(doc: Mapping, base: ToolConfig | ParserConfig | None = None
     ``parser`` applies over ``base.parser`` the same way. Errors name
     ``entity``, the layer being applied."""
     base = base if base is not None else ToolConfig()
-    unknown = set(doc) - {f.name for f in fields(base)}
+    unknown = set(doc) - set(base._fields)
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}", entity=entity)
     updates = {}
     for key, value in doc.items():
         nested = getattr(base, key)
-        if is_dataclass(nested):
+        if isinstance(nested, ParserConfig):
             if not isinstance(value, Mapping):
                 raise InputError(f'"{key}" must be an object', entity=entity)
             value = config_from_dict(value, nested, entity=entity)
@@ -96,7 +101,8 @@ def config_from_dict(doc: Mapping, base: ToolConfig | ParserConfig | None = None
                              entity=entity)
         updates[key] = value
     try:
-        return replace(base, **updates)
+        # through the class, whose checks _replace would skip
+        return type(base)(**{**base._asdict(), **updates})
     except InputError as exc:
         raise InputError(exc.message, entity=entity) from exc
 

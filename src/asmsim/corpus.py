@@ -6,7 +6,8 @@ takes on one task), per programmer (one author across all tasks), and
 totally-different transversals (no shared programmer, no shared
 application). Each subset is scored pairwise under every metric; subset
 means, group means, the totally-different aggregate, and normalized
-indices make up the study report.
+indices make up the study report. Every record is an immutable named tuple;
+``_replace`` makes a changed copy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice, repeat
 from pathlib import Path
@@ -28,8 +28,7 @@ from .features import NGram, ProgramFeatures
 from .metrics import METRIC_ORDER, MetricKind, pair_values
 
 
-@dataclass(frozen=True)
-class ProgramEntry:
+class ProgramEntry(NamedTuple):
     """One corpus program: where it lives and which grid cell it fills."""
 
     id: str
@@ -38,15 +37,11 @@ class ProgramEntry:
     application: str
 
 
-@dataclass
-class ManifestData:
+class ManifestData(NamedTuple):
     """Parsed manifest: one or more named datasets plus free-form metadata."""
 
     datasets: list[tuple[str, list[ProgramEntry]]]
     metadata: dict
-
-
-_ENTRY_FIELDS = ("id", "path", "programmer", "application")
 
 
 def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]:
@@ -59,7 +54,7 @@ def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]
         if not isinstance(item, dict):
             raise ManifestError("program entry must be an object", entity=entity)
         values = {}
-        for key in _ENTRY_FIELDS:
+        for key in ProgramEntry._fields:  # each a manifest key
             value = item.get(key)
             if not isinstance(value, str) or not value:
                 raise ManifestError(f"missing or invalid field {key!r}", entity=entity)
@@ -70,8 +65,7 @@ def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]
         full = base / values["path"]
         if not full.is_file():
             raise InputError(f"program file not found: {full}", entity=entity)
-        entries.append(ProgramEntry(values["id"], full,
-                                    values["programmer"], values["application"]))
+        entries.append(ProgramEntry(**{**values, "path": full}))
     return entries
 
 
@@ -160,8 +154,7 @@ def load_datasets(path: str | Path) -> ManifestData:
     return ManifestData(datasets, dict(metadata))
 
 
-@dataclass
-class CorpusGrid:
+class CorpusGrid(NamedTuple):
     """P programmers x A applications, one entry per cell.
 
     Label lists keep first-appearance order from the manifest; cells are
@@ -219,8 +212,7 @@ class GroupingKind(str, Enum):
 TD_LABEL = "Totally Different"
 
 
-@dataclass(frozen=True)
-class GroupingScheme:
+class GroupingScheme(NamedTuple):
     kind: GroupingKind
     stride: int | None = None
 
@@ -272,8 +264,7 @@ def _check_strides(grid: CorpusGrid, strides: Sequence[int | None]) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(NamedTuple):
     scheme: GroupingScheme
     label: str
     members: tuple[ProgramEntry, ...]
@@ -373,22 +364,19 @@ def normalize(group_value: float, td_value: float, kind: MetricKind) -> float:
     return group_value / td_value
 
 
-@dataclass
-class SubsetSummary:
+class SubsetSummary(NamedTuple):
     label: str
     pairs: list[PairValue]
     mean: float
 
 
-@dataclass
-class GroupingResult:
+class GroupingResult(NamedTuple):
     scheme: GroupingScheme
     subsets: list[SubsetSummary]
     mean: float
 
 
-@dataclass
-class MetricStudy:
+class MetricStudy(NamedTuple):
     """One metric's results over every grouping of one dataset.
 
     ``normalized`` maps grouping labels to indices; ``None`` flags a
@@ -402,8 +390,7 @@ class MetricStudy:
     normalized: dict[str, float | None]
 
 
-@dataclass
-class StudyReport:
+class StudyReport(NamedTuple):
     dataset: str
     programmers: list[str]
     applications: list[str]
@@ -486,8 +473,7 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
                        list(grid.applications), strides, metrics)
 
 
-@dataclass
-class SuiteSummary:
+class SuiteSummary(NamedTuple):
     """Cross-dataset averages and normalized indices for one metric."""
 
     kind: MetricKind
@@ -495,8 +481,7 @@ class SuiteSummary:
     normalized: dict[str, float | None]
 
 
-@dataclass
-class StudySuite:
+class StudySuite(NamedTuple):
     reports: list[StudyReport]
     summary: dict[MetricKind, SuiteSummary]
 

@@ -19,27 +19,25 @@ import os
 import re
 import shlex
 import subprocess
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from collections import deque
 from itertools import islice, takewhile
 from pathlib import Path
-from typing import Sequence
+from threading import Thread
+from typing import NamedTuple, Sequence
 
 from .config import ToolConfig
 from .corpus import ManifestData, ProgramEntry, write_file
 from .errors import InputError, ToolError
 
 
-@dataclass
-class CompileOutcome:
+class CompileOutcome(NamedTuple):
     entry: ProgramEntry
     output: Path | None
     cached: bool = False
     error: str | None = None
 
 
-@dataclass
-class CompileResult:
+class CompileResult(NamedTuple):
     outcomes: list[CompileOutcome]
     manifest_path: Path
 
@@ -170,50 +168,61 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]
     version = compiler_version(config.compiler_command)
-    keys = []
+    keys, first = [], {}  # first: the first entry of each hash not in the cache
     for entry in entries:
         try:
             source = entry.path.read_bytes()
         except OSError as exc:
             raise InputError(f"cannot read source: {exc}", entity=entry.id) from exc
-        keys.append(content_hash(source, config.compiler_command, config.compiler_flags,
-                                 version))
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        futures: dict[str, Future[CompileOutcome]] = {}
-        for entry, key in zip(entries, keys):
-            target = cache_dir / f"{key}.s"
-            if key not in futures and not target.is_file():
-                futures[key] = pool.submit(compile_entry, entry, config, target)
+        keys.append(key := content_hash(source, config.compiler_command,
+                                        config.compiler_flags, version))
+        if key not in first and not (cache_dir / f"{key}.s").is_file():
+            first[key] = entry
+    pending = deque(first.items())
+    done: dict[str, CompileOutcome | Exception] = {}
+
+    def work() -> None:
+        while True:
+            try:
+                key, entry = pending.popleft()  # deque pops are thread-safe
+            except IndexError:
+                return
+            try:
+                done[key] = compile_entry(entry, config, cache_dir / f"{key}.s")
+            except Exception as exc:  # raised below, in entry order
+                done[key] = exc
+
+    workers = [Thread(target=work) for _ in range(min(config.jobs, len(pending)))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
 
     outcomes: list[CompileOutcome] = []
     for entry, key in zip(entries, keys):
-        if key in futures:
-            outcome = futures[key].result()
-            if outcome.entry is not entry:  # a later entry with the same hash
-                outcome = replace(outcome, entry=entry, cached=outcome.error is None)
-        else:
+        outcome = done.get(key)
+        if outcome is None:
             outcome = CompileOutcome(entry, cache_dir / f"{key}.s", cached=True)
+        elif isinstance(outcome, Exception):
+            raise outcome
+        elif outcome.entry is not entry:  # a later entry with the same hash
+            outcome = outcome._replace(entry=entry, cached=outcome.error is None)
         outcomes.append(outcome)
 
     results = iter(outcomes)
     derived_datasets = []
     for name, dataset in manifest.datasets:
-        programs = [{"id": o.entry.id, "path": str(o.output.relative_to(out_dir)),
-                     "programmer": o.entry.programmer, "application": o.entry.application}
+        # a manifest entry holds the fields of a ProgramEntry, in order
+        programs = [{**o.entry._asdict(), "path": str(o.output.relative_to(out_dir))}
                     for o in islice(results, len(dataset)) if o.output is not None]
         derived_datasets.append({"name": name, "programs": programs})
 
-    metadata = dict(manifest.metadata)
-    metadata["compiler_command"] = config.compiler_command
-    metadata["compiler_flags"] = list(config.compiler_flags)
+    metadata = {**manifest.metadata, "compiler_command": config.compiler_command,
+                "compiler_flags": list(config.compiler_flags)}
     if version is not None:
         metadata["compiler_version"] = version
-
-    if len(derived_datasets) == 1:
-        doc: dict = {"name": derived_datasets[0]["name"],
-                     "programs": derived_datasets[0]["programs"]}
-    else:
-        doc = {"datasets": derived_datasets}
+    doc = ({**derived_datasets[0]} if len(derived_datasets) == 1
+           else {"datasets": derived_datasets})
     doc["metadata"] = metadata
 
     manifest_path = out_dir / "manifest.json"

@@ -8,9 +8,8 @@ patterns occur inside its basic blocks (n = 2 and 3 by default).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
                          DEFAULT_CONFIG, linear_blocks, segment_basic_blocks)
@@ -18,8 +17,7 @@ from .asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
 NGram = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(NamedTuple):
     """Presence set of length-n mnemonic patterns (no multiplicities)."""
 
     n: int
@@ -47,8 +45,7 @@ def extract_ngrams(mnemonics: Sequence[str], blocks: Sequence[BasicBlock],
     return PatternSet(n, patterns)
 
 
-@dataclass(frozen=True)
-class ProgramFeatures:
+class ProgramFeatures(NamedTuple):
     """Everything the four metrics need to know about one program."""
 
     frequency: Counter[str]
@@ -64,11 +61,8 @@ def compute_features(program: AssemblyProgram, blocks: Sequence[BasicBlock],
     """Count ``program.mnemonics`` and slide both pattern windows over it;
     only 2-grams, which recur across a corpus, go through ``pool``."""
     mnemonics = program.mnemonics
-    return ProgramFeatures(
-        frequency=Counter(mnemonics),
-        patterns2=extract_ngrams(mnemonics, blocks, 2, pool),
-        patterns3=extract_ngrams(mnemonics, blocks, 3),
-    )
+    return ProgramFeatures(Counter(mnemonics), extract_ngrams(mnemonics, blocks, 2, pool),
+                           extract_ngrams(mnemonics, blocks, 3))
 
 
 def features_for_program(program: AssemblyProgram,

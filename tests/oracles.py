@@ -230,7 +230,7 @@ def oracle_study_report(grid: CorpusGrid, features: dict, strides: list[int],
                         dataset_name: str) -> StudyReport:
     """Full study computed with the naive building blocks.
 
-    The result is packed into the package's report dataclasses so the
+    The result is packed into the package's report records so the
     shared renderers can lay it out, but every number inside comes from
     this module.
     """

@@ -248,3 +248,13 @@ class TestSegmentBasicBlocks:
         program = parse_assembly("\tjmp out\n\tmov r0, r1\n\tbx lr\n", config)
         # bx is not a branch under this config; only jmp splits
         assert block_spans(segment_basic_blocks(program, config)) == [(0, 1), (1, 3)]
+
+    def test_each_config_segments_with_its_own_branch_list(self):
+        """The cached branch set is keyed on the list, never shared between configs."""
+        program = parse_assembly("\tjmp out\n\tmov r0, r1\n\tcall f\n\tadd r0, r1\n")
+        jmp = ParserConfig(branch_mnemonics=frozenset({"jmp"}))
+        call = ParserConfig(branch_mnemonics=frozenset({"call"}))
+        for _ in range(2):
+            assert block_spans(segment_basic_blocks(program, jmp)) == [(0, 1), (1, 4)]
+            assert block_spans(segment_basic_blocks(program, call)) == [(0, 3), (3, 4)]
+            assert is_branch("jmp", "out", jmp) and not is_branch("jmp", "out", call)

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields
 
 import pytest
 
@@ -571,8 +570,8 @@ class TestFlagSurface:
                 [command, *POSITIONAL[command], *map(str, flag_args)]))
 
         plain, flagged = config(), config(flag, *values)
-        changed = {f.name for f in fields(ToolConfig)
-                   if getattr(plain, f.name) != getattr(flagged, f.name)}
+        changed = {name for name in ToolConfig._fields
+                   if getattr(plain, name) != getattr(flagged, name)}
         if (command, flag) == ("study", "--jobs"):
             # the known exception: bench/run.py passes it, study reads no jobs
             assert changed == {"jobs"}
@@ -642,6 +641,17 @@ class TestProcessPolicy:
         probe = ("import asmsim.cli, sys; print(sorted({'subprocess', 'concurrent.futures', "
                  "'hashlib'} & set(sys.modules)))")
         # -S: no site hooks, whose imports are not the package's
+        result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                                env=env, check=True)
+        assert result.stdout == b"[]\n"
+
+    @pytest.mark.parametrize("module", ["asmsim.cli", "asmsim.crosscompile"])
+    def test_importing_loads_no_class_generation_modules(self, module):
+        """Records are named tuples: no import pulls in ``dataclasses`` and the
+        source-inspection modules it imports."""
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        probe = (f"import {module}, sys; print(sorted({{'dataclasses', 'inspect', 'ast', "
+                 "'dis', 'tokenize'} & set(sys.modules)))")
         result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                                 env=env, check=True)
         assert result.stdout == b"[]\n"

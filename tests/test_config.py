@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 
 import pytest
 
@@ -97,6 +96,32 @@ def test_invalid_configs_rejected(tmp_path, doc):
     assert excinfo.value.entity == str(path)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ParserConfig(branch_mnemonics=frozenset()),
+    lambda: ParserConfig(comment_markers=frozenset({""})),
+    lambda: ToolConfig(jobs=0),
+    lambda: ToolConfig(compiler_command="  "),
+    lambda: ToolConfig(output_format="xml"),
+    lambda: ToolConfig(ngram_mode="x"),
+], ids=["no-branches", "empty-marker", "jobs-0", "blank-command", "format-xml", "mode-x"])
+def test_direct_construction_checks_the_values(make):
+    with pytest.raises(InputError):
+        make()
+
+
+@pytest.mark.parametrize("doc, base", [
+    ({"jobs": 0}, ToolConfig()),
+    ({"output_format": "xml"}, ToolConfig(jobs=2)),
+    ({"parser": {"branch_mnemonics": []}}, ToolConfig()),
+    ({"branch_mnemonics": []}, ParserConfig()),
+    ({"comment_markers": [""]}, ParserConfig(strict=True)),
+])
+def test_a_changed_copy_is_checked_and_names_the_layer(doc, base):
+    with pytest.raises(InputError) as excinfo:
+        config_from_dict(doc, base, entity="e")
+    assert excinfo.value.entity == "e"
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(InputError):
         load_tool_config(tmp_path / "absent.json", env={})
@@ -110,7 +135,7 @@ def test_config_from_dict_layers():
 
 
 def test_every_field_is_set_from_a_file(tmp_path):
-    """A value unlike the default for each field that dataclasses.fields
+    """A value unlike the default for each field that ``_fields``
     names reaches the loaded config, so no field drops out of the one path."""
     parser = {"comment_markers": [";"], "branch_mnemonics": ["jmp"], "strict": True}
     doc = {"compiler_command": "cc", "compiler_flags": ["-S"], "parser": parser,
@@ -118,8 +143,8 @@ def test_every_field_is_set_from_a_file(tmp_path):
     config = load_tool_config(write_config(tmp_path, doc), env={})
     for loaded, default, values in ((config, ToolConfig(), doc),
                                     (config.parser, ParserConfig(), parser)):
-        for f in fields(loaded):
-            value, got = values[f.name], getattr(loaded, f.name)
-            assert got != getattr(default, f.name)
-            if f.name != "parser":
+        for name in loaded._fields:
+            value, got = values[name], getattr(loaded, name)
+            assert got != getattr(default, name)
+            if name != "parser":
                 assert got == (type(got)(value) if isinstance(value, list) else value)

@@ -4,13 +4,17 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from asmsim import crosscompile
 from asmsim.config import ToolConfig
 from asmsim.corpus import load_datasets
-from asmsim.crosscompile import (build_command, compile_corpus, content_hash)
+from asmsim.crosscompile import (CompileOutcome, build_command, compile_corpus,
+                                 content_hash)
 from asmsim.errors import InputError, ToolError
 
 from conftest import run_cli
@@ -267,6 +271,50 @@ class TestCompileCorpus:
         assert excinfo.value.entity == str(out / "manifest.json")
         assert (out / "manifest.json").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == ["cache", "manifest.json"]
+
+    @pytest.mark.parametrize("failure", [None, ToolError, OSError])
+    def test_many_workers_compile_each_hash_once(self, tmp_path, monkeypatch, failure):
+        """More workers than cores, switching threads as often as they can: every
+        distinct source compiles exactly once, every worker ends, and a worker's
+        exception reaches the caller."""
+        src = tmp_path / "src"
+        src.mkdir()
+        programs = []
+        for i in range(60):  # 40 distinct sources; the last 20 repeat the first 20
+            path = src / f"p{i}.c"
+            path.write_text(f"\tmov r0, #{i % 40}\n")
+            programs.append({"id": f"p{i}", "path": path.name,
+                             "programmer": f"m{i % 6}", "application": f"a{i // 6}"})
+        manifest = src / "manifest.json"
+        manifest.write_text(json.dumps({"programs": programs}))
+        calls, workers = [], set()
+
+        def compile_entry(entry, config, target):
+            calls.append(target.name)
+            workers.add(threading.current_thread())
+            time.sleep(0.001)
+            if failure is not None and entry.id == "p7":
+                raise failure("no compiler")
+            target.write_text(entry.path.read_text())
+            return CompileOutcome(entry, target)
+
+        monkeypatch.setattr(crosscompile, "compile_entry", compile_entry)
+        config = ToolConfig(compiler_command="/no/such/compiler", jobs=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            if failure is None:
+                result = compile_corpus(load_datasets(manifest), config, tmp_path / "out")
+            else:
+                with pytest.raises(failure, match="no compiler"):
+                    compile_corpus(load_datasets(manifest), config, tmp_path / "out")
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == len(set(calls)) == 40
+        assert 1 < len(workers) <= 8 and not any(w.is_alive() for w in workers)
+        if failure is None:
+            assert [o.entry.id for o in result.outcomes] == [p["id"] for p in programs]
+            assert result.cache_hits == 20 and not result.failures
 
     def test_missing_compiler(self, tmp_path):
         manifest = make_sources(tmp_path)

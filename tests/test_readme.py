@@ -3,7 +3,6 @@
 import json
 import re
 import shutil
-from dataclasses import fields
 
 from asmsim.asm_parser import ParserConfig
 from asmsim.config import ToolConfig, load_tool_config
@@ -44,5 +43,5 @@ def test_config_example_loads_and_names_every_setting(tmp_path):
     path.write_text(readme_block("### Config file", "json"), encoding="utf-8")
     load_tool_config(path, env={})
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert set(doc) == {f.name for f in fields(ToolConfig)}
-    assert set(doc["parser"]) == {f.name for f in fields(ParserConfig)}
+    assert set(doc) == set(ToolConfig._fields)
+    assert set(doc["parser"]) == set(ParserConfig._fields)

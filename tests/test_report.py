@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -170,8 +169,8 @@ def with_subsets(suite, name, subset_draws, grouping_mean, td_mean):
     groupings = {**study.groupings,
                  name: GroupingResult(PROGRAMMER_SPECIFIC, subsets, grouping_mean)}
     metrics = {**report.metrics,
-               MetricKind.COSINE: replace(study, groupings=groupings, td_mean=td_mean)}
-    return replace(suite, reports=[replace(report, dataset=name, metrics=metrics)])
+               MetricKind.COSINE: study._replace(groupings=groupings, td_mean=td_mean)}
+    return suite._replace(reports=[report._replace(dataset=name, metrics=metrics)])
 
 
 def test_render_json_memo_keeps_signed_zeros_apart(suite):

@@ -23,6 +23,14 @@ def test_every_absolute_import_is_standard_library():
     assert not foreign
 
 
+def test_no_module_imports_dataclasses():
+    """Records are named tuples; ``dataclasses`` would cost every process its
+    import and class generation, also in modules the CLI imports lazily."""
+    users = {path.name for path in SOURCES for name in absolute_imports(path)
+             if name.partition(".")[0] == "dataclasses"}
+    assert not users
+
+
 def unused_imports(path):
     """Names ``path`` imports but never reads; ``from __future__`` is a directive."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
