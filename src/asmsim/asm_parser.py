@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress, count, repeat
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, ParseError
@@ -41,6 +41,11 @@ DEFAULT_COMMENT_MARKERS = frozenset({"@", "//"})
 _MNEMONIC_RE = re.compile(r"^[A-Za-z][A-Za-z0-9._]*$")
 _LABEL_RE = re.compile(r"^(?:[A-Za-z_.$][A-Za-z0-9_.$]*|[0-9]+)$")
 _OPERAND_TOKEN_RE = re.compile(r"[A-Za-z_.$][A-Za-z0-9_.$]*")
+
+# The ten characters at which str.splitlines ends a line ("\r\n" is two
+# of them); a comment runs up to the first of them.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_REST_OF_LINE = "[^" + _LINE_BREAKS + "]*"
 
 # Raw first token -> interned mnemonic for every parse_assembly call; an
 # entry depends on its token alone, never on a ParserConfig.
@@ -76,10 +81,24 @@ def branch_set(branch_mnemonics: frozenset[str]) -> frozenset[str]:
 
 
 @lru_cache(maxsize=32)
-def comment_re(comment_markers: frozenset[str]) -> re.Pattern[str]:
-    """The comment markers as one pattern; its first match starts the
-    comment. With no markers it never matches."""
-    return re.compile("|".join(map(re.escape, sorted(comment_markers))) or "(?!)")
+def comment_cutters(comment_markers: frozenset[str]) -> tuple[re.Pattern[str], ...]:
+    """Patterns whose ``sub(" ", text)`` passes, applied in order, cut every
+    line of ``text`` at its earliest comment marker. The space keeps a
+    line that held only a comment, so a ``"\\r"`` and a ``"\\n"`` around it
+    stay two line breaks.
+
+    One literal pass per marker makes that cut unless a marker can begin
+    inside another (a pass would cut the other's earlier occurrence in two)
+    or ends in a space (it could match the space a pass leaves); such sets
+    get one pass for all markers. A marker that holds a line break never
+    matches a line and is dropped.
+    """
+    markers = sorted(m for m in comment_markers if set(_LINE_BREAKS).isdisjoint(m))
+    if not any(m.endswith(" ") for m in markers) and not any(
+            a != b and (b[k:].startswith(a) or a.startswith(b[k:]))
+            for a in markers for b in markers for k in range(1, len(b))):
+        return tuple(re.compile(re.escape(m) + _REST_OF_LINE) for m in markers)
+    return (re.compile("(?:" + "|".join(map(re.escape, markers)) + ")" + _REST_OF_LINE),)
 
 
 DEFAULT_CONFIG = ParserConfig()
@@ -128,8 +147,11 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
     its ``operands`` entry.
 
     Unclassifiable lines raise :class:`ParseError` in strict mode and are
-    recorded in ``diagnostics`` otherwise. Any line-ending convention is
-    accepted.
+    recorded in ``diagnostics`` otherwise; a message quotes the raw line,
+    comment included. Any line-ending convention is accepted.
+
+    Comments are cut once per file, by the :func:`comment_cutters` passes,
+    before the text is split into lines.
 
     All calls share one memo from a raw first token to its mnemonic,
     emptied at ``_MEMO_LIMIT`` tokens; only tokens ``_MNEMONIC_RE`` has
@@ -142,13 +164,12 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
     labels: dict[str, int] = {}
     diagnostics: list[tuple[int, str]] = []
     add_mnemonic, add_operands = mnemonics.append, operands.append
-    comment = comment_re(config.comment_markers).search
     memo = _MNEMONIC_MEMO
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        cut = comment(raw_line)
-        rest = (raw_line[:cut.start()] if cut else raw_line).strip()
-        head = rest.split(None, 1)
+    # the cut lines live only as long as this loop, never together with the
+    # raw lines that a diagnostic is quoted from
+    for line_no, head in enumerate(map(str.split, _cut_lines(text, config.comment_markers),
+                                       repeat(None), repeat(1)), start=1):
         mnemonic = memo.get(head[0]) if head else None
         if mnemonic is None:  # not a memoised instruction: classify the line
             problem: str | None = None
@@ -163,7 +184,7 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
             # a directive (first char ".") contributes no instruction
             if problem is None and head and not head[0].startswith("."):
                 if not _MNEMONIC_RE.match(head[0]):
-                    problem = f"unclassifiable line: {raw_line.strip()!r}"
+                    problem = ""  # quotes the raw line, which is not at hand
                 else:
                     mnemonic = head[0].lower()
                     if mnemonic.endswith((".n", ".w")):
@@ -176,14 +197,30 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
 
             if problem is not None:
                 if config.strict:
-                    raise ParseError(problem, entity=f"{source_name}:{line_no}")
+                    raise ParseError(problem or _unclassifiable(text.splitlines()[line_no - 1]),
+                                     entity=f"{source_name}:{line_no}")
                 diagnostics.append((line_no, problem))
             if mnemonic is None:
                 continue
         add_mnemonic(mnemonic)
-        add_operands(head[1] if len(head) > 1 else "")
+        add_operands(head[1].rstrip() if len(head) > 1 else "")
 
+    if diagnostics:
+        raw_lines = text.splitlines()
+        diagnostics = [(line_no, problem or _unclassifiable(raw_lines[line_no - 1]))
+                       for line_no, problem in diagnostics]
     return AssemblyProgram(mnemonics, operands, labels, diagnostics)
+
+
+def _cut_lines(text: str, comment_markers: frozenset[str]) -> list[str]:
+    """The lines of ``text``, each cut at its earliest comment marker."""
+    for cutter in comment_cutters(comment_markers):
+        text = cutter.sub(" ", text)
+    return text.splitlines()
+
+
+def _unclassifiable(raw_line: str) -> str:
+    return f"unclassifiable line: {raw_line.strip()!r}"
 
 
 def is_branch(mnemonic: str, operands_raw: str,
@@ -222,7 +259,8 @@ def segment_basic_blocks(program: AssemblyProgram,
     # the end closes the last block
     starts = sorted({0, len(mnemonics), *map(labels.__getitem__, named),
                      *map((1).__add__, branches)})
-    return list(map(BasicBlock, starts, starts[1:]))
+    # tuple.__new__ skips BasicBlock's Python __new__
+    return list(map(tuple.__new__, repeat(BasicBlock), zip(starts, starts[1:])))
 
 
 def linear_blocks(program: AssemblyProgram) -> list[BasicBlock]:

@@ -1,8 +1,12 @@
+import sys
+import tracemalloc
+
 import pytest
 
 from asmsim import asm_parser
-from asmsim.asm_parser import (ParserConfig, is_branch, linear_blocks,
-                               parse_assembly, segment_basic_blocks)
+from asmsim.asm_parser import (DEFAULT_COMMENT_MARKERS, ParserConfig, comment_cutters,
+                               is_branch, linear_blocks, parse_assembly,
+                               segment_basic_blocks)
 from asmsim.errors import ParseError
 
 import oracles
@@ -173,6 +177,93 @@ class TestMnemonicMemo:
         assert program.operands == expected.operands
         assert program.diagnostics == expected.diagnostics == []
         assert len(program.mnemonics) == 4 * (limit + 100)
+
+
+def outcomes_like_oracle(text, markers):
+    """The lenient program and the strict outcome of parse_assembly, each
+    asserted equal to the oracle's."""
+    found = []
+    for strict in (False, True):
+        config = ParserConfig(comment_markers=frozenset(markers), strict=strict)
+        results = []
+        for parse in (parse_assembly, oracles.oracle_parse):
+            try:
+                program = parse(text, config, source_name="t.s")
+                results.append((program.mnemonics, program.operands, program.labels,
+                                list(program.diagnostics)))
+            except ParseError as exc:
+                results.append((exc.message, exc.entity))
+        assert results[0] == results[1]
+        found.append(results[0])
+    return found
+
+
+class TestCommentCutting:
+    """Comments are cut once per file, before the text is split into lines;
+    these are the cases where that could differ from a cut line by line."""
+
+    def test_comment_between_cr_and_lf_keeps_later_line_numbers(self):
+        (_, _, _, diagnostics), _ = outcomes_like_oracle("nop\r@ c\nnop\n!!!\n",
+                                                         DEFAULT_COMMENT_MARKERS)
+        assert [line_no for line_no, _ in diagnostics] == [4]
+
+    def test_marker_ending_in_a_space_cuts_at_the_earliest_marker(self):
+        (mnemonics, _, labels, diagnostics), _ = outcomes_like_oracle("bx11:# \n",
+                                                                      {" ", "# "})
+        assert labels == {"bx11": 0} and mnemonics == [] and diagnostics == []
+        # a pass for "@" leaves "x:# ", in which a later pass would find "# "
+        (_, _, labels, diagnostics), _ = outcomes_like_oracle("x:#@ y\n", {"@", "# "})
+        assert labels == {} and len(diagnostics) == 1
+
+    def test_overlapping_markers_cut_at_the_earliest_marker(self):
+        (mnemonics, _, _, diagnostics), _ = outcomes_like_oracle("xab\n", {"ab", "xa"})
+        assert mnemonics == [] and diagnostics == []
+        (mnemonics, operands, _, _), _ = outcomes_like_oracle("\tmov r0 /x//y\n", {"/", "//"})
+        assert mnemonics == ["mov"] and operands == ["r0"]
+
+    def test_marker_holding_a_line_break_matches_nothing(self):
+        text = "\tmov x\n\tadd r0 @ c\r\n\tsub x\r\n"
+        (mnemonics, operands, _, _), _ = outcomes_like_oracle(text, {"x\n", "@"})
+        assert mnemonics == ["mov", "add", "sub"] and operands == ["x", "r0", "x"]
+        assert outcomes_like_oracle(text, {"x\n"})[0][1] == ["x", "r0 @ c", "x"]
+
+    def test_unclassifiable_line_is_quoted_with_its_comment(self):
+        (_, _, _, diagnostics), strict = outcomes_like_oracle("\tnop\n\t!!! junk @ note\n",
+                                                              DEFAULT_COMMENT_MARKERS)
+        message = "unclassifiable line: '!!! junk @ note'"
+        assert diagnostics == [(2, message)]
+        assert strict == (message, "t.s:2")
+
+    @pytest.mark.parametrize("markers", [DEFAULT_COMMENT_MARKERS, frozenset({"#"}),
+                                         frozenset({";"}), frozenset()])
+    def test_shipped_marker_sets_cut_with_one_literal_pass_per_marker(self, markers):
+        # "#" is the marker of bench/x86_config.json; one pass for all
+        # markers is several times slower than these literal passes
+        assert len(comment_cutters(markers)) == len(markers)
+
+    @pytest.mark.parametrize("markers", [{"/", "//"}, {" ", "# "}, {"ab", "xa"}])
+    def test_marker_sets_a_literal_pass_would_miscut_get_one_pass(self, markers):
+        assert len(comment_cutters(frozenset(markers))) == 1
+
+    def test_lines_are_not_split_twice_at_once(self):
+        """Quoting a diagnostic's raw line must not keep a second list of
+        lines alive: the peak stays below the program, one list of lines and
+        one copy of the text."""
+        text = "\t!!! junk\n" + "".join(f"L{i}:\tmov r{i % 8}, r1 @ copy\n\tldr r0, [r1]\n"
+                                          for i in range(10_000))
+        parse_assembly(text)  # compiles the comment pattern, fills the memo
+        tracemalloc.start()
+        try:
+            lines = text.splitlines()
+            _, lines_peak = tracemalloc.get_traced_memory()
+            del lines
+            tracemalloc.reset_peak()
+            program = parse_assembly(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(program.diagnostics) == 1
+        assert peak - held - lines_peak < sys.getsizeof(text)
 
 
 class TestBranchClassification:
