@@ -2,7 +2,7 @@
 
 The parser keeps just enough structure for instruction-level similarity
 work: normalized mnemonics, the raw operand text, label positions, and the
-basic-block boundaries needed to keep instruction patterns from crossing
+sorted basic-block starts that keep instruction patterns from crossing
 control-flow edges. Its records are immutable named tuples; a
 :class:`ParserConfig` checks its values when constructed, so a changed copy
 is built through the class, never with ``_replace``, which skips the checks.
@@ -68,9 +68,10 @@ class ParserConfig(_ParserFields):
         self = super().__new__(cls, *args, **kwargs)
         if not self.branch_mnemonics:
             raise InputError("branch_mnemonics must not be empty")
-        if "" in self.comment_markers:
-            # "" is found at column 0 and would strip every line
-            raise InputError("comment_markers must not contain an empty marker")
+        if any(not m or not set(_LINE_BREAKS).isdisjoint(m) for m in self.comment_markers):
+            # "" is found at column 0 and would strip every line; a comment ends
+            # at its line's end, so a marker holding a line break never matches
+            raise InputError("a comment marker must be non-empty and hold no line break")
         return self
 
 
@@ -90,10 +91,9 @@ def comment_cutters(comment_markers: frozenset[str]) -> tuple[re.Pattern[str], .
     One literal pass per marker makes that cut unless a marker can begin
     inside another (a pass would cut the other's earlier occurrence in two)
     or ends in a space (it could match the space a pass leaves); such sets
-    get one pass for all markers. A marker that holds a line break never
-    matches a line and is dropped.
+    get one pass for all markers.
     """
-    markers = sorted(m for m in comment_markers if set(_LINE_BREAKS).isdisjoint(m))
+    markers = sorted(comment_markers)
     if not any(m.endswith(" ") for m in markers) and not any(
             a != b and (b[k:].startswith(a) or a.startswith(b[k:]))
             for a in markers for b in markers for k in range(1, len(b))):
@@ -126,14 +126,6 @@ class AssemblyProgram(NamedTuple):
         return list(zip(self.mnemonics, self.operands))
 
 
-class BasicBlock(NamedTuple):
-    """A maximal straight-line run of instructions: the half-open span
-    ``program.mnemonics[start_index:end_index]``."""
-
-    start_index: int
-    end_index: int
-
-
 def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
                    source_name: str = "<asm>") -> AssemblyProgram:
     """Parse GNU-syntax assembly text into an instruction stream.
@@ -151,7 +143,9 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
     comment included. Any line-ending convention is accepted.
 
     Comments are cut once per file, by the :func:`comment_cutters` passes,
-    before the text is split into lines.
+    before the text is split into lines. Every cut leaves a trailing space,
+    so a cut line that does not end in one is its raw line and quotes it;
+    the raw text is split again only when a diagnosed line ends in a space.
 
     All calls share one memo from a raw first token to its mnemonic,
     emptied at ``_MEMO_LIMIT`` tokens; only tokens ``_MNEMONIC_RE`` has
@@ -166,10 +160,8 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
     add_mnemonic, add_operands = mnemonics.append, operands.append
     memo = _MNEMONIC_MEMO
 
-    # the cut lines live only as long as this loop, never together with the
-    # raw lines that a diagnostic is quoted from
-    for line_no, head in enumerate(map(str.split, _cut_lines(text, config.comment_markers),
-                                       repeat(None), repeat(1)), start=1):
+    lines = _cut_lines(text, config.comment_markers)
+    for line_no, head in enumerate(map(str.split, lines, repeat(None), repeat(1)), start=1):
         mnemonic = memo.get(head[0]) if head else None
         if mnemonic is None:  # not a memoised instruction: classify the line
             problem: str | None = None
@@ -184,7 +176,7 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
             # a directive (first char ".") contributes no instruction
             if problem is None and head and not head[0].startswith("."):
                 if not _MNEMONIC_RE.match(head[0]):
-                    problem = ""  # quotes the raw line, which is not at hand
+                    problem = ""  # quotes the raw line, after the loop
                 else:
                     mnemonic = head[0].lower()
                     if mnemonic.endswith((".n", ".w")):
@@ -196,19 +188,23 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
                     mnemonic = memo[head[0]] = sys.intern(mnemonic)
 
             if problem is not None:
-                if config.strict:
-                    raise ParseError(problem or _unclassifiable(text.splitlines()[line_no - 1]),
-                                     entity=f"{source_name}:{line_no}")
                 diagnostics.append((line_no, problem))
+                if config.strict:
+                    break
             if mnemonic is None:
                 continue
         add_mnemonic(mnemonic)
         add_operands(head[1].rstrip() if len(head) > 1 else "")
 
-    if diagnostics:
-        raw_lines = text.splitlines()
-        diagnostics = [(line_no, problem or _unclassifiable(raw_lines[line_no - 1]))
-                       for line_no, problem in diagnostics]
+    if any(not problem and lines[line_no - 1].endswith(" ")
+           for line_no, problem in diagnostics):
+        del lines  # never held together with the raw lines
+        lines = text.splitlines()
+    diagnostics = [(line_no, problem or f"unclassifiable line: {lines[line_no - 1].strip()!r}")
+                   for line_no, problem in diagnostics]
+    if config.strict and diagnostics:
+        line_no, message = diagnostics[0]
+        raise ParseError(message, entity=f"{source_name}:{line_no}")
     return AssemblyProgram(mnemonics, operands, labels, diagnostics)
 
 
@@ -217,10 +213,6 @@ def _cut_lines(text: str, comment_markers: frozenset[str]) -> list[str]:
     for cutter in comment_cutters(comment_markers):
         text = cutter.sub(" ", text)
     return text.splitlines()
-
-
-def _unclassifiable(raw_line: str) -> str:
-    return f"unclassifiable line: {raw_line.strip()!r}"
 
 
 def is_branch(mnemonic: str, operands_raw: str,
@@ -235,8 +227,10 @@ def is_branch(mnemonic: str, operands_raw: str,
 
 
 def segment_basic_blocks(program: AssemblyProgram,
-                         config: ParserConfig = DEFAULT_CONFIG) -> list[BasicBlock]:
-    """Split a program into basic blocks with the classic leader algorithm.
+                         config: ParserConfig = DEFAULT_CONFIG) -> list[int]:
+    """The sorted starts of a program's basic blocks, found with the classic
+    leader algorithm: each block runs up to the next start, the last one to
+    the end of the program; an empty program has none.
 
     Leaders are: instruction 0; every instruction at a label index where
     that label is named in the operands of some branch-class instruction;
@@ -256,16 +250,14 @@ def segment_basic_blocks(program: AssemblyProgram,
                 if is_branch(mnemonics[i], operands[i], config)]
     named = labels.keys() & _OPERAND_TOKEN_RE.findall("\n".join(map(operands.__getitem__,
                                                                    branches)))
-    # the end closes the last block
-    starts = sorted({0, len(mnemonics), *map(labels.__getitem__, named),
-                     *map((1).__add__, branches)})
-    # tuple.__new__ skips BasicBlock's Python __new__
-    return list(map(tuple.__new__, repeat(BasicBlock), zip(starts, starts[1:])))
+    starts = sorted({0, *map(labels.__getitem__, named), *map((1).__add__, branches)})
+    # a label at the end or a last branch names the end, which starts no block
+    if starts[-1] >= len(mnemonics):
+        starts.pop()
+    return starts
 
 
-def linear_blocks(program: AssemblyProgram) -> list[BasicBlock]:
-    """The whole program as one block, for pattern extraction that is
-    deliberately blind to control flow (sensitivity checks)."""
-    if not program.mnemonics:
-        return []
-    return [BasicBlock(0, len(program.mnemonics))]
+def linear_blocks(program: AssemblyProgram) -> list[int]:
+    """The block starts of the whole program as one block, for patterns that
+    are deliberately blind to control flow (sensitivity checks)."""
+    return [0][:len(program.mnemonics)]

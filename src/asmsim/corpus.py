@@ -71,15 +71,15 @@ def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]
 
 def load_json_object(path: Path, what: str, error: type[AsmSimError]) -> dict:
     """The JSON object in the UTF-8 file ``path``. A file that cannot be read is
-    an :class:`InputError`; one that is not UTF-8, not JSON or not an object is
-    ``error``. ``what`` names the file in the message."""
+    an :class:`InputError`; one that is not UTF-8, not JSON (or nested too
+    deeply to decode) or not an object is ``error``. ``what`` names the file."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {what}: {exc}", entity=str(path)) from exc
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise error(f"{what} is not valid JSON: {exc}", entity=str(path)) from exc
     if not isinstance(doc, dict):
         raise error(f"{what} root must be an object", entity=str(path))

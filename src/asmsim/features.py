@@ -7,12 +7,13 @@ patterns occur inside its basic blocks (n = 2 and 3 by default).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import compress
 from typing import NamedTuple, Sequence
 
-from .asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
-                         DEFAULT_CONFIG, linear_blocks, segment_basic_blocks)
+from .asm_parser import (AssemblyProgram, ParserConfig, DEFAULT_CONFIG,
+                         linear_blocks, segment_basic_blocks)
 
 NGram = tuple[str, ...]
 
@@ -24,22 +25,24 @@ class PatternSet(NamedTuple):
     patterns: frozenset[NGram]
 
 
-def extract_ngrams(mnemonics: Sequence[str], blocks: Sequence[BasicBlock],
+def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int],
                    n: int, pool: dict[NGram, NGram] | None = None) -> PatternSet:
     """All length-n sliding windows of ``mnemonics`` taken within each block.
 
-    Windows never cross block boundaries; a block of length L contributes
-    max(L - n + 1, 0) windows before de-duplication. A ``pool`` maps each
-    pattern to its one shared tuple; patterns it lacks are added to it.
+    ``starts`` are the sorted block starts (:func:`segment_basic_blocks`);
+    the window at ``i`` is dropped if one lies in ``i + 1 .. i + n - 1``, so
+    a block of length L contributes max(L - n + 1, 0) windows before
+    de-duplication. A ``pool`` maps each pattern to its one shared tuple;
+    patterns it lacks are added to it.
     """
     if n < 2:
         raise ValueError(f"pattern length must be >= 2, got {n}")
-    starts = bytearray(len(mnemonics))  # 1 where a window lies inside a block
-    for start, end in blocks:
-        if end - start >= n:
-            starts[start:end - n + 1] = b"\x01" * (end - start - n + 1)
+    keep = bytearray(b"\x01") * len(mnemonics)  # 0 where a window crosses a start
+    for k in range(1, n):  # zero the window at start - k; a start < k would wrap
+        for start in starts[bisect_left(starts, k):]:
+            keep[start - k] = 0
     windows = zip(*(mnemonics[k:] for k in range(n)))
-    patterns = frozenset(compress(windows, starts))
+    patterns = frozenset(compress(windows, keep))
     if pool is not None:
         patterns = frozenset(map(pool.setdefault, patterns, patterns))
     return PatternSet(n, patterns)
@@ -56,13 +59,14 @@ class ProgramFeatures(NamedTuple):
         return self.patterns2 if n == 2 else self.patterns3
 
 
-def compute_features(program: AssemblyProgram, blocks: Sequence[BasicBlock],
+def compute_features(program: AssemblyProgram, starts: Sequence[int],
                      pool: dict[NGram, NGram] | None = None) -> ProgramFeatures:
-    """Count ``program.mnemonics`` and slide both pattern windows over it;
-    only 2-grams, which recur across a corpus, go through ``pool``."""
+    """Count ``program.mnemonics`` and slide both pattern windows over the
+    blocks at ``starts``; only 2-grams, which recur across a corpus, go
+    through ``pool``."""
     mnemonics = program.mnemonics
-    return ProgramFeatures(Counter(mnemonics), extract_ngrams(mnemonics, blocks, 2, pool),
-                           extract_ngrams(mnemonics, blocks, 3))
+    return ProgramFeatures(Counter(mnemonics), extract_ngrams(mnemonics, starts, 2, pool),
+                           extract_ngrams(mnemonics, starts, 3))
 
 
 def features_for_program(program: AssemblyProgram,
@@ -75,8 +79,8 @@ def features_for_program(program: AssemblyProgram,
     branch boundaries. ``pool`` shares the 2-gram tuples of every program
     featurized through it (see :func:`compute_features`).
     """
-    blocks = linear_blocks(program) if linear else segment_basic_blocks(program, config)
-    return compute_features(program, blocks, pool)
+    starts = linear_blocks(program) if linear else segment_basic_blocks(program, config)
+    return compute_features(program, starts, pool)
 
 
 def features_to_dict(features: ProgramFeatures) -> dict:

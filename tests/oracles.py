@@ -13,7 +13,7 @@ import math
 import random
 import re
 
-from asmsim.asm_parser import AssemblyProgram, BasicBlock, ParserConfig
+from asmsim.asm_parser import AssemblyProgram, ParserConfig
 from asmsim.corpus import (CorpusGrid, GroupingResult, MetricStudy,
                            PairValue, StudyReport, StudySuite, SubsetSummary,
                            SuiteSummary, GroupingScheme, GroupingKind,
@@ -112,8 +112,8 @@ def oracle_names(operands: str, label: str) -> bool:
     return re.search(f"(?<!{word}){re.escape(label)}(?!{word})", operands) is not None
 
 
-def oracle_blocks(program: AssemblyProgram) -> list[BasicBlock]:
-    """Basic blocks from the leader rules, deciding index by index: an
+def oracle_blocks(program: AssemblyProgram) -> list[int]:
+    """Basic-block starts from the leader rules, deciding index by index: an
     instruction starts a block if it is the first, if it follows a branch,
     or if a label at its index is named by some branch."""
     instructions = list(zip(program.mnemonics, program.operands))
@@ -121,22 +121,18 @@ def oracle_blocks(program: AssemblyProgram) -> list[BasicBlock]:
                 if oracle_is_branch(mnemonic, operands)]
     targets = {index for label, index in program.labels.items()
                if any(oracle_names(operands, label) for operands in branches)}
-    spans: list[list[int]] = []
-    for i in range(len(instructions)):
-        if i == 0 or oracle_is_branch(*instructions[i - 1]) or i in targets:
-            spans.append([i, i + 1])
-        else:
-            spans[-1][1] = i + 1
-    return [BasicBlock(start, end) for start, end in spans]
+    return [i for i in range(len(instructions))
+            if i == 0 or oracle_is_branch(*instructions[i - 1]) or i in targets]
 
 
 # --- naive feature extraction ------------------------------------------------
 
-def oracle_ngrams(program: AssemblyProgram, blocks: list[BasicBlock], n: int) -> set:
+def oracle_ngrams(program: AssemblyProgram, starts: list[int], n: int) -> set:
     """Enumerate every run of n consecutive instruction indices and keep
-    the windows that do not span a block boundary."""
+    the windows that lie inside one block; block ``k`` spans ``starts[k]``
+    up to the next start or the end of the program."""
     mnemonics = program.mnemonics
-    spans = [(b.start_index, b.end_index) for b in blocks]
+    spans = list(zip(starts, [*starts[1:], len(mnemonics)]))
     found = set()
     for i in range(len(mnemonics) - n + 1):
         if any(start <= i and i + n <= end for start, end in spans):
@@ -144,7 +140,7 @@ def oracle_ngrams(program: AssemblyProgram, blocks: list[BasicBlock], n: int) ->
     return found
 
 
-def oracle_features(program: AssemblyProgram, blocks: list[BasicBlock]) -> dict:
+def oracle_features(program: AssemblyProgram, starts: list[int]) -> dict:
     mnemonics = program.mnemonics
     freq: dict[str, int] = {}
     for m in mnemonics:
@@ -152,8 +148,8 @@ def oracle_features(program: AssemblyProgram, blocks: list[BasicBlock]) -> dict:
     return {
         "existence": set(mnemonics),
         "freq": freq,
-        2: oracle_ngrams(program, blocks, 2),
-        3: oracle_ngrams(program, blocks, 3),
+        2: oracle_ngrams(program, starts, 2),
+        3: oracle_ngrams(program, starts, 3),
     }
 
 

@@ -144,12 +144,12 @@ class TestCriterion4OracleEquivalence:
         for _ in range(self.PROGRAMS):
             program = parse_assembly(oracles.random_program_text(rng, 20))
             assert len(program.mnemonics) <= 20
-            blocks = segment_basic_blocks(program)
+            starts = segment_basic_blocks(program)
             for n in (2, 3):
-                assert extract_ngrams(program.mnemonics, blocks, n).patterns == \
-                    oracles.oracle_ngrams(program, blocks, n)
+                assert extract_ngrams(program.mnemonics, starts, n).patterns == \
+                    oracles.oracle_ngrams(program, starts, n)
             bundles.append((features_for_program(program),
-                            oracles.oracle_features(program, blocks)))
+                            oracles.oracle_features(program, starts)))
 
         for (fa, oa), (fb, ob) in zip(bundles, bundles[1:]):
             assert abs(pair_value(MetricKind.JACCARD, fa, fb)
@@ -275,21 +275,17 @@ class TestCriterion7ParserConformance:
         ]
         assert program.labels == {"main": 0, ".L1": 4, ".L2": 7, "unused": 8}
         assert program.diagnostics == []
-        blocks = segment_basic_blocks(program)
-        assert [(b.start_index, b.end_index) for b in blocks] == [(0, 4), (4, 7), (7, 10)]
+        assert segment_basic_blocks(program) == [0, 4, 7]
 
         program = parse_assembly((fixtures_dir / "conformance_branches.s").read_text())
         assert program.mnemonics == ["bic", "bls", "bl", "blx", "bx"]
         assert program.labels == {"loop": 0, "skip": 4}
-        blocks = segment_basic_blocks(program)
-        assert [(b.start_index, b.end_index) for b in blocks] == \
-            [(0, 2), (2, 3), (3, 4), (4, 5)]
+        assert segment_basic_blocks(program) == [0, 2, 3, 4]
 
         program = parse_assembly((fixtures_dir / "conformance_labels.s").read_text())
         assert program.mnemonics == ["movs", "b", "adds"]
         assert program.labels == {"start": 0, "entry": 0, "mid": 2, "end": 3}
-        blocks = segment_basic_blocks(program)
-        assert [(b.start_index, b.end_index) for b in blocks] == [(0, 2), (2, 3)]
+        assert segment_basic_blocks(program) == [0, 2]
 
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"criterion 7 took {elapsed:.2f}s"

@@ -7,17 +7,13 @@ from asmsim import asm_parser
 from asmsim.asm_parser import (DEFAULT_COMMENT_MARKERS, ParserConfig, comment_cutters,
                                is_branch, linear_blocks, parse_assembly,
                                segment_basic_blocks)
-from asmsim.errors import ParseError
+from asmsim.errors import InputError, ParseError
 
 import oracles
 
 
 def rows(program):
     return list(zip(program.mnemonics, program.operands))
-
-
-def block_spans(blocks):
-    return [(b.start_index, b.end_index) for b in blocks]
 
 
 class TestParseAssembly:
@@ -221,11 +217,14 @@ class TestCommentCutting:
         (mnemonics, operands, _, _), _ = outcomes_like_oracle("\tmov r0 /x//y\n", {"/", "//"})
         assert mnemonics == ["mov"] and operands == ["r0"]
 
-    def test_marker_holding_a_line_break_matches_nothing(self):
-        text = "\tmov x\n\tadd r0 @ c\r\n\tsub x\r\n"
-        (mnemonics, operands, _, _), _ = outcomes_like_oracle(text, {"x\n", "@"})
-        assert mnemonics == ["mov", "add", "sub"] and operands == ["x", "r0", "x"]
-        assert outcomes_like_oracle(text, {"x\n"})[0][1] == ["x", "r0 @ c", "x"]
+    @pytest.mark.parametrize("line_break", list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                             ids=["lf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"])
+    def test_marker_holding_a_line_break_is_rejected(self, line_break):
+        # a comment ends at its line's end, so such a marker could never cut
+        assert ("x" + line_break).splitlines() == ["x"]
+        for marker in (line_break, "@" + line_break, "x" + line_break + "y"):
+            with pytest.raises(InputError, match="line break"):
+                ParserConfig(comment_markers=frozenset({"@", marker}))
 
     def test_unclassifiable_line_is_quoted_with_its_comment(self):
         (_, _, _, diagnostics), strict = outcomes_like_oracle("\tnop\n\t!!! junk @ note\n",
@@ -233,6 +232,22 @@ class TestCommentCutting:
         message = "unclassifiable line: '!!! junk @ note'"
         assert diagnostics == [(2, message)]
         assert strict == (message, "t.s:2")
+
+    @pytest.mark.parametrize("text", [
+        "\tnop\n\t!!! junk   \n\tnop\n",
+        "\tnop\r\n\t!!! junk\r\n\tnop\r\n",
+        "\tnop\u2028\t!!! junk @ x\u2028\tnop\n",
+        "\t!!! a @ c\r\n\t!!! b  \u2028\tnop // d\n\t!!! e\n\t!!! f @\t\n",
+    ], ids=["trailing-spaces", "crlf", "line-separator", "mixed"])
+    def test_diagnostics_quote_the_raw_line(self, text):
+        """Quoted from the cut line when no comment was cut from it, else from
+        the raw text: either way the line ``str.splitlines`` gives."""
+        raw = text.splitlines()
+        expected = [(line_no, f"unclassifiable line: {line.strip()!r}")
+                    for line_no, line in enumerate(raw, start=1) if "!!!" in line]
+        (_, _, _, diagnostics), strict = outcomes_like_oracle(text, DEFAULT_COMMENT_MARKERS)
+        assert diagnostics == expected
+        assert strict == (expected[0][1], f"t.s:{expected[0][0]}")
 
     @pytest.mark.parametrize("markers", [DEFAULT_COMMENT_MARKERS, frozenset({"#"}),
                                          frozenset({";"}), frozenset()])
@@ -288,31 +303,31 @@ class TestBranchClassification:
 class TestSegmentBasicBlocks:
     def test_sole_block_ends_with_branch(self):
         program = parse_assembly("\tmovs r0, #0\n\tbx lr\n")
-        blocks = segment_basic_blocks(program)
-        assert block_spans(blocks) == [(0, 2)]
+        assert segment_basic_blocks(program) == [0]
 
     def test_leader_rules(self):
         text = "\tmov r0, r1\n\tbeq L\n\tadd r0, r1\nL:\n\tsub r0, r1\n"
         program = parse_assembly(text)
-        blocks = segment_basic_blocks(program)
-        assert block_spans(blocks) == [(0, 2), (2, 3), (3, 4)]
-        assert [program.mnemonics[start:end] for start, end in blocks] == \
+        starts = segment_basic_blocks(program)
+        assert starts == [0, 2, 3]
+        ends = [*starts[1:], len(program.mnemonics)]
+        assert [program.mnemonics[start:end] for start, end in zip(starts, ends)] == \
             [["mov", "beq"], ["add"], ["sub"]]
 
     def test_unreferenced_label_creates_no_leader(self):
         text = "\tmov r0, r1\n\tadd r0, r1\nquiet:\n\tsub r0, r1\n"
         program = parse_assembly(text)
-        assert block_spans(segment_basic_blocks(program)) == [(0, 3)]
+        assert segment_basic_blocks(program) == [0]
 
     def test_non_branch_label_reference_creates_no_leader(self):
         # a literal-pool load names a label without transferring control
         text = "\tldr r0, .LC0\n\tadd r0, r1\n.LC0:\n\tsub r0, r1\n"
         program = parse_assembly(text)
-        assert block_spans(segment_basic_blocks(program)) == [(0, 3)]
+        assert segment_basic_blocks(program) == [0]
 
     def test_branch_to_label_at_end_of_file(self):
         program = parse_assembly("\tb done\n\tnop\ndone:\n")
-        assert block_spans(segment_basic_blocks(program)) == [(0, 1), (1, 2)]
+        assert segment_basic_blocks(program) == [0, 1]
 
     def test_empty_program(self):
         assert segment_basic_blocks(parse_assembly("")) == []
@@ -320,25 +335,25 @@ class TestSegmentBasicBlocks:
     def test_blocks_cover_program_in_order(self, fixtures_dir):
         for name in ("conformance_basic.s", "conformance_branches.s"):
             program = parse_assembly((fixtures_dir / name).read_text())
-            blocks = segment_basic_blocks(program)
-            covered = [i for start, end in blocks for i in range(start, end)]
+            starts = segment_basic_blocks(program)
+            spans = list(zip(starts, [*starts[1:], len(program.mnemonics)]))
+            covered = [i for start, end in spans for i in range(start, end)]
             assert covered == list(range(len(program.mnemonics)))
-            for start, end in blocks:
+            for start, end in spans:
                 assert start < end
                 for mnemonic, operands in rows(program)[start:end - 1]:
                     assert not is_branch(mnemonic, operands)
 
     def test_linear_blocks(self):
         program = parse_assembly("\tmov r0, r1\n\tbeq L\nL:\n\tsub r0, r1\n")
-        blocks = linear_blocks(program)
-        assert block_spans(blocks) == [(0, 3)]
+        assert linear_blocks(program) == [0]
         assert linear_blocks(parse_assembly("")) == []
 
     def test_custom_branch_set(self):
         config = ParserConfig(branch_mnemonics=frozenset({"jmp"}))
         program = parse_assembly("\tjmp out\n\tmov r0, r1\n\tbx lr\n", config)
         # bx is not a branch under this config; only jmp splits
-        assert block_spans(segment_basic_blocks(program, config)) == [(0, 1), (1, 3)]
+        assert segment_basic_blocks(program, config) == [0, 1]
 
     def test_each_config_segments_with_its_own_branch_list(self):
         """The cached branch set is keyed on the list, never shared between configs."""
@@ -346,6 +361,6 @@ class TestSegmentBasicBlocks:
         jmp = ParserConfig(branch_mnemonics=frozenset({"jmp"}))
         call = ParserConfig(branch_mnemonics=frozenset({"call"}))
         for _ in range(2):
-            assert block_spans(segment_basic_blocks(program, jmp)) == [(0, 1), (1, 4)]
-            assert block_spans(segment_basic_blocks(program, call)) == [(0, 3), (3, 4)]
+            assert segment_basic_blocks(program, jmp) == [0, 1]
+            assert segment_basic_blocks(program, call) == [0, 3]
             assert is_branch("jmp", "out", jmp) and not is_branch("jmp", "out", call)

@@ -109,6 +109,16 @@ class TestExtract:
         assert result.returncode == 0
         assert f"warning: {asm}:2:" in result.stderr.decode()
 
+    def test_lenient_warnings_quote_the_raw_lines(self, tmp_path):
+        text = "\t!!! a @ c\r\n\t!!! b  \u2028\tnop // d\n\t!!! e\n\t!!! f @\t\n"
+        asm = tmp_path / "a.s"
+        asm.write_bytes(text.encode())
+        result = run_cli("extract", asm)
+        assert result.returncode == 0
+        assert result.stderr.decode().splitlines() == [
+            f"warning: {asm}:{line_no}: unclassifiable line: {line.strip()!r}"
+            for line_no, line in enumerate(text.splitlines(), start=1) if "!!!" in line]
+
     def test_closed_stdout_exits_2_without_traceback(self, fixtures_dir):
         # about 400 KB of lines, far more than a pipe and the child's stdout
         # buffer hold, so writes are still pending when the pipe closes
@@ -337,6 +347,15 @@ class TestStudy:
         code, entity, _ = last_diagnostic(result)
         assert code == 2 and entity == str(target)
 
+    def test_report_bytes_do_not_depend_on_the_hash_seed(self, corpus_manifest):
+        golden = (GOLDEN / "study_3x3.md").read_bytes()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONHASHSEED": seed}
+            result = subprocess.run([sys.executable, "-S", "-m", "asmsim", "study",
+                                     str(corpus_manifest)], capture_output=True, env=env)
+            assert result.returncode == 0
+            assert result.stdout == golden
+
     def test_5x5_output_deterministic(self, fixtures_dir):
         manifest = fixtures_dir / "corpus5x5" / "manifest.json"
         one = run_cli("study", manifest)
@@ -492,6 +511,26 @@ class TestConfigPrecedence:
         assert result.returncode == code
         assert "Traceback" not in result.stderr.decode()
         assert last_diagnostic(result)[:2] == (code, str(bad))
+
+    @pytest.mark.parametrize("which, code", [("config", 2), ("manifest", 5)])
+    def test_file_nested_too_deeply_exits_with_its_code(self, corpus_manifest, tmp_path,
+                                                        which, code):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        args = ((corpus_manifest, "--config", deep) if which == "config" else (deep,))
+        result = run_cli("study", *args)
+        assert result.returncode == code
+        assert len(result.stderr.decode().splitlines()) == 1  # no traceback
+        assert last_diagnostic(result)[:2] == (code, str(deep))
+
+    def test_comment_marker_holding_a_line_break_exits_2(self, corpus_manifest, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"parser": {"comment_markers": ["@\n"]}}))
+        result = run_cli("study", corpus_manifest, "--config", config)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert last_diagnostic(result)[:2] == (2, str(config))
+        assert "line break" in last_diagnostic(result)[2]
 
     @pytest.mark.parametrize("args", [
         ("extract", "{corpus}/ada_fib.s", "--format", "json"),

@@ -88,6 +88,8 @@ def test_empty_env_compiler_is_unset():
     {"parser": {"strict": "yes"}},
     {"compiler_command": "   "},
     {"compiler_command": 'gcc "x'},
+    {"parser": {"comment_markers": ["@\n"]}},
+    {"parser": {"comment_markers": ["//", "\u2028"]}},
 ])
 def test_invalid_configs_rejected(tmp_path, doc):
     path = write_config(tmp_path, doc)
@@ -99,11 +101,13 @@ def test_invalid_configs_rejected(tmp_path, doc):
 @pytest.mark.parametrize("make", [
     lambda: ParserConfig(branch_mnemonics=frozenset()),
     lambda: ParserConfig(comment_markers=frozenset({""})),
+    lambda: ParserConfig(comment_markers=frozenset({"@\r"})),
     lambda: ToolConfig(jobs=0),
     lambda: ToolConfig(compiler_command="  "),
     lambda: ToolConfig(output_format="xml"),
     lambda: ToolConfig(ngram_mode="x"),
-], ids=["no-branches", "empty-marker", "jobs-0", "blank-command", "format-xml", "mode-x"])
+], ids=["no-branches", "empty-marker", "line-break-marker", "jobs-0", "blank-command",
+        "format-xml", "mode-x"])
 def test_direct_construction_checks_the_values(make):
     with pytest.raises(InputError):
         make()

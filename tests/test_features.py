@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from asmsim.asm_parser import parse_assembly, segment_basic_blocks
+from asmsim.asm_parser import linear_blocks, parse_assembly, segment_basic_blocks
 from asmsim.cli import corpus_features
 from asmsim.config import ToolConfig
 from asmsim.corpus import build_universes, load_datasets
@@ -22,8 +22,8 @@ def frequency(program):
     return compute_features(program, []).frequency
 
 
-def ngrams(program, blocks, n):
-    return extract_ngrams(program.mnemonics, blocks, n)
+def ngrams(program, starts, n):
+    return extract_ngrams(program.mnemonics, starts, n)
 
 
 def patterns(n, *tuples):
@@ -83,10 +83,10 @@ class TestExtractNgrams:
     def test_window_count_before_dedup(self):
         # L - n + 1 windows for a single block; make them all distinct
         program = program_of(*[f"op{i} r0" for i in range(9)])
-        blocks = segment_basic_blocks(program)
-        assert len(blocks) == 1
+        starts = segment_basic_blocks(program)
+        assert starts == [0]
         for n in (2, 3):
-            assert len(ngrams(program, blocks, n).patterns) == 9 - n + 1
+            assert len(ngrams(program, starts, n).patterns) == 9 - n + 1
 
     def test_n_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -107,6 +107,25 @@ class TestExtractNgrams:
         linear = features_for_program(program, linear=True)
         assert ("beq", "sub") not in confined.patterns2.patterns
         assert ("beq", "sub") in linear.patterns2.patterns
+
+    @pytest.mark.parametrize("text, starts", [
+        ("", []),
+        ("\tmov r0\n", [0]),
+        ("\tmov r0\n\tadd r1\n", [0]),
+        # a start at 1: with n = 3 the window at 1 - 2 must not wrap to the end
+        ("\tb L\nL:\n\tmov r0\n\tadd r1\n\tsub r2\n", [0, 1]),
+        ("\tmov r0\n\tadd r1\n\tbeq L\nL:\n", [0]),
+        ("\tcbz r0, out\n\tadd r1\nout:\n", [0, 1]),
+        ("\tmov r0\n\tbx lr\n", [0]),
+    ], ids=["empty", "one", "two", "start-at-1", "branch-last", "label-at-end", "bx-last"])
+    def test_edge_segmentations_match_oracles(self, text, starts):
+        program = parse_assembly(text)
+        assert segment_basic_blocks(program) == oracles.oracle_blocks(program) == starts
+        assert linear_blocks(program) == [0][:len(program.mnemonics)]
+        for n in (2, 3, 4):
+            for mode in (starts, linear_blocks(program)):
+                assert ngrams(program, mode, n).patterns == \
+                    oracles.oracle_ngrams(program, mode, n)
 
 
 class TestPatternUniverse:
@@ -153,11 +172,11 @@ class TestFeatureBundle:
 class TestPatternPool:
     def test_pool_swaps_in_its_tuples_and_learns_new_ones(self):
         program = program_of("mov r0", "add r1", "mov r2", "add r3")
-        blocks = segment_basic_blocks(program)
+        starts = segment_basic_blocks(program)
         shared = ("mov", "add")
         pool = {shared: shared}
-        pooled = extract_ngrams(program.mnemonics, blocks, 2, pool)
-        assert pooled == extract_ngrams(program.mnemonics, blocks, 2)
+        pooled = extract_ngrams(program.mnemonics, starts, 2, pool)
+        assert pooled == extract_ngrams(program.mnemonics, starts, 2)
         assert any(pattern is shared for pattern in pooled.patterns)
         assert pool == {shared: shared, ("add", "mov"): ("add", "mov")}
         assert all(pool[pattern] is pattern for pattern in pooled.patterns)
@@ -183,7 +202,7 @@ class TestOracleEquivalence:
         rng = random.Random(20240811)
         for _ in range(60):
             program = parse_assembly(oracles.random_program_text(rng))
-            blocks = segment_basic_blocks(program)
+            starts = segment_basic_blocks(program)
             for n in (2, 3):
-                assert ngrams(program, blocks, n).patterns == \
-                    oracles.oracle_ngrams(program, blocks, n)
+                assert ngrams(program, starts, n).patterns == \
+                    oracles.oracle_ngrams(program, starts, n)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asmsim.asm_parser import (AssemblyProgram, BasicBlock, ParserConfig,
-                               is_branch, parse_assembly, segment_basic_blocks)
+from asmsim.asm_parser import (AssemblyProgram, ParserConfig, is_branch, linear_blocks,
+                               parse_assembly, segment_basic_blocks)
 from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            enumerate_subsets, APPLICATION_SPECIFIC,
                            PROGRAMMER_SPECIFIC, totally_different)
@@ -36,18 +36,23 @@ def random_program(seed):
     return parse_assembly(oracles.random_program_text(rng))
 
 
+def block_spans(program, starts):
+    """The (start, end) span of each block that begins at one of ``starts``."""
+    return list(zip(starts, [*starts[1:], len(program.mnemonics)]))
+
+
 class TestParserProperties:
     @given(st.integers(0, 10**9))
     def test_blocks_concatenate_to_program(self, seed):
         program = random_program(seed)
-        blocks = segment_basic_blocks(program)
-        covered = [i for start, end in blocks for i in range(start, end)]
+        spans = block_spans(program, segment_basic_blocks(program))
+        covered = [i for start, end in spans for i in range(start, end)]
         assert covered == list(range(len(program.mnemonics)))
 
     @given(st.integers(0, 10**9))
     def test_branches_only_terminate_blocks(self, seed):
         program = random_program(seed)
-        for start, end in segment_basic_blocks(program):
+        for start, end in block_spans(program, segment_basic_blocks(program)):
             assert start < end
             for mnemonic, operands in zip(program.mnemonics[start:end - 1],
                                           program.operands[start:end - 1]):
@@ -126,35 +131,40 @@ class TestParserOracle:
 
 
 @st.composite
-def mnemonics_and_blocks(draw):
-    """A mnemonic list and a block list that need not cover it: sorted
-    disjoint spans, each kept or dropped, so there are gaps, short blocks
+def mnemonics_and_starts(draw):
+    """A mnemonic list and any segmentation of it: 0 and a sorted subset of
+    the other indices, so there are short blocks, one-instruction blocks
     and blocks that end at the last instruction."""
     mnemonics = draw(st.lists(st.sampled_from(MNEMONIC_ALPHABET[:4]), max_size=16))
-    points = sorted(draw(st.sets(st.integers(0, len(mnemonics)))))
-    keep = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
-    blocks = [BasicBlock(start, end) for start, end, kept in
-              zip(points, points[1:], keep) if kept]
-    return mnemonics, blocks
+    starts = sorted(draw(st.sets(st.integers(0, max(len(mnemonics) - 1, 0)))) | {0})
+    return mnemonics, starts[:len(mnemonics)]
 
 
 class TestFeatureProperties:
-    @given(mnemonics_and_blocks(), st.integers(2, 4))
-    @example((["mov", "add", "sub"], []), 2)
-    @example((["mov", "add", "sub", "ldr", "mov", "add"], [BasicBlock(1, 2), BasicBlock(3, 6)]), 2)
-    @example((["mov", "add", "sub", "ldr"], [BasicBlock(0, 1), BasicBlock(2, 4)]), 3)
+    @given(mnemonics_and_starts(), st.integers(2, 4))
+    @example(([], []), 2)
+    @example((["mov", "add", "sub"], [0, 1, 2]), 2)
+    @example((["mov", "add", "sub", "ldr", "mov", "add"], [0, 1, 2, 3]), 2)
+    @example((["mov", "add", "sub", "ldr"], [0, 2]), 3)
+    @example((["mov", "add", "sub", "ldr"], [0, 1]), 3)
     def test_ngrams_on_any_block_list_match_oracle(self, case, n):
-        mnemonics, blocks = case
+        mnemonics, starts = case
         program = AssemblyProgram(mnemonics, [""] * len(mnemonics), {})
-        assert extract_ngrams(mnemonics, blocks, n).patterns == \
-            oracles.oracle_ngrams(program, blocks, n)
+        assert extract_ngrams(mnemonics, starts, n).patterns == \
+            oracles.oracle_ngrams(program, starts, n)
 
     @given(st.integers(0, 10**9), st.integers(2, 5))
     def test_ngrams_match_window_oracle(self, seed, n):
         program = random_program(seed)
-        blocks = segment_basic_blocks(program)
-        assert extract_ngrams(program.mnemonics, blocks, n).patterns == \
-            oracles.oracle_ngrams(program, blocks, n)
+        assert extract_ngrams(program.mnemonics, segment_basic_blocks(program), n).patterns \
+            == oracles.oracle_ngrams(program, oracles.oracle_blocks(program), n)
+
+    @given(st.integers(0, 10**9), st.integers(2, 5))
+    def test_linear_ngrams_match_window_oracle(self, seed, n):
+        program = random_program(seed)
+        whole = [0] if program.mnemonics else []
+        assert extract_ngrams(program.mnemonics, linear_blocks(program), n).patterns == \
+            oracles.oracle_ngrams(program, whole, n)
 
     @given(st.lists(st.sampled_from(["mov", "add", "sub", "ldr", "str", "cmp"]),
                     min_size=1, max_size=12),
