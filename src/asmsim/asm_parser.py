@@ -68,10 +68,13 @@ class ParserConfig(_ParserFields):
         self = super().__new__(cls, *args, **kwargs)
         if not self.branch_mnemonics:
             raise InputError("branch_mnemonics must not be empty")
-        if any(not m or not set(_LINE_BREAKS).isdisjoint(m) for m in self.comment_markers):
-            # "" is found at column 0 and would strip every line; a comment ends
-            # at its line's end, so a marker holding a line break never matches
-            raise InputError("a comment marker must be non-empty and hold no line break")
+        if any(not m or m.isspace() or not set(_LINE_BREAKS).isdisjoint(m)
+               for m in self.comment_markers):
+            # "" is found at column 0 and would strip every line, and " " every
+            # operand; a comment ends at its line's end, so a marker holding a
+            # line break never matches
+            raise InputError("a comment marker must hold a non-space character "
+                             "and no line break")
         return self
 
 

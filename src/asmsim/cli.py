@@ -122,6 +122,18 @@ def resolve_config(args: argparse.Namespace) -> ToolConfig:
     return config_from_dict(flags, load_tool_config(args.config), entity=None)
 
 
+def _stderr(text: str) -> None:
+    """Write ``text`` and a newline to stderr in one write, or drop it when there is
+    no usable stderr. Without fd 2, ``sys.stderr`` is None (where ``print`` would
+    write to stdout); once a write fails, it becomes None, so that the flush at exit
+    does not fail on the text left in its buffer and turn the exit status into 120."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text + "\n")
+        except OSError:
+            sys.stderr = None
+
+
 def _write_parts(parts: Iterable[str], path: Path | None) -> None:
     """Write ``parts`` as they come to the file ``path`` (see
     :func:`corpus.write_file`), or to stdout if it is None."""
@@ -140,16 +152,17 @@ def file_features(path: Path, config: ToolConfig, entity: str | None = None,
                   pool: dict[NGram, NGram] | None = None) -> ProgramFeatures:
     """Read, parse and featurize one assembly file.
 
-    Prints a ``warning: <path>:<line>: ...`` line on stderr for every line
-    lenient mode skipped; ``entity`` names the file in a read error.
+    Writes a ``warning: <path>:<line>: ...`` line to stderr for every line
+    lenient mode skipped, all in one write; ``entity`` names the file in a read error.
     """
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise InputError(f"cannot read file: {exc}", entity=entity or str(path)) from exc
     program = parse_assembly(text, config.parser, source_name=str(path))
-    for line_no, message in program.diagnostics:
-        print(f"warning: {path}:{line_no}: {message}", file=sys.stderr)
+    if program.diagnostics:
+        _stderr("\n".join(f"warning: {path}:{line_no}: {message}"
+                           for line_no, message in program.diagnostics))
     return features_for_program(program, config.parser,
                                 linear=config.ngram_mode == "linear", pool=pool)
 
@@ -227,9 +240,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
           f"failed {len(result.failures)}")
     print(f"manifest: {result.manifest_path}")
     if result.failures:
-        for outcome in result.failures:
-            print(ToolError(outcome.error, entity=outcome.entry.id).diagnostic(),
-                  file=sys.stderr)
+        _stderr("\n".join(ToolError(outcome.error, entity=outcome.entry.id).diagnostic()
+                           for outcome in result.failures))
         return 4
     return 0
 
@@ -281,14 +293,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except AsmSimError as exc:
-        print(exc.diagnostic(), file=sys.stderr)
+        _stderr(exc.diagnostic())
         return exc.exit_code
     except BrokenPipeError:
         # the reader closed stdout (`asmsim extract DIR | head -1`); point
         # stdout at devnull so the interpreter's own flush at exit succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(InputError("the reader closed the pipe", entity="<stdout>").diagnostic(),
-              file=sys.stderr)
+        _stderr(InputError("the reader closed the pipe", entity="<stdout>").diagnostic())
         return InputError.exit_code
 
 

@@ -6,7 +6,13 @@ Jaccard similarity, frequency vectors with cosine similarity
 between their boolean presence vectors.
 
 :func:`pair_values` scores many pairs in one call, over the elements that two or
-more of its programs hold: as ``int`` bitsets, or for cosine as rows of counts.
+more of its programs hold: as ``int`` bitsets, or for cosine as packed Gram rows.
+Each shared mnemonic is one ``int`` column that holds every program's count in its
+own ``W``-byte little-endian field, where ``W`` is the smallest byte count with every
+squared norm below ``256**W``. A program's row, the sum of its counts times the
+columns, holds in field ``j`` its dot product with program ``j``. By Cauchy-Schwarz
+no dot product exceeds the larger squared norm, and no term is negative, so no field
+carries into the next and every dot product is exact.
 :func:`pair_value` is its two-program case.
 """
 
@@ -79,12 +85,20 @@ def pair_values(kind: MetricKind, programs: Sequence[ProgramFeatures],
             raise EmptyProgramError("cosine similarity is undefined for an empty program")
         shared = _holders(frequencies)[1]
         norms = [sum(map(mul, f.values(), f.values())) for f in frequencies]
-        rows = [list(map(frequency.get, shared, repeat(0))) for frequency in frequencies]
+        # every dot product is at most the larger squared norm, so it fits a field
+        width = (max(norms, default=0).bit_length() + 7) // 8
+        columns = [int.from_bytes(b"".join(map(int.to_bytes, map(
+            dict.get, frequencies, repeat(mnemonic), repeat(0)), repeat(width),
+            repeat("little"))), "little") for mnemonic in shared]
+        size = len(programs) * width
+        rows = [sum(map(mul, map(frequency.get, shared, repeat(0)), columns)).to_bytes(
+            size, "little") for frequency in frequencies]
         # a self-pair's dot product also takes the mnemonics only it holds;
         # |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, so dot == a == b holds exactly when a == b
         return [1.0 if dot == a == b else min(max(dot / math.sqrt(a * b), 0.0), 1.0)
                 for i, j in pairs for a, b in [(norms[i], norms[j])]
-                for dot in [sum(map(mul, rows[i], rows[j])) if i != j else a]]
+                for dot in [int.from_bytes(rows[i][j * width:(j + 1) * width], "little")
+                            if i != j else a]]
     n = kind.ngram_length
     # Jaccard reads the frequency keys: a Counter iterates and sizes as its key set
     sets = [p.frequency if n is None else p.pattern_set(n).patterns for p in programs]

@@ -167,8 +167,10 @@ def render_json(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[
                    f'{_NL[3]}"applications": {_dumps(report.applications, 3)},'
                    f'{_NL[3]}"strides": {_dumps(report.strides, 3)},{_NL[3]}"metrics": {{')
         for kind in _members(out, METRIC_ORDER, 4, "}" + _NL[2] + "}"):
-            # a value memo per metric frees the texts of cosine's rarely repeated values
-            study, value = report.metrics[kind], _Texts(repr)
+            # cosine's values rarely repeat, so a memo would only miss; the other
+            # metrics' are ratios or square roots of small integers, and repeat
+            study = report.metrics[kind]
+            text = repr if kind is MetricKind.COSINE else _Texts(repr).__getitem__
             out.append(f'{_quote(kind.value)}: {{{_NL[5]}"groupings": {{')
             for label, grouping in _members(out, study.groupings.items(), 6, "}"):
                 out.append(f'{_quote(label)}: {{{_NL[7]}"mean": '
@@ -182,7 +184,7 @@ def render_json(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[
                                  (_NL[10] + "}" + _NL[9] + "]" + _NL[8] + "}",))
                     out.append("".join(chain.from_iterable(zip(
                         map(first.__getitem__, ids_a), map(second.__getitem__, ids_b),
-                        map(value.__getitem__, values), ends))) or "]" + _NL[8] + "}")
+                        map(text, values), ends))) or "]" + _NL[8] + "}")
                     yield "".join(out)
                     out.clear()  # the members still to come append to the same list
             out.append(f',{_NL[5]}"td_mean": {study.td_mean!r},{_NL[5]}'

@@ -204,12 +204,13 @@ class TestCommentCutting:
         assert [line_no for line_no, _ in diagnostics] == [4]
 
     def test_marker_ending_in_a_space_cuts_at_the_earliest_marker(self):
-        (mnemonics, _, labels, diagnostics), _ = outcomes_like_oracle("bx11:# \n",
-                                                                      {" ", "# "})
+        (mnemonics, _, labels, diagnostics), _ = outcomes_like_oracle("bx11:# ! \n",
+                                                                      {"! ", "# "})
         assert labels == {"bx11": 0} and mnemonics == [] and diagnostics == []
-        # a pass for "@" leaves "x:# ", in which a later pass would find "# "
-        (_, _, labels, diagnostics), _ = outcomes_like_oracle("x:#@ y\n", {"@", "# "})
-        assert labels == {} and len(diagnostics) == 1
+        # a pass for "! " or "@" leaves "x:# ", in which a later pass would find "# "
+        for text, markers in (("x:#! y\n", {"! ", "# "}), ("x:#@ y\n", {"@", "# "})):
+            (_, _, labels, diagnostics), _ = outcomes_like_oracle(text, markers)
+            assert labels == {} and len(diagnostics) == 1
 
     def test_overlapping_markers_cut_at_the_earliest_marker(self):
         (mnemonics, _, _, diagnostics), _ = outcomes_like_oracle("xab\n", {"ab", "xa"})

@@ -532,6 +532,15 @@ class TestConfigPrecedence:
         assert last_diagnostic(result)[:2] == (2, str(config))
         assert "line break" in last_diagnostic(result)[2]
 
+    @pytest.mark.parametrize("marker", [" ", "\t"], ids=["space", "tab"])
+    def test_whitespace_only_comment_marker_exits_2(self, corpus_manifest, tmp_path, marker):
+        # it would cut every line at its first space: no operands, no label targets
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"parser": {"comment_markers": ["@", marker]}}))
+        result = run_cli("study", corpus_manifest, "--config", config)
+        assert result.returncode == 2 and result.stdout == b""
+        assert last_diagnostic(result)[:2] == (2, str(config))
+
     @pytest.mark.parametrize("args", [
         ("extract", "{corpus}/ada_fib.s", "--format", "json"),
         ("compile", "{corpus}/manifest.json", "--out", "{tmp}/asm", "--format", "csv"),
@@ -717,3 +726,31 @@ class TestProcessPolicy:
             assert not (tmp_path / "asm").exists()
         else:
             assert (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    @pytest.mark.parametrize("extra, code", [((), 0), (("--strides", "3"), 5)],
+                             ids=["report", "error"])
+    def test_unusable_stderr_changes_neither_output_nor_status(self, fixtures_dir, tmp_path,
+                                                               unbuffered, redirect,
+                                                               extra, code):
+        # every file gets an unclassifiable line, so lenient mode warns once per file
+        for source in (fixtures_dir / "corpus3x3").iterdir():
+            text = source.read_text() + ("\t!!! junk\n" if source.suffix == ".s" else "")
+            (tmp_path / source.name).write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        argv = [sys.executable, "-m", "asmsim", "study", str(tmp_path / "manifest.json"),
+                *extra]
+        normal = subprocess.run(argv, capture_output=True, env=env)
+        assert normal.returncode == code
+        assert normal.stderr.decode().count("warning:") == 9
+        # `2>&-` starts the interpreter without fd 2, so its sys.stderr is None;
+        # `2</dev/null` gives it an fd 2 that every write fails on
+        result = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *argv],
+                                stdout=subprocess.PIPE, env=env)
+        assert result.returncode == code
+        assert result.stdout == normal.stdout
+        assert b"warning:" not in result.stdout and b"error:" not in result.stdout

@@ -90,6 +90,8 @@ def test_empty_env_compiler_is_unset():
     {"compiler_command": 'gcc "x'},
     {"parser": {"comment_markers": ["@\n"]}},
     {"parser": {"comment_markers": ["//", "\u2028"]}},
+    {"parser": {"comment_markers": ["@", " "]}},
+    {"parser": {"comment_markers": ["\t \u3000"]}},
 ])
 def test_invalid_configs_rejected(tmp_path, doc):
     path = write_config(tmp_path, doc)
@@ -106,8 +108,9 @@ def test_invalid_configs_rejected(tmp_path, doc):
     lambda: ToolConfig(compiler_command="  "),
     lambda: ToolConfig(output_format="xml"),
     lambda: ToolConfig(ngram_mode="x"),
+    lambda: ParserConfig(comment_markers=frozenset({"@", " "})),
 ], ids=["no-branches", "empty-marker", "line-break-marker", "jobs-0", "blank-command",
-        "format-xml", "mode-x"])
+        "format-xml", "mode-x", "space-marker"])
 def test_direct_construction_checks_the_values(make):
     with pytest.raises(InputError):
         make()

@@ -93,7 +93,7 @@ class TestParserProperties:
 # "//", and "# " ends in the space that a cut leaves
 MARKER_SETS = [frozenset({"@", "//"}), frozenset({"@", "//", "#", ";"}),
                frozenset({";"}), frozenset(), frozenset({"/", "//"}),
-               frozenset({" ", "# "})]
+               frozenset({"! ", "# "})]
 
 
 class TestParserOracle:
@@ -300,11 +300,37 @@ def counted_programs(draw):
     return programs, pairs + [(j, i) for i, j in pairs] + [(i, i) for i in range(len(programs))]
 
 
+def field_edge_case(norm):
+    """Four programs whose largest squared norm is ``norm``: one program, a copy of it
+    (their dot product is ``norm``), a near-parallel one (its smallest count one less,
+    plus one count of a mnemonic the first two lack) and an unlike one; with pairs in
+    both orders and every self-pair."""
+    counts, rest = [], norm
+    while rest:
+        counts.append(math.isqrt(rest))
+        rest -= counts[-1] ** 2
+    top = {f"m{k}": count for k, count in enumerate(counts)}
+    near = Counter(top)
+    near[f"m{len(counts) - 1}"] -= 1
+    programs = [top, top, +near + Counter(x=1), {"m0": 1, "x": 2}]
+    pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (3, 0), (2, 3), (0, 0), (3, 3)]
+    return [counted_program(f) for f in programs], pairs
+
+
 class TestDenseCosineProperties:
     @settings(deadline=None)
     @given(counted_programs())
     @example(([counted_program({"mov": 2**40, "add": 1}),
                counted_program({"mov": 2**40 - 1, "add": 3, "sub": 2**39})], [(0, 1), (1, 1)]))
+    # the largest squared norm on each side of the 1-, 2- and 8-byte field widths
+    @example(field_edge_case(255))
+    @example(field_edge_case(256))
+    @example(field_edge_case(65535))
+    @example(field_edge_case(65536))
+    @example(field_edge_case(2**64 - 1))
+    @example(field_edge_case(2**64))
+    @example(([], []))
+    @example(([counted_program({"mov": 3})], [(0, 0)]))
     def test_dense_cosine_matches_scalar_at_large_counts(self, case):
         programs, pairs = case
         default = list(combinations(range(len(programs)), 2))
