@@ -10,8 +10,7 @@ from .corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL,
                      run_study, totally_different)
 from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
                      IncompleteGridError, InputError, InvalidStrideError,
-                     ManifestError, NormalizationError, ParseError,
-                     PatternMismatchError, ToolError)
+                     ManifestError, NormalizationError, ParseError, ToolError)
 from .features import (PatternSet, ProgramFeatures, compute_features,
                        extract_ngrams, features_for_program, features_to_dict)
 from .metrics import METRIC_ORDER, MetricKind, pair_value, pair_values

@@ -68,6 +68,12 @@ class ParserConfig(_ParserFields):
         self = super().__new__(cls, *args, **kwargs)
         if not self.branch_mnemonics:
             raise InputError("branch_mnemonics must not be empty")
+        for m in sorted(self.branch_mnemonics):
+            # parse_assembly lowercases a mnemonic and strips .n/.w, so no other
+            # name can match; "" would make every condition suffix a branch
+            if not _MNEMONIC_RE.fullmatch(m) or m != m.lower() or m.endswith((".n", ".w")):
+                raise InputError(f"branch mnemonic {m!r} can never match: it must be a "
+                                 "lowercase mnemonic without a .n or .w suffix")
         if any(not m or m.isspace() or not set(_LINE_BREAKS).isdisjoint(m)
                for m in self.comment_markers):
             # "" is found at column 0 and would strip every line, and " " every

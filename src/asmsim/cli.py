@@ -23,7 +23,8 @@ from .config import ToolConfig, config_from_dict, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
                      load_datasets, run_study, write_file)
 from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
-from .features import NGram, ProgramFeatures, features_for_program, features_to_dict
+from .features import (NGram, PatternSet, ProgramFeatures, features_for_program,
+                       features_to_dict)
 from .metrics import MetricKind, pair_value
 from .report import OUTPUT_FORMATS, format_value, render_parts
 
@@ -148,8 +149,7 @@ def _write_parts(parts: Iterable[str], path: Path | None) -> None:
             sink.write(part.encode(sys.stdout.encoding, sys.stdout.errors))
 
 
-def file_features(path: Path, config: ToolConfig, entity: str | None = None,
-                  pool: dict[NGram, NGram] | None = None) -> ProgramFeatures:
+def file_features(path: Path, config: ToolConfig, entity: str | None = None) -> ProgramFeatures:
     """Read, parse and featurize one assembly file.
 
     Writes a ``warning: <path>:<line>: ...`` line to stderr for every line
@@ -163,8 +163,7 @@ def file_features(path: Path, config: ToolConfig, entity: str | None = None,
     if program.diagnostics:
         _stderr("\n".join(f"warning: {path}:{line_no}: {message}"
                            for line_no, message in program.diagnostics))
-    return features_for_program(program, config.parser,
-                                linear=config.ngram_mode == "linear", pool=pool)
+    return features_for_program(program, config.parser, linear=config.ngram_mode == "linear")
 
 
 def collect_inputs(paths: Sequence[Path], glob_pattern: str) -> list[Path]:
@@ -249,9 +248,16 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def corpus_features(entries: Sequence[ProgramEntry],
                     config: ToolConfig) -> dict[str, ProgramFeatures]:
     """Features of every corpus entry, keyed by entry id, in entry order;
-    the entries share one tuple per distinct 2-gram."""
+    the entries share one tuple per distinct 2-gram, as 2-grams recur
+    across a corpus."""
     pool: dict[NGram, NGram] = {}
-    return {entry.id: file_features(entry.path, config, entry.id, pool) for entry in entries}
+    features = {}
+    for entry in entries:
+        found = file_features(entry.path, config, entry.id)
+        patterns = found.patterns2.patterns
+        features[entry.id] = found._replace(
+            patterns2=PatternSet(2, frozenset(map(pool.setdefault, patterns, patterns))))
+    return features
 
 
 def run_manifest_study(manifest: ManifestData, config: ToolConfig) -> Iterator[str]:

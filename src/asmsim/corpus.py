@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
                      IncompleteGridError, InputError, InvalidStrideError,
-                     ManifestError, NormalizationError, PatternMismatchError)
+                     ManifestError, NormalizationError)
 from .features import NGram, ProgramFeatures
 from .metrics import METRIC_ORDER, MetricKind, pair_values
 
@@ -129,8 +129,8 @@ def load_datasets(path: str | Path) -> ManifestData:
 
     if "datasets" in doc:
         items = doc["datasets"]
-        if not isinstance(items, list):
-            raise ManifestError('"datasets" must be a list', entity=str(path))
+        if not isinstance(items, list) or not items:
+            raise ManifestError('"datasets" must be a non-empty list', entity=str(path))
         entities = [f"{path}#datasets[{i}]" for i in range(len(items))]
     elif "programs" in doc:
         items = [{"name": doc.get("name", path.stem), "programs": doc["programs"]}]
@@ -313,16 +313,9 @@ def pairwise_values(subset: Subset, kind: MetricKind,
                     universes: Mapping[int, frozenset[NGram]] | None = None,
                     ) -> list[PairValue]:
     """One metric value per unordered member pair, in (i < j) index order.
-    Given ``universes``, every member's patterns must lie in them."""
+    ``universes`` is never read; it stays because ``bench/traced.py`` passes
+    it, and goes with this function (ROADMAP item 7)."""
     members = [(m.id, features[m.id]) for m in subset.members]
-    n = kind.ngram_length
-    if n is not None and universes is not None:
-        for member_id, member in members:
-            stray = member.pattern_set(n).patterns - universes[n]
-            if stray:
-                raise PatternMismatchError(
-                    f"pattern {min(stray)!r} is missing from the universe; "
-                    "it was built from a different corpus", entity=member_id)
     try:
         values = pair_values(kind, [member for _, member in members])
     except EmptyProgramError as exc:

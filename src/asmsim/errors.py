@@ -60,13 +60,6 @@ class NormalizationError(AsmSimError):
     exit_code = 3
 
 
-class PatternMismatchError(AsmSimError):
-    """A program's pattern is missing from the universe that
-    ``corpus.pairwise_values`` checks it against: a programming error rather
-    than bad input, as the universe came from a different corpus.
-    """
-
-
 class ToolError(AsmSimError):
     """The external cross-compiler is missing or failed."""
 

@@ -25,15 +25,13 @@ class PatternSet(NamedTuple):
     patterns: frozenset[NGram]
 
 
-def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int],
-                   n: int, pool: dict[NGram, NGram] | None = None) -> PatternSet:
+def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int], n: int) -> PatternSet:
     """All length-n sliding windows of ``mnemonics`` taken within each block.
 
     ``starts`` are the sorted block starts (:func:`segment_basic_blocks`);
     the window at ``i`` is dropped if one lies in ``i + 1 .. i + n - 1``, so
     a block of length L contributes max(L - n + 1, 0) windows before
-    de-duplication. A ``pool`` maps each pattern to its one shared tuple;
-    patterns it lacks are added to it.
+    de-duplication.
     """
     if n < 2:
         raise ValueError(f"pattern length must be >= 2, got {n}")
@@ -42,10 +40,7 @@ def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int],
         for start in starts[bisect_left(starts, k):]:
             keep[start - k] = 0
     windows = zip(*(mnemonics[k:] for k in range(n)))
-    patterns = frozenset(compress(windows, keep))
-    if pool is not None:
-        patterns = frozenset(map(pool.setdefault, patterns, patterns))
-    return PatternSet(n, patterns)
+    return PatternSet(n, frozenset(compress(windows, keep)))
 
 
 class ProgramFeatures(NamedTuple):
@@ -59,28 +54,24 @@ class ProgramFeatures(NamedTuple):
         return self.patterns2 if n == 2 else self.patterns3
 
 
-def compute_features(program: AssemblyProgram, starts: Sequence[int],
-                     pool: dict[NGram, NGram] | None = None) -> ProgramFeatures:
+def compute_features(program: AssemblyProgram, starts: Sequence[int]) -> ProgramFeatures:
     """Count ``program.mnemonics`` and slide both pattern windows over the
-    blocks at ``starts``; only 2-grams, which recur across a corpus, go
-    through ``pool``."""
+    blocks at ``starts``."""
     mnemonics = program.mnemonics
-    return ProgramFeatures(Counter(mnemonics), extract_ngrams(mnemonics, starts, 2, pool),
+    return ProgramFeatures(Counter(mnemonics), extract_ngrams(mnemonics, starts, 2),
                            extract_ngrams(mnemonics, starts, 3))
 
 
 def features_for_program(program: AssemblyProgram,
                          config: ParserConfig = DEFAULT_CONFIG, *,
-                         linear: bool = False,
-                         pool: dict[NGram, NGram] | None = None) -> ProgramFeatures:
+                         linear: bool = False) -> ProgramFeatures:
     """Segment and featurize in one step.
 
     ``linear=True`` skips basic-block segmentation so patterns may span
-    branch boundaries. ``pool`` shares the 2-gram tuples of every program
-    featurized through it (see :func:`compute_features`).
+    branch boundaries.
     """
     starts = linear_blocks(program) if linear else segment_basic_blocks(program, config)
-    return compute_features(program, starts, pool)
+    return compute_features(program, starts)
 
 
 def features_to_dict(features: ProgramFeatures) -> dict:

@@ -408,7 +408,7 @@ LISTING_LINES = (
     "a: b: c: movs r0, #1", ".L1: .L2:", "lit: .word 7", "1: bne 1b",
     "1abc r0", "bad label: nop", ":", "\t!!! junk", "\tVCVT.F32.S32 s0, s0",
     "\tmov r0, r1   \t", "", "   ", "\tnop", "#APP", '# 12 "a.c" 1', "\t# x",
-    "\t!!! junk @ note",
+    "\t!!! junk @ note", "\tmov r0, r1 #! note",
 )
 LINE_BREAKS = ("\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x85", "\u2028")
 
@@ -419,8 +419,9 @@ def random_listing_text(rng: random.Random, max_lines: int = 30) -> str:
     (``#APP``, ``# 12 "a.c" 1``) and an indented ``#``, several labels before
     one instruction, width-qualified and case-mixed mnemonics, directives,
     malformed labels and lines (one with a comment, which a diagnostic
-    quotes), blank and trailing-space lines, and ``\\r\\n``, ``\\r``,
-    ``\\x0c``, ``\\x85`` and ``\\u2028`` line breaks."""
+    quotes), a line whose cut at one marker leaves another (``#! note``),
+    blank and trailing-space lines, and ``\\r\\n``, ``\\r``, ``\\x0c``, ``\\x85``
+    and ``\\u2028`` line breaks."""
     lines = [rng.choice(LISTING_LINES) for _ in range(rng.randint(0, max_lines))]
     for line in LISTING_LINES[:3]:  # one mnemonic in three spellings
         lines.insert(rng.randint(0, len(lines)), line)

@@ -392,6 +392,17 @@ class TestStudy:
         code, _, message = last_diagnostic(result)
         assert code == 5 and "missing cells" in message
 
+    @pytest.mark.parametrize("command", ["study", "compile"])
+    def test_empty_datasets_list_exits_5(self, tmp_path, command):
+        manifest = tmp_path / "m.json"
+        manifest.write_text('{"datasets": []}')
+        out = tmp_path / "out"
+        result = run_cli(command, manifest, "--out", out)
+        assert result.returncode == 5 and result.stdout == b""
+        assert len(result.stderr.decode().splitlines()) == 1  # no traceback
+        assert last_diagnostic(result)[:2] == (5, str(manifest))
+        assert not out.exists()
+
     def test_empty_program_exits_3_naming_entry(self, tmp_path):
         for name in ("a", "b"):
             for app in ("x", "y"):

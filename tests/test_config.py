@@ -92,6 +92,11 @@ def test_empty_env_compiler_is_unset():
     {"parser": {"comment_markers": ["//", "\u2028"]}},
     {"parser": {"comment_markers": ["@", " "]}},
     {"parser": {"comment_markers": ["\t \u3000"]}},
+    {"parser": {"branch_mnemonics": ["B"]}},
+    {"parser": {"branch_mnemonics": [""]}},
+    {"parser": {"branch_mnemonics": [" b"]}},
+    {"parser": {"branch_mnemonics": ["b\n"]}},
+    {"parser": {"branch_mnemonics": ["b", "b.n"]}},
 ])
 def test_invalid_configs_rejected(tmp_path, doc):
     path = write_config(tmp_path, doc)

@@ -170,24 +170,6 @@ class TestFeatureBundle:
 
 
 class TestPatternPool:
-    def test_pool_swaps_in_its_tuples_and_learns_new_ones(self):
-        program = program_of("mov r0", "add r1", "mov r2", "add r3")
-        starts = segment_basic_blocks(program)
-        shared = ("mov", "add")
-        pool = {shared: shared}
-        pooled = extract_ngrams(program.mnemonics, starts, 2, pool)
-        assert pooled == extract_ngrams(program.mnemonics, starts, 2)
-        assert any(pattern is shared for pattern in pooled.patterns)
-        assert pool == {shared: shared, ("add", "mov"): ("add", "mov")}
-        assert all(pool[pattern] is pattern for pattern in pooled.patterns)
-
-    def test_only_2grams_enter_the_pool(self):
-        program = program_of("mov r0", "add r1", "mov r2", "sub r3")
-        pool = {}
-        features = compute_features(program, segment_basic_blocks(program), pool)
-        assert features == compute_features(program, segment_basic_blocks(program))
-        assert set(pool) == features.patterns2.patterns
-
     def test_corpus_shares_one_tuple_per_2gram(self, fixtures_dir):
         [(_, entries)] = load_datasets(fixtures_dir / "corpus5x5" / "manifest.json").datasets
         pooled = corpus_features(entries, ToolConfig())
