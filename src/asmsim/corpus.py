@@ -151,6 +151,10 @@ def load_datasets(path: str | Path) -> ManifestData:
         names.add(name)
         datasets.append((name, _parse_entries(item.get("programs"), path.parent,
                                               where=entity)))
+    # after the loop, so a malformed later dataset is reported first
+    for (_, entries), entity in zip(datasets, entities):
+        if not entries:
+            raise ManifestError('"programs" must be a non-empty list', entity=entity)
     return ManifestData(datasets, dict(metadata))
 
 

@@ -2,7 +2,9 @@
 
 A parsed program is reduced to two views: how often each mnemonic occurs
 (its keys are the mnemonics that exist), and which length-n mnemonic
-patterns occur inside its basic blocks (n = 2 and 3 by default).
+patterns occur inside its basic blocks (n = 2 and 3 by default). The patterns
+are a tuple of distinct windows in order of first occurrence: the metrics only
+iterate and count them, so no hash table is kept per program.
 """
 
 from __future__ import annotations
@@ -19,10 +21,15 @@ NGram = tuple[str, ...]
 
 
 class PatternSet(NamedTuple):
-    """Presence set of length-n mnemonic patterns (no multiplicities)."""
+    """Presence set of length-n mnemonic patterns (no multiplicities).
+
+    ``patterns`` holds each distinct pattern once, in order of first
+    occurrence, so ``len(patterns)`` is the size of the set. Wrap it in
+    ``frozenset`` for set algebra.
+    """
 
     n: int
-    patterns: frozenset[NGram]
+    patterns: tuple[NGram, ...]
 
 
 def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int], n: int) -> PatternSet:
@@ -31,7 +38,7 @@ def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int], n: int) -> P
     ``starts`` are the sorted block starts (:func:`segment_basic_blocks`);
     the window at ``i`` is dropped if one lies in ``i + 1 .. i + n - 1``, so
     a block of length L contributes max(L - n + 1, 0) windows before
-    de-duplication.
+    de-duplication. The distinct windows are kept in order of first occurrence.
     """
     if n < 2:
         raise ValueError(f"pattern length must be >= 2, got {n}")
@@ -40,7 +47,7 @@ def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int], n: int) -> P
         for start in starts[bisect_left(starts, k):]:
             keep[start - k] = 0
     windows = zip(*(mnemonics[k:] for k in range(n)))
-    return PatternSet(n, frozenset(compress(windows, keep)))
+    return PatternSet(n, tuple(dict.fromkeys(compress(windows, keep))))
 
 
 class ProgramFeatures(NamedTuple):

@@ -3,7 +3,9 @@
 Mnemonic sets (the keys of the frequency vectors) are compared with
 Jaccard similarity, frequency vectors with cosine similarity
 (bag-of-words), and n-gram pattern sets with the Euclidean distance
-between their boolean presence vectors.
+between their boolean presence vectors. A pattern set is a tuple of distinct
+patterns (:class:`~asmsim.features.PatternSet`); it is only iterated and sized,
+so its order changes no value.
 
 :func:`pair_values` scores many pairs in one call, over the elements that two or
 more of its programs hold: as ``int`` bitsets, or for cosine as packed Gram rows.
@@ -23,7 +25,7 @@ from collections import Counter
 from enum import Enum
 from itertools import chain, combinations, count, repeat
 from operator import mul
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import EmptyProgramError
 from .features import ProgramFeatures
@@ -56,8 +58,9 @@ def _holders(collections: Sequence) -> tuple[Counter, list]:
     return holders, [element for element, holding in holders.items() if holding > 1]
 
 
-def _presence_bits(sets: Sequence[frozenset]) -> list[int]:
-    """Each set as an ``int`` with one bit per shared element: the holder Counter (a dict,
+def _presence_bits(sets: Sequence[Collection]) -> list[int]:
+    """Each set (a collection of distinct elements: a tuple of patterns or a Counter's
+    keys) as an ``int`` with one bit per shared element: the holder Counter (a dict,
     smaller than a set) then gives those digits 2, 3, ...; the rest keep digit 1."""
     index, shared = _holders(sets)
     dict.update(index, zip(shared, count(2)))  # Counter.update would add

@@ -14,17 +14,16 @@ REPO_ROOT = TESTS_DIR.parent
 
 def pair_of(kind, a, b):
     """``pair_value`` of two programs given as raw collections: mnemonic sets or
-    frequency mappings, or for ``EUCLIDEAN2`` sets of 2-patterns."""
+    frequency mappings, or for ``EUCLIDEAN2`` sets of 2-patterns (held, like
+    ``extract_ngrams`` holds them, as a tuple of distinct patterns)."""
     # imported here so that this file loads even where asmsim does not import
     from asmsim.features import PatternSet, ProgramFeatures
     from asmsim.metrics import MetricKind, pair_value
 
     def program(raw):
         if kind is MetricKind.EUCLIDEAN2:
-            return ProgramFeatures(Counter(), PatternSet(2, frozenset(raw)),
-                                   PatternSet(3, frozenset()))
-        return ProgramFeatures(Counter(raw), PatternSet(2, frozenset()),
-                               PatternSet(3, frozenset()))
+            return ProgramFeatures(Counter(), PatternSet(2, tuple(raw)), PatternSet(3, ()))
+        return ProgramFeatures(Counter(raw), PatternSet(2, ()), PatternSet(3, ()))
     return pair_value(kind, program(a), program(b))
 
 

@@ -127,17 +127,19 @@ def oracle_blocks(program: AssemblyProgram) -> list[int]:
 
 # --- naive feature extraction ------------------------------------------------
 
-def oracle_ngrams(program: AssemblyProgram, starts: list[int], n: int) -> set:
+def oracle_ngrams(program: AssemblyProgram, starts: list[int], n: int) -> tuple:
     """Enumerate every run of n consecutive instruction indices and keep
     the windows that lie inside one block; block ``k`` spans ``starts[k]``
-    up to the next start or the end of the program."""
+    up to the next start or the end of the program. Each distinct window is
+    listed once, at its first occurrence."""
     mnemonics = program.mnemonics
     spans = list(zip(starts, [*starts[1:], len(mnemonics)]))
-    found = set()
+    found = []
     for i in range(len(mnemonics) - n + 1):
-        if any(start <= i and i + n <= end for start, end in spans):
-            found.add(tuple(mnemonics[i:i + n]))
-    return found
+        window = tuple(mnemonics[i:i + n])
+        if any(start <= i and i + n <= end for start, end in spans) and window not in found:
+            found.append(window)
+    return tuple(found)
 
 
 def oracle_features(program: AssemblyProgram, starts: list[int]) -> dict:
@@ -148,8 +150,8 @@ def oracle_features(program: AssemblyProgram, starts: list[int]) -> dict:
     return {
         "existence": set(mnemonics),
         "freq": freq,
-        2: oracle_ngrams(program, starts, 2),
-        3: oracle_ngrams(program, starts, 3),
+        2: set(oracle_ngrams(program, starts, 2)),
+        3: set(oracle_ngrams(program, starts, 3)),
     }
 
 

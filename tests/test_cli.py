@@ -403,6 +403,27 @@ class TestStudy:
         assert last_diagnostic(result)[:2] == (5, str(manifest))
         assert not out.exists()
 
+    @pytest.mark.parametrize("form", ["single", "multi"])
+    @pytest.mark.parametrize("command", ["study", "compile"])
+    def test_empty_programs_list_exits_5(self, tmp_path, corpus_manifest, command, form):
+        programs = json.loads(corpus_manifest.read_text())["programs"]
+        for program in programs:
+            program["path"] = str(corpus_manifest.parent / program["path"])
+        manifest = tmp_path / "m.json"
+        if form == "single":
+            doc, entity = {"programs": []}, str(manifest)
+        else:
+            doc = {"datasets": [{"name": "full", "programs": programs},
+                                {"name": "empty", "programs": []}]}
+            entity = f"{manifest}#datasets[1]"
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = run_cli(command, manifest, "--out", out)
+        assert result.returncode == 5 and result.stdout == b""
+        assert len(result.stderr.decode().splitlines()) == 1  # one error: line, no traceback
+        assert last_diagnostic(result)[:2] == (5, entity)
+        assert not out.exists()  # no report and no derived manifest
+
     def test_empty_program_exits_3_naming_entry(self, tmp_path):
         for name in ("a", "b"):
             for app in ("x", "y"):

@@ -56,7 +56,11 @@ class TestManifest:
     def test_empty_program_list(self, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text('{"programs": []}')
-        assert load_datasets(manifest).datasets[0][1] == []
+        with pytest.raises(ManifestError) as excinfo:
+            load_datasets(manifest)
+        assert type(excinfo.value) is ManifestError
+        assert excinfo.value.entity == str(manifest)
+        assert "non-empty" in excinfo.value.message
 
     def test_duplicate_id(self, tmp_path):
         (tmp_path / "a.s").write_text("\tnop\n")
@@ -452,7 +456,8 @@ def closed_form(kind, fa, fb):
         return dot / math.sqrt(na * nb)
     n = kind.ngram_length
     pa, pb = fa.pattern_set(n).patterns, fb.pattern_set(n).patterns
-    return math.sqrt(len(pa ^ pb))
+    assert len(set(pa)) == len(pa) and len(set(pb)) == len(pb)  # each pattern held once
+    return math.sqrt(len(set(pa) ^ set(pb)))
 
 
 class TestPairKernels:

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -27,7 +28,7 @@ def ngrams(program, starts, n):
 
 
 def patterns(n, *tuples):
-    return PatternSet(n, frozenset(tuples))
+    return PatternSet(n, tuples)
 
 
 class TestBagFeatures:
@@ -61,24 +62,24 @@ class TestExtractNgrams:
     def test_sliding_window_single_block(self):
         program = program_of("mov r0", "add r1", "sub r2")
         got = ngrams(program, segment_basic_blocks(program), 2)
-        assert got.patterns == {("mov", "add"), ("add", "sub")}
+        assert got.patterns == (("mov", "add"), ("add", "sub"))
 
     def test_windows_confined_to_blocks(self):
         text = "\tmov r0, r1\n\tbeq L\n\tadd r0, r1\nL:\n\tsub r0, r1\n"
         program = parse_assembly(text)
         got = ngrams(program, segment_basic_blocks(program), 2)
         # blocks [mov,beq],[add],[sub]: singleton blocks yield no windows
-        assert got.patterns == {("mov", "beq")}
+        assert got.patterns == (("mov", "beq"),)
 
     def test_trigrams_deduplicated(self):
         program = program_of("mov r0", "add r1", "sub r2", "mov r3", "add r4")
         got = ngrams(program, segment_basic_blocks(program), 3)
-        assert got.patterns == {("mov", "add", "sub"), ("add", "sub", "mov"),
-                                ("sub", "mov", "add")}
+        assert got.patterns == (("mov", "add", "sub"), ("add", "sub", "mov"),
+                                ("sub", "mov", "add"))
 
     def test_blocks_shorter_than_n(self):
         program = program_of("mov r0")
-        assert ngrams(program, segment_basic_blocks(program), 3).patterns == frozenset()
+        assert ngrams(program, segment_basic_blocks(program), 3).patterns == ()
 
     def test_window_count_before_dedup(self):
         # L - n + 1 windows for a single block; make them all distinct
@@ -177,6 +178,17 @@ class TestPatternPool:
                           for entry in entries}
         occurrences = [p for features in pooled.values() for p in features.patterns2.patterns]
         assert len({id(p) for p in occurrences}) == len(set(occurrences)) < len(occurrences)
+
+    def test_pattern_containers_hold_no_hash_table(self, fixtures_dir):
+        # one pointer per pattern plus a header: a frozenset of the same
+        # patterns is about 2.7 times this at 5 patterns and 6 times at 2 800
+        [(_, entries)] = load_datasets(fixtures_dir / "corpus5x5" / "manifest.json").datasets
+        containers = [pattern_set.patterns
+                      for features in corpus_features(entries, ToolConfig()).values()
+                      for pattern_set in (features.patterns2, features.patterns3)]
+        assert len(containers) == 50 and all(containers)
+        for patterns in containers:
+            assert sys.getsizeof(patterns) <= 8 * len(patterns) + 64
 
 
 class TestOracleEquivalence:

@@ -99,9 +99,12 @@ class TestPairValue:
             oracles.naive_jaccard(a.frequency, b.frequency) == 1 / 3
         assert pair_value(MetricKind.COSINE, a, b) == \
             oracles.exact_cosine(a.frequency, b.frequency) == 0.5
+        assert a.patterns2.patterns == (("mov", "add"),)
+        assert b.patterns2.patterns == (("mov", "sub"),)
         # no universe is needed: the distance is the root of the symmetric
         # difference size over any universe that holds both pattern sets
-        expected = math.sqrt(len(a.patterns2.patterns ^ b.patterns2.patterns))
+        expected = math.sqrt(len(set(a.patterns2.patterns) ^ set(b.patterns2.patterns)))
+        assert expected == math.sqrt(2)
         assert pair_value(MetricKind.EUCLIDEAN2, a, b) == expected
 
 

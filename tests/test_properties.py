@@ -27,8 +27,8 @@ frequency_vectors = st.dictionaries(st.sampled_from(MNEMONIC_ALPHABET),
                                     st.integers(1, 50), min_size=1)
 
 PATTERN_POOL = [(a, b) for a in MNEMONIC_ALPHABET[:4] for b in MNEMONIC_ALPHABET[:4]]
-pattern_sets = st.frozensets(st.sampled_from(PATTERN_POOL)).map(
-    lambda patterns: PatternSet(2, patterns))
+pattern_sets = st.lists(st.sampled_from(PATTERN_POOL), unique=True).map(
+    lambda patterns: PatternSet(2, tuple(patterns)))
 
 
 def random_program(seed):
@@ -173,8 +173,9 @@ class TestFeatureProperties:
         program = parse_assembly("".join(f"\t{m} r0, r1\n" for m in mnemonics))
         blocks = segment_basic_blocks(program)
         windows = [tuple(mnemonics[i:i + n]) for i in range(len(mnemonics) - n + 1)]
+        distinct = [w for k, w in enumerate(windows) if w not in windows[:k]]
         assert len(blocks) == 1
-        assert extract_ngrams(mnemonics, blocks, n).patterns == set(windows)
+        assert extract_ngrams(mnemonics, blocks, n).patterns == tuple(distinct)
 
 
 class TestMetricProperties:
@@ -198,12 +199,13 @@ class TestMetricProperties:
     @given(pattern_sets, pattern_sets)
     def test_euclidean_is_sqrt_hamming(self, p1, p2):
         assert pair_of(MetricKind.EUCLIDEAN2, p1.patterns, p2.patterns) == \
-            math.sqrt(len(p1.patterns ^ p2.patterns))
+            math.sqrt(len(set(p1.patterns) ^ set(p2.patterns)))
 
     @given(pattern_sets, pattern_sets)
     def test_pattern_distance_matches_oracle(self, p1, p2):
         a, b = p1.patterns, p2.patterns
-        assert pair_of(MetricKind.EUCLIDEAN2, a, b) == oracles.naive_euclidean(a, b, a | b)
+        assert pair_of(MetricKind.EUCLIDEAN2, a, b) == \
+            oracles.naive_euclidean(a, b, set(a) | set(b))
 
     @given(pattern_sets, pattern_sets, pattern_sets)
     def test_euclidean_triangle_inequality(self, pa, pb, pc):
@@ -242,7 +244,8 @@ def scalar_value(kind, a, b):
         return oracles.exact_cosine(a.frequency, b.frequency)
     n = kind.ngram_length
     pa, pb = a.pattern_set(n).patterns, b.pattern_set(n).patterns
-    return oracles.naive_euclidean(pa, pb, pa | pb)
+    assert len(set(pa)) == len(pa) and len(set(pb)) == len(pb)  # each pattern held once
+    return oracles.naive_euclidean(pa, pb, set(pa) | set(pb))
 
 
 EMPTY_AND_DUPLICATES = [scored_program(None), scored_program(1), scored_program(None)]
@@ -277,11 +280,36 @@ class TestPairValuesProperties:
                         kind, oracle_features[i], oracle_features[j], universes),
                         rel=0, abs=1e-12)
 
+    @settings(deadline=None)
+    @given(scored_programs(), st.randoms(use_true_random=False))
+    @example((EMPTY_AND_DUPLICATES, [(1, 3), (3, 1), (1, 1), (0, 2)]), random.Random(0))
+    def test_pattern_order_and_pooling_change_no_value(self, case, rng):
+        programs, explicit = [features for features, _ in case[0]], case[1]
+
+        def shuffled(pattern_set):
+            patterns = pattern_set.patterns
+            return PatternSet(pattern_set.n, tuple(rng.sample(patterns, len(patterns))))
+
+        def outcome(kind, programs, pairs):
+            try:
+                return pair_values(kind, programs, pairs)
+            except EmptyProgramError:
+                return EmptyProgramError
+
+        reordered = [f._replace(patterns2=shuffled(f.patterns2), patterns3=shuffled(f.patterns3))
+                     for f in programs]
+        pool = {}  # as cli.corpus_features shares the 2-grams of a corpus
+        pooled = [f._replace(patterns2=PatternSet(2, tuple(map(
+            pool.setdefault, f.patterns2.patterns, f.patterns2.patterns)))) for f in reordered]
+        for kind in MetricKind:
+            for pairs in (None, explicit):
+                assert outcome(kind, programs, pairs) == outcome(kind, reordered, pairs) == \
+                    outcome(kind, pooled, pairs)  # bit for bit
+
 
 def counted_program(frequency):
     """Features holding only ``frequency``: cosine reads nothing else."""
-    return ProgramFeatures(Counter(frequency), PatternSet(2, frozenset()),
-                           PatternSet(3, frozenset()))
+    return ProgramFeatures(Counter(frequency), PatternSet(2, ()), PatternSet(3, ()))
 
 
 # counts up to 2**40 take |a|^2 |b|^2 past 2**53, where int -> float rounds
