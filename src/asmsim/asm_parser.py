@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, count, repeat
-from typing import NamedTuple, Sequence
 
 from .errors import InputError, ParseError
 
@@ -53,14 +53,11 @@ _MNEMONIC_MEMO: dict[str, str] = {}
 _MEMO_LIMIT = 4096
 
 
-class _ParserFields(NamedTuple):
-    comment_markers: frozenset[str] = DEFAULT_COMMENT_MARKERS
-    branch_mnemonics: frozenset[str] = DEFAULT_BRANCH_MNEMONICS
-    strict: bool = False
-
-
-class ParserConfig(_ParserFields):
-    """Knobs for parsing and block segmentation, checked when constructed."""
+class ParserConfig(namedtuple("ParserConfig", "comment_markers branch_mnemonics strict",
+                              defaults=(DEFAULT_COMMENT_MARKERS, DEFAULT_BRANCH_MNEMONICS,
+                                        False))):
+    """Knobs for parsing and block segmentation, checked when constructed;
+    the marker and mnemonic sets are frozensets of strings."""
 
     __slots__ = ()
 
@@ -113,20 +110,18 @@ def comment_cutters(comment_markers: frozenset[str]) -> tuple[re.Pattern[str], .
 DEFAULT_CONFIG = ParserConfig()
 
 
-class AssemblyProgram(NamedTuple):
-    """Parsed instruction stream, one list per field: instruction ``i`` is
-    ``mnemonics[i]`` with operand text ``operands[i]``.
+class AssemblyProgram(namedtuple("AssemblyProgram", "mnemonics operands labels diagnostics",
+                                 defaults=((),))):
+    """Parsed instruction stream, one list of strings per field: instruction
+    ``i`` is ``mnemonics[i]`` with operand text ``operands[i]``.
 
-    ``labels`` maps a label name to the index of the instruction that
-    follows it; a label at end of file maps to ``len(mnemonics)``.
-    ``diagnostics`` records (line_no, message) for lines skipped in
-    lenient mode.
+    ``labels`` is a dict from a label name to the index of the instruction
+    that follows it; a label at end of file maps to ``len(mnemonics)``.
+    ``diagnostics`` is a sequence of (line_no, message) pairs for lines
+    skipped in lenient mode.
     """
 
-    mnemonics: list[str]
-    operands: list[str]
-    labels: dict[str, int]
-    diagnostics: Sequence[tuple[int, str]] = ()
+    __slots__ = ()
 
     @property
     def instructions(self) -> list[tuple[str, str]]:

@@ -15,8 +15,8 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 from .asm_parser import parse_assembly
 from .config import ToolConfig, config_from_dict, load_tool_config
@@ -228,7 +228,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    from .crosscompile import compile_corpus  # subprocess, hashlib, a thread pool: compile only
+    from .crosscompile import compile_corpus  # subprocess, hashlib, threads: compile only
 
     config = resolve_config(args)
     manifest = load_datasets(args.manifest)

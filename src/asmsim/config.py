@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import os
 import shlex
+from collections import namedtuple
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Mapping, NamedTuple
 
 from .asm_parser import DEFAULT_CONFIG, ParserConfig
 from .corpus import load_json_object
@@ -29,17 +30,13 @@ DEFAULT_COMPILER_FLAGS = ("-S", "-mthumb", "-O0")
 NGRAM_MODES = ("blocks", "linear")
 
 
-class _ToolFields(NamedTuple):
-    compiler_command: str = DEFAULT_COMPILER_COMMAND
-    compiler_flags: tuple[str, ...] = DEFAULT_COMPILER_FLAGS
-    parser: ParserConfig = DEFAULT_CONFIG
-    strides: tuple[int, ...] | None = None
-    output_format: str = "markdown"
-    ngram_mode: str = "blocks"
-    jobs: int = 1
+class ToolConfig(namedtuple("ToolConfig", "compiler_command compiler_flags parser strides "
+                            "output_format ngram_mode jobs",
+                            defaults=(DEFAULT_COMPILER_COMMAND, DEFAULT_COMPILER_FLAGS,
+                                      DEFAULT_CONFIG, None, "markdown", "blocks", 1))):
+    """Every setting of a run, checked when constructed; ``compiler_flags``
+    and ``strides`` (or None) are tuples, ``parser`` a :class:`ParserConfig`."""
 
-
-class ToolConfig(_ToolFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ToolConfig:

@@ -16,10 +16,11 @@ import json
 import math
 import os
 import stat
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import combinations, islice, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
                      IncompleteGridError, InputError, InvalidStrideError,
@@ -28,20 +29,17 @@ from .features import NGram, ProgramFeatures
 from .metrics import METRIC_ORDER, MetricKind, pair_values
 
 
-class ProgramEntry(NamedTuple):
-    """One corpus program: where it lives and which grid cell it fills."""
+class ProgramEntry(namedtuple("ProgramEntry", "id path programmer application")):
+    """One corpus program: its file's ``Path`` and the grid cell it fills."""
 
-    id: str
-    path: Path
-    programmer: str
-    application: str
+    __slots__ = ()
 
 
-class ManifestData(NamedTuple):
-    """Parsed manifest: one or more named datasets plus free-form metadata."""
+class ManifestData(namedtuple("ManifestData", "datasets metadata")):
+    """Parsed manifest: a list of (name, list of :class:`ProgramEntry`)
+    datasets plus a dict of free-form metadata."""
 
-    datasets: list[tuple[str, list[ProgramEntry]]]
-    metadata: dict
+    __slots__ = ()
 
 
 def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]:
@@ -158,16 +156,12 @@ def load_datasets(path: str | Path) -> ManifestData:
     return ManifestData(datasets, dict(metadata))
 
 
-class CorpusGrid(NamedTuple):
-    """P programmers x A applications, one entry per cell.
+class CorpusGrid(namedtuple("CorpusGrid", "programmers applications cells")):
+    """P programmers x A applications: label lists in first-appearance order
+    from the manifest, and ``cells``, a dict from (application, programmer)
+    labels to the :class:`ProgramEntry` of that cell."""
 
-    Label lists keep first-appearance order from the manifest; cells are
-    keyed by (application, programmer) labels.
-    """
-
-    programmers: list[str]
-    applications: list[str]
-    cells: dict[tuple[str, str], ProgramEntry]
+    __slots__ = ()
 
     @property
     def entries(self) -> list[ProgramEntry]:
@@ -216,9 +210,10 @@ class GroupingKind(str, Enum):
 TD_LABEL = "Totally Different"
 
 
-class GroupingScheme(NamedTuple):
-    kind: GroupingKind
-    stride: int | None = None
+class GroupingScheme(namedtuple("GroupingScheme", "kind stride", defaults=(None,))):
+    """A :class:`GroupingKind` and, if totally-different, its int stride."""
+
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -268,10 +263,10 @@ def _check_strides(grid: CorpusGrid, strides: Sequence[int | None]) -> int:
     return n
 
 
-class Subset(NamedTuple):
-    scheme: GroupingScheme
-    label: str
-    members: tuple[ProgramEntry, ...]
+class Subset(namedtuple("Subset", "scheme label members")):
+    """A labelled subset of a grouping: a tuple of :class:`ProgramEntry`."""
+
+    __slots__ = ()
 
 
 def enumerate_subsets(grid: CorpusGrid, scheme: GroupingScheme) -> list[Subset]:
@@ -306,10 +301,10 @@ def enumerate_subsets(grid: CorpusGrid, scheme: GroupingScheme) -> list[Subset]:
     return subsets
 
 
-class PairValue(NamedTuple):
-    id_a: str
-    id_b: str
-    value: float
+class PairValue(namedtuple("PairValue", "id_a id_b value")):
+    """One metric's float value for the programs of two entry ids."""
+
+    __slots__ = ()
 
 
 def pairwise_values(subset: Subset, kind: MetricKind,
@@ -361,38 +356,33 @@ def normalize(group_value: float, td_value: float, kind: MetricKind) -> float:
     return group_value / td_value
 
 
-class SubsetSummary(NamedTuple):
-    label: str
-    pairs: list[PairValue]
-    mean: float
+class SubsetSummary(namedtuple("SubsetSummary", "label pairs mean")):
+    """A subset's list of :class:`PairValue` and their float mean."""
+
+    __slots__ = ()
 
 
-class GroupingResult(NamedTuple):
-    scheme: GroupingScheme
-    subsets: list[SubsetSummary]
-    mean: float
+class GroupingResult(namedtuple("GroupingResult", "scheme subsets mean")):
+    """A scheme's list of :class:`SubsetSummary` and the mean of their means."""
+
+    __slots__ = ()
 
 
-class MetricStudy(NamedTuple):
-    """One metric's results over every grouping of one dataset.
+class MetricStudy(namedtuple("MetricStudy", "kind groupings td_mean normalized")):
+    """One :class:`MetricKind`'s results over every grouping of one dataset:
+    dicts from grouping labels to a :class:`GroupingResult` and to an index.
+    An index of ``None`` flags a degenerate cell (a zero distance group or
+    baseline that cannot be normalized)."""
 
-    ``normalized`` maps grouping labels to indices; ``None`` flags a
-    degenerate cell (a zero distance group or baseline that cannot be
-    normalized).
-    """
-
-    kind: MetricKind
-    groupings: dict[str, GroupingResult]
-    td_mean: float
-    normalized: dict[str, float | None]
+    __slots__ = ()
 
 
-class StudyReport(NamedTuple):
-    dataset: str
-    programmers: list[str]
-    applications: list[str]
-    strides: list[int]
-    metrics: dict[MetricKind, MetricStudy]
+class StudyReport(namedtuple("StudyReport",
+                             "dataset programmers applications strides metrics")):
+    """One dataset's study: its name, label and stride lists, and a dict
+    from :class:`MetricKind` to :class:`MetricStudy`."""
+
+    __slots__ = ()
 
 
 def build_universes(features: Mapping[str, ProgramFeatures]) -> dict[int, frozenset[NGram]]:
@@ -470,17 +460,18 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
                        list(grid.applications), strides, metrics)
 
 
-class SuiteSummary(NamedTuple):
-    """Cross-dataset averages and normalized indices for one metric."""
+class SuiteSummary(namedtuple("SuiteSummary", "kind means normalized")):
+    """Cross-dataset averages and normalized indices (None if degenerate)
+    for one :class:`MetricKind`, as dicts keyed by column label."""
 
-    kind: MetricKind
-    means: dict[str, float]
-    normalized: dict[str, float | None]
+    __slots__ = ()
 
 
-class StudySuite(NamedTuple):
-    reports: list[StudyReport]
-    summary: dict[MetricKind, SuiteSummary]
+class StudySuite(namedtuple("StudySuite", "reports summary")):
+    """A list of :class:`StudyReport` and a dict from :class:`MetricKind`
+    to :class:`SuiteSummary`."""
+
+    __slots__ = ()
 
 
 def build_suite(reports: Sequence[StudyReport]) -> StudySuite:

@@ -19,27 +19,29 @@ import os
 import re
 import shlex
 import subprocess
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Sequence
 from itertools import islice, takewhile
 from pathlib import Path
 from threading import Thread
-from typing import NamedTuple, Sequence
 
 from .config import ToolConfig
 from .corpus import ManifestData, ProgramEntry, write_file
 from .errors import InputError, ToolError
 
 
-class CompileOutcome(NamedTuple):
-    entry: ProgramEntry
-    output: Path | None
-    cached: bool = False
-    error: str | None = None
+class CompileOutcome(namedtuple("CompileOutcome", "entry output cached error",
+                                defaults=(False, None))):
+    """A :class:`ProgramEntry`'s compile: its assembly's ``Path``, or None
+    and an ``error`` message."""
+
+    __slots__ = ()
 
 
-class CompileResult(NamedTuple):
-    outcomes: list[CompileOutcome]
-    manifest_path: Path
+class CompileResult(namedtuple("CompileResult", "outcomes manifest_path")):
+    """A list of :class:`CompileOutcome` and the derived manifest's ``Path``."""
+
+    __slots__ = ()
 
     @property
     def failures(self) -> list[CompileOutcome]:

@@ -10,9 +10,9 @@ iterate and count them, so no hash table is kept per program.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from itertools import compress
-from typing import NamedTuple, Sequence
 
 from .asm_parser import (AssemblyProgram, ParserConfig, DEFAULT_CONFIG,
                          linear_blocks, segment_basic_blocks)
@@ -20,16 +20,15 @@ from .asm_parser import (AssemblyProgram, ParserConfig, DEFAULT_CONFIG,
 NGram = tuple[str, ...]
 
 
-class PatternSet(NamedTuple):
+class PatternSet(namedtuple("PatternSet", "n patterns")):
     """Presence set of length-n mnemonic patterns (no multiplicities).
 
-    ``patterns`` holds each distinct pattern once, in order of first
-    occurrence, so ``len(patterns)`` is the size of the set. Wrap it in
-    ``frozenset`` for set algebra.
+    ``patterns`` is a tuple that holds each distinct pattern (an
+    :data:`NGram`) once, in order of first occurrence, so ``len(patterns)``
+    is the size of the set. Wrap it in ``frozenset`` for set algebra.
     """
 
-    n: int
-    patterns: tuple[NGram, ...]
+    __slots__ = ()
 
 
 def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int], n: int) -> PatternSet:
@@ -50,12 +49,12 @@ def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int], n: int) -> P
     return PatternSet(n, tuple(dict.fromkeys(compress(windows, keep))))
 
 
-class ProgramFeatures(NamedTuple):
-    """Everything the four metrics need to know about one program."""
+class ProgramFeatures(namedtuple("ProgramFeatures", "frequency patterns2 patterns3")):
+    """Everything the four metrics need to know about one program:
+    ``frequency`` is a Counter of its mnemonics, and ``patterns2`` and
+    ``patterns3`` are its :class:`PatternSet` of each length."""
 
-    frequency: Counter[str]
-    patterns2: PatternSet
-    patterns3: PatternSet
+    __slots__ = ()
 
     def pattern_set(self, n: int) -> PatternSet:
         return self.patterns2 if n == 2 else self.patterns3

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Collection, Sequence
 from enum import Enum
 from itertools import chain, combinations, count, repeat
 from operator import mul
-from typing import Collection, Sequence
 
 from .errors import EmptyProgramError
 from .features import ProgramFeatures

@@ -13,12 +13,11 @@ a large report while it is produced; :func:`render` joins them.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+from collections.abc import Iterator, Mapping
 from functools import partial
 from itertools import chain, repeat
-from typing import Iterator, Mapping
 
 from .corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL, StudySuite,
                      totally_different)
@@ -88,6 +87,8 @@ SUITE_DATASET = "(all)"
 
 
 def render_csv(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[str]:
+    import csv  # CSV reports only: no other command loads it
+
     del metadata  # config belongs in the JSON report, not the flat table
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

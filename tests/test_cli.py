@@ -719,7 +719,7 @@ class TestProcessPolicy:
     def test_importing_the_cli_loads_no_compile_modules(self):
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         probe = ("import asmsim.cli, sys; print(sorted({'subprocess', 'concurrent.futures', "
-                 "'hashlib'} & set(sys.modules)))")
+                 "'hashlib', 'csv'} & set(sys.modules)))")
         # -S: no site hooks, whose imports are not the package's
         result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                                 env=env, check=True)
@@ -727,11 +727,11 @@ class TestProcessPolicy:
 
     @pytest.mark.parametrize("module", ["asmsim.cli", "asmsim.crosscompile"])
     def test_importing_loads_no_class_generation_modules(self, module):
-        """Records are named tuples: no import pulls in ``dataclasses`` and the
-        source-inspection modules it imports."""
+        """Records are plain ``collections.namedtuple`` classes: no import pulls in
+        ``dataclasses`` and the source-inspection modules it imports, or ``typing``."""
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         probe = (f"import {module}, sys; print(sorted({{'dataclasses', 'inspect', 'ast', "
-                 "'dis', 'tokenize'} & set(sys.modules)))")
+                 "'dis', 'tokenize', 'typing'} & set(sys.modules)))")
         result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                                 env=env, check=True)
         assert result.stdout == b"[]\n"

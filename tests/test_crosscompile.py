@@ -87,6 +87,18 @@ out = args[args.index("-o") + 1]
 pathlib.Path(out).write_text(pathlib.Path(args[-1]).read_text())
 """
 
+# Copies input to output with each `#include "name"` line replaced by the
+# text of the file `name` beside the input, as a C preprocessor would.
+INCLUDING_CC = ANSWERS_VERSION + """\
+import pathlib, re, sys
+args = sys.argv[1:]
+out = args[args.index("-o") + 1]
+src = pathlib.Path(args[-1])
+text = re.sub(r'^#include "(.+)"\\n', lambda m: src.with_name(m[1]).read_text(),
+              src.read_text(), flags=re.M)
+pathlib.Path(out).write_text(text)
+"""
+
 # Fails every compile; its stderr and `--version` line are not UTF-8 when
 # the script is run with the argument "bad-stderr" or "bad-version".
 FAILING_CC = """\
@@ -417,6 +429,29 @@ class TestCompileCli:
         script = tmp_path / "versioned_cc.py"
         script.write_text(VERSIONED_CC)
         self.assert_upgrade_invalidates_cache(tmp_path, f"{sys.executable} {script}")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 13: the cache key covers no file that the "
+                              "source includes, so an edited header is a cache hit")
+    def test_edited_header_is_compiled_again(self, tmp_path):
+        script = tmp_path / "including_cc.py"
+        script.write_text(INCLUDING_CC)
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.c").write_text('#include "k.h"\n\tbx lr\n')
+        manifest = src / "manifest.json"
+        manifest.write_text(json.dumps({"programs": [
+            {"id": "a", "path": "a.c", "programmer": "p", "application": "x"}]}))
+        out = tmp_path / "out"
+        texts = []
+        for header in ("\tmov r0, #3\n", "\tmov r0, #1024\n"):
+            (src / "k.h").write_text(header)
+            result = run_cli("compile", manifest, "--out", out, "--cc",
+                             f"{sys.executable} {script}")
+            assert result.returncode == 0, result.stderr.decode()
+            [(_, [entry])] = load_datasets(out / "manifest.json").datasets
+            texts.append(entry.path.read_text())
+        assert texts == ["\tmov r0, #3\n\tbx lr\n", "\tmov r0, #1024\n\tbx lr\n"]
 
     def test_stale_partial_files_removed(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)

@@ -1,7 +1,11 @@
-"""The package runs on the Python standard library alone."""
+"""The package runs on the Python standard library alone, and its records are
+plain ``collections.namedtuple`` classes."""
 
 import ast
+import importlib
 import sys
+
+from asmsim.asm_parser import ParserConfig
 
 from conftest import REPO_ROOT
 
@@ -23,12 +27,64 @@ def test_every_absolute_import_is_standard_library():
     assert not foreign
 
 
-def test_no_module_imports_dataclasses():
-    """Records are named tuples; ``dataclasses`` would cost every process its
-    import and class generation, also in modules the CLI imports lazily."""
-    users = {path.name for path in SOURCES for name in absolute_imports(path)
-             if name.partition(".")[0] == "dataclasses"}
+def test_no_module_imports_dataclasses_or_typing():
+    """Records are plain named tuples; ``dataclasses`` or ``typing`` would cost
+    every process its import and a second layer of class generation, also in
+    modules the CLI imports lazily."""
+    users = {f"{path.name}: {name}" for path in SOURCES for name in absolute_imports(path)
+             if name.partition(".")[0] in {"dataclasses", "typing"}}
     assert not users
+
+
+# Every record of the package: its fields and their defaults.
+RECORDS = {
+    "asm_parser.ParserConfig": (("comment_markers", "branch_mnemonics", "strict"), {
+        "comment_markers": frozenset({"@", "//"}),
+        "branch_mnemonics": frozenset({"b", "bl", "blx", "bx", "cbz", "cbnz"}),
+        "strict": False}),
+    "asm_parser.AssemblyProgram": (("mnemonics", "operands", "labels", "diagnostics"),
+                                   {"diagnostics": ()}),
+    "config.ToolConfig": (("compiler_command", "compiler_flags", "parser", "strides",
+                           "output_format", "ngram_mode", "jobs"), {
+        "compiler_command": "arm-none-eabi-gcc", "compiler_flags": ("-S", "-mthumb", "-O0"),
+        "parser": ParserConfig(), "strides": None, "output_format": "markdown",
+        "ngram_mode": "blocks", "jobs": 1}),
+    "corpus.ProgramEntry": (("id", "path", "programmer", "application"), {}),
+    "corpus.ManifestData": (("datasets", "metadata"), {}),
+    "corpus.CorpusGrid": (("programmers", "applications", "cells"), {}),
+    "corpus.GroupingScheme": (("kind", "stride"), {"stride": None}),
+    "corpus.Subset": (("scheme", "label", "members"), {}),
+    "corpus.PairValue": (("id_a", "id_b", "value"), {}),
+    "corpus.SubsetSummary": (("label", "pairs", "mean"), {}),
+    "corpus.GroupingResult": (("scheme", "subsets", "mean"), {}),
+    "corpus.MetricStudy": (("kind", "groupings", "td_mean", "normalized"), {}),
+    "corpus.StudyReport": (("dataset", "programmers", "applications", "strides",
+                            "metrics"), {}),
+    "corpus.SuiteSummary": (("kind", "means", "normalized"), {}),
+    "corpus.StudySuite": (("reports", "summary"), {}),
+    "crosscompile.CompileOutcome": (("entry", "output", "cached", "error"),
+                                    {"cached": False, "error": None}),
+    "crosscompile.CompileResult": (("outcomes", "manifest_path"), {}),
+    "features.PatternSet": (("n", "patterns"), {}),
+    "features.ProgramFeatures": (("frequency", "patterns2", "patterns3"), {}),
+}
+
+
+def test_every_record_keeps_its_fields_and_no_instance_dict():
+    """Each record is a named tuple subclass with ``__slots__ = ()``: without it
+    every instance carries a ``__dict__``."""
+    found = {}
+    for path in SOURCES:
+        if path.stem.startswith("__"):  # __init__ re-exports; __main__ runs the CLI
+            continue
+        module = importlib.import_module(f"asmsim.{path.stem}")
+        found.update((f"{path.stem}.{name}", cls) for name, cls in vars(module).items()
+                     if isinstance(cls, type) and issubclass(cls, tuple)
+                     and hasattr(cls, "_fields") and cls.__module__ == module.__name__)
+    assert found.keys() == RECORDS.keys()
+    for name, cls in found.items():
+        assert cls.__dictoffset__ == 0, name
+        assert (cls._fields, cls._field_defaults) == RECORDS[name], name
 
 
 def unused_imports(path):
