@@ -83,8 +83,10 @@ class ParserConfig(namedtuple("ParserConfig", "comment_markers branch_mnemonics 
 
 @lru_cache(maxsize=32)
 def branch_set(branch_mnemonics: frozenset[str]) -> frozenset[str]:
-    """Branch mnemonics, bare and with every condition suffix."""
-    return branch_mnemonics | {b + s for b in branch_mnemonics for s in CONDITION_SUFFIXES}
+    """Every mnemonic that can branch: the branch mnemonics, bare and with every
+    condition suffix, and the ``_OPERAND_BRANCHES`` keys."""
+    return branch_mnemonics.union(
+        _OPERAND_BRANCHES, {b + s for b in branch_mnemonics for s in CONDITION_SUFFIXES})
 
 
 @lru_cache(maxsize=32)
@@ -222,8 +224,8 @@ def _cut_lines(text: str, comment_markers: frozenset[str]) -> list[str]:
 def is_branch(mnemonic: str, operands_raw: str,
               config: ParserConfig = DEFAULT_CONFIG) -> bool:
     """True if the instruction can transfer control away from the next line:
-    its mnemonic is in ``branch_set(config.branch_mnemonics)``, or has an
-    ``_OPERAND_BRANCHES`` rule that its operands match."""
+    its mnemonic has an ``_OPERAND_BRANCHES`` rule that its operands match, or
+    has none and is in ``branch_set(config.branch_mnemonics)``."""
     rule = _OPERAND_BRANCHES.get(mnemonic)
     if rule is not None:
         return rule.search(operands_raw.lower()) is not None
@@ -249,7 +251,7 @@ def segment_basic_blocks(program: AssemblyProgram,
     of them, finds the labels they name.
     """
     mnemonics, operands, labels = program.mnemonics, program.operands, program.labels
-    candidates = (branch_set(config.branch_mnemonics) | _OPERAND_BRANCHES.keys()).__contains__
+    candidates = branch_set(config.branch_mnemonics).__contains__
     branches = [i for i in compress(count(), map(candidates, mnemonics))
                 if is_branch(mnemonics[i], operands[i], config)]
     named = labels.keys() & _OPERAND_TOKEN_RE.findall("\n".join(map(operands.__getitem__,

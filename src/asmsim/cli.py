@@ -170,7 +170,11 @@ def collect_inputs(paths: Sequence[Path], glob_pattern: str) -> list[Path]:
     files: list[Path] = []
     for path in paths:
         if path.is_dir():
-            files.extend(sorted(path.glob(glob_pattern), key=str))
+            matches = sorted(path.glob(glob_pattern), key=str)
+            for match in matches:
+                if not match.is_file():  # a FIFO's read would wait for a writer
+                    raise InputError("not a regular file", entity=str(match))
+            files.extend(matches)
         elif path.is_file():
             files.append(path)
         else:
@@ -239,8 +243,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
           f"failed {len(result.failures)}")
     print(f"manifest: {result.manifest_path}")
     if result.failures:
-        _stderr("\n".join(ToolError(outcome.error, entity=outcome.entry.id).diagnostic()
-                           for outcome in result.failures))
+        first, *rest = (ToolError(outcome.error, entity=outcome.entry.id).diagnostic()
+                        for outcome in result.failures)
+        # one error line, the first failure's, last; each other one is a warning
+        _stderr("\n".join([*(line.replace("error:", "warning:", 1) for line in rest), first]))
         return 4
     return 0
 

@@ -29,17 +29,14 @@ from .features import NGram, ProgramFeatures
 from .metrics import METRIC_ORDER, MetricKind, pair_values
 
 
-class ProgramEntry(namedtuple("ProgramEntry", "id path programmer application")):
-    """One corpus program: its file's ``Path`` and the grid cell it fills."""
+ProgramEntry = namedtuple("ProgramEntry", "id path programmer application")
+ProgramEntry.__doc__ = """One corpus program: its file's ``Path`` and the grid cell
+it fills."""
 
-    __slots__ = ()
 
-
-class ManifestData(namedtuple("ManifestData", "datasets metadata")):
-    """Parsed manifest: a list of (name, list of :class:`ProgramEntry`)
-    datasets plus a dict of free-form metadata."""
-
-    __slots__ = ()
+ManifestData = namedtuple("ManifestData", "datasets metadata")
+ManifestData.__doc__ = """Parsed manifest: a list of (name, list of
+:class:`ProgramEntry`) datasets plus a dict of free-form metadata."""
 
 
 def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]:
@@ -263,10 +260,8 @@ def _check_strides(grid: CorpusGrid, strides: Sequence[int | None]) -> int:
     return n
 
 
-class Subset(namedtuple("Subset", "scheme label members")):
-    """A labelled subset of a grouping: a tuple of :class:`ProgramEntry`."""
-
-    __slots__ = ()
+Subset = namedtuple("Subset", "scheme label members")
+Subset.__doc__ = """A labelled subset of a grouping: a tuple of :class:`ProgramEntry`."""
 
 
 def enumerate_subsets(grid: CorpusGrid, scheme: GroupingScheme) -> list[Subset]:
@@ -301,10 +296,8 @@ def enumerate_subsets(grid: CorpusGrid, scheme: GroupingScheme) -> list[Subset]:
     return subsets
 
 
-class PairValue(namedtuple("PairValue", "id_a id_b value")):
-    """One metric's float value for the programs of two entry ids."""
-
-    __slots__ = ()
+PairValue = namedtuple("PairValue", "id_a id_b value")
+PairValue.__doc__ = """One metric's float value for the programs of two entry ids."""
 
 
 def pairwise_values(subset: Subset, kind: MetricKind,
@@ -356,33 +349,25 @@ def normalize(group_value: float, td_value: float, kind: MetricKind) -> float:
     return group_value / td_value
 
 
-class SubsetSummary(namedtuple("SubsetSummary", "label pairs mean")):
-    """A subset's list of :class:`PairValue` and their float mean."""
-
-    __slots__ = ()
+SubsetSummary = namedtuple("SubsetSummary", "label pairs mean")
+SubsetSummary.__doc__ = """A subset's list of :class:`PairValue` and their float mean."""
 
 
-class GroupingResult(namedtuple("GroupingResult", "scheme subsets mean")):
-    """A scheme's list of :class:`SubsetSummary` and the mean of their means."""
-
-    __slots__ = ()
-
-
-class MetricStudy(namedtuple("MetricStudy", "kind groupings td_mean normalized")):
-    """One :class:`MetricKind`'s results over every grouping of one dataset:
-    dicts from grouping labels to a :class:`GroupingResult` and to an index.
-    An index of ``None`` flags a degenerate cell (a zero distance group or
-    baseline that cannot be normalized)."""
-
-    __slots__ = ()
+GroupingResult = namedtuple("GroupingResult", "scheme subsets mean")
+GroupingResult.__doc__ = """A scheme's list of :class:`SubsetSummary` and the mean
+of their means."""
 
 
-class StudyReport(namedtuple("StudyReport",
-                             "dataset programmers applications strides metrics")):
-    """One dataset's study: its name, label and stride lists, and a dict
-    from :class:`MetricKind` to :class:`MetricStudy`."""
+MetricStudy = namedtuple("MetricStudy", "kind groupings td_mean normalized")
+MetricStudy.__doc__ = """One :class:`MetricKind`'s results over every grouping of
+one dataset: dicts from grouping labels to a :class:`GroupingResult` and to
+an index. An index of ``None`` flags a degenerate cell (a zero distance
+group or baseline that cannot be normalized)."""
 
-    __slots__ = ()
+
+StudyReport = namedtuple("StudyReport", "dataset programmers applications strides metrics")
+StudyReport.__doc__ = """One dataset's study: its name, label and stride lists, and
+a dict from :class:`MetricKind` to :class:`MetricStudy`."""
 
 
 def build_universes(features: Mapping[str, ProgramFeatures]) -> dict[int, frozenset[NGram]]:
@@ -460,18 +445,14 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
                        list(grid.applications), strides, metrics)
 
 
-class SuiteSummary(namedtuple("SuiteSummary", "kind means normalized")):
-    """Cross-dataset averages and normalized indices (None if degenerate)
-    for one :class:`MetricKind`, as dicts keyed by column label."""
-
-    __slots__ = ()
+SuiteSummary = namedtuple("SuiteSummary", "kind means normalized")
+SuiteSummary.__doc__ = """Cross-dataset averages and normalized indices (None if
+degenerate) for one :class:`MetricKind`, as dicts keyed by column label."""
 
 
-class StudySuite(namedtuple("StudySuite", "reports summary")):
-    """A list of :class:`StudyReport` and a dict from :class:`MetricKind`
-    to :class:`SuiteSummary`."""
-
-    __slots__ = ()
+StudySuite = namedtuple("StudySuite", "reports summary")
+StudySuite.__doc__ = """A list of :class:`StudyReport` and a dict from
+:class:`MetricKind` to :class:`SuiteSummary`."""
 
 
 def build_suite(reports: Sequence[StudyReport]) -> StudySuite:

@@ -30,12 +30,10 @@ from .corpus import ManifestData, ProgramEntry, write_file
 from .errors import InputError, ToolError
 
 
-class CompileOutcome(namedtuple("CompileOutcome", "entry output cached error",
-                                defaults=(False, None))):
-    """A :class:`ProgramEntry`'s compile: its assembly's ``Path``, or None
-    and an ``error`` message."""
-
-    __slots__ = ()
+CompileOutcome = namedtuple("CompileOutcome", "entry output cached error",
+                            defaults=(False, None))
+CompileOutcome.__doc__ = """A :class:`ProgramEntry`'s compile: its assembly's
+``Path``, or None and an ``error`` message."""
 
 
 class CompileResult(namedtuple("CompileResult", "outcomes manifest_path")):

@@ -20,15 +20,12 @@ from .asm_parser import (AssemblyProgram, ParserConfig, DEFAULT_CONFIG,
 NGram = tuple[str, ...]
 
 
-class PatternSet(namedtuple("PatternSet", "n patterns")):
-    """Presence set of length-n mnemonic patterns (no multiplicities).
+PatternSet = namedtuple("PatternSet", "n patterns")
+PatternSet.__doc__ = """Presence set of length-n mnemonic patterns (no multiplicities).
 
-    ``patterns`` is a tuple that holds each distinct pattern (an
-    :data:`NGram`) once, in order of first occurrence, so ``len(patterns)``
-    is the size of the set. Wrap it in ``frozenset`` for set algebra.
-    """
-
-    __slots__ = ()
+``patterns`` is a tuple that holds each distinct pattern (an
+:data:`NGram`) once, in order of first occurrence, so ``len(patterns)``
+is the size of the set. Wrap it in ``frozenset`` for set algebra."""
 
 
 def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int], n: int) -> PatternSet:

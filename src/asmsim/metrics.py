@@ -97,8 +97,9 @@ def pair_values(kind: MetricKind, programs: Sequence[ProgramFeatures],
         rows = [sum(map(mul, map(frequency.get, shared, repeat(0)), columns)).to_bytes(
             size, "little") for frequency in frequencies]
         # a self-pair's dot product also takes the mnemonics only it holds;
-        # |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, so dot == a == b holds exactly when a == b
-        return [1.0 if dot == a == b else min(max(dot / math.sqrt(a * b), 0.0), 1.0)
+        # |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, so dot == a == b holds exactly when a == b;
+        # no count is negative, but rounding can put a quotient just above 1
+        return [1.0 if dot == a == b else min(dot / math.sqrt(a * b), 1.0)
                 for i, j in pairs for a, b in [(norms[i], norms[j])]
                 for dot in [int.from_bytes(rows[i][j * width:(j + 1) * width], "little")
                             if i != j else a]]

@@ -66,7 +66,7 @@ def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> Itera
         out.append("|" + " --- |" * (len(columns) + 1))
         for report in suite.reports:
             study = report.metrics[kind]
-            row = [report.dataset]
+            row = [report.dataset.replace("|", "\\|")]  # a bare "|" would split the cell
             for label in columns:
                 grouping = study.groupings.get(label)
                 row.append("" if grouping is None else format_value(kind, grouping.mean))

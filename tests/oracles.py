@@ -125,6 +125,32 @@ def oracle_blocks(program: AssemblyProgram) -> list[int]:
             if i == 0 or oracle_is_branch(*instructions[i - 1]) or i in targets]
 
 
+# --- LLVM machine blocks ------------------------------------------------------
+
+# llc starts a machine block that a branch names with a ``.LBBn_m:`` label, and
+# any other one (a function's entry, a fall-through) with an ``@ %bb.N:`` line.
+LLVM_BLOCK_MARK_RE = re.compile(r"\.LBB\d+_\d+:|\s*@ %bb\.\d+:")
+
+
+def llvm_block_starts(text: str) -> list[int]:
+    """The instruction index at which each machine block of llc's output
+    starts, read from the block marks of its raw lines, counting instructions
+    line by line with :func:`oracle_parse`. A block of data only (a jump table
+    or a literal pool) at the end of the text starts at no instruction."""
+    starts, count = set(), 0
+    for line in text.splitlines():
+        if LLVM_BLOCK_MARK_RE.match(line):
+            starts.add(count)
+        count += len(oracle_parse(line, ParserConfig()).mnemonics)
+    return sorted(start for start in starts if start < count)
+
+
+def after_branches(program: AssemblyProgram) -> list[int]:
+    """Every instruction index that follows a branch-class instruction."""
+    return [i for i in range(1, len(program.mnemonics))
+            if oracle_is_branch(program.mnemonics[i - 1], program.operands[i - 1])]
+
+
 # --- naive feature extraction ------------------------------------------------
 
 def oracle_ngrams(program: AssemblyProgram, starts: list[int], n: int) -> tuple:

@@ -94,6 +94,17 @@ class TestExtract:
         assert code == 2
         assert entity.endswith("missing.s")
 
+    @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+    def test_directory_match_that_is_no_regular_file_exits_2(self, tmp_path, make):
+        write_asm(tmp_path / "a.s", "mov r0, r1")
+        make(tmp_path / "b.s")  # a FIFO's read would wait for a writer forever
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        result = subprocess.run([sys.executable, "-m", "asmsim", "extract", str(tmp_path)],
+                                capture_output=True, env=env, timeout=60)
+        assert result.returncode == 2
+        assert last_diagnostic(result) == (2, str(tmp_path / "b.s"), "not a regular file")
+        assert result.stdout == b""  # checked before any file is read
+
     def test_out_directory(self, tmp_path):
         asm = write_asm(tmp_path / "a.s", "mov r0, r1")
         out = tmp_path / "dumps"

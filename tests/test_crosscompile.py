@@ -363,6 +363,19 @@ class TestCompileCli:
         assert "failed 1" in result.stdout.decode()
         assert 'entity="a-x"' in result.stderr.decode()
 
+    def test_cli_failures_end_in_one_error_line(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path)
+        for name in ("ax.c", "by.c"):
+            (tmp_path / "src" / name).write_text("FAIL\n")
+        result = run_cli("compile", manifest, "--out", tmp_path / "out", "--cc",
+                         f"{sys.executable} {fake_cc}")
+        assert result.returncode == 4
+        assert "failed 2" in result.stdout.decode()
+        # the second failure is a warning, the first the one error line, last
+        assert result.stderr.decode().splitlines() == [
+            'warning: code=4 entity="b-y" message="fake-cc: cannot compile"',
+            'error: code=4 entity="a-x" message="fake-cc: cannot compile"']
+
     def failing_compile(self, tmp_path, corpus_manifest, mode):
         script = tmp_path / "failing_cc.py"
         script.write_text(FAILING_CC)

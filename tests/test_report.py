@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,24 @@ def test_markdown_layout(suite):
     for line in lines:
         if line.startswith("| Normalized |"):
             assert line.split("|")[4].strip() == "1.000"
+
+
+def test_markdown_rows_keep_their_cells_when_a_dataset_name_holds_a_pipe(fixtures_dir):
+    report = fixture_report(fixtures_dir, "corpus3x3")
+    names = ["gcc|O2", "||a|", "plain"]
+    text = render(build_suite([report._replace(dataset=name) for name in names]), "markdown")
+    unescaped_pipe = re.compile(r"(?<!\\)\|")
+    tables = 0
+    for line in text.splitlines():
+        if line.startswith("| Data set |"):
+            width, tables, row = len(unescaped_pipe.split(line)), tables + 1, -1
+        elif line.startswith("|"):  # the " --- " row, the dataset rows, then the summary
+            cells = unescaped_pipe.split(line)
+            assert len(cells) == width, line
+            if 0 <= row < len(names):
+                assert cells[1].strip().replace("\\|", "|") == names[row]
+            row += 1
+    assert tables == 4
 
 
 def test_csv_schema(suite):

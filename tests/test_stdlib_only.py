@@ -71,8 +71,9 @@ RECORDS = {
 
 
 def test_every_record_keeps_its_fields_and_no_instance_dict():
-    """Each record is a named tuple subclass with ``__slots__ = ()``: without it
-    every instance carries a ``__dict__``."""
+    """Each record is a ``collections.namedtuple`` class, or a subclass of one
+    with ``__slots__ = ()``: a subclass without it gives every instance a
+    ``__dict__``."""
     found = {}
     for path in SOURCES:
         if path.stem.startswith("__"):  # __init__ re-exports; __main__ runs the CLI
