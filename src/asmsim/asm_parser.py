@@ -189,8 +189,8 @@ def parse_assembly(text: str, config: ParserConfig = DEFAULT_CONFIG, *,
                         mnemonic = mnemonic[:-2]
                     if len(memo) >= _MEMO_LIMIT:
                         memo.clear()
-                    # one str object per distinct mnemonic, so pattern tuples
-                    # compare by identity in the pair scorers' set intersections
+                    # one str object per distinct mnemonic, so the dict lookups of patterns
+                    # (metrics._holders/_presence_bits, the 2-gram pool) match by identity
                     mnemonic = memo[head[0]] = sys.intern(mnemonic)
 
             if problem is not None:

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .asm_parser import parse_assembly
 from .config import ToolConfig, config_from_dict, load_tool_config
-from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite,
-                     load_datasets, run_study, write_file)
+from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite, load_datasets,
+                     program_file, read_input, run_study, write_file)
 from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
 from .features import (NGram, PatternSet, ProgramFeatures, features_for_program,
                        features_to_dict)
@@ -155,10 +155,7 @@ def file_features(path: Path, config: ToolConfig, entity: str | None = None) -> 
     Writes a ``warning: <path>:<line>: ...`` line to stderr for every line
     lenient mode skipped, all in one write; ``entity`` names the file in a read error.
     """
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise InputError(f"cannot read file: {exc}", entity=entity or str(path)) from exc
+    text = read_input(path, "file", entity or str(path)).decode("utf-8", "replace")
     program = parse_assembly(text, config.parser, source_name=str(path))
     if program.diagnostics:
         _stderr("\n".join(f"warning: {path}:{line_no}: {message}"
@@ -166,25 +163,11 @@ def file_features(path: Path, config: ToolConfig, entity: str | None = None) -> 
     return features_for_program(program, config.parser, linear=config.ngram_mode == "linear")
 
 
-def collect_inputs(paths: Sequence[Path], glob_pattern: str) -> list[Path]:
-    files: list[Path] = []
-    for path in paths:
-        if path.is_dir():
-            matches = sorted(path.glob(glob_pattern), key=str)
-            for match in matches:
-                if not match.is_file():  # a FIFO's read would wait for a writer
-                    raise InputError("not a regular file", entity=str(match))
-            files.extend(matches)
-        elif path.is_file():
-            files.append(path)
-        else:
-            raise InputError("no such file or directory", entity=str(path))
-    return files
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    files = collect_inputs(args.paths, args.glob)
+    # every path is checked before any file is read
+    files = [program_file(match) for path in args.paths
+             for match in (sorted(path.glob(args.glob), key=str) if path.is_dir() else [path])]
 
     if args.out is not None:
         try:
@@ -210,11 +193,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    features = []
-    for path in (args.file_a, args.file_b):
-        if not path.is_file():
-            raise InputError("no such file", entity=str(path))
-        features.append(file_features(path, config))
+    features = [file_features(program_file(path), config)
+                for path in (args.file_a, args.file_b)]
 
     names = list(COMPARE_METRICS) if args.metric == "all" else [args.metric]
     try:

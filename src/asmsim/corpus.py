@@ -57,23 +57,53 @@ def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]
         if values["id"] in seen:
             raise DuplicateIdError(f"duplicate program id {values['id']!r}", entity=entity)
         seen.add(values["id"])
-        full = base / values["path"]
-        if not full.is_file():
-            raise InputError(f"program file not found: {full}", entity=entity)
-        entries.append(ProgramEntry(**{**values, "path": full}))
+        entries.append(ProgramEntry(**{**values, "path": program_file(
+            base / values["path"], entity)}))
     return entries
+
+
+def program_file(path: Path, entity: str | None = None) -> Path:
+    """``path`` if it names a regular file, else an :class:`InputError` for
+    ``entity`` (default: the path). A ``stat`` checks it, so a FIFO is never
+    opened and no read waits for its writer."""
+    entity = str(path) if entity is None else entity
+    try:
+        mode = path.stat().st_mode
+    except (FileNotFoundError, NotADirectoryError, ValueError):  # ValueError: a NUL byte
+        raise InputError(f"no such file or directory: {path}", entity=entity) from None
+    except OSError as exc:
+        raise InputError(f"cannot read file: {exc}", entity=entity) from exc
+    if not stat.S_ISREG(mode):
+        raise InputError(f"not a regular file: {path}", entity=entity)
+    return path
+
+
+def read_input(path: Path, what: str, entity: str) -> bytes:
+    """The bytes of ``path``; a failed read is an :class:`InputError` for
+    ``entity``, and ``what`` names the file in it."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}", entity=entity) from exc
+
+
+def _finite_float(text: str) -> float:
+    """``float(text)``, for a JSON number or ``NaN``/``Infinity``, if finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
 
 
 def load_json_object(path: Path, what: str, error: type[AsmSimError]) -> dict:
     """The JSON object in the UTF-8 file ``path``. A file that cannot be read is
     an :class:`InputError`; one that is not UTF-8, not JSON (or nested too
-    deeply to decode) or not an object is ``error``. ``what`` names the file."""
+    deeply to decode, or holding a number that is not finite, such as ``NaN``
+    or ``1e999``) or not an object is ``error``. ``what`` names the file."""
+    raw = read_input(path, what, str(path))
     try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {what}: {exc}", entity=str(path)) from exc
-    try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), parse_float=_finite_float,
+                         parse_constant=_finite_float)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise error(f"{what} is not valid JSON: {exc}", entity=str(path)) from exc
     if not isinstance(doc, dict):

@@ -26,7 +26,7 @@ from pathlib import Path
 from threading import Thread
 
 from .config import ToolConfig
-from .corpus import ManifestData, ProgramEntry, write_file
+from .corpus import ManifestData, ProgramEntry, read_input, write_file
 from .errors import InputError, ToolError
 
 
@@ -170,10 +170,7 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     version = compiler_version(config.compiler_command)
     keys, first = [], {}  # first: the first entry of each hash not in the cache
     for entry in entries:
-        try:
-            source = entry.path.read_bytes()
-        except OSError as exc:
-            raise InputError(f"cannot read source: {exc}", entity=entry.id) from exc
+        source = read_input(entry.path, "source", entry.id)
         keys.append(key := content_hash(source, config.compiler_command,
                                         config.compiler_flags, version))
         if key not in first and not (cache_dir / f"{key}.s").is_file():

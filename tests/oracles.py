@@ -151,6 +151,66 @@ def after_branches(program: AssemblyProgram) -> list[int]:
             if oracle_is_branch(program.mnemonics[i - 1], program.operands[i - 1])]
 
 
+# --- llvm-mc listings ----------------------------------------------------------
+
+# The fixup kinds of Thumb branches (b, conditional b, bl, blx, cbz/cbnz); the
+# others (literal-pool loads, movw/movt) name data or addresses, not code.
+LLVM_MC_BRANCH_FIXUPS = frozenset({
+    "fixup_arm_thumb_br", "fixup_arm_thumb_bcc", "fixup_t2_uncondbranch",
+    "fixup_t2_condbranch", "fixup_arm_thumb_bl", "fixup_arm_thumb_blx",
+    "fixup_arm_thumb_cb"})
+LLVM_MC_FIXUP_RE = re.compile(r"\s*@\s+fixup \w+ - offset: \d+, value: (\S+), kind: (\w+)$")
+LLVM_MC_LABEL_RE = re.compile(r"([^\s:@]+):")
+MC_BRANCHES = frozenset(branch + condition
+                        for branch in (*ORACLE_BRANCHES, "tbb", "tbh")
+                        for condition in ("", *ORACLE_CONDITIONS))
+
+
+def mc_ends_block(mnemonic: str, operands: str) -> bool:
+    """ROADMAP item 5's rule for an instruction as ``llvm-mc`` prints it: a branch
+    (b, bl, blx, bx, cbz, cbnz, tbb or tbh, bare or with a condition suffix), or
+    a write to pc: pc first among the operands (``mov pc, lr``, ``ldr pc, [sp]``)
+    of anything but a store or a compare, or in the list that ``pop`` or
+    ``ldm`` loads."""
+    base = mnemonic.lower().split(".")[0]  # without a .w or .n width
+    if base in MC_BRANCHES:
+        return True
+    if base.startswith(("pop", "ldm")):
+        return "pc" in re.findall(r"\w+", operands.lower())
+    return (operands.lower().split(",")[0].strip() == "pc"
+            and not base.startswith(("str", "cmp", "cmn", "tst", "teq")))
+
+
+def llvm_mc_blocks(listing: str) -> tuple[int, list[int]]:
+    """The instruction count and the basic-block starts of an
+    ``llvm-mc -show-encoding`` listing. Its instructions are the lines that
+    carry an ``@ encoding:`` and are no data directive; llvm-mc has resolved
+    every label (a numeric local label ``1:`` becomes ``.LtmpN``), so a branch's
+    target is the ``value`` of its branch-kind ``fixup`` line, and the leaders
+    are the first instruction, each label that a branch names and each
+    instruction after one that :func:`mc_ends_block` holds ends a block."""
+    labels: dict[str, int] = {}
+    instructions: list[tuple[str, str]] = []
+    targets: list[str] = []
+    for line in listing.splitlines():
+        fixup = LLVM_MC_FIXUP_RE.match(line)
+        label = LLVM_MC_LABEL_RE.match(line)
+        code, encoded, _ = line.partition("@ encoding:")
+        if fixup:
+            if fixup[2] in LLVM_MC_BRANCH_FIXUPS:
+                targets.append(fixup[1])
+        elif label:
+            labels[label[1]] = len(instructions)
+        elif encoded and not code.strip().startswith("."):
+            mnemonic, _, operands = code.strip().partition("\t")
+            instructions.append((mnemonic, operands))
+    count = len(instructions)
+    starts = {0, *(labels[target] for target in targets if target in labels),
+              *(i + 1 for i, instruction in enumerate(instructions)
+                if mc_ends_block(*instruction))}
+    return count, sorted(start for start in starts if start < count)
+
+
 # --- naive feature extraction ------------------------------------------------
 
 def oracle_ngrams(program: AssemblyProgram, starts: list[int], n: int) -> tuple:

@@ -49,6 +49,40 @@ def test_unicode_line_breaks_in_a_diagnostic_are_escaped(separator):
     assert unquote(match.group(3)) == f"no such{separator}file"
 
 
+PATH_KINDS = {"fifo": (os.mkfifo, "not a regular file"),
+              "directory": (os.mkdir, "not a regular file"),
+              "missing": (lambda path: None, "no such file or directory")}
+PATH_COMMANDS = {"extract": (("extract", "a.s", "b.s"), "b.s"),
+                 "compare-first": (("compare", "b.s", "a.s"), "b.s"),
+                 "compare-second": (("compare", "a.s", "b.s"), "b.s"),
+                 "study": (("study", "m.json"), "m.json#programs[1]"),
+                 "compile": (("compile", "m.json", "--cc", "/no/such/cc"),
+                             "m.json#programs[1]")}
+
+
+# a directory argument of extract is read as a directory
+@pytest.mark.parametrize("make, problem, command, entity", [
+    pytest.param(*PATH_KINDS[kind], *PATH_COMMANDS[name], id=f"{name}-{kind}")
+    for name in PATH_COMMANDS for kind in PATH_KINDS
+    if (name, kind) != ("extract", "directory")])
+def test_a_program_path_that_is_no_regular_file_exits_2(tmp_path, make, problem, command,
+                                                        entity):
+    """An argument and a manifest entry pass the rule of a directory match:
+    a path must name a regular file, checked before any file is read."""
+    write_asm(tmp_path / "a.s", "mov r0, r1")
+    make(tmp_path / "b.s")  # a FIFO's read would wait for a writer forever
+    (tmp_path / "m.json").write_text(json.dumps({"programs": [
+        {"id": name, "path": f"{name}.s", "programmer": "p", "application": name}
+        for name in ("a", "b")]}))
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    result = subprocess.run([sys.executable, "-m", "asmsim", *command], cwd=tmp_path,
+                            capture_output=True, env=env, timeout=60)
+    assert result.returncode == 2 and result.stdout == b""
+    assert len(result.stderr.splitlines()) == 1
+    assert last_diagnostic(result) == (2, entity, f"{problem}: b.s")
+    assert not (tmp_path / "asmsim-out").exists()  # nothing compiled
+
+
 class TestExtract:
     def test_single_file(self, tmp_path):
         asm = write_asm(tmp_path / "a.s", "mov r0, r1", "add r0, r1")
@@ -102,7 +136,8 @@ class TestExtract:
         result = subprocess.run([sys.executable, "-m", "asmsim", "extract", str(tmp_path)],
                                 capture_output=True, env=env, timeout=60)
         assert result.returncode == 2
-        assert last_diagnostic(result) == (2, str(tmp_path / "b.s"), "not a regular file")
+        assert last_diagnostic(result) == (2, str(tmp_path / "b.s"),
+                                           f"not a regular file: {tmp_path / 'b.s'}")
         assert result.stdout == b""  # checked before any file is read
 
     def test_out_directory(self, tmp_path):
@@ -121,14 +156,17 @@ class TestExtract:
         assert f"warning: {asm}:2:" in result.stderr.decode()
 
     def test_lenient_warnings_quote_the_raw_lines(self, tmp_path):
-        text = "\t!!! a @ c\r\n\t!!! b  \u2028\tnop // d\n\t!!! e\n\t!!! f @\t\n"
-        asm = tmp_path / "a.s"
-        asm.write_bytes(text.encode())
-        result = run_cli("extract", asm)
-        assert result.returncode == 0
-        assert result.stderr.decode().splitlines() == [
-            f"warning: {asm}:{line_no}: unclassifiable line: {line.strip()!r}"
-            for line_no, line in enumerate(text.splitlines(), start=1) if "!!!" in line]
+        # line breaks \r\n, \u2028 and a lone \r; bytes that are no UTF-8 read as U+FFFD
+        for raw in ("\t!!! a @ c\r\n\t!!! b  \u2028\tnop // d\n\t!!! e\n\t!!! f @\t\n".encode(),
+                    b"\t!!! g\r\tnop\r\t!!! h \xff @ i\n\t!!! \xe2\x82 j\r"):
+            asm = tmp_path / "a.s"
+            asm.write_bytes(raw)
+            result = run_cli("extract", asm)
+            assert result.returncode == 0
+            text = raw.decode("utf-8", "replace")
+            assert result.stderr.decode().splitlines() == [
+                f"warning: {asm}:{line_no}: unclassifiable line: {line.strip()!r}"
+                for line_no, line in enumerate(text.splitlines(), start=1) if "!!!" in line]
 
     def test_closed_stdout_exits_2_without_traceback(self, fixtures_dir):
         # about 400 KB of lines, far more than a pipe and the child's stdout
@@ -349,7 +387,7 @@ class TestStudy:
         assert result.stderr.count(b"\n") == 1 and result.stderr.endswith(b"\n")
         assert not any(byte < 0x20 for byte in result.stderr[:-1])
         assert last_diagnostic(result) == (2, f"{manifest}#programs[0]",
-                                           f"program file not found: {tmp_path / name}")
+                                           f"no such file or directory: {tmp_path / name}")
 
     def test_unwritable_out_exits_2(self, corpus_manifest, tmp_path):
         target = tmp_path / "no" / "dir" / "report.md"
@@ -434,6 +472,40 @@ class TestStudy:
         assert len(result.stderr.decode().splitlines()) == 1  # one error: line, no traceback
         assert last_diagnostic(result)[:2] == (5, entity)
         assert not out.exists()  # no report and no derived manifest
+
+    @staticmethod
+    def with_metadata(corpus_manifest, tmp_path, metadata):
+        """A copy of ``corpus_manifest`` in ``tmp_path`` whose ``"metadata"``
+        is the JSON text ``metadata``."""
+        doc = json.loads(corpus_manifest.read_text())
+        for program in doc["programs"]:
+            program["path"] = str(corpus_manifest.parent / program["path"])
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({**doc, "metadata": None}).replace("null", metadata))
+        return manifest
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+    @pytest.mark.parametrize("command", ["study", "compile"])
+    def test_metadata_number_that_is_not_finite_exits_5(self, tmp_path, corpus_manifest,
+                                                        command, number):
+        manifest = self.with_metadata(corpus_manifest, tmp_path, f'{{"budget": {number}}}')
+        out = tmp_path / "out"
+        result = run_cli(command, manifest, "--out", out)
+        assert result.returncode == 5 and result.stdout == b""
+        assert len(result.stderr.decode().splitlines()) == 1  # one error: line, no traceback
+        assert last_diagnostic(result) == (
+            5, str(manifest), f"manifest is not valid JSON: number {number} is not finite")
+        assert not out.exists()  # no report, nothing compiled
+
+    def test_finite_metadata_numbers_keep_their_report_bytes(self, tmp_path, corpus_manifest):
+        metadata = ('{"ratio": 0.1, "max": 1.7976931348623157e308, "tiny": 5e-324, '
+                    '"under": 1e-999, "zero": -0.0, "count": 100000000000000000000000000001}')
+        manifest = self.with_metadata(corpus_manifest, tmp_path, metadata)
+        result = run_cli("study", manifest, "--format", "json")
+        assert result.returncode == 0
+        expected = json.loads((GOLDEN / "study_3x3.json").read_bytes())
+        expected["metadata"] = {**json.loads(metadata), **expected["metadata"]}
+        assert result.stdout == (json.dumps(expected, indent=2) + "\n").encode()
 
     def test_empty_program_exits_3_naming_entry(self, tmp_path):
         for name in ("a", "b"):
@@ -554,6 +626,14 @@ class TestConfigPrecedence:
         assert result.returncode == code
         assert "Traceback" not in result.stderr.decode()
         assert last_diagnostic(result)[:2] == (code, str(bad))
+
+    def test_config_number_that_is_not_finite_exits_2(self, corpus_manifest, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text('{"jobs": 1e999}')
+        result = run_cli("study", corpus_manifest, "--config", config)
+        assert result.returncode == 2 and result.stdout == b""
+        assert last_diagnostic(result) == (
+            2, str(config), "config file is not valid JSON: number 1e999 is not finite")
 
     @pytest.mark.parametrize("which, code", [("config", 2), ("manifest", 5)])
     def test_file_nested_too_deeply_exits_with_its_code(self, corpus_manifest, tmp_path,

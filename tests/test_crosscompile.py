@@ -17,7 +17,7 @@ from asmsim.crosscompile import (CompileOutcome, build_command, compile_corpus,
                                  content_hash)
 from asmsim.errors import InputError, ToolError
 
-from conftest import run_cli
+from conftest import FIXTURES, run_cli
 
 # Every fake compiler below but VERSIONED_CC starts with this: it answers
 # `--version` as a real compiler does, since the cache key asks for it.
@@ -547,3 +547,26 @@ def test_real_cross_compiler(tmp_path):
     assert not result.failures
     derived = load_datasets(result.manifest_path)
     assert derived.datasets[0][1][0].path.read_text().strip()
+
+
+@pytest.mark.skipif(shutil.which("llc") is None, reason="llc not installed")
+def test_llc_as_the_cross_compiler(tmp_path):
+    """LLVM IR compiled by the host's llc to Thumb, a real ARM cross-compiler,
+    is cached, and its output passes a strict study."""
+    names = {("p", "x"): "calls", ("p", "y"): "loops", ("q", "x"): "pop_pc",
+             ("q", "y"): "select"}
+    programs = [{"id": f"{p}-{a}", "path": str(FIXTURES / "llvm" / f"{name}.ll"),
+                 "programmer": p, "application": a} for (p, a), name in names.items()]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"programs": programs}))
+    config = tmp_path / "llc.json"
+    config.write_text(json.dumps({
+        "compiler_command": "llc -mtriple=thumbv7m-none-eabi -O0 {input} -o {output}",
+        "compiler_flags": []}))
+    out = tmp_path / "out"
+    result = run_cli("compile", manifest, "--config", config, "--out", out)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode().startswith("compiled 4, cached 0, failed 0\n")
+    study = run_cli("study", out / "manifest.json", "--strict", "--strides", "1")
+    assert study.returncode == 0, study.stderr.decode()
+    assert study.stderr == b""

@@ -101,6 +101,25 @@ def test_fixtures_are_what_llc_makes(name):
         assert made == (LLVM / f"{name}.{level}.s").read_bytes(), f"{name}.{level}.s"
 
 
+@needs_llc
+@pytest.mark.skipif(shutil.which("llvm-stress") is None, reason="llvm-stress not installed")
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_random_ir_keeps_both_relations(seed):
+    """llc's output for random IR from llvm-stress parses strictly, and both
+    relations above hold on it. Its bytes depend on the LLVM version, so they
+    are made afresh and never pinned."""
+    ir = subprocess.run(["llvm-stress", f"--seed={seed}", "--size=150"],
+                        capture_output=True, check=True).stdout
+    for level in LEVELS:
+        text = subprocess.run([*LLC, f"-{level}", "-o", "-"], input=ir,
+                              capture_output=True, check=True).stdout.decode()
+        program, leaders = parsed(text)
+        blocks = set(oracles.llvm_block_starts(text))
+        assert blocks <= set(leaders), f"seed {seed}, -{level}"
+        expected = set(oracles.after_branches(program)) - blocks
+        assert set(leaders) - blocks == expected, f"seed {seed}, -{level}"
+
+
 # an instruction line of llvm-objdump -d: address, encoding bytes, a tab and the
 # mnemonic (a data line holds a directive such as .word there)
 OBJDUMP_INSTRUCTION_RE = re.compile(r"\s*[0-9a-f]+:\s+(?:[0-9a-f]{2}\s)+\s*\t([a-z]\S*)")

@@ -108,3 +108,46 @@ def test_every_import_is_used():
     modules = [path for path in SOURCES if path.name != "__init__.py"]
     assert modules
     assert not set().union(*map(unused_imports, modules))
+
+
+def reads_a_file(call):
+    """True if ``call`` reads a file: it calls ``read_text`` or ``read_bytes``,
+    ``open(file, mode)`` or ``path.open(mode)`` with no mode or any but a
+    constant one without ``r`` and ``+``, or ``os.open(file, flags)`` with
+    flags that do not name ``O_WRONLY``."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and ast.unparse(func.value) == "os":
+        return "O_WRONLY" not in ast.unparse(call.args[1])
+    modes = call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    mode = ([k.value for k in call.keywords if k.arg == "mode"] or modes or [None])[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("r+"))
+
+
+def file_readers(path):
+    """``module.function`` for each function of ``path`` that makes a call
+    that :func:`reads_a_file` (``module`` for code outside any function)."""
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{path.stem}.{node.name}"
+        elif isinstance(node, ast.Call) and reads_a_file(node):
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    return readers
+
+
+def test_only_read_input_reads_a_file():
+    """Every input file is read by ``corpus.read_input``, so that a failed read
+    is an InputError in one place, and no read can wait on a FIFO that
+    ``corpus.program_file`` has not checked."""
+    assert set().union(*map(file_readers, SOURCES)) == {"corpus.read_input"}
