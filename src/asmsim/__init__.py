@@ -8,9 +8,8 @@ from .corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL,
                      build_universes, coprime_strides, default_strides,
                      enumerate_subsets, load_datasets, normalize, pairwise_values,
                      run_study, totally_different)
-from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
-                     IncompleteGridError, InputError, InvalidStrideError,
-                     ManifestError, NormalizationError, ParseError, ToolError)
+from .errors import (AsmSimError, EmptyProgramError, InputError, ManifestError,
+                     NormalizationError, ParseError, ToolError)
 from .features import (PatternSet, ProgramFeatures, compute_features,
                        extract_ngrams, features_for_program, features_to_dict)
 from .metrics import METRIC_ORDER, MetricKind, pair_value, pair_values

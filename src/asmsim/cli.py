@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .asm_parser import parse_assembly
 from .config import ToolConfig, config_from_dict, load_tool_config
-from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite, load_datasets,
-                     program_file, read_input, run_study, write_file)
+from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite, check_strides,
+                     load_datasets, program_file, read_input, run_study, write_file)
 from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
 from .features import (NGram, PatternSet, ProgramFeatures, features_for_program,
                        features_to_dict)
@@ -149,16 +149,22 @@ def _write_parts(parts: Iterable[str], path: Path | None) -> None:
             sink.write(part.encode(sys.stdout.encoding, sys.stdout.errors))
 
 
+# the control characters, and every other character str.splitlines breaks lines at
+_PATH_ESCAPES = {c: json.dumps(chr(c))[1:-1] for c in (*range(0x20), 0x7F, 0x85, 0x2028, 0x2029)}
+
+
 def file_features(path: Path, config: ToolConfig, entity: str | None = None) -> ProgramFeatures:
     """Read, parse and featurize one assembly file.
 
-    Writes a ``warning: <path>:<line>: ...`` line to stderr for every line
-    lenient mode skipped, all in one write; ``entity`` names the file in a read error.
+    Writes a ``warning: <path>:<line>: ...`` line to stderr for every line lenient
+    mode skipped, all in one write, the path's control characters JSON-escaped;
+    ``entity`` names the file in a read error.
     """
     text = read_input(path, "file", entity or str(path)).decode("utf-8", "replace")
     program = parse_assembly(text, config.parser, source_name=str(path))
     if program.diagnostics:
-        _stderr("\n".join(f"warning: {path}:{line_no}: {message}"
+        shown = str(path).translate(_PATH_ESCAPES)
+        _stderr("\n".join(f"warning: {shown}:{line_no}: {message}"
                            for line_no, message in program.diagnostics))
     return features_for_program(program, config.parser, linear=config.ngram_mode == "linear")
 
@@ -249,9 +255,12 @@ def corpus_features(entries: Sequence[ProgramEntry],
 def run_manifest_study(manifest: ManifestData, config: ToolConfig) -> Iterator[str]:
     """Run the study of every dataset; the report's parts are rendered as
     they are consumed."""
-    reports = [run_study(build_grid(entries), corpus_features(entries, config),
+    grids = [build_grid(entries) for _, entries in manifest.datasets]
+    for grid in grids:  # every invalid grid or stride fails before a program is read
+        check_strides(grid, config.strides)
+    reports = [run_study(grid, corpus_features(entries, config),
                          strides=config.strides, dataset_name=name)
-               for name, entries in manifest.datasets]
+               for grid, (name, entries) in zip(grids, manifest.datasets)]
     suite = build_suite(reports)
     metadata = dict(manifest.metadata)
     metadata["ngram_mode"] = config.ngram_mode

@@ -22,9 +22,8 @@ from enum import Enum
 from itertools import combinations, islice, repeat
 from pathlib import Path
 
-from .errors import (AsmSimError, DuplicateIdError, EmptyProgramError,
-                     IncompleteGridError, InputError, InvalidStrideError,
-                     ManifestError, NormalizationError)
+from .errors import (AsmSimError, EmptyProgramError, InputError, ManifestError,
+                     NormalizationError)
 from .features import NGram, ProgramFeatures
 from .metrics import METRIC_ORDER, MetricKind, pair_values
 
@@ -55,7 +54,7 @@ def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]
                 raise ManifestError(f"missing or invalid field {key!r}", entity=entity)
             values[key] = value
         if values["id"] in seen:
-            raise DuplicateIdError(f"duplicate program id {values['id']!r}", entity=entity)
+            raise ManifestError(f"duplicate program id {values['id']!r}", entity=entity)
         seen.add(values["id"])
         entries.append(ProgramEntry(**{**values, "path": program_file(
             base / values["path"], entity)}))
@@ -219,9 +218,9 @@ def build_grid(entries: Sequence[ProgramEntry]) -> CorpusGrid:
             parts.append("missing cells: " + ", ".join(f"({a}, {p})" for a, p in missing))
         if duplicates:
             parts.append("duplicate cells: " + ", ".join(f"({a}, {p})" for a, p in duplicates))
-        raise IncompleteGridError("; ".join(parts))
+        raise ManifestError("; ".join(parts))
     if len(programmers) < 2 or len(applications) < 2:
-        raise IncompleteGridError(
+        raise ManifestError(
             f"grid needs at least 2 programmers and 2 applications, got "
             f"{len(programmers)}x{len(applications)}")
     return CorpusGrid(programmers, applications, cells)
@@ -269,25 +268,27 @@ def default_strides(n: int) -> list[int]:
     return coprime_strides(n)[:3]
 
 
-def _check_strides(grid: CorpusGrid, strides: Sequence[int | None]) -> int:
-    """Side n of a square grid; raises unless there is at least one stride,
-    no stride repeats and every stride partitions the grid."""
+def check_strides(grid: CorpusGrid, strides: Sequence[int | None] | None) -> list[int]:
+    """The totally-different strides of a study of ``grid``: ``strides``, or
+    :func:`default_strides` if None. Raises unless the grid is square, there is
+    at least one stride, no stride repeats and every stride partitions the grid."""
     n = len(grid.programmers)
     if len(grid.applications) != n:
-        raise InvalidStrideError(
+        raise ManifestError(
             f"totally-different groupings need a square grid, got "
             f"{len(grid.applications)}x{n}")
+    strides = default_strides(n) if strides is None else list(strides)
     if not strides:
-        raise InvalidStrideError("at least one totally-different stride is required")
+        raise ManifestError("at least one totally-different stride is required")
     for stride in strides:
         if stride is None or not 1 <= stride < n or math.gcd(stride, n) != 1:
-            raise InvalidStrideError(
+            raise ManifestError(
                 f"stride {stride} is invalid for a {n}x{n} grid; valid strides: "
                 f"{coprime_strides(n)}")
     if len(set(strides)) != len(strides):
-        raise InvalidStrideError(f"strides {list(strides)} repeat a stride; each "
-                                 "totally-different grouping must be distinct")
-    return n
+        raise ManifestError(f"strides {strides} repeat a stride; each "
+                            "totally-different grouping must be distinct")
+    return strides
 
 
 Subset = namedtuple("Subset", "scheme label members")
@@ -314,8 +315,8 @@ def enumerate_subsets(grid: CorpusGrid, scheme: GroupingScheme) -> list[Subset]:
                        tuple(grid.cells[(a, programmer)] for a in grid.applications))
                 for programmer in grid.programmers]
 
-    stride = scheme.stride
-    n = _check_strides(grid, [stride])
+    [stride] = check_strides(grid, [scheme.stride])
+    n = len(grid.programmers)
     apps = sorted(grid.applications)
     programmers = sorted(grid.programmers)
     subsets = []
@@ -434,8 +435,7 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
     Deterministic: groupings, subsets, and pairs are traversed in a fixed
     order, so identical inputs produce identical reports.
     """
-    strides = list(default_strides(len(grid.programmers)) if strides is None else strides)
-    _check_strides(grid, strides)
+    strides = check_strides(grid, strides)
     programs = [features.get(entry.id) for entry in grid.entries]
     for entry, entry_features in zip(grid.entries, programs):
         if entry_features is None:

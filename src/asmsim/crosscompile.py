@@ -19,7 +19,7 @@ import os
 import re
 import shlex
 import subprocess
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Sequence
 from itertools import islice, takewhile
 from pathlib import Path
@@ -175,21 +175,17 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
                                         config.compiler_flags, version))
         if key not in first and not (cache_dir / f"{key}.s").is_file():
             first[key] = entry
-    pending = deque(first.items())
+    jobs = iter(first.items())  # each next() hands one hash to one worker
     done: dict[str, CompileOutcome | Exception] = {}
 
     def work() -> None:
-        while True:
-            try:
-                key, entry = pending.popleft()  # deque pops are thread-safe
-            except IndexError:
-                return
+        for key, entry in jobs:
             try:
                 done[key] = compile_entry(entry, config, cache_dir / f"{key}.s")
             except Exception as exc:  # raised below, in entry order
                 done[key] = exc
 
-    workers = [Thread(target=work) for _ in range(min(config.jobs, len(pending)))]
+    workers = [Thread(target=work) for _ in range(min(config.jobs, len(first)))]
     for worker in workers:
         worker.start()
     for worker in workers:

@@ -67,22 +67,6 @@ class ToolError(AsmSimError):
 
 
 class ManifestError(AsmSimError):
-    """Structurally invalid corpus manifest."""
-
-    exit_code = 5
-
-
-class DuplicateIdError(ManifestError):
-    """Two manifest entries share an id."""
-
-
-class IncompleteGridError(AsmSimError):
-    """The corpus does not cover the programmer x application grid exactly."""
-
-    exit_code = 5
-
-
-class InvalidStrideError(AsmSimError):
-    """A totally-different grouping stride is unusable for the grid size."""
+    """An invalid corpus: its manifest, its grid or its strides."""
 
     exit_code = 5

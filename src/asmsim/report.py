@@ -45,6 +45,14 @@ def _td_labels(suite: StudySuite) -> list[str]:
     return [totally_different(s).label for s in strides]
 
 
+def _metadata_text(value) -> str:
+    """A string without line breaks as it is, any other metadata key or value as
+    its JSON text: ``true`` not ``True``, and a line break cannot end the bullet."""
+    if isinstance(value, str) and value.splitlines() in ([], [value]):
+        return value
+    return json.dumps(value)
+
+
 def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[str]:
     out: list[str] = ["# Assembly similarity study", ""]
     for report in suite.reports:
@@ -54,7 +62,7 @@ def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> Itera
                    f"totally-different strides {strides}")
     if metadata:
         for key in sorted(metadata):
-            out.append(f"- {key}: {metadata[key]}")
+            out.append(f"- {_metadata_text(key)}: {_metadata_text(metadata[key])}")
     out.append("")
 
     td_labels = _td_labels(suite)

@@ -168,6 +168,21 @@ class TestExtract:
                 f"warning: {asm}:{line_no}: unclassifiable line: {line.strip()!r}"
                 for line_no, line in enumerate(text.splitlines(), start=1) if "!!!" in line]
 
+    @pytest.mark.parametrize("char", ["\n", "\r", "\x0b", "\x1c", "\x7f", "\x85", "\u2028",
+                                      "\u2029"],
+                             ids=["newline", "cr", "vt", "fs", "del", "nel", "line-separator",
+                                  "paragraph-separator"])
+    def test_a_warning_path_escapes_its_control_characters(self, tmp_path, char):
+        asm = tmp_path / f"a{char}b.s"
+        asm.write_text("\t!!! one\n\tnop\n\t!!! two\n")
+        result = run_cli("extract", asm)
+        assert result.returncode == 0
+        # one line per skipped line, the path escaped as in an error: line
+        shown = str(asm).replace(char, json.dumps(char)[1:-1])
+        assert result.stderr.decode().splitlines() == [
+            f"warning: {shown}:1: unclassifiable line: '!!! one'",
+            f"warning: {shown}:3: unclassifiable line: '!!! two'"]
+
     def test_closed_stdout_exits_2_without_traceback(self, fixtures_dir):
         # about 400 KB of lines, far more than a pipe and the child's stdout
         # buffer hold, so writes are still pending when the pipe closes
@@ -507,6 +522,20 @@ class TestStudy:
         expected["metadata"] = {**json.loads(metadata), **expected["metadata"]}
         assert result.stdout == (json.dumps(expected, indent=2) + "\n").encode()
 
+    def test_markdown_metadata_is_json_unless_a_one_line_string(self, tmp_path,
+                                                                corpus_manifest):
+        metadata = ('{"ok": true, "none": null, "flags": ["-S", "-O0"], "multi": "a\\nb", '
+                    '"sep": "x\\u2028y", "count": 3, "text": "plain words", "two\\nlines": 1}')
+        manifest = self.with_metadata(corpus_manifest, tmp_path, metadata)
+        result = run_cli("study", manifest)
+        assert result.returncode == 0
+        lines = result.stdout.decode().splitlines()
+        start = lines.index("- count: 3")  # the keys are sorted
+        assert lines[start:start + 10] == [
+            "- count: 3", '- flags: ["-S", "-O0"]', '- multi: "a\\nb"',
+            "- ngram_mode: blocks", "- none: null", "- ok: true", '- sep: "x\\u2028y"',
+            "- text: plain words", '- "two\\nlines": 1', ""]
+
     def test_empty_program_exits_3_naming_entry(self, tmp_path):
         for name in ("a", "b"):
             for app in ("x", "y"):
@@ -532,6 +561,30 @@ class TestStudy:
         code, _, message = last_diagnostic(result)
         assert code == 5 and "repeat" in message
         assert result.stdout == b""
+
+    @pytest.mark.parametrize("second, extra, problem", [
+        (lambda programs: programs, ("--strides", "3"), "stride 3 is invalid"),
+        (lambda programs: programs, ("--strides", "1,1"), "repeat a stride"),
+        (lambda programs: [p for p in programs if p["application"] != "fib"], (),
+         "need a square grid"),
+        (lambda programs: programs[:-1], (), "missing cells"),
+    ], ids=["invalid-stride", "repeated-stride", "non-square", "incomplete"])
+    def test_invalid_corpus_exits_5_before_any_program_is_read(self, tmp_path, fixtures_dir,
+                                                               second, extra, problem):
+        # every file gets an unclassifiable line, so reading any of them writes a warning
+        corpus = fixtures_dir / "corpus3x3"
+        for source in corpus.glob("*.s"):
+            (tmp_path / source.name).write_text(source.read_text() + "\t!!! junk\n")
+        programs = json.loads((corpus / "manifest.json").read_text())["programs"]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"datasets": [
+            {"name": "first", "programs": programs},
+            {"name": "second", "programs": second(programs)}]}))
+        result = run_cli("study", manifest, *extra)
+        assert result.returncode == 5 and result.stdout == b""
+        assert len(result.stderr.decode().splitlines()) == 1  # the error: line alone
+        code, _, message = last_diagnostic(result)
+        assert code == 5 and problem in message
 
     def test_strict_parse_failure_exits_3_with_position(self, tmp_path):
         for name in ("a", "b"):
@@ -852,21 +905,22 @@ class TestProcessPolicy:
 
     @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
-    @pytest.mark.parametrize("extra, code", [((), 0), (("--strides", "3"), 5)],
-                             ids=["report", "error"])
+    @pytest.mark.parametrize("empty, code", [(False, 0), (True, 3)], ids=["report", "error"])
     def test_unusable_stderr_changes_neither_output_nor_status(self, fixtures_dir, tmp_path,
                                                                unbuffered, redirect,
-                                                               extra, code):
-        # every file gets an unclassifiable line, so lenient mode warns once per file
+                                                               empty, code):
+        # every file gets an unclassifiable line, so lenient mode warns once per file;
+        # in the error case one holds nothing else, so the study fails after reading all
         for source in (fixtures_dir / "corpus3x3").iterdir():
             text = source.read_text() + ("\t!!! junk\n" if source.suffix == ".s" else "")
             (tmp_path / source.name).write_text(text)
+        if empty:
+            (tmp_path / "cyd_minmax.s").write_text("@ only a comment\n\t!!! junk\n")
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = unbuffered
-        argv = [sys.executable, "-m", "asmsim", "study", str(tmp_path / "manifest.json"),
-                *extra]
+        argv = [sys.executable, "-m", "asmsim", "study", str(tmp_path / "manifest.json")]
         normal = subprocess.run(argv, capture_output=True, env=env)
         assert normal.returncode == code
         assert normal.stderr.decode().count("warning:") == 9

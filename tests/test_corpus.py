@@ -12,9 +12,8 @@ from asmsim.corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL,
                            default_strides, enumerate_subsets,
                            load_datasets, normalize,
                            pairwise_values, run_study, totally_different)
-from asmsim.errors import (DuplicateIdError, EmptyProgramError,
-                           IncompleteGridError, InputError, InvalidStrideError,
-                           ManifestError, NormalizationError)
+from asmsim.errors import (EmptyProgramError, InputError, ManifestError,
+                           NormalizationError)
 from asmsim.features import features_for_program
 from asmsim.metrics import METRIC_ORDER, MetricKind
 
@@ -69,7 +68,7 @@ class TestManifest:
             {"id": "x", "path": "a.s", "programmer": "p", "application": "a"},
             {"id": "x", "path": "a.s", "programmer": "q", "application": "b"},
         ]}))
-        with pytest.raises(DuplicateIdError) as excinfo:
+        with pytest.raises(ManifestError, match="duplicate program id 'x'") as excinfo:
             load_datasets(manifest)
         assert "programs[1]" in excinfo.value.entity
 
@@ -157,18 +156,18 @@ class TestBuildGrid:
     def test_missing_cell_named(self):
         entries = grid_entries(5, 5)
         removed = entries.pop(7)  # app1, prog2
-        with pytest.raises(IncompleteGridError) as excinfo:
+        with pytest.raises(ManifestError, match="missing cells") as excinfo:
             build_grid(entries)
         assert f"({removed.application}, {removed.programmer})" in excinfo.value.message
 
     def test_duplicate_cell_named(self):
         entries = grid_entries(2, 2) + [entry("extra", "prog0", "app0")]
-        with pytest.raises(IncompleteGridError) as excinfo:
+        with pytest.raises(ManifestError) as excinfo:
             build_grid(entries)
         assert "duplicate" in excinfo.value.message
 
     def test_too_small(self):
-        with pytest.raises(IncompleteGridError):
+        with pytest.raises(ManifestError, match="at least 2 programmers and 2 applications"):
             build_grid([entry("only", "p", "a"), entry("two", "p", "b")])
 
     def test_label_order_is_first_appearance(self):
@@ -217,12 +216,12 @@ class TestEnumerateSubsets:
     def test_invalid_strides_rejected(self):
         grid = build_grid(grid_entries(4, 4))
         for stride in (0, 2, 4, None):
-            with pytest.raises(InvalidStrideError):
+            with pytest.raises(ManifestError, match=f"stride {stride} is invalid"):
                 enumerate_subsets(grid, totally_different(stride))
 
     def test_non_square_rejected(self):
         grid = build_grid(grid_entries(2, 3))
-        with pytest.raises(InvalidStrideError):
+        with pytest.raises(ManifestError, match="need a square grid"):
             enumerate_subsets(grid, totally_different(1))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -348,19 +347,19 @@ class TestRunStudy:
     def test_non_square_rejected(self):
         grid = build_grid(grid_entries(2, 3))
         features = uniform_features([e.id for e in grid.entries])
-        with pytest.raises(InvalidStrideError):
+        with pytest.raises(ManifestError, match="need a square grid"):
             run_study(grid, features)
 
     def test_bad_stride_rejected(self, fixtures_dir):
         grid, features = study_fixture(fixtures_dir)
-        with pytest.raises(InvalidStrideError):
+        with pytest.raises(ManifestError, match="stride 3 is invalid"):
             run_study(grid, features, strides=[3])
 
     def test_repeated_stride_rejected(self, fixtures_dir):
         # a repeated stride would count its grouping twice in the dataset's
         # td_mean but once in the suite summary
         grid, features = study_fixture(fixtures_dir)
-        with pytest.raises(InvalidStrideError, match="repeat"):
+        with pytest.raises(ManifestError, match="repeat"):
             run_study(grid, features, strides=[2, 1, 2])
 
     def test_report_shape(self, fixtures_dir):

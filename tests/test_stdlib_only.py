@@ -5,6 +5,7 @@ import ast
 import importlib
 import sys
 
+from asmsim import errors
 from asmsim.asm_parser import ParserConfig
 
 from conftest import REPO_ROOT
@@ -151,3 +152,20 @@ def test_only_read_input_reads_a_file():
     is an InputError in one place, and no read can wait on a FIFO that
     ``corpus.program_file`` has not checked."""
     assert set().union(*map(file_readers, SOURCES)) == {"corpus.read_input"}
+
+
+def test_one_error_class_per_exit_code():
+    """An error class that no ``except`` clause in ``src/`` or ``bench/`` names
+    is told apart only by its exit code, so two such classes with one code
+    would be one failure spelled twice."""
+    caught = set()
+    for path in [*SOURCES, *sorted((REPO_ROOT / "bench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(ast.unparse(t).rpartition(".")[2] for t in types)
+    codes = {name: cls.exit_code for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.AsmSimError)
+             and cls is not errors.AsmSimError and name not in caught}
+    assert codes
+    assert len(set(codes.values())) == len(codes), codes
