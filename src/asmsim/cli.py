@@ -22,7 +22,8 @@ from .asm_parser import parse_assembly
 from .config import ToolConfig, config_from_dict, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite, check_strides,
                      load_datasets, program_file, read_input, run_study, write_file)
-from .errors import AsmSimError, EmptyProgramError, InputError, ToolError
+from .errors import (AsmSimError, EmptyProgramError, InputError, ManifestError, ToolError,
+                     one_line)
 from .features import (NGram, PatternSet, ProgramFeatures, features_for_program,
                        features_to_dict)
 from .metrics import MetricKind, pair_value
@@ -149,21 +150,17 @@ def _write_parts(parts: Iterable[str], path: Path | None) -> None:
             sink.write(part.encode(sys.stdout.encoding, sys.stdout.errors))
 
 
-# the control characters, and every other character str.splitlines breaks lines at
-_PATH_ESCAPES = {c: json.dumps(chr(c))[1:-1] for c in (*range(0x20), 0x7F, 0x85, 0x2028, 0x2029)}
-
-
 def file_features(path: Path, config: ToolConfig, entity: str | None = None) -> ProgramFeatures:
     """Read, parse and featurize one assembly file.
 
     Writes a ``warning: <path>:<line>: ...`` line to stderr for every line lenient
-    mode skipped, all in one write, the path's control characters JSON-escaped;
+    mode skipped, all in one write, the path passed through :func:`one_line`;
     ``entity`` names the file in a read error.
     """
     text = read_input(path, "file", entity or str(path)).decode("utf-8", "replace")
     program = parse_assembly(text, config.parser, source_name=str(path))
     if program.diagnostics:
-        shown = str(path).translate(_PATH_ESCAPES)
+        shown = one_line(str(path))
         _stderr("\n".join(f"warning: {shown}:{line_no}: {message}"
                            for line_no, message in program.diagnostics))
     return features_for_program(program, config.parser, linear=config.ngram_mode == "linear")
@@ -227,7 +224,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     compiled = sum(1 for o in result.outcomes if o.output is not None and not o.cached)
     print(f"compiled {compiled}, cached {result.cache_hits}, "
           f"failed {len(result.failures)}")
-    print(f"manifest: {result.manifest_path}")
+    print(f"manifest: {one_line(str(result.manifest_path))}")
     if result.failures:
         first, *rest = (ToolError(outcome.error, entity=outcome.entry.id).diagnostic()
                         for outcome in result.failures)
@@ -254,10 +251,15 @@ def corpus_features(entries: Sequence[ProgramEntry],
 
 def run_manifest_study(manifest: ManifestData, config: ToolConfig) -> Iterator[str]:
     """Run the study of every dataset; the report's parts are rendered as
-    they are consumed."""
-    grids = [build_grid(entries) for _, entries in manifest.datasets]
-    for grid in grids:  # every invalid grid or stride fails before a program is read
-        check_strides(grid, config.strides)
+    they are consumed. An invalid grid or stride is an error naming its dataset."""
+    grids = []
+    for name, entries in manifest.datasets:  # each check fails before a program is read
+        try:
+            grids.append(build_grid(entries))
+            check_strides(grids[-1], config.strides)
+        except ManifestError as exc:
+            exc.entity = name
+            raise
     reports = [run_study(grid, corpus_features(entries, config),
                          strides=config.strides, dataset_name=name)
                for grid, (name, entries) in zip(grids, manifest.datasets)]

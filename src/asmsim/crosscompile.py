@@ -115,7 +115,8 @@ def compile_entry(entry: ProgramEntry, config: ToolConfig,
     argv = build_command(config.compiler_command, config.compiler_flags,
                          entry.path, partial)
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, errors="replace")
+        proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True, errors="replace")
     except FileNotFoundError as exc:
         raise ToolError(f"compiler not found: {argv[0]}", entity=entry.id) from exc
     except OSError as exc:

@@ -22,18 +22,21 @@ class AsmSimError(Exception):
         self.entity = entity
 
     def diagnostic(self) -> str:
-        """One machine-parseable line: code, entity, message; the values are
-        JSON strings, so ``"``, ``\\``, control characters and line breaks are escaped."""
-        entity = _quote(self.entity if self.entity is not None else "-")
-        return f"error: code={self.exit_code} entity={entity} message={_quote(self.message)}"
+        """One machine-parseable line: code, entity, message; the values are JSON
+        strings passed through :func:`one_line`, so no character can end the line."""
+        entity, message = (one_line(json.dumps(text, ensure_ascii=False)) for text in
+                           ("-" if self.entity is None else self.entity, self.message))
+        return f"error: code={self.exit_code} entity={entity} message={message}"
 
 
-# json.dumps leaves these raw, yet str.splitlines breaks lines at them
-_LINE_SEPARATORS = {0x85: "\\u0085", 0x2028: "\\u2028", 0x2029: "\\u2029"}
+# the control characters, and every other character str.splitlines breaks lines at
+_ESCAPES = {c: json.dumps(chr(c))[1:-1] for c in (*range(0x20), 0x7F, 0x85, 0x2028, 0x2029)}
 
 
-def _quote(text: str) -> str:
-    return json.dumps(text, ensure_ascii=False).translate(_LINE_SEPARATORS)
+def one_line(text: str) -> str:
+    """``text`` with its control and line-break characters written as their JSON
+    escapes: the one rule for a path, name or label in a line asmsim writes."""
+    return text.translate(_ESCAPES)
 
 
 class InputError(AsmSimError):

@@ -13,7 +13,6 @@ a large report while it is produced; :func:`render` joins them.
 
 from __future__ import annotations
 
-import io
 import json
 from collections.abc import Iterator, Mapping
 from functools import partial
@@ -21,6 +20,7 @@ from itertools import chain, repeat
 
 from .corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL, StudySuite,
                      totally_different)
+from .errors import one_line
 from .metrics import METRIC_ORDER, MetricKind
 
 METRIC_TITLES = {
@@ -46,20 +46,30 @@ def _td_labels(suite: StudySuite) -> list[str]:
 
 
 def _metadata_text(value) -> str:
-    """A string without line breaks as it is, any other metadata key or value as
-    its JSON text: ``true`` not ``True``, and a line break cannot end the bullet."""
-    if isinstance(value, str) and value.splitlines() in ([], [value]):
+    """A string that :func:`one_line` leaves as it is, any other metadata key or value
+    as its JSON text: ``true`` not ``True``, and a line break cannot end the bullet."""
+    if isinstance(value, str) and one_line(value) == value:
         return value
     return json.dumps(value)
+
+
+def _code_span(text: str) -> str:
+    """``text`` as a Markdown code span: fenced by one backtick more than its longest
+    run of them, and padded with a space if it starts or ends with one."""
+    fence = "`"
+    while fence in text:
+        fence += "`"
+    pad = " " if text.startswith("`") or text.endswith("`") else ""
+    return f"{fence}{pad}{text}{pad}{fence}"
 
 
 def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[str]:
     out: list[str] = ["# Assembly similarity study", ""]
     for report in suite.reports:
         strides = ", ".join(str(s) for s in report.strides)
-        out.append(f"- dataset `{report.dataset}`: {len(report.applications)} "
-                   f"applications x {len(report.programmers)} programmers, "
-                   f"totally-different strides {strides}")
+        out.append(f"- dataset {_code_span(one_line(report.dataset))}: "
+                   f"{len(report.applications)} applications x {len(report.programmers)} "
+                   f"programmers, totally-different strides {strides}")
     if metadata:
         for key in sorted(metadata):
             out.append(f"- {_metadata_text(key)}: {_metadata_text(metadata[key])}")
@@ -74,7 +84,7 @@ def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> Itera
         out.append("|" + " --- |" * (len(columns) + 1))
         for report in suite.reports:
             study = report.metrics[kind]
-            row = [report.dataset.replace("|", "\\|")]  # a bare "|" would split the cell
+            row = [one_line(report.dataset).replace("|", "\\|")]  # a "|" splits the cell
             for label in columns:
                 grouping = study.groupings.get(label)
                 row.append("" if grouping is None else format_value(kind, grouping.mean))
@@ -95,39 +105,38 @@ SUITE_DATASET = "(all)"
 
 
 def render_csv(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[str]:
-    import csv  # CSV reports only: no other command loads it
-
     del metadata  # config belongs in the JSON report, not the flat table
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    rows = [CSV_COLUMNS]
     for report in suite.reports:
         for kind in METRIC_ORDER:
             study = report.metrics[kind]
             for label, grouping in study.groupings.items():
                 for subset in grouping.subsets:
-                    writer.writerow([report.dataset, kind.value, label, subset.label,
-                                     len(subset.pairs), format_value(kind, subset.mean),
-                                     "subset"])
-                writer.writerow([report.dataset, kind.value, label, "", "",
-                                 format_value(kind, grouping.mean), "group"])
-            writer.writerow([report.dataset, kind.value, TD_LABEL, "", "",
-                             format_value(kind, study.td_mean), "td_aggregate"])
+                    rows.append([report.dataset, kind.value, label, subset.label,
+                                 str(len(subset.pairs)), format_value(kind, subset.mean),
+                                 "subset"])
+                rows.append([report.dataset, kind.value, label, "", "",
+                             format_value(kind, grouping.mean), "group"])
+            rows.append([report.dataset, kind.value, TD_LABEL, "", "",
+                         format_value(kind, study.td_mean), "td_aggregate"])
             for label, value in study.normalized.items():
-                writer.writerow([report.dataset, kind.value, label, "", "",
-                                 format_normalized(value), "normalized"])
+                rows.append([report.dataset, kind.value, label, "", "",
+                             format_normalized(value), "normalized"])
     for kind in METRIC_ORDER:
         summary = suite.summary[kind]
         for label, value in summary.means.items():
-            writer.writerow([SUITE_DATASET, kind.value, label, "", "",
-                             format_value(kind, value), "average"])
+            rows.append([SUITE_DATASET, kind.value, label, "", "",
+                         format_value(kind, value), "average"])
         for label, value in summary.normalized.items():
-            writer.writerow([SUITE_DATASET, kind.value, label, "", "",
-                             format_normalized(value), "normalized"])
-    yield buffer.getvalue()
+            rows.append([SUITE_DATASET, kind.value, label, "", "",
+                         format_normalized(value), "normalized"])
+    # RFC 4180: a field holding a comma, a quote, CR or LF is quoted, its quotes doubled
+    yield "".join(",".join(
+        '"' + field.replace('"', '""') + '"' if any(c in field for c in ',"\r\n') else field
+        for field in row) + "\n" for row in rows)
 
 
-_quote = json.encoder.encode_basestring_ascii
+_json_str = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
 _NL = tuple("\n" + "  " * depth for depth in range(12))  # newline, indent at depth
 
 
@@ -167,11 +176,11 @@ def render_json(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[
     and means are finite floats, so ``repr`` is their JSON; each subset's pairs are one
     ``join`` of memoised id and value texts. The pure-Python encoder of ``_dumps`` leaves
     a reference cycle per call, so it writes few containers."""
-    first = _Texts(lambda i: f'{_NL[10]}{{{_NL[11]}"a": {_quote(i)},{_NL[11]}"b": ')
-    second = _Texts(lambda i: f'{_quote(i)},{_NL[11]}"value": ')
+    first = _Texts(lambda i: f'{_NL[10]}{{{_NL[11]}"a": {_json_str(i)},{_NL[11]}"b": ')
+    second = _Texts(lambda i: f'{_json_str(i)},{_NL[11]}"value": ')
     out = ['{\n  "metadata": ', _dumps(dict(metadata or {}), 1), ',\n  "datasets": [']
     for report in _members(out, suite.reports, 2, '],\n  "summary": {'):
-        out.append(f'{{{_NL[3]}"name": {_quote(report.dataset)},'
+        out.append(f'{{{_NL[3]}"name": {_json_str(report.dataset)},'
                    f'{_NL[3]}"programmers": {_dumps(report.programmers, 3)},'
                    f'{_NL[3]}"applications": {_dumps(report.applications, 3)},'
                    f'{_NL[3]}"strides": {_dumps(report.strides, 3)},{_NL[3]}"metrics": {{')
@@ -180,12 +189,12 @@ def render_json(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[
             # metrics' are ratios or square roots of small integers, and repeat
             study = report.metrics[kind]
             text = repr if kind is MetricKind.COSINE else _Texts(repr).__getitem__
-            out.append(f'{_quote(kind.value)}: {{{_NL[5]}"groupings": {{')
+            out.append(f'{_json_str(kind.value)}: {{{_NL[5]}"groupings": {{')
             for label, grouping in _members(out, study.groupings.items(), 6, "}"):
-                out.append(f'{_quote(label)}: {{{_NL[7]}"mean": '
+                out.append(f'{_json_str(label)}: {{{_NL[7]}"mean": '
                            f'{grouping.mean!r},{_NL[7]}"subsets": [')
                 for subset in _members(out, grouping.subsets, 8, "]" + _NL[6] + "}"):
-                    out.append(f'{{{_NL[9]}"label": {_quote(subset.label)},{_NL[9]}'
+                    out.append(f'{{{_NL[9]}"label": {_json_str(subset.label)},{_NL[9]}'
                                f'"mean": {subset.mean!r},{_NL[9]}"pairs": [')
                     ids_a, ids_b, values = zip(*subset.pairs) if subset.pairs else ((),) * 3
                     # after a value: its pair's "}", then "," or the list's and subset's end
@@ -200,7 +209,7 @@ def render_json(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[
                        f'"normalized": {_dumps(study.normalized, 5)}{_NL[4]}}}')
     for kind in _members(out, METRIC_ORDER, 2, "}\n}\n"):
         summary = suite.summary[kind]
-        out.append(f'{_quote(kind.value)}: {{{_NL[3]}"means": {_dumps(summary.means, 3)},'
+        out.append(f'{_json_str(kind.value)}: {{{_NL[3]}"means": {_dumps(summary.means, 3)},'
                    f'{_NL[3]}"normalized": {_dumps(summary.normalized, 3)}{_NL[2]}}}')
     yield "".join(out)
 

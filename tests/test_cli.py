@@ -38,11 +38,12 @@ def last_diagnostic(result):
     return int(match.group(1)), unquote(match.group(2)), unquote(match.group(3))
 
 
-@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"],
-                         ids=["nel", "line-separator", "paragraph-separator"])
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029", "\x7f"],
+                         ids=["nel", "line-separator", "paragraph-separator", "del"])
 def test_unicode_line_breaks_in_a_diagnostic_are_escaped(separator):
     error = InputError(f"no such{separator}file", entity=f"x y{separator}.s")
     [line] = error.diagnostic().splitlines()
+    assert line.isprintable()
     match = DIAGNOSTIC_RE.match(line)
     assert match and match.group(1) == "2"
     assert unquote(match.group(2)) == f"x y{separator}.s"
@@ -81,6 +82,19 @@ def test_a_program_path_that_is_no_regular_file_exits_2(tmp_path, make, problem,
     assert len(result.stderr.splitlines()) == 1
     assert last_diagnostic(result) == (2, entity, f"{problem}: b.s")
     assert not (tmp_path / "asmsim-out").exists()  # nothing compiled
+
+
+def test_a_line_break_in_compile_out_keeps_the_manifest_line_whole(tmp_path, corpus_manifest):
+    cc = tmp_path / "cc.py"  # copies its input, already assembly; argv ends `-o OUTPUT INPUT`
+    cc.write_text("import shutil, sys\n"
+                  "if sys.argv[1:] == ['--version']:\n    print('cc 1')\n"
+                  "else:\n    shutil.copy(sys.argv[-1], sys.argv[-2])\n")
+    out = tmp_path / "o\nut"
+    result = run_cli("compile", corpus_manifest, "--out", out, "--cc", f"{sys.executable} {cc}")
+    assert result.returncode == 0
+    shown = str(out / "manifest.json").replace("\n", "\\n")
+    assert result.stdout.decode().splitlines() == [
+        "compiled 9, cached 0, failed 0", f"manifest: {shown}"]
 
 
 class TestExtract:
@@ -562,15 +576,16 @@ class TestStudy:
         assert code == 5 and "repeat" in message
         assert result.stdout == b""
 
-    @pytest.mark.parametrize("second, extra, problem", [
-        (lambda programs: programs, ("--strides", "3"), "stride 3 is invalid"),
-        (lambda programs: programs, ("--strides", "1,1"), "repeat a stride"),
+    @pytest.mark.parametrize("second, extra, problem, dataset", [
+        (lambda programs: programs, ("--strides", "3"), "stride 3 is invalid", "first"),
+        (lambda programs: programs, ("--strides", "1,1"), "repeat a stride", "first"),
         (lambda programs: [p for p in programs if p["application"] != "fib"], (),
-         "need a square grid"),
-        (lambda programs: programs[:-1], (), "missing cells"),
+         "need a square grid", "second"),
+        (lambda programs: programs[:-1], (), "missing cells", "second"),
     ], ids=["invalid-stride", "repeated-stride", "non-square", "incomplete"])
     def test_invalid_corpus_exits_5_before_any_program_is_read(self, tmp_path, fixtures_dir,
-                                                               second, extra, problem):
+                                                               second, extra, problem,
+                                                               dataset):
         # every file gets an unclassifiable line, so reading any of them writes a warning
         corpus = fixtures_dir / "corpus3x3"
         for source in corpus.glob("*.s"):
@@ -583,8 +598,8 @@ class TestStudy:
         result = run_cli("study", manifest, *extra)
         assert result.returncode == 5 and result.stdout == b""
         assert len(result.stderr.decode().splitlines()) == 1  # the error: line alone
-        code, _, message = last_diagnostic(result)
-        assert code == 5 and problem in message
+        code, entity, message = last_diagnostic(result)
+        assert (code, entity) == (5, dataset) and problem in message
 
     def test_strict_parse_failure_exits_3_with_position(self, tmp_path):
         for name in ("a", "b"):

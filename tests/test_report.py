@@ -77,7 +77,10 @@ def test_markdown_layout(suite):
 
 def test_markdown_rows_keep_their_cells_when_a_dataset_name_holds_a_pipe(fixtures_dir):
     report = fixture_report(fixtures_dir, "corpus3x3")
-    names = ["gcc|O2", "||a|", "plain"]
+    # each name and its cell: a line break is escaped, so it cannot split the row
+    shown = {"gcc|O2": "gcc|O2", "||a|": "||a|", "plain": "plain",
+             "a\nb`c": "a\\nb`c", "p\r|q\u2028": "p\\r|q\\u2028"}
+    names = list(shown)
     text = render(build_suite([report._replace(dataset=name) for name in names]), "markdown")
     unescaped_pipe = re.compile(r"(?<!\\)\|")
     tables = 0
@@ -88,9 +91,41 @@ def test_markdown_rows_keep_their_cells_when_a_dataset_name_holds_a_pipe(fixture
             cells = unescaped_pipe.split(line)
             assert len(cells) == width, line
             if 0 <= row < len(names):
-                assert cells[1].strip().replace("\\|", "|") == names[row]
+                assert cells[1].strip().replace("\\|", "|") == shown[names[row]]
             row += 1
     assert tables == 4
+
+
+def test_markdown_bullets_keep_one_line_and_a_code_span_per_dataset(fixtures_dir):
+    report = fixture_report(fixtures_dir, "corpus3x3")
+    names = ["a\nb`c", "``x`", "p\r|q\u2028", "plain"]
+    text = render(build_suite([report._replace(dataset=name) for name in names]), "markdown")
+    # a code span: a run of backticks, its text padded by at most one space, the same run
+    spans = [re.fullmatch(r"- dataset (`+)( ?)(.*?)\2\1: 3 applications x .*", line)
+             for line in text.splitlines() if line.startswith("- dataset ")]
+    assert [span.group(3) for span in spans] == ["a\\nb`c", "``x`", "p\\r|q\\u2028",
+                                                  "plain"]
+    assert all("`" * len(span.group(1)) not in span.group(3) for span in spans)
+
+
+@pytest.mark.parametrize("label", ["a\rb", AWKWARD, 'a\n"b",c\x7f'],
+                         ids=["cr", "awkward", "no-cr"])
+def test_csv_rows_keep_their_fields_whatever_the_labels(suite, fixtures_dir, label):
+    entries = load_datasets(fixtures_dir / "corpus3x3" / "manifest.json").datasets[0][1]
+    relabeled = [e._replace(programmer=label) if e.programmer == entries[0].programmer else e
+                 for e in entries]
+    features = {e.id: features_for_program(parse_assembly(e.path.read_text()))
+                for e in entries}
+    awkward = build_suite([run_study(build_grid(relabeled), features, dataset_name=label)])
+    text = render(awkward, "csv")
+    rows, plain = (list(csv.reader(io.StringIO(t, newline="")))
+                   for t in (text, render(suite, "csv")))
+    assert len(rows) == len(plain) and all(len(row) == 7 for row in rows)
+    if "\r" not in label:  # the bytes of the csv module's writer, which leaves a CR bare
+        rewritten = io.StringIO()
+        csv.writer(rewritten, lineterminator="\n").writerows(rows)
+        assert text == rewritten.getvalue()
+    assert rows[1][0] == label and label in {row[3] for row in rows}
 
 
 def test_csv_schema(suite):

@@ -130,28 +130,40 @@ def reads_a_file(call):
                 and not set(mode.value) & set("r+"))
 
 
-def file_readers(path):
-    """``module.function`` for each function of ``path`` that makes a call
-    that :func:`reads_a_file` (``module`` for code outside any function)."""
-    readers = set()
+def callers(path, test):
+    """``module.function`` for each function of ``path`` that makes a call for
+    which ``test`` is true (``module`` for code outside any function)."""
+    found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{path.stem}.{node.name}"
-        elif isinstance(node, ast.Call) and reads_a_file(node):
-            readers.add(owner)
+        elif isinstance(node, ast.Call) and test(node):
+            found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
-    return readers
+    return found
 
 
 def test_only_read_input_reads_a_file():
     """Every input file is read by ``corpus.read_input``, so that a failed read
     is an InputError in one place, and no read can wait on a FIFO that
     ``corpus.program_file`` has not checked."""
-    assert set().union(*map(file_readers, SOURCES)) == {"corpus.read_input"}
+    readers = set().union(*(callers(path, reads_a_file) for path in SOURCES))
+    assert readers == {"corpus.read_input"}
+
+
+def test_one_escape_rule():
+    """``errors.one_line`` is the one rule that escapes outside text in a line
+    asmsim writes: no other function calls ``str.translate``, and no module
+    imports ``csv``, whose writer leaves a bare CR in a field unquoted."""
+    def translates(call):
+        return getattr(call.func, "attr", None) == "translate"
+
+    assert set().union(*(callers(path, translates) for path in SOURCES)) == {"errors.one_line"}
+    assert not [path.name for path in SOURCES if "csv" in absolute_imports(path)]
 
 
 def test_one_error_class_per_exit_code():
@@ -169,3 +181,4 @@ def test_one_error_class_per_exit_code():
              and cls is not errors.AsmSimError and name not in caught}
     assert codes
     assert len(set(codes.values())) == len(codes), codes
+
