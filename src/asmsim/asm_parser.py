@@ -16,7 +16,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, count, repeat
 
-from .errors import InputError, ParseError
+from .errors import LINE_BREAKS, InputError, ParseError
 
 # ARM condition-code suffixes. A branch mnemonic followed by one of these
 # (beq, bls, blxne, ...) is still a branch; anything else (bic, bkpt) is not.
@@ -42,10 +42,8 @@ _MNEMONIC_RE = re.compile(r"^[A-Za-z][A-Za-z0-9._]*$")
 _LABEL_RE = re.compile(r"^(?:[A-Za-z_.$][A-Za-z0-9_.$]*|[0-9]+)$")
 _OPERAND_TOKEN_RE = re.compile(r"[A-Za-z_.$][A-Za-z0-9_.$]*")
 
-# The ten characters at which str.splitlines ends a line ("\r\n" is two
-# of them); a comment runs up to the first of them.
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_REST_OF_LINE = "[^" + _LINE_BREAKS + "]*"
+# a comment runs up to the first line break
+_REST_OF_LINE = "[^" + LINE_BREAKS + "]*"
 
 # Raw first token -> interned mnemonic for every parse_assembly call; an
 # entry depends on its token alone, never on a ParserConfig.
@@ -71,7 +69,7 @@ class ParserConfig(namedtuple("ParserConfig", "comment_markers branch_mnemonics 
             if not _MNEMONIC_RE.fullmatch(m) or m != m.lower() or m.endswith((".n", ".w")):
                 raise InputError(f"branch mnemonic {m!r} can never match: it must be a "
                                  "lowercase mnemonic without a .n or .w suffix")
-        if any(not m or m.isspace() or not set(_LINE_BREAKS).isdisjoint(m)
+        if any(not m or m.isspace() or not set(LINE_BREAKS).isdisjoint(m)
                for m in self.comment_markers):
             # "" is found at column 0 and would strip every line, and " " every
             # operand; a comment ends at its line's end, so a marker holding a

@@ -245,7 +245,7 @@ def corpus_features(entries: Sequence[ProgramEntry],
         found = file_features(entry.path, config, entry.id)
         patterns = found.patterns2.patterns
         features[entry.id] = found._replace(
-            patterns2=PatternSet(2, tuple(map(pool.setdefault, patterns, patterns))))
+            patterns2=PatternSet(tuple(map(pool.setdefault, patterns, patterns))))
     return features
 
 

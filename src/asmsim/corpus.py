@@ -291,7 +291,7 @@ def check_strides(grid: CorpusGrid, strides: Sequence[int | None] | None) -> lis
     return strides
 
 
-Subset = namedtuple("Subset", "scheme label members")
+Subset = namedtuple("Subset", "label members")
 Subset.__doc__ = """A labelled subset of a grouping: a tuple of :class:`ProgramEntry`."""
 
 
@@ -307,11 +307,11 @@ def enumerate_subsets(grid: CorpusGrid, scheme: GroupingScheme) -> list[Subset]:
     numeric result.
     """
     if scheme.kind is GroupingKind.APPLICATION_SPECIFIC:
-        return [Subset(scheme, app,
+        return [Subset(app,
                        tuple(grid.cells[(app, p)] for p in grid.programmers))
                 for app in grid.applications]
     if scheme.kind is GroupingKind.PROGRAMMER_SPECIFIC:
-        return [Subset(scheme, programmer,
+        return [Subset(programmer,
                        tuple(grid.cells[(a, programmer)] for a in grid.applications))
                 for programmer in grid.programmers]
 
@@ -323,7 +323,7 @@ def enumerate_subsets(grid: CorpusGrid, scheme: GroupingScheme) -> list[Subset]:
     for j in range(n):
         members = tuple(grid.cells[(apps[i], programmers[(j + stride * i) % n])]
                         for i in range(n))
-        subsets.append(Subset(scheme, f"subset {j + 1}", members))
+        subsets.append(Subset(f"subset {j + 1}", members))
     return subsets
 
 
@@ -404,8 +404,8 @@ a dict from :class:`MetricKind` to :class:`MetricStudy`."""
 def build_universes(features: Mapping[str, ProgramFeatures]) -> dict[int, frozenset[NGram]]:
     """Corpus-wide pattern universes for n = 2 and 3: the union of every
     program's patterns of that length."""
-    return {n: frozenset().union(*(f.pattern_set(n).patterns for f in features.values()))
-            for n in (2, 3)}
+    return {2: frozenset().union(*(f.patterns2.patterns for f in features.values())),
+            3: frozenset().union(*(f.patterns3.patterns for f in features.values()))}
 
 
 def _summary(groupings: Sequence[Mapping[str, GroupingResult]], kind: MetricKind,
@@ -475,7 +475,7 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
                        list(grid.applications), strides, metrics)
 
 
-SuiteSummary = namedtuple("SuiteSummary", "kind means normalized")
+SuiteSummary = namedtuple("SuiteSummary", "means normalized")
 SuiteSummary.__doc__ = """Cross-dataset averages and normalized indices (None if
 degenerate) for one :class:`MetricKind`, as dicts keyed by column label."""
 
@@ -495,7 +495,7 @@ def build_suite(reports: Sequence[StudyReport]) -> StudySuite:
     """
     if not reports:
         raise ValueError("cannot summarize zero reports")
-    summary = {kind: SuiteSummary(kind, *_summary(
+    summary = {kind: SuiteSummary(*_summary(
                    [r.metrics[kind].groupings for r in reports], kind))
                for kind in METRIC_ORDER}
     return StudySuite(list(reports), summary)

@@ -29,8 +29,11 @@ class AsmSimError(Exception):
         return f"error: code={self.exit_code} entity={entity} message={message}"
 
 
-# the control characters, and every other character str.splitlines breaks lines at
-_ESCAPES = {c: json.dumps(chr(c))[1:-1] for c in (*range(0x20), 0x7F, 0x85, 0x2028, 0x2029)}
+# the ten characters at which str.splitlines ends a line ("\r\n" is two of them)
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# the control characters and the line breaks
+_ESCAPES = {c: json.dumps(chr(c))[1:-1] for c in (*range(0x20), 0x7F, *map(ord, LINE_BREAKS))}
 
 
 def one_line(text: str) -> str:

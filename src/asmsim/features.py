@@ -20,8 +20,8 @@ from .asm_parser import (AssemblyProgram, ParserConfig, DEFAULT_CONFIG,
 NGram = tuple[str, ...]
 
 
-PatternSet = namedtuple("PatternSet", "n patterns")
-PatternSet.__doc__ = """Presence set of length-n mnemonic patterns (no multiplicities).
+PatternSet = namedtuple("PatternSet", "patterns")
+PatternSet.__doc__ = """Presence set of mnemonic patterns of one length (no multiplicities).
 
 ``patterns`` is a tuple that holds each distinct pattern (an
 :data:`NGram`) once, in order of first occurrence, so ``len(patterns)``
@@ -43,18 +43,13 @@ def extract_ngrams(mnemonics: Sequence[str], starts: Sequence[int], n: int) -> P
         for start in starts[bisect_left(starts, k):]:
             keep[start - k] = 0
     windows = zip(*(mnemonics[k:] for k in range(n)))
-    return PatternSet(n, tuple(dict.fromkeys(compress(windows, keep))))
+    return PatternSet(tuple(dict.fromkeys(compress(windows, keep))))
 
 
-class ProgramFeatures(namedtuple("ProgramFeatures", "frequency patterns2 patterns3")):
-    """Everything the four metrics need to know about one program:
-    ``frequency`` is a Counter of its mnemonics, and ``patterns2`` and
-    ``patterns3`` are its :class:`PatternSet` of each length."""
-
-    __slots__ = ()
-
-    def pattern_set(self, n: int) -> PatternSet:
-        return self.patterns2 if n == 2 else self.patterns3
+ProgramFeatures = namedtuple("ProgramFeatures", "frequency patterns2 patterns3")
+ProgramFeatures.__doc__ = """Everything the four metrics need to know about one program:
+``frequency`` is a Counter of its mnemonics, and ``patterns2`` and ``patterns3``
+are its :class:`PatternSet` of each length."""
 
 
 def compute_features(program: AssemblyProgram, starts: Sequence[int]) -> ProgramFeatures:

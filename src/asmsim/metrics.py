@@ -25,7 +25,7 @@ from collections import Counter
 from collections.abc import Collection, Sequence
 from enum import Enum
 from itertools import chain, combinations, count, repeat
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import EmptyProgramError
 from .features import ProgramFeatures
@@ -42,14 +42,14 @@ class MetricKind(str, Enum):
         """Distances shrink with similarity; jaccard/cosine grow with it."""
         return self in (MetricKind.EUCLIDEAN2, MetricKind.EUCLIDEAN3)
 
-    @property
-    def ngram_length(self) -> int | None:
-        return (2 if self is MetricKind.EUCLIDEAN2 else
-                3 if self is MetricKind.EUCLIDEAN3 else None)
 
+METRIC_ORDER = tuple(MetricKind)
 
-METRIC_ORDER = (MetricKind.JACCARD, MetricKind.COSINE,
-                MetricKind.EUCLIDEAN2, MetricKind.EUCLIDEAN3)
+# the collection of distinct elements each set metric compares; Jaccard reads the
+# frequency keys, as a Counter iterates and sizes as its key set
+_SETS = {MetricKind.JACCARD: attrgetter("frequency"),
+         MetricKind.EUCLIDEAN2: attrgetter("patterns2.patterns"),
+         MetricKind.EUCLIDEAN3: attrgetter("patterns3.patterns")}
 
 
 def _holders(collections: Sequence) -> tuple[Counter, list]:
@@ -103,14 +103,12 @@ def pair_values(kind: MetricKind, programs: Sequence[ProgramFeatures],
                 for i, j in pairs for a, b in [(norms[i], norms[j])]
                 for dot in [int.from_bytes(rows[i][j * width:(j + 1) * width], "little")
                             if i != j else a]]
-    n = kind.ngram_length
-    # Jaccard reads the frequency keys: a Counter iterates and sizes as its key set
-    sets = [p.frequency if n is None else p.pattern_set(n).patterns for p in programs]
+    sets = list(map(_SETS[kind], programs))
     sizes, bits = list(map(len, sets)), _presence_bits(sets)
     # (|a & b|, |a| + |b|); a self-pair also shares the elements of one set
     counts = [((bits[i] & bits[j]).bit_count() if i != j else sizes[i], sizes[i] + sizes[j])
               for i, j in pairs]
-    if n is None:
+    if kind is MetricKind.JACCARD:
         return [common / (total - common) if total else 1.0 for common, total in counts]
     return [math.sqrt(total - 2 * common) for common, total in counts]
 

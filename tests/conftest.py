@@ -22,8 +22,8 @@ def pair_of(kind, a, b):
 
     def program(raw):
         if kind is MetricKind.EUCLIDEAN2:
-            return ProgramFeatures(Counter(), PatternSet(2, tuple(raw)), PatternSet(3, ()))
-        return ProgramFeatures(Counter(raw), PatternSet(2, ()), PatternSet(3, ()))
+            return ProgramFeatures(Counter(), PatternSet(tuple(raw)), PatternSet(()))
+        return ProgramFeatures(Counter(raw), PatternSet(()), PatternSet(()))
     return pair_value(kind, program(a), program(b))
 
 

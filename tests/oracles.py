@@ -386,7 +386,7 @@ def oracle_suite(reports: list[StudyReport]) -> StudySuite:
             else:
                 normalized[label] = group / td
         normalized[TD_LABEL] = 1.0 if td > 0 else None
-        summary[kind] = SuiteSummary(kind, means, normalized)
+        summary[kind] = SuiteSummary(means, normalized)
     return StudySuite(list(reports), summary)
 
 

@@ -453,8 +453,8 @@ def closed_form(kind, fa, fb):
         na = sum(v * v for v in a.values())
         nb = sum(v * v for v in b.values())
         return dot / math.sqrt(na * nb)
-    n = kind.ngram_length
-    pa, pb = fa.pattern_set(n).patterns, fb.pattern_set(n).patterns
+    pa, pb = ((f.patterns2 if kind is MetricKind.EUCLIDEAN2 else f.patterns3).patterns
+              for f in (fa, fb))
     assert len(set(pa)) == len(pa) and len(set(pb)) == len(pb)  # each pattern held once
     return math.sqrt(len(set(pa) ^ set(pb)))
 

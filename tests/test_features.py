@@ -27,8 +27,8 @@ def ngrams(program, starts, n):
     return extract_ngrams(program.mnemonics, starts, n)
 
 
-def patterns(n, *tuples):
-    return PatternSet(n, tuples)
+def patterns(*tuples):
+    return PatternSet(tuples)
 
 
 class TestBagFeatures:
@@ -131,10 +131,8 @@ class TestExtractNgrams:
 
 class TestPatternUniverse:
     FEATURES = {
-        "p": ProgramFeatures(Counter(), patterns(2, ("a", "b")),
-                             patterns(3, ("a", "b", "c"))),
-        "q": ProgramFeatures(Counter(), patterns(2, ("a", "b"), ("b", "c")),
-                             patterns(3)),
+        "p": ProgramFeatures(Counter(), patterns(("a", "b")), patterns(("a", "b", "c"))),
+        "q": ProgramFeatures(Counter(), patterns(("a", "b"), ("b", "c")), patterns()),
     }
 
     def test_union(self):
@@ -155,7 +153,8 @@ class TestFeatureBundle:
         program = program_of("mov r0", "add r1", "mov r2")
         features = compute_features(program, segment_basic_blocks(program))
         assert features.frequency == {"mov": 2, "add": 1}
-        assert features.patterns2.n == 2 and features.patterns3.n == 3
+        assert {len(p) for p in features.patterns2.patterns} == {2}
+        assert {len(p) for p in features.patterns3.patterns} == {3}
         for pattern_set in (features.patterns2, features.patterns3):
             for pattern in pattern_set.patterns:
                 assert set(pattern) <= features.frequency.keys()

@@ -28,7 +28,7 @@ frequency_vectors = st.dictionaries(st.sampled_from(MNEMONIC_ALPHABET),
 
 PATTERN_POOL = [(a, b) for a in MNEMONIC_ALPHABET[:4] for b in MNEMONIC_ALPHABET[:4]]
 pattern_sets = st.lists(st.sampled_from(PATTERN_POOL), unique=True).map(
-    lambda patterns: PatternSet(2, tuple(patterns)))
+    lambda patterns: PatternSet(tuple(patterns)))
 
 
 def random_program(seed):
@@ -242,8 +242,8 @@ def scalar_value(kind, a, b):
         return oracles.naive_jaccard(a.frequency, b.frequency)
     if kind is MetricKind.COSINE:
         return oracles.exact_cosine(a.frequency, b.frequency)
-    n = kind.ngram_length
-    pa, pb = a.pattern_set(n).patterns, b.pattern_set(n).patterns
+    pa, pb = ((f.patterns2 if kind is MetricKind.EUCLIDEAN2 else f.patterns3).patterns
+              for f in (a, b))
     assert len(set(pa)) == len(pa) and len(set(pb)) == len(pb)  # each pattern held once
     return oracles.naive_euclidean(pa, pb, set(pa) | set(pb))
 
@@ -288,7 +288,7 @@ class TestPairValuesProperties:
 
         def shuffled(pattern_set):
             patterns = pattern_set.patterns
-            return PatternSet(pattern_set.n, tuple(rng.sample(patterns, len(patterns))))
+            return PatternSet(tuple(rng.sample(patterns, len(patterns))))
 
         def outcome(kind, programs, pairs):
             try:
@@ -299,7 +299,7 @@ class TestPairValuesProperties:
         reordered = [f._replace(patterns2=shuffled(f.patterns2), patterns3=shuffled(f.patterns3))
                      for f in programs]
         pool = {}  # as cli.corpus_features shares the 2-grams of a corpus
-        pooled = [f._replace(patterns2=PatternSet(2, tuple(map(
+        pooled = [f._replace(patterns2=PatternSet(tuple(map(
             pool.setdefault, f.patterns2.patterns, f.patterns2.patterns)))) for f in reordered]
         for kind in MetricKind:
             for pairs in (None, explicit):
@@ -309,7 +309,7 @@ class TestPairValuesProperties:
 
 def counted_program(frequency):
     """Features holding only ``frequency``: cosine reads nothing else."""
-    return ProgramFeatures(Counter(frequency), PatternSet(2, ()), PatternSet(3, ()))
+    return ProgramFeatures(Counter(frequency), PatternSet(()), PatternSet(()))
 
 
 # counts up to 2**40 take |a|^2 |b|^2 past 2**53, where int -> float rounds
