@@ -131,8 +131,9 @@ def write_file(path: Path, parts: Iterable[str]) -> None:
                 sink.write(part.encode("utf-8"))
         if not in_place:
             os.replace(target, final)
-    except OSError as exc:
-        raise InputError(f"cannot write file: {exc}", entity=str(path)) from exc
+    except OSError as exc:  # str(exc) would name the temporary file
+        raise InputError(f"cannot write file: {exc.strerror or exc}",
+                         entity=str(path)) from exc
     finally:
         if not in_place:
             target.unlink(missing_ok=True)  # gone after a rename

@@ -84,7 +84,8 @@ def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> Itera
         out.append("|" + " --- |" * (len(columns) + 1))
         for report in suite.reports:
             study = report.metrics[kind]
-            row = [one_line(report.dataset).replace("|", "\\|")]  # a "|" splits the cell
+            # as in the bullet; a "|" splits the cell even in a code span
+            row = [_code_span(one_line(report.dataset)).replace("|", "\\|")]
             for label in columns:
                 grouping = study.groupings.get(label)
                 row.append("" if grouping is None else format_value(kind, grouping.mean))
@@ -100,8 +101,6 @@ def render_markdown(suite: StudySuite, metadata: Mapping | None = None) -> Itera
 
 
 CSV_COLUMNS = ("dataset", "metric", "grouping", "subset", "pairs", "value", "kind")
-
-SUITE_DATASET = "(all)"
 
 
 def render_csv(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[str]:
@@ -122,13 +121,13 @@ def render_csv(suite: StudySuite, metadata: Mapping | None = None) -> Iterator[s
             for label, value in study.normalized.items():
                 rows.append([report.dataset, kind.value, label, "", "",
                              format_normalized(value), "normalized"])
-    for kind in METRIC_ORDER:
+    for kind in METRIC_ORDER:  # no dataset is named "", so these rows name none
         summary = suite.summary[kind]
         for label, value in summary.means.items():
-            rows.append([SUITE_DATASET, kind.value, label, "", "",
+            rows.append(["", kind.value, label, "", "",
                          format_value(kind, value), "average"])
         for label, value in summary.normalized.items():
-            rows.append([SUITE_DATASET, kind.value, label, "", "",
+            rows.append(["", kind.value, label, "", "",
                          format_normalized(value), "normalized"])
     # RFC 4180: a field holding a comma, a quote, CR or LF is quoted, its quotes doubled
     yield "".join(",".join(

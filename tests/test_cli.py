@@ -386,7 +386,7 @@ class TestStudy:
         assert result.returncode == 0
         lines = result.stdout.decode().splitlines()
         assert lines[0] == "dataset,metric,grouping,subset,pairs,value,kind"
-        assert any(line.startswith("(all),jaccard") for line in lines)
+        assert any(line.startswith(",jaccard,") for line in lines)  # a summary row
 
     def test_json_format(self, corpus_manifest):
         result = run_cli("study", corpus_manifest, "--format", "json")
@@ -425,6 +425,16 @@ class TestStudy:
         code, entity, _ = last_diagnostic(result)
         assert code == 2 and entity == str(target)
 
+    def test_a_failed_write_names_the_out_path_not_a_temporary_file(self, corpus_manifest,
+                                                                     tmp_path):
+        target = tmp_path / "no" / "report.md"
+        first, second = (run_cli("study", corpus_manifest, "--out", target).stderr
+                         for _ in range(2))
+        assert first == second  # each run writes under a name holding its pid
+        assert b".partial" not in first
+        assert first.decode() == (f'error: code=2 entity="{target}" '
+                                  'message="cannot write file: No such file or directory"\n')
+
     def test_report_bytes_do_not_depend_on_the_hash_seed(self, corpus_manifest):
         golden = (GOLDEN / "study_3x3.md").read_bytes()
         for seed in ("1", "2"):
@@ -455,7 +465,7 @@ class TestStudy:
         result = run_cli("study", manifest, "--format", "markdown")
         assert result.returncode == 0
         text = result.stdout.decode()
-        assert "| first |" in text and "| second |" in text
+        assert "| `first` |" in text and "| `second` |" in text
         assert text.count("| Average |") == 4
 
     def test_incomplete_grid_exits_5(self, tmp_path, fixtures_dir):

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asmsim.asm_parser import parse_assembly
@@ -78,8 +78,8 @@ def test_markdown_layout(suite):
 def test_markdown_rows_keep_their_cells_when_a_dataset_name_holds_a_pipe(fixtures_dir):
     report = fixture_report(fixtures_dir, "corpus3x3")
     # each name and its cell: a line break is escaped, so it cannot split the row
-    shown = {"gcc|O2": "gcc|O2", "||a|": "||a|", "plain": "plain",
-             "a\nb`c": "a\\nb`c", "p\r|q\u2028": "p\\r|q\\u2028"}
+    shown = {"gcc|O2": "`gcc|O2`", "||a|": "`||a|`", "plain": "`plain`",
+             "a\nb`c": "``a\\nb`c``", "p\r|q\u2028": "`p\\r|q\\u2028`"}
     names = list(shown)
     text = render(build_suite([report._replace(dataset=name) for name in names]), "markdown")
     unescaped_pipe = re.compile(r"(?<!\\)\|")
@@ -128,6 +128,9 @@ def test_csv_rows_keep_their_fields_whatever_the_labels(suite, fixtures_dir, lab
     assert rows[1][0] == label and label in {row[3] for row in rows}
 
 
+SUMMARY_ROWS = 4 * 6  # 3 averages and 3 normalized indices per metric
+
+
 def test_csv_schema(suite):
     text = render(suite, "csv")
     rows = list(csv.reader(io.StringIO(text)))
@@ -139,8 +142,32 @@ def test_csv_schema(suite):
     # 4 metrics x 4 groupings x 3 subsets
     assert len(subset_rows) == 48
     assert all(r[4] == "3" for r in subset_rows)
-    summary_rows = [r for r in rows[1:] if r[0] == "(all)"]
-    assert len(summary_rows) == 4 * 6  # 3 averages + 3 normalized per metric
+    summary_rows = [r for r in rows[1:] if r[0] == ""]
+    assert summary_rows == rows[-SUMMARY_ROWS:]
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.text(min_size=1))
+@example("(all)")
+def test_csv_summary_rows_share_no_dataset_and_kind_with_a_dataset(suite, name):
+    text = render(suite._replace(reports=[suite.reports[0]._replace(dataset=name)]), "csv")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    own, summary = rows[1:-SUMMARY_ROWS], rows[-SUMMARY_ROWS:]
+    assert all(row[0] == name for row in own)
+    assert {(row[0], row[6]) for row in summary}.isdisjoint((row[0], row[6]) for row in own)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.text(min_size=1))
+@example("Average")
+@example("Normalized")
+def test_no_markdown_dataset_cell_reads_as_a_summary_row(suite, name):
+    text = render(suite._replace(reports=[suite.reports[0]._replace(dataset=name)]), "markdown")
+    cells = [re.split(r"(?<!\\)\|", line)[1].strip() for line in text.splitlines()
+             if line.startswith("| ")]
+    # each table: its header, the " --- " row, the dataset row, Average, Normalized
+    assert len(cells) == 4 * 5 and cells[3::5] == ["Average"] * 4
+    assert not {"Average", "Normalized"} & set(cells[2::5])
 
 
 def test_json_structure(suite):
