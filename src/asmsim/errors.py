@@ -31,8 +31,6 @@ class AsmSimError(Exception):
 
 # the ten characters at which str.splitlines ends a line ("\r\n" is two of them)
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-# the control characters and the line breaks
 _ESCAPES = {c: json.dumps(chr(c))[1:-1] for c in (*range(0x20), 0x7F, *map(ord, LINE_BREAKS))}
 
 
