@@ -4,8 +4,8 @@ Subcommands: ``extract`` (feature dumps), ``compare`` (pairwise metrics),
 ``compile`` (cross-compile a corpus to assembly), ``study`` (run the full
 grouping study and render a report).
 
-Exit codes: 0 ok, 2 I/O (a closed stdout included), 3 degenerate input,
-4 external tool failure, 5 invalid corpus.
+Exit codes: 0 ok, 2 I/O (any failed read or write, stdout included), 3
+degenerate input, 4 external tool failure, 5 invalid corpus.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
@@ -21,7 +20,8 @@ from pathlib import Path
 from .asm_parser import parse_assembly
 from .config import ToolConfig, config_from_dict, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite, check_strides,
-                     load_datasets, program_file, read_input, run_study, write_file)
+                     encode_parts, load_datasets, program_file, read_input, run_study,
+                     write_file)
 from .errors import (AsmSimError, EmptyProgramError, InputError, ManifestError, ToolError,
                      one_line)
 from .features import (NGram, PatternSet, ProgramFeatures, features_for_program,
@@ -136,18 +136,22 @@ def _stderr(text: str) -> None:
             sys.stderr = None
 
 
-def _write_parts(parts: Iterable[str], path: Path | None) -> None:
+def _write_parts(parts: Iterable[str], path: Path | None = None) -> None:
     """Write ``parts`` as they come to the file ``path`` (see
-    :func:`corpus.write_file`), or to stdout if it is None."""
+    :func:`corpus.write_file`), or to stdout if it is None, in the same bytes
+    whatever stdout's encoding; a failed write to stdout is an InputError."""
     if path is not None:
         write_file(path, parts)
         return
-    sys.stdout.flush()
-    # a buffered writer retries a short write, as when the reader closes
-    # the pipe midway; the raw fd under `python -u`'s text layer drops it
-    with open(sys.stdout.fileno(), "wb", closefd=False) as sink:
-        for part in parts:
-            sink.write(part.encode(sys.stdout.encoding, sys.stdout.errors))
+    try:
+        # a buffered writer retries a short write, as when the reader closes
+        # the pipe midway; the raw fd under `python -u`'s text layer drops it
+        with open(sys.stdout.fileno(), "wb", closefd=False) as sink:
+            sink.writelines(encode_parts(parts))
+    except BrokenPipeError as exc:
+        raise InputError("the reader closed the pipe", entity="<stdout>") from exc
+    except OSError as exc:
+        raise InputError(f"cannot write: {exc.strerror or exc}", entity="<stdout>") from exc
 
 
 def file_features(path: Path, config: ToolConfig, entity: str | None = None) -> ProgramFeatures:
@@ -172,18 +176,17 @@ def cmd_extract(args: argparse.Namespace) -> int:
     files = [program_file(match) for path in args.paths
              for match in (sorted(path.glob(args.glob), key=str) if path.is_dir() else [path])]
 
-    if args.out is not None:
-        try:
-            args.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise InputError(f"cannot create directory: {exc}",
-                             entity=str(args.out)) from exc
-        used: set[str] = set()
+    if args.out is None:  # one JSON line per file
+        _write_parts(f"{json.dumps(features_to_dict(file_features(path, config)))}\n"
+                     for path in files)
+        return 0
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory: {exc}", entity=str(args.out)) from exc
+    used: set[str] = set()
     for path in files:
         dump = features_to_dict(file_features(path, config))
-        if args.out is None:
-            print(json.dumps(dump))
-            continue
         name = f"{path.stem}.json"
         serial = 1
         while name in used:
@@ -207,10 +210,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise EmptyProgramError(exc.message, entity=str(empty)) from exc
 
     if args.format == "json":
-        print(json.dumps(results))
+        _write_parts([json.dumps(results), "\n"])
     else:
-        for name, value in results.items():
-            print(f"{name} {format_value(COMPARE_METRICS[name], value)}")
+        _write_parts(f"{name} {format_value(COMPARE_METRICS[name], value)}\n"
+                     for name, value in results.items())
     return 0
 
 
@@ -222,9 +225,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
     result = compile_corpus(manifest, config, args.out)
 
     compiled = sum(1 for o in result.outcomes if o.output is not None and not o.cached)
-    print(f"compiled {compiled}, cached {result.cache_hits}, "
-          f"failed {len(result.failures)}")
-    print(f"manifest: {one_line(str(result.manifest_path))}")
+    _write_parts([f"compiled {compiled}, cached {result.cache_hits}, "
+                  f"failed {len(result.failures)}\n",
+                  f"manifest: {one_line(str(result.manifest_path))}\n"])
     if result.failures:
         first, *rest = (ToolError(outcome.error, entity=outcome.entry.id).diagnostic()
                         for outcome in result.failures)
@@ -291,19 +294,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if sys.stdout is None and (args.command == "compile"
                                    or getattr(args, "out", None) is None):
             raise InputError("stdout is closed", entity="<stdout>")
-        code = args.func(args)
-        if sys.stdout is not None:
-            sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-        return code
+        return args.func(args)
     except AsmSimError as exc:
         _stderr(exc.diagnostic())
         return exc.exit_code
-    except BrokenPipeError:
-        # the reader closed stdout (`asmsim extract DIR | head -1`); point
-        # stdout at devnull so the interpreter's own flush at exit succeeds
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _stderr(InputError("the reader closed the pipe", entity="<stdout>").diagnostic())
-        return InputError.exit_code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import math
 import os
 import stat
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from itertools import combinations, islice, repeat
 from pathlib import Path
@@ -110,6 +110,12 @@ def load_json_object(path: Path, what: str, error: type[AsmSimError]) -> dict:
     return doc
 
 
+def encode_parts(parts: Iterable[str]) -> Iterator[bytes]:
+    """``parts`` as asmsim writes them, to a file or stdout: UTF-8, and a
+    surrogate that stands for an undecodable byte of a path as that byte."""
+    return (part.encode("utf-8", "surrogateescape") for part in parts)
+
+
 def write_file(path: Path, parts: Iterable[str]) -> None:
     """Write ``parts`` as they come to ``path``, UTF-8 encoded.
 
@@ -127,8 +133,7 @@ def write_file(path: Path, parts: Iterable[str]) -> None:
         with open(target, "wb") as sink:
             if final.is_file():  # an old file, never in place: keep its permissions
                 os.chmod(sink.fileno(), stat.S_IMODE(final.stat().st_mode))
-            for part in parts:
-                sink.write(part.encode("utf-8"))
+            sink.writelines(encode_parts(parts))
         if not in_place:
             os.replace(target, final)
     except OSError as exc:  # str(exc) would name the temporary file

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import resource
+import shutil
 import stat
 import subprocess
 import sys
@@ -84,17 +85,45 @@ def test_a_program_path_that_is_no_regular_file_exits_2(tmp_path, make, problem,
     assert not (tmp_path / "asmsim-out").exists()  # nothing compiled
 
 
-def test_a_line_break_in_compile_out_keeps_the_manifest_line_whole(tmp_path, corpus_manifest):
-    cc = tmp_path / "cc.py"  # copies its input, already assembly; argv ends `-o OUTPUT INPUT`
+def copying_cc(folder):
+    """A compiler command that copies its input, already assembly; its argv
+    ends ``-o OUTPUT INPUT``."""
+    cc = folder / "cc.py"
     cc.write_text("import shutil, sys\n"
                   "if sys.argv[1:] == ['--version']:\n    print('cc 1')\n"
                   "else:\n    shutil.copy(sys.argv[-1], sys.argv[-2])\n")
+    return f"{sys.executable} {cc}"
+
+
+def test_a_line_break_in_compile_out_keeps_the_manifest_line_whole(tmp_path, corpus_manifest):
     out = tmp_path / "o\nut"
-    result = run_cli("compile", corpus_manifest, "--out", out, "--cc", f"{sys.executable} {cc}")
+    result = run_cli("compile", corpus_manifest, "--out", out, "--cc", copying_cc(tmp_path))
     assert result.returncode == 0
     shown = str(out / "manifest.json").replace("\n", "\\n")
     assert result.stdout.decode().splitlines() == [
         "compiled 9, cached 0, failed 0", f"manifest: {shown}"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [
+    ("extract", "{corpus}"),
+    ("compare", "{corpus}/ada_fib.s", "{corpus}/ben_fib.s"),
+    ("compare", "{corpus}/ada_fib.s", "{corpus}/ben_fib.s", "--format", "json"),
+    ("study", "{corpus}/manifest.json"),
+    ("compile", "{corpus}/manifest.json", "--out", "{tmp}/asm", "--cc", "{cc}"),
+], ids=["extract", "compare", "compare-json", "study", "compile"])
+def test_a_failed_write_to_stdout_exits_2(fixtures_dir, tmp_path, command):
+    """Every write to /dev/full fails with ENOSPC."""
+    argv = [arg.format(corpus=fixtures_dir / "corpus3x3", tmp=tmp_path,
+                       cc=copying_cc(tmp_path)) for arg in command]
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "asmsim", *argv], stdout=full,
+                                stderr=subprocess.PIPE, env=env, timeout=60)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr.decode()
+    assert len(result.stderr.splitlines()) == 1
+    assert last_diagnostic(result) == (2, "<stdout>", "cannot write: No space left on device")
 
 
 class TestExtract:
@@ -313,6 +342,30 @@ class TestStudy:
         if golden is not None:
             assert direct.stdout == (GOLDEN / golden).read_bytes()
         assert list(tmp_path.iterdir()) == [out_file]
+
+    # a name that stdout's ASCII encoding cannot hold, and one from a manifest
+    # file name with a byte that is not UTF-8, which Python reads as a surrogate
+    @pytest.mark.parametrize("manifest_name, name, env_extra, shown", [
+        ("manifest.json", "café", {"PYTHONIOENCODING": "ascii"}, "café".encode()),
+        (os.fsdecode(b"caf\xe9.json"), None, None, b"caf\xe9"),
+    ], ids=["ascii-stdout", "undecodable-name"])
+    def test_stdout_takes_the_out_bytes_whatever_its_encoding(self, fixtures_dir, tmp_path,
+                                                              manifest_name, name, env_extra,
+                                                              shown):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(fixtures_dir / "corpus3x3", corpus)
+        doc = json.loads((corpus / "manifest.json").read_text())
+        doc.pop("name")  # without a name, the dataset takes the manifest's stem
+        if name is not None:
+            doc["name"] = name
+        manifest = corpus / manifest_name
+        manifest.write_text(json.dumps(doc))
+        out_file = tmp_path / "report.md"
+        direct = run_cli("study", manifest, env_extra=env_extra)
+        to_file = run_cli("study", manifest, "--out", out_file, env_extra=env_extra)
+        assert direct.returncode == 0 and to_file.returncode == 0
+        assert direct.stdout == out_file.read_bytes()
+        assert b"- dataset `" + shown + b"`: " in direct.stdout
 
     def test_out_keeps_the_old_files_symlink_and_permissions(self, corpus_manifest, tmp_path):
         (tmp_path / "reports").mkdir()

@@ -166,6 +166,30 @@ def test_one_escape_rule():
     assert not [path.name for path in SOURCES if "csv" in absolute_imports(path)]
 
 
+def test_one_stdout_writer():
+    """``cli._write_parts`` is the one writer of asmsim's output, so that every
+    failed write to stdout is one InputError: ``src/`` calls no ``print`` and
+    reads no attribute of ``sys.stdout`` but ``fileno``, which only that
+    function calls, and no call opens or writes fd 1 by its number."""
+    def prints(call):
+        return getattr(call.func, "id", None) == "print"
+
+    def opens_stdout(call):
+        func = ast.unparse(call.func)
+        return func == "sys.stdout.fileno" or (
+            func in ("open", "os.fdopen", "os.write") and bool(call.args)
+            and isinstance(call.args[0], ast.Constant) and call.args[0].value == 1)
+
+    assert not set().union(*(callers(path, prints) for path in SOURCES))
+    read = {ast.unparse(node) for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(node, ast.Attribute)
+            and ast.unparse(node.value) in ("sys.stdout", "sys.__stdout__")}
+    assert read == {"sys.stdout.fileno"}
+    assert set().union(*(callers(path, opens_stdout) for path in SOURCES)) == {
+        "cli._write_parts"}
+
+
 def test_one_error_class_per_exit_code():
     """An error class that no ``except`` clause in ``src/`` or ``bench/`` names
     is told apart only by its exit code, so two such classes with one code
@@ -181,7 +205,6 @@ def test_one_error_class_per_exit_code():
              and cls is not errors.AsmSimError and name not in caught}
     assert codes
     assert len(set(codes.values())) == len(codes), codes
-
 
 
 def test_one_line_break_set():
