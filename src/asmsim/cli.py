@@ -20,10 +20,10 @@ from pathlib import Path
 from .asm_parser import parse_assembly
 from .config import ToolConfig, config_from_dict, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite, check_strides,
-                     encode_parts, load_datasets, program_file, read_input, run_study,
+                     encode_parts, load_datasets, program_files, read_input, run_study,
                      write_file)
 from .errors import (AsmSimError, EmptyProgramError, InputError, ManifestError, ToolError,
-                     one_line)
+                     one_line, reason)
 from .features import (NGram, PatternSet, ProgramFeatures, features_for_program,
                        features_to_dict)
 from .metrics import MetricKind, pair_value
@@ -151,7 +151,7 @@ def _write_parts(parts: Iterable[str], path: Path | None = None) -> None:
     except BrokenPipeError as exc:
         raise InputError("the reader closed the pipe", entity="<stdout>") from exc
     except OSError as exc:
-        raise InputError(f"cannot write: {exc.strerror or exc}", entity="<stdout>") from exc
+        raise InputError(f"cannot write: {reason(exc)}", entity="<stdout>") from exc
 
 
 def file_features(path: Path, config: ToolConfig, entity: str | None = None) -> ProgramFeatures:
@@ -173,8 +173,7 @@ def file_features(path: Path, config: ToolConfig, entity: str | None = None) -> 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     # every path is checked before any file is read
-    files = [program_file(match) for path in args.paths
-             for match in (sorted(path.glob(args.glob), key=str) if path.is_dir() else [path])]
+    files = [file for path in args.paths for file in program_files(path, args.glob)]
 
     if args.out is None:  # one JSON line per file
         _write_parts(f"{json.dumps(features_to_dict(file_features(path, config)))}\n"
@@ -183,7 +182,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise InputError(f"cannot create directory: {exc}", entity=str(args.out)) from exc
+        raise InputError(f"cannot create directory: {reason(exc)}",
+                         entity=str(args.out)) from exc
     used: set[str] = set()
     for path in files:
         dump = features_to_dict(file_features(path, config))
@@ -199,8 +199,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    features = [file_features(program_file(path), config)
-                for path in (args.file_a, args.file_b)]
+    features = [file_features(file, config) for path in (args.file_a, args.file_b)
+                for file in program_files(path)]
 
     names = list(COMPARE_METRICS) if args.metric == "all" else [args.metric]
     try:

@@ -23,7 +23,7 @@ from itertools import combinations, islice, repeat
 from pathlib import Path
 
 from .errors import (AsmSimError, EmptyProgramError, InputError, ManifestError,
-                     NormalizationError)
+                     NormalizationError, reason)
 from .features import NGram, ProgramFeatures
 from .metrics import METRIC_ORDER, MetricKind, pair_values
 
@@ -56,25 +56,33 @@ def _parse_entries(raw: object, base: Path, *, where: str) -> list[ProgramEntry]
         if values["id"] in seen:
             raise ManifestError(f"duplicate program id {values['id']!r}", entity=entity)
         seen.add(values["id"])
-        entries.append(ProgramEntry(**{**values, "path": program_file(
-            base / values["path"], entity)}))
+        entries.append(ProgramEntry(**{**values, "path": program_files(
+            base / values["path"], entity=entity)[0]}))
     return entries
 
 
-def program_file(path: Path, entity: str | None = None) -> Path:
-    """``path`` if it names a regular file, else an :class:`InputError` for
-    ``entity`` (default: the path). A ``stat`` checks it, so a FIFO is never
-    opened and no read waits for its writer."""
+def program_files(path: Path, pattern: str | None = None,
+                  entity: str | None = None) -> list[Path]:
+    """``[path]`` if it names a regular file or, given a glob ``pattern``, the
+    matches of ``pattern`` in the directory ``path``, sorted, each checked so;
+    else an :class:`InputError` for ``entity`` (default: the path). One ``stat``
+    checks a path, so a FIFO is never opened and no read waits for its writer."""
     entity = str(path) if entity is None else entity
     try:
         mode = path.stat().st_mode
     except (FileNotFoundError, NotADirectoryError, ValueError):  # ValueError: a NUL byte
         raise InputError(f"no such file or directory: {path}", entity=entity) from None
     except OSError as exc:
-        raise InputError(f"cannot read file: {exc}", entity=entity) from exc
+        raise InputError(f"cannot read file: {reason(exc)}", entity=entity) from exc
+    if pattern is not None and stat.S_ISDIR(mode):
+        try:  # NotImplementedError: an absolute pattern
+            matches = sorted(path.glob(pattern), key=str)
+        except (OSError, ValueError, NotImplementedError) as exc:
+            raise InputError(f"cannot read directory: {reason(exc)}", entity=entity) from exc
+        return [file for match in matches for file in program_files(match)]
     if not stat.S_ISREG(mode):
         raise InputError(f"not a regular file: {path}", entity=entity)
-    return path
+    return [path]
 
 
 def read_input(path: Path, what: str, entity: str) -> bytes:
@@ -83,7 +91,7 @@ def read_input(path: Path, what: str, entity: str) -> bytes:
     try:
         return path.read_bytes()
     except OSError as exc:
-        raise InputError(f"cannot read {what}: {exc}", entity=entity) from exc
+        raise InputError(f"cannot read {what}: {reason(exc)}", entity=entity) from exc
 
 
 def _finite_float(text: str) -> float:
@@ -117,31 +125,31 @@ def encode_parts(parts: Iterable[str]) -> Iterator[bytes]:
 
 
 def write_file(path: Path, parts: Iterable[str]) -> None:
-    """Write ``parts`` as they come to ``path``, UTF-8 encoded.
+    """Write ``parts`` as they come to ``path``, encoded by :func:`encode_parts`.
 
-    The file is written under a temporary name beside ``path`` and renamed
-    over it when whole, so a failed write leaves no partial file and an old
-    one unchanged; a symlink is followed first, and the new file takes the
-    old one's permissions. A path that exists but is no regular file, such
-    as ``/dev/null`` or a FIFO, is written in place. Any failure is an
-    :class:`InputError`.
+    The file is written under a temporary name beside ``path``, whose length
+    does not depend on ``path``'s, and renamed over it when whole, so a failed
+    write leaves no partial file and an old one unchanged; a symlink is followed
+    first, and the new file takes the old one's permissions. A path that exists
+    but is no regular file, such as ``/dev/null`` or a FIFO, is written in
+    place. Any failure is an :class:`InputError`.
     """
-    in_place = path.exists() and not path.is_file()
-    final = path.resolve()
-    target = path if in_place else final.with_name(f"{final.name}.{os.getpid()}.partial")
     try:
-        with open(target, "wb") as sink:
-            if final.is_file():  # an old file, never in place: keep its permissions
-                os.chmod(sink.fileno(), stat.S_IMODE(final.stat().st_mode))
-            sink.writelines(encode_parts(parts))
-        if not in_place:
-            os.replace(target, final)
+        in_place = path.exists() and not path.is_file()
+        final = path.resolve()
+        target = path if in_place else final.with_name(f".asmsim-{os.getpid()}.partial")
+        try:
+            with open(target, "wb") as sink:
+                if final.is_file():  # an old file, never in place: keep its permissions
+                    os.chmod(sink.fileno(), stat.S_IMODE(final.stat().st_mode))
+                sink.writelines(encode_parts(parts))
+            if not in_place:
+                os.replace(target, final)
+        finally:
+            if not in_place:
+                target.unlink(missing_ok=True)  # gone after a rename
     except OSError as exc:  # str(exc) would name the temporary file
-        raise InputError(f"cannot write file: {exc.strerror or exc}",
-                         entity=str(path)) from exc
-    finally:
-        if not in_place:
-            target.unlink(missing_ok=True)  # gone after a rename
+        raise InputError(f"cannot write file: {reason(exc)}", entity=str(path)) from exc
 
 
 def load_datasets(path: str | Path) -> ManifestData:

@@ -27,7 +27,7 @@ from threading import Thread
 
 from .config import ToolConfig
 from .corpus import ManifestData, ProgramEntry, read_input, write_file
-from .errors import InputError, ToolError
+from .errors import InputError, ToolError, reason
 
 
 CompileOutcome = namedtuple("CompileOutcome", "entry output cached error",
@@ -164,7 +164,8 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise InputError(f"cannot create directory: {exc}", entity=str(out_dir)) from exc
+        raise InputError(f"cannot create directory: {reason(exc)}",
+                         entity=str(out_dir)) from exc
     remove_stale_partials(cache_dir)
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]

@@ -40,6 +40,12 @@ def one_line(text: str) -> str:
     return text.translate(_ESCAPES)
 
 
+def reason(exc: Exception) -> str:
+    """Why ``exc`` failed, for an error's message: an OSError's ``strerror``, as
+    ``str(exc)`` repeats the file name that the error's entity already names."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 class InputError(AsmSimError):
     """A file or directory could not be read."""
 

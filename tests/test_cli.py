@@ -126,6 +126,61 @@ def test_a_failed_write_to_stdout_exits_2(fixtures_dir, tmp_path, command):
     assert last_diagnostic(result) == (2, "<stdout>", "cannot write: No space left on device")
 
 
+LONG = "n" * 300  # a file name over the 255 bytes that one may take
+
+
+# each path is one that the system refuses to look up, or a glob pattern
+# that pathlib refuses
+@pytest.mark.parametrize("args, entity, message", [
+    (("study", "{manifest}", "--out", "{tmp}/{long}"), "{tmp}/{long}",
+     "cannot write file: File name too long"),
+    (("extract", "{tmp}/{long}.s"), "{tmp}/{long}.s", "cannot read file: File name too long"),
+    (("compare", "{corpus}/ada_fib.s", "{tmp}/{long}.s"), "{tmp}/{long}.s",
+     "cannot read file: File name too long"),
+    (("extract", "{corpus}", "--out", "{tmp}/{long}"), "{tmp}/{long}",
+     "cannot create directory: File name too long"),
+    (("extract", "{corpus}", "--glob", "{long}"), "{corpus}",
+     "cannot read directory: File name too long"),
+    (("extract", "{corpus}", "--glob", ""), "{corpus}", "cannot read directory: "),
+    (("extract", "{corpus}", "--glob", "/*.s"), "{corpus}", "cannot read directory: "),
+], ids=["study-out", "extract", "compare", "extract-out", "extract-glob", "empty-glob",
+        "absolute-glob"])
+def test_a_path_that_cannot_be_looked_up_exits_2(fixtures_dir, tmp_path, args, entity,
+                                                 message):
+    names = dict(corpus=fixtures_dir / "corpus3x3", tmp=tmp_path, long=LONG,
+                 manifest=fixtures_dir / "corpus3x3" / "manifest.json")
+    result = run_cli(*(arg.format(**names) for arg in args))
+    assert result.returncode == 2 and result.stdout == b""
+    assert len(result.stderr.splitlines()) == 1
+    code, shown, text = last_diagnostic(result)
+    assert (code, shown) == (2, entity.format(**names)) and text.startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_takes_a_name_of_the_longest_length(corpus_manifest, tmp_path):
+    """The temporary file beside ``--out`` has a name of its own length, so it
+    is valid whenever the name of ``--out`` is."""
+    out_file = tmp_path / ("n" * 250 + ".md")
+    result = run_cli("study", corpus_manifest, "--out", out_file)
+    assert result.returncode == 0 and result.stderr == b""
+    assert out_file.read_bytes() == (GOLDEN / "study_3x3.md").read_bytes()
+    assert list(tmp_path.iterdir()) == [out_file]
+
+
+@pytest.mark.parametrize("command, problem", [
+    (("extract", "{corpus}"), "File exists"),
+    (("compile", "{corpus}/manifest.json", "--cc", "/no/such/cc"), "Not a directory"),
+], ids=["extract", "compile"])
+def test_an_out_directory_that_is_a_file_exits_2(fixtures_dir, tmp_path, command, problem):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    result = run_cli(*(arg.format(corpus=fixtures_dir / "corpus3x3") for arg in command),
+                     "--out", taken)
+    assert result.returncode == 2
+    assert result.stderr.decode() == (f'error: code=2 entity="{taken}" '
+                                      f'message="cannot create directory: {problem}"\n')
+
+
 class TestExtract:
     def test_single_file(self, tmp_path):
         asm = write_asm(tmp_path / "a.s", "mov r0, r1", "add r0, r1")

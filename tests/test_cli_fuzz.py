@@ -5,7 +5,8 @@ Each example builds a small corpus in a fresh directory and corrupts some of
 it: manifests and configs with wrong JSON types, deep nesting, non-UTF-8 bytes,
 integers past Python's 4 300-digit limit and duplicate keys; program paths that
 are missing, directories or FIFOs; empty and unclassifiable assembly; and
-strides out of range. No FIFO is ever the manifest or the config, since reading
+strides out of range; program and output paths whose name is over the 255 bytes
+that one may take. No FIFO is ever the manifest or the config, since reading
 a pipe that has no writer blocks. ``compile`` runs ``sh`` as its compiler, and
 ``--jobs`` stays at 4 or less.
 """
@@ -29,7 +30,8 @@ PROGRAMS = {
     "non_utf8": b"\tmov r0, r1 @ caf\xe9\n\tb\xff r0\n",
 }
 # a file with the program's text, or what stands where the file should be
-PATH_KINDS = ("file", "file", "file", "missing", "directory", "fifo")
+PATH_KINDS = ("file", "file", "file", "missing", "directory", "fifo", "long_name")
+LONG_NAME = "n" * 300
 
 # compilers that copy the source, fail, or do not exist; sh ignores the
 # compiler_flags appended after its two arguments
@@ -99,8 +101,11 @@ def with_wrong_type(draw, doc):
 
 
 def make_program(draw, path):
-    """Whatever the drawn path kind puts at ``path``."""
+    """Whatever the drawn path kind puts at ``path``, and the path that names it:
+    ``path``, or for ``long_name`` one beside it that no file can have."""
     kind = draw(st.sampled_from(PATH_KINDS))
+    if kind == "long_name":
+        return path.with_name(LONG_NAME + path.name)
     if kind == "file":
         path.write_bytes(PROGRAMS[draw(st.sampled_from(sorted(PROGRAMS)))])
     elif kind == "directory":
@@ -108,12 +113,14 @@ def make_program(draw, path):
         (path / "inner.s").write_bytes(PROGRAMS["plain"])
     elif kind == "fifo":
         os.mkfifo(path)
+    return path
 
 
-def manifest_doc(draw):
-    """A 2x2 grid in the single or the multi-dataset form, with metadata."""
-    programs = [{"id": f"{p}-{a}", "path": f"{p}_{a}.s", "programmer": p, "application": a}
-                for a in ("x", "y") for p in ("p", "q")]
+def manifest_doc(draw, root):
+    """A 2x2 grid of programs made in ``root``, in the single or the
+    multi-dataset form, with metadata."""
+    programs = [{"id": f"{p}-{a}", "path": make_program(draw, root / f"{p}_{a}.s").name,
+                 "programmer": p, "application": a} for a in ("x", "y") for p in ("p", "q")]
     doc = {"name": "grid", "programs": programs}
     if draw(st.booleans()):
         doc = {"datasets": [doc, {**doc, "name": "again"}][:draw(st.integers(0, 2))]}
@@ -168,25 +175,21 @@ def build_argv(draw, root):
     argv = [command]
     if command in ("study", "compile"):
         manifest = root / "manifest.json"
-        write_json_input(draw, manifest, manifest_doc(draw))
-        for a in ("x", "y"):
-            for p in ("p", "q"):
-                make_program(draw, root / f"{p}_{a}.s")
+        write_json_input(draw, manifest, manifest_doc(draw, root))
         argv.append(str(manifest))
     elif command == "extract":
         for k in range(draw(st.integers(1, 2))):
-            make_program(draw, root / f"in{k}.s")
-            argv.append(str(root / f"in{k}.s"))
+            argv.append(str(make_program(draw, root / f"in{k}.s")))
         if draw(st.booleans()):  # a directory whose *.s matches are of every kind
             holder = root / "dir"
             holder.mkdir()
             for k in range(draw(st.integers(0, 3))):
                 make_program(draw, holder / f"m{k}.s")
             argv.append(str(holder))
+            argv += draw(st.sampled_from([[], ["--glob", LONG_NAME]]))
     else:
         for name in ("a.s", "b.s"):
-            make_program(draw, root / name)
-            argv.append(str(root / name))
+            argv.append(str(make_program(draw, root / name)))
         argv += draw(st.sampled_from([[], ["--metric", "cosine"], ["--format", "json"]]))
 
     if command != "compile":
@@ -195,13 +198,14 @@ def build_argv(draw, root):
     if command == "study":
         argv += strides_flag(draw)
         argv += draw(st.sampled_from([[], ["--format", "csv"], ["--format", "json"]]))
-        argv += draw(st.sampled_from([[], ["--out", str(root / "report")]]))
+        argv += draw(st.sampled_from([[], ["--out", str(root / "report")],
+                                      ["--out", str(root / LONG_NAME)]]))
     if command == "compile":
         argv += ["--cc", draw(st.sampled_from(COMPILERS)), "--out", str(root / "asm")]
     if command in ("study", "compile"):
         argv += draw(st.sampled_from([[], ["--jobs", "1"], ["--jobs", "4"]]))
     if command == "extract" and draw(st.booleans()):
-        argv += ["--out", str(root / "json")]
+        argv += ["--out", str(root / draw(st.sampled_from(["json", LONG_NAME])))]
     if draw(st.booleans()):
         config = root / "config.json"
         write_json_input(draw, config, config_doc(draw))

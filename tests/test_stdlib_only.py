@@ -150,7 +150,7 @@ def callers(path, test):
 def test_only_read_input_reads_a_file():
     """Every input file is read by ``corpus.read_input``, so that a failed read
     is an InputError in one place, and no read can wait on a FIFO that
-    ``corpus.program_file`` has not checked."""
+    ``corpus.program_files`` has not checked."""
     readers = set().union(*(callers(path, reads_a_file) for path in SOURCES))
     assert readers == {"corpus.read_input"}
 
@@ -188,6 +188,16 @@ def test_one_stdout_writer():
     assert read == {"sys.stdout.fileno"}
     assert set().union(*(callers(path, opens_stdout) for path in SOURCES)) == {
         "cli._write_parts"}
+
+
+def test_one_reason_rule():
+    """``errors.reason`` is the one rule for what an error message says of an
+    OSError: no other function reads ``strerror``, so no message repeats as a
+    Python repr the file that the error's entity names."""
+    readers = {f"{path.stem}.{node.name}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(node, ast.FunctionDef) and "strerror" in ast.unparse(node)}
+    assert readers == {"errors.reason"}
 
 
 def test_one_error_class_per_exit_code():
