@@ -148,7 +148,9 @@ def write_file(path: Path, parts: Iterable[str]) -> None:
         finally:
             if not in_place:
                 target.unlink(missing_ok=True)  # gone after a rename
-    except OSError as exc:  # str(exc) would name the temporary file
+    # str(exc) would name the temporary file; RuntimeError: resolve() meets
+    # a symlink loop, before Python 3.13
+    except (OSError, RuntimeError) as exc:
         raise InputError(f"cannot write file: {reason(exc)}", entity=str(path)) from exc
 
 

@@ -533,6 +533,15 @@ class TestStudy:
         code, entity, _ = last_diagnostic(result)
         assert code == 2 and entity == str(target)
 
+    def test_out_that_is_a_symlink_loop_exits_2(self, corpus_manifest, tmp_path):
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        result = run_cli("study", corpus_manifest, "--out", loop)
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert last_diagnostic(result)[:2] == (2, str(loop))
+        assert list(tmp_path.iterdir()) == [loop] and loop.is_symlink()
+
     def test_a_failed_write_names_the_out_path_not_a_temporary_file(self, corpus_manifest,
                                                                      tmp_path):
         target = tmp_path / "no" / "report.md"
