@@ -20,8 +20,7 @@ from pathlib import Path
 from .asm_parser import parse_assembly
 from .config import ToolConfig, config_from_dict, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite, check_strides,
-                     encode_parts, load_datasets, program_files, read_input, run_study,
-                     write_file)
+                     load_datasets, program_files, read_input, run_study, write_file)
 from .errors import (AsmSimError, EmptyProgramError, InputError, ManifestError, ToolError,
                      one_line, reason)
 from .features import (NGram, PatternSet, ProgramFeatures, features_for_program,
@@ -138,16 +137,18 @@ def _stderr(text: str) -> None:
 
 def _write_parts(parts: Iterable[str], path: Path | None = None) -> None:
     """Write ``parts`` as they come to the file ``path`` (see
-    :func:`corpus.write_file`), or to stdout if it is None, in the same bytes
-    whatever stdout's encoding; a failed write to stdout is an InputError."""
+    :func:`corpus.write_file`), or to stdout if it is None, whatever its
+    encoding: UTF-8, where a surrogate that stands for an undecodable byte of a
+    path is that byte. A failed write to stdout is an InputError."""
+    chunks = (part.encode("utf-8", "surrogateescape") for part in parts)
     if path is not None:
-        write_file(path, parts)
+        write_file(path, chunks)
         return
     try:
         # a buffered writer retries a short write, as when the reader closes
         # the pipe midway; the raw fd under `python -u`'s text layer drops it
         with open(sys.stdout.fileno(), "wb", closefd=False) as sink:
-            sink.writelines(encode_parts(parts))
+            sink.writelines(chunks)
     except BrokenPipeError as exc:
         raise InputError("the reader closed the pipe", entity="<stdout>") from exc
     except OSError as exc:

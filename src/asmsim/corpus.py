@@ -17,7 +17,7 @@ import math
 import os
 import stat
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import combinations, islice, repeat
 from pathlib import Path
@@ -118,14 +118,8 @@ def load_json_object(path: Path, what: str, error: type[AsmSimError]) -> dict:
     return doc
 
 
-def encode_parts(parts: Iterable[str]) -> Iterator[bytes]:
-    """``parts`` as asmsim writes them, to a file or stdout: UTF-8, and a
-    surrogate that stands for an undecodable byte of a path as that byte."""
-    return (part.encode("utf-8", "surrogateescape") for part in parts)
-
-
-def write_file(path: Path, parts: Iterable[str]) -> None:
-    """Write ``parts`` as they come to ``path``, encoded by :func:`encode_parts`.
+def write_file(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` as they come to ``path``.
 
     The file is written under a temporary name beside ``path``, whose length
     does not depend on ``path``'s, and renamed over it when whole, so a failed
@@ -142,15 +136,13 @@ def write_file(path: Path, parts: Iterable[str]) -> None:
             with open(target, "wb") as sink:
                 if final.is_file():  # an old file, never in place: keep its permissions
                     os.chmod(sink.fileno(), stat.S_IMODE(final.stat().st_mode))
-                sink.writelines(encode_parts(parts))
+                sink.writelines(chunks)
             if not in_place:
                 os.replace(target, final)
         finally:
             if not in_place:
                 target.unlink(missing_ok=True)  # gone after a rename
-    # str(exc) would name the temporary file; RuntimeError: resolve() meets
-    # a symlink loop, before Python 3.13
-    except (OSError, RuntimeError) as exc:
+    except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop, before 3.13
         raise InputError(f"cannot write file: {reason(exc)}", entity=str(path)) from exc
 
 

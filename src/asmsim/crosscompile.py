@@ -221,5 +221,6 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     doc["metadata"] = metadata
 
     manifest_path = out_dir / "manifest.json"
-    write_file(manifest_path, (json.dumps(doc, indent=2), "\n"))
+    # json.dumps escapes every character that is not ASCII
+    write_file(manifest_path, [f"{json.dumps(doc, indent=2)}\n".encode()])
     return CompileResult(outcomes, manifest_path)
