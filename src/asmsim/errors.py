@@ -47,7 +47,7 @@ def reason(exc: Exception) -> str:
 
 
 class InputError(AsmSimError):
-    """A file or directory could not be read."""
+    """A file, a directory or stdout could not be read or written."""
 
     exit_code = 2
 
