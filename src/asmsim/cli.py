@@ -4,8 +4,8 @@ Subcommands: ``extract`` (feature dumps), ``compare`` (pairwise metrics),
 ``compile`` (cross-compile a corpus to assembly), ``study`` (run the full
 grouping study and render a report).
 
-Exit codes: 0 ok, 2 I/O (any failed read or write, stdout included), 3
-degenerate input, 4 external tool failure, 5 invalid corpus.
+Exit codes: 0 ok, 2 usage or I/O (any failed read or write, stdout
+included), 3 degenerate input, 4 external tool failure, 5 invalid corpus.
 """
 
 from __future__ import annotations
@@ -62,6 +62,16 @@ _SETTINGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Each parser and subparser: a usage error is an InputError; help goes to _write_parts."""
+
+    def error(self, message):
+        raise InputError(message)
+
+    def print_help(self, file=None):
+        _write_parts([self.format_help()])
+
+
 def _command(sub, name: str, func, help: str, *settings: str) -> argparse.ArgumentParser:
     """A subcommand taking ``--config`` and the flags of ``settings``, the
     ToolConfig keys that it reads."""
@@ -75,7 +85,7 @@ def _command(sub, name: str, func, help: str, *settings: str) -> argparse.Argume
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asmsim",
         description="Assembly-level program similarity metrics and corpus studies.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -139,11 +149,13 @@ def _write_parts(parts: Iterable[str], path: Path | None = None) -> None:
     """Write ``parts`` as they come to the file ``path`` (see
     :func:`corpus.write_file`), or to stdout if it is None, whatever its
     encoding: UTF-8, where a surrogate that stands for an undecodable byte of a
-    path is that byte. A failed write to stdout is an InputError."""
+    path is that byte. A failed write to stdout, or a missing one, is an InputError."""
     chunks = (part.encode("utf-8", "surrogateescape") for part in parts)
     if path is not None:
         write_file(path, chunks)
         return
+    if sys.stdout is None:  # the process started without fd 1
+        raise InputError("stdout is closed", entity="<stdout>")
     try:
         # a buffered writer retries a short write, as when the reader closes
         # the pipe midway; the raw fd under `python -u`'s text layer drops it
@@ -288,13 +300,11 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        # None if the process started without fd 1; only extract and study
-        # with --out write nothing there
-        if sys.stdout is None and (args.command == "compile"
-                                   or getattr(args, "out", None) is None):
-            raise InputError("stdout is closed", entity="<stdout>")
+        args = build_parser().parse_args(argv)
+        # only extract and study with --out write no stdout; the rest fail now without it
+        if args.command == "compile" or getattr(args, "out", None) is None:
+            _write_parts(())
         return args.func(args)
     except AsmSimError as exc:
         _stderr(exc.diagnostic())

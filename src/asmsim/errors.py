@@ -3,7 +3,7 @@
 Every error carries an ``entity`` (a file, a manifest entry, a grid
 coordinate, ...) so diagnostics can point at the offending object, and an
 ``exit_code`` so the CLI can map failures onto its documented exit codes:
-2 I/O, 3 degenerate input, 4 external tool failure, 5 invalid corpus.
+2 usage or I/O, 3 degenerate input, 4 external tool failure, 5 invalid corpus.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def reason(exc: Exception) -> str:
 
 
 class InputError(AsmSimError):
-    """A file, a directory or stdout could not be read or written."""
+    """Bad usage or settings, or a file, directory or stdout that was not read or written."""
 
     exit_code = 2
 

@@ -902,12 +902,12 @@ class TestFlagSurface:
                                                       args, flag):
         argv = [arg.format(corpus=fixtures_dir / "corpus3x3", tmp=tmp_path) for arg in args]
         result = run_cli(*argv)
-        assert result.returncode == 2
+        assert result.returncode == 2 and len(result.stderr.splitlines()) == 1
         assert b"unrecognized arguments: " + flag in result.stderr
         assert not (tmp_path / "asm").exists()
 
     @pytest.mark.parametrize("command", list(TAKES))
-    def test_each_command_takes_only_its_flags(self, command, capsys):
+    def test_each_command_takes_only_its_flags(self, command):
         [subparsers] = [a for a in build_parser()._actions if a.choices]
         options = {option for action in subparsers.choices[command]._actions
                    for option in action.option_strings}
@@ -915,11 +915,12 @@ class TestFlagSurface:
             options.discard("--format")  # text or json; no config key
         assert sorted(options - NOT_SETTINGS) == sorted(TAKES[command])
         for flag in set().union(*TAKES.values()) - set(TAKES[command]):
-            with pytest.raises(SystemExit) as excinfo:
+            # compare's own --format takes only text or json
+            own = (command, flag) == ("compare", "--format")
+            with pytest.raises(InputError, match="invalid choice: 'csv'" if own
+                               else "unrecognized arguments"):
                 build_parser().parse_args(
                     [command, *POSITIONAL[command], flag, *FLAG_VALUES[flag]])
-            assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [(c, f) for c in TAKES for f in TAKES[c]])
     def test_each_flag_changes_a_setting_the_command_reads(self, command, flag, tmp_path,
@@ -945,6 +946,70 @@ class TestFlagSurface:
             assert changed == READS[command]
         else:
             assert len(changed) == 1 and changed <= READS[command]
+
+
+# malformed command lines, each with the start of argparse's message for it
+USAGE_ERRORS = {
+    "no-command": ((), "the following arguments are required: command"),
+    "unknown-command": (("bogus",), "argument command: invalid choice: 'bogus'"),
+    "unknown-flag": (("study", "m.json", "--bogus"), "unrecognized arguments: --bogus"),
+    "unread-flag": (("extract", "a.s", "--strides", "1"), "unrecognized arguments: --strides 1"),
+    "strides-value": (("study", "m.json", "--strides=x"),
+                      "argument --strides: expected comma-separated integers, got 'x'"),
+    "jobs-value": (("compile", "m.json", "--jobs=x"), "argument --jobs: invalid int value: 'x'"),
+    "format-value": (("study", "m.json", "--format=yaml"),
+                     "argument --format: invalid choice: 'yaml'"),
+    "missing-argument": (("compare", "a.s"), "the following arguments are required: file_b"),
+}
+HELP_COMMANDS = [(), ("extract",), ("compare",), ("compile",), ("study",)]
+HELP_IDS = ["asmsim", "extract", "compare", "compile", "study"]
+
+
+def help_process(command, **options):
+    """``asmsim <command> --help`` run in a shell, whose ``exec`` redirections
+    ``options["redirect"]`` (if given) apply."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "COLUMNS": "80"}
+    redirect = options.pop("redirect", "")
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+                           "asmsim", *command, "--help"], env=env, **options)
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_a_usage_error_is_one_error_line(self, argv, message, capfd):
+        capfd.readouterr()
+        assert main(list(argv)) == 2  # raises nothing: neither argparse's exit nor its usage
+        out, err = capfd.readouterr()
+        [line] = err.splitlines()
+        match = DIAGNOSTIC_RE.match(line)
+        assert out == "" and match and match.group(1, 2) == ("2", "-")
+        assert unquote(match.group(3)).startswith(message)
+
+    @pytest.mark.parametrize("command", HELP_COMMANDS, ids=HELP_IDS)
+    def test_help_writes_the_parsers_help(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the width that the child formats to
+        parser = build_parser()
+        if command:
+            [subparsers] = [a for a in parser._actions if a.choices]
+            parser = subparsers.choices[command[0]]
+        result = help_process(command, capture_output=True)
+        assert result.returncode == 0 and result.stderr == b""
+        assert result.stdout == parser.format_help().encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", HELP_COMMANDS, ids=HELP_IDS)
+    def test_help_to_a_full_disk_exits_2(self, command):
+        result = help_process(command, redirect=">/dev/full", stderr=subprocess.PIPE)
+        assert result.returncode == 2
+        assert result.stderr == (b'error: code=2 entity="<stdout>" '
+                                 b'message="cannot write: No space left on device"\n')
+
+    @pytest.mark.parametrize("command", HELP_COMMANDS, ids=HELP_IDS)
+    def test_help_without_stdout_exits_2(self, command):
+        # `>&-` starts the interpreter without fd 1, so its sys.stdout is None
+        result = help_process(command, redirect=">&-", stderr=subprocess.PIPE)
+        assert result.returncode == 2
+        assert result.stderr == b'error: code=2 entity="<stdout>" message="stdout is closed"\n'
 
 
 class TestProcessPolicy:

@@ -190,6 +190,18 @@ def test_one_stdout_writer():
         "cli._write_parts"}
 
 
+def test_one_parser_class():
+    """Every parser is ``cli._Parser``, whose usage error is an InputError and
+    whose help goes through ``cli._write_parts``, so that no parser prints or
+    exits on its own: ``src/`` calls ``argparse.ArgumentParser`` nowhere, and
+    no call names a ``parser_class``, so subparsers take their parent's."""
+    def builds_another_parser(call):
+        return (ast.unparse(call.func).rpartition(".")[2] == "ArgumentParser"
+                or any(keyword.arg == "parser_class" for keyword in call.keywords))
+
+    assert not set().union(*(callers(path, builds_another_parser) for path in SOURCES))
+
+
 def test_one_reason_rule():
     """``errors.reason`` is the one rule for what an error message says of an
     OSError: no other function reads ``strerror``, so no message repeats as a
