@@ -106,11 +106,16 @@ def load_json_object(path: Path, what: str, error: type[AsmSimError]) -> dict:
     """The JSON object in the UTF-8 file ``path``. A file that cannot be read is
     an :class:`InputError`; one that is not UTF-8, not JSON (or nested too
     deeply to decode, or holding a number that is not finite, such as ``NaN``
-    or ``1e999``) or not an object is ``error``. ``what`` names the file."""
+    or ``1e999``, or a lone surrogate, such as ``"\\ud800"``, in a key or a
+    string) or not an object is ``error``. ``what`` names the file."""
     raw = read_input(path, what, str(path))
     try:
         doc = json.loads(raw.decode("utf-8"), parse_float=_finite_float,
                          parse_constant=_finite_float)
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")  # fails on a lone surrogate
+    except UnicodeEncodeError as exc:
+        raise error(f"{what} holds a lone surrogate: {exc.object[exc.start]!r}",
+                    entity=str(path)) from exc
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise error(f"{what} is not valid JSON: {exc}", entity=str(path)) from exc
     if not isinstance(doc, dict):
@@ -126,23 +131,27 @@ def write_file(path: Path, chunks: Iterable[bytes]) -> None:
     write leaves no partial file and an old one unchanged; a symlink is followed
     first, and the new file takes the old one's permissions. A path that exists
     but is no regular file, such as ``/dev/null`` or a FIFO, is written in
-    place. Any failure is an :class:`InputError`.
+    place. Any failure, a symlink loop included, is an :class:`InputError`.
     """
     try:
-        in_place = path.exists() and not path.is_file()
+        try:
+            mode = path.stat().st_mode  # one lookup, which follows a symlink
+        except FileNotFoundError:
+            mode = 0  # no old file
+        in_place = mode != 0 and not stat.S_ISREG(mode)
         final = path.resolve()
         target = path if in_place else final.with_name(f".asmsim-{os.getpid()}.partial")
         try:
             with open(target, "wb") as sink:
-                if final.is_file():  # an old file, never in place: keep its permissions
-                    os.chmod(sink.fileno(), stat.S_IMODE(final.stat().st_mode))
+                if stat.S_ISREG(mode):  # an old file, never in place: keep its permissions
+                    os.chmod(sink.fileno(), stat.S_IMODE(mode))
                 sink.writelines(chunks)
             if not in_place:
                 os.replace(target, final)
         finally:
             if not in_place:
                 target.unlink(missing_ok=True)  # gone after a rename
-    except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop, before 3.13
+    except OSError as exc:
         raise InputError(f"cannot write file: {reason(exc)}", entity=str(path)) from exc
 
 

@@ -539,7 +539,8 @@ class TestStudy:
         result = run_cli("study", corpus_manifest, "--out", loop)
         assert result.returncode == 2
         assert len(result.stderr.splitlines()) == 1
-        assert last_diagnostic(result)[:2] == (2, str(loop))
+        assert last_diagnostic(result) == (
+            2, str(loop), "cannot write file: Too many levels of symbolic links")
         assert list(tmp_path.iterdir()) == [loop] and loop.is_symlink()
 
     def test_a_failed_write_names_the_out_path_not_a_temporary_file(self, corpus_manifest,
@@ -821,6 +822,39 @@ class TestConfigPrecedence:
         assert result.returncode == code
         assert "Traceback" not in result.stderr.decode()
         assert last_diagnostic(result)[:2] == (code, str(bad))
+
+    @pytest.mark.parametrize("which, doc, code, char", [
+        ("manifest", {"name": "\ud800"}, 5, "\ud800"),
+        ("manifest", {"metadata": {"k\udc80": 1}}, 5, "\udc80"),
+        ("config", {"output_format": "csv\udfff"}, 2, "\udfff"),
+    ], ids=["manifest-name", "metadata-key", "config-string"])
+    def test_a_lone_surrogate_exits_with_the_files_code(self, corpus_manifest, tmp_path,
+                                                        which, doc, code, char):
+        """No UTF-8 text holds a lone surrogate, so no report or error could
+        write one; the manifest's programs are missing, so it exits 5 before
+        any is read."""
+        bad = tmp_path / "bad.json"
+        if which == "manifest":
+            doc = {**json.loads(corpus_manifest.read_text()), **doc}
+        bad.write_text(json.dumps(doc))
+        args = ((corpus_manifest, "--config", bad) if which == "config" else (bad,))
+        result = run_cli("study", *args)
+        assert result.returncode == code and result.stdout == b""
+        assert len(result.stderr.splitlines()) == 1
+        assert last_diagnostic(result) == (
+            code, str(bad), f"{which.replace('config', 'config file')} holds a lone "
+                            f"surrogate: {char!r}")
+
+    def test_an_escaped_surrogate_pair_is_accepted(self, corpus_manifest, tmp_path):
+        doc = json.loads(corpus_manifest.read_text())
+        for program in doc["programs"]:
+            program["path"] = str(corpus_manifest.parent / program["path"])
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({**doc, "name": "\U0001f600"}))  # "\ud83d\ude00"
+        assert b'"\\ud83d\\ude00"' in manifest.read_bytes()
+        result = run_cli("study", manifest)
+        assert result.returncode == 0
+        assert "- dataset `\U0001f600`: 3 applications" in result.stdout.decode()
 
     def test_config_number_that_is_not_finite_exits_2(self, corpus_manifest, tmp_path):
         config = tmp_path / "c.json"

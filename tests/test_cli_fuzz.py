@@ -6,9 +6,11 @@ it: manifests and configs with wrong JSON types, deep nesting, non-UTF-8 bytes,
 integers past Python's 4 300-digit limit and duplicate keys; program paths that
 are missing, directories or FIFOs; empty and unclassifiable assembly; and
 strides out of range; program and output paths whose name is over the 255 bytes
-that one may take. No FIFO is ever the manifest or the config, since reading
-a pipe that has no writer blocks. ``compile`` runs ``sh`` as its compiler, and
-``--jobs`` stays at 4 or less.
+that one may take; a lone surrogate in a dataset name. Some command lines are
+malformed: no command or an unknown one, an unknown flag or one that the command
+does not read, a flag value of the wrong form, a missing argument. No FIFO is
+ever the manifest or the config, since reading a pipe that has no writer blocks.
+``compile`` runs ``sh`` as its compiler, and ``--jobs`` stays at 4 or less.
 """
 
 import json
@@ -47,6 +49,16 @@ json_values = st.recursive(
 
 # ways to corrupt a JSON document's text, besides giving a field a wrong value
 RAW_FAULTS = ("none", "deep", "non_utf8", "big_int", "duplicate_key", "truncated")
+
+# ways to malform a command line; most are whole
+USAGE_FAULTS = ("none",) * 6 + ("no_command", "unknown_command", "unknown_flag",
+                                "unread_flag", "bad_value", "missing_argument")
+# for each command, flags of the others that it does not take
+UNREAD_FLAGS = {"extract": [["--jobs", "1"], ["--strides", "1"], ["--cc", "cc"]],
+                "compare": [["--strides", "1"], ["--glob", "*.s"], ["--out", "o"]],
+                "compile": [["--strict"], ["--linear-ngrams"], ["--format", "csv"]],
+                "study": [["--cc", "cc"], ["--metric", "cosine"], ["--glob", "*.s"]]}
+BAD_VALUES = ("--strides=x", "--jobs=x", "--format=yaml")
 
 
 def with_member(text, key, value):
@@ -118,10 +130,10 @@ def make_program(draw, path):
 
 def manifest_doc(draw, root):
     """A 2x2 grid of programs made in ``root``, in the single or the
-    multi-dataset form, with metadata."""
+    multi-dataset form, with metadata; its name may be a lone surrogate."""
     programs = [{"id": f"{p}-{a}", "path": make_program(draw, root / f"{p}_{a}.s").name,
                  "programmer": p, "application": a} for a in ("x", "y") for p in ("p", "q")]
-    doc = {"name": "grid", "programs": programs}
+    doc = {"name": draw(st.sampled_from(["grid", "grid", "\ud800"])), "programs": programs}
     if draw(st.booleans()):
         doc = {"datasets": [doc, {**doc, "name": "again"}][:draw(st.integers(0, 2))]}
     if draw(st.booleans()):
@@ -191,6 +203,7 @@ def build_argv(draw, root):
         for name in ("a.s", "b.s"):
             argv.append(str(make_program(draw, root / name)))
         argv += draw(st.sampled_from([[], ["--metric", "cosine"], ["--format", "json"]]))
+    positional = len(argv)  # the command, its positional arguments and some flags
 
     if command != "compile":
         argv += draw(st.sampled_from([[], ["--strict"]]))
@@ -210,6 +223,28 @@ def build_argv(draw, root):
         config = root / "config.json"
         write_json_input(draw, config, config_doc(draw))
         argv += ["--config", str(config)]
+    return malformed(draw, argv, positional)
+
+
+def malformed(draw, argv, positional):
+    """``argv`` with one drawn usage fault, or none. ``argv[1:positional]``
+    holds the command's positional arguments, and maybe some of its flags: a
+    missing argument drops them all."""
+    fault = draw(st.sampled_from(USAGE_FAULTS))
+    command = argv[0]
+    flag = draw(st.integers(1, len(argv)))  # where a flag goes in
+    if fault == "no_command":
+        return []
+    if fault == "unknown_command":
+        return ["bogus", *argv[1:]]
+    if fault == "unknown_flag":
+        return [*argv[:flag], "--bogus", *argv[flag:]]
+    if fault == "unread_flag":
+        return [*argv[:flag], *draw(st.sampled_from(UNREAD_FLAGS[command])), *argv[flag:]]
+    if fault == "bad_value":
+        return [*argv, draw(st.sampled_from(BAD_VALUES))]
+    if fault == "missing_argument":
+        return [command, *argv[positional:]]
     return argv
 
 
