@@ -823,13 +823,15 @@ class TestConfigPrecedence:
         assert "Traceback" not in result.stderr.decode()
         assert last_diagnostic(result)[:2] == (code, str(bad))
 
-    @pytest.mark.parametrize("which, doc, code, char", [
-        ("manifest", {"name": "\ud800"}, 5, "\ud800"),
-        ("manifest", {"metadata": {"k\udc80": 1}}, 5, "\udc80"),
-        ("config", {"output_format": "csv\udfff"}, 2, "\udfff"),
+    @pytest.mark.parametrize("which, doc, code, message", [
+        ("manifest", {"name": "\ud800"}, 5, r"manifest holds a lone surrogate: '\ud800'"),
+        ("manifest", {"metadata": {"k\udc80": 1}}, 5,
+         r"manifest holds a lone surrogate: '\udc80'"),
+        ("config", {"output_format": "csv\udfff"}, 2,
+         r"config file holds a lone surrogate: '\udfff'"),
     ], ids=["manifest-name", "metadata-key", "config-string"])
     def test_a_lone_surrogate_exits_with_the_files_code(self, corpus_manifest, tmp_path,
-                                                        which, doc, code, char):
+                                                        which, doc, code, message):
         """No UTF-8 text holds a lone surrogate, so no report or error could
         write one; the manifest's programs are missing, so it exits 5 before
         any is read."""
@@ -841,9 +843,7 @@ class TestConfigPrecedence:
         result = run_cli("study", *args)
         assert result.returncode == code and result.stdout == b""
         assert len(result.stderr.splitlines()) == 1
-        assert last_diagnostic(result) == (
-            code, str(bad), f"{which.replace('config', 'config file')} holds a lone "
-                            f"surrogate: {char!r}")
+        assert last_diagnostic(result) == (code, str(bad), message)
 
     def test_an_escaped_surrogate_pair_is_accepted(self, corpus_manifest, tmp_path):
         doc = json.loads(corpus_manifest.read_text())
@@ -999,11 +999,10 @@ HELP_COMMANDS = [(), ("extract",), ("compare",), ("compile",), ("study",)]
 HELP_IDS = ["asmsim", "extract", "compare", "compile", "study"]
 
 
-def help_process(command, **options):
-    """``asmsim <command> --help`` run in a shell, whose ``exec`` redirections
-    ``options["redirect"]`` (if given) apply."""
+def help_process(command, redirect="", **options):
+    """``asmsim <command> --help`` run in a shell, with the ``exec`` redirections
+    ``redirect`` applied."""
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "COLUMNS": "80"}
-    redirect = options.pop("redirect", "")
     return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
                            "asmsim", *command, "--help"], env=env, **options)
 

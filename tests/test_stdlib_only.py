@@ -192,9 +192,10 @@ def test_one_stdout_writer():
 
 def test_one_parser_class():
     """Every parser is ``cli._Parser``, whose usage error is an InputError and
-    whose help goes through ``cli._write_parts``, so that no parser prints or
-    exits on its own: ``src/`` calls ``argparse.ArgumentParser`` nowhere, and
-    no call names a ``parser_class``, so subparsers take their parent's."""
+    whose help goes through ``cli._write_parts``, so that argparse neither
+    prints nor exits on a usage error: ``src/`` calls ``argparse.ArgumentParser``
+    nowhere, and no call names a ``parser_class``, so subparsers take their
+    parent's."""
     def builds_another_parser(call):
         return (ast.unparse(call.func).rpartition(".")[2] == "ArgumentParser"
                 or any(keyword.arg == "parser_class" for keyword in call.keywords))
