@@ -183,8 +183,7 @@ def file_features(path: Path, config: ToolConfig, entity: str | None = None) -> 
     return features_for_program(program, config.parser, linear=config.ngram_mode == "linear")
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_extract(args: argparse.Namespace, config: ToolConfig) -> int:
     # every path is checked before any file is read
     files = [file for path in args.paths for file in program_files(path, args.glob)]
 
@@ -210,8 +209,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_compare(args: argparse.Namespace, config: ToolConfig) -> int:
     features = [file_features(file, config) for path in (args.file_a, args.file_b)
                 for file in program_files(path)]
 
@@ -230,10 +228,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
+def cmd_compile(args: argparse.Namespace, config: ToolConfig) -> int:
     from .crosscompile import compile_corpus  # subprocess, hashlib, threads: compile only
-
-    config = resolve_config(args)
     manifest = load_datasets(args.manifest)
     result = compile_corpus(manifest, config, args.out)
 
@@ -285,8 +281,7 @@ def run_manifest_study(manifest: ManifestData, config: ToolConfig) -> Iterator[s
     return render_parts(suite, config.output_format, metadata)
 
 
-def cmd_study(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_study(args: argparse.Namespace, config: ToolConfig) -> int:
     # A study allocates about a million small containers and no reference
     # cycles, so the cyclic collector would only rescan them.
     gc_enabled = gc.isenabled()
@@ -301,11 +296,14 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse's exit once --help is written
+            return exc.code
         # only extract and study with --out write no stdout; the rest fail now without it
         if args.command == "compile" or getattr(args, "out", None) is None:
             _write_parts(())
-        return args.func(args)
+        return args.func(args, resolve_config(args))
     except AsmSimError as exc:
         _stderr(exc.diagnostic())
         return exc.exit_code
