@@ -210,8 +210,9 @@ def cmd_extract(args: argparse.Namespace, config: ToolConfig) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, config: ToolConfig) -> int:
-    features = [file_features(file, config) for path in (args.file_a, args.file_b)
-                for file in program_files(path)]
+    # both paths are checked before either file is read
+    files = [*program_files(args.file_a), *program_files(args.file_b)]
+    features = [file_features(file, config) for file in files]
 
     names = list(COMPARE_METRICS) if args.metric == "all" else [args.metric]
     try:

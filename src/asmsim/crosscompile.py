@@ -120,7 +120,8 @@ def compile_entry(entry: ProgramEntry, config: ToolConfig,
     except FileNotFoundError as exc:
         raise ToolError(f"compiler not found: {argv[0]}", entity=entry.id) from exc
     except OSError as exc:
-        raise ToolError(f"cannot run compiler: {exc}", entity=entry.id) from exc
+        raise ToolError(f"cannot run compiler {argv[0]}: {reason(exc)}",
+                        entity=entry.id) from exc
     if proc.returncode != 0:
         partial.unlink(missing_ok=True)
         detail = proc.stderr.strip().splitlines()

@@ -246,6 +246,18 @@ class TestExtract:
         dump = json.loads((out / "a.json").read_text())
         assert dump["mnemonics"] == ["mov"]
 
+    def test_out_gives_a_repeated_stem_a_serial(self, tmp_path):
+        inputs = []
+        for folder, mnemonic in (("one", "mov"), ("two", "add")):
+            (tmp_path / folder).mkdir()
+            inputs.append(write_asm(tmp_path / folder / "a.s", f"{mnemonic} r0, r1"))
+        out = tmp_path / "dumps"
+        result = run_cli("extract", *inputs, "--out", out)
+        assert result.returncode == 0 and result.stdout == b""
+        assert sorted(path.name for path in out.iterdir()) == ["a-2.json", "a.json"]
+        assert json.loads((out / "a.json").read_text())["mnemonics"] == ["mov"]
+        assert json.loads((out / "a-2.json").read_text())["mnemonics"] == ["add"]
+
     def test_lenient_warns_on_stderr(self, tmp_path):
         asm = tmp_path / "a.s"
         asm.write_text("\tmov r0, r1\n\t!!!\n")
@@ -368,8 +380,14 @@ class TestCompare:
         assert result.stdout.decode() == "jaccard 1.0000\n"
 
     def test_missing_file_exits_2(self, tmp_path):
-        a = write_asm(tmp_path / "a.s", "mov r0, r1")
-        assert run_cli("compare", a, tmp_path / "nope.s").returncode == 2
+        # warn.s would warn if it were read: both paths are checked before either is
+        warn = write_asm(tmp_path / "warn.s", "mov r0, r1", "!!! junk")
+        missing = tmp_path / "missing.s"
+        result = run_cli("compare", warn, missing)
+        assert result.returncode == 2 and result.stdout == b""
+        assert len(result.stderr.splitlines()) == 1  # the error line, no warning
+        assert last_diagnostic(result) == (2, str(missing),
+                                           f"no such file or directory: {missing}")
 
     def test_table_formats_rejected(self, pair):
         a, b = pair
@@ -654,6 +672,27 @@ class TestStudy:
             5, str(manifest), f"manifest is not valid JSON: number {number} is not finite")
         assert not out.exists()  # no report, nothing compiled
 
+    @pytest.mark.parametrize("command", ["study", "compile"])
+    def test_metadata_that_is_not_an_object_exits_5(self, tmp_path, corpus_manifest, command):
+        manifest = self.with_metadata(corpus_manifest, tmp_path, '["budget"]')
+        out = tmp_path / "out"
+        result = run_cli(command, manifest, "--out", out)
+        assert result.returncode == 5 and result.stdout == b""
+        assert len(result.stderr.splitlines()) == 1
+        assert last_diagnostic(result) == (5, str(manifest), '"metadata" must be an object')
+        assert not out.exists()
+
+    def test_program_entry_that_is_not_an_object_exits_5(self, tmp_path, corpus_manifest):
+        manifest = self.with_metadata(corpus_manifest, tmp_path, "{}")
+        doc = json.loads(manifest.read_text())
+        doc["programs"][1] = doc["programs"][1]["path"]
+        manifest.write_text(json.dumps(doc))
+        result = run_cli("study", manifest)
+        assert result.returncode == 5 and result.stdout == b""
+        assert len(result.stderr.splitlines()) == 1
+        assert last_diagnostic(result) == (5, f"{manifest}#programs[1]",
+                                           "program entry must be an object")
+
     def test_finite_metadata_numbers_keep_their_report_bytes(self, tmp_path, corpus_manifest):
         metadata = ('{"ratio": 0.1, "max": 1.7976931348623157e308, "tiny": 5e-324, '
                     '"under": 1e-999, "zero": -0.0, "count": 100000000000000000000000000001}')
@@ -786,6 +825,14 @@ class TestConfigPrecedence:
         result = run_cli("study", corpus_manifest, "--config", config)
         assert result.returncode == 5
         assert "repeat" in last_diagnostic(result)[2]
+
+    def test_empty_config_strides_exit_5_naming_the_dataset(self, corpus_manifest, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"strides": []}))
+        result = run_cli("study", corpus_manifest, "--config", config)
+        assert result.returncode == 5 and result.stdout == b""
+        assert last_diagnostic(result) == (
+            5, "corpus3x3", "at least one totally-different stride is required")
 
     def test_bad_config_exits_2(self, corpus_manifest, tmp_path):
         config = tmp_path / "config.json"
@@ -999,6 +1046,15 @@ HELP_COMMANDS = [(), ("extract",), ("compare",), ("compile",), ("study",)]
 HELP_IDS = ["asmsim", "extract", "compare", "compile", "study"]
 
 
+def command_parser(command):
+    """The parser of ``asmsim <command>``, or with no command the top-level one."""
+    parser = build_parser()
+    if command:
+        [subparsers] = [a for a in parser._actions if a.choices]
+        parser = subparsers.choices[command[0]]
+    return parser
+
+
 def help_process(command, redirect="", **options):
     """``asmsim <command> --help`` run in a shell, with the ``exec`` redirections
     ``redirect`` applied."""
@@ -1021,13 +1077,18 @@ class TestUsage:
     @pytest.mark.parametrize("command", HELP_COMMANDS, ids=HELP_IDS)
     def test_help_writes_the_parsers_help(self, command, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # the width that the child formats to
-        parser = build_parser()
-        if command:
-            [subparsers] = [a for a in parser._actions if a.choices]
-            parser = subparsers.choices[command[0]]
         result = help_process(command, capture_output=True)
         assert result.returncode == 0 and result.stderr == b""
-        assert result.stdout == parser.format_help().encode()
+        assert result.stdout == command_parser(command).format_help().encode()
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    @pytest.mark.parametrize("command", HELP_COMMANDS, ids=HELP_IDS)
+    def test_help_in_process_returns_0(self, command, flag, capfd, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        capfd.readouterr()
+        assert main([*command, flag]) == 0  # raises nothing: argparse's exit stays inside
+        out, err = capfd.readouterr()
+        assert out == command_parser(command).format_help() and err == ""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("command", HELP_COMMANDS, ids=HELP_IDS)

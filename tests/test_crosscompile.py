@@ -488,6 +488,28 @@ class TestCompileCli:
                          "/no/such/compiler")
         assert result.returncode == 4
 
+    def test_cli_compiler_without_execute_bit_exits_4(self, tmp_path):
+        manifest = make_sources(tmp_path)
+        compiler = tmp_path / "cc_noexec"
+        compiler.write_text("#!/bin/sh\nexit 0\n")
+        compiler.chmod(0o644)
+        result = run_cli("compile", manifest, "--out", tmp_path / "out", "--cc", compiler)
+        assert result.returncode == 4 and result.stdout == b""
+        assert result.stderr.decode().splitlines() == [
+            f'error: code=4 entity="a-x" '
+            f'message="cannot run compiler {compiler}: Permission denied"']
+
+    def test_cli_compiler_that_writes_no_output_is_a_recorded_failure(self, tmp_path):
+        manifest = make_sources(tmp_path)
+        result = run_cli("compile", manifest, "--out", tmp_path / "out", "--cc",
+                         f"{sys.executable} -c pass")
+        assert result.returncode == 4
+        assert result.stdout.decode().splitlines()[0] == "compiled 0, cached 0, failed 4"
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 4 and lines[-1] == (
+            'error: code=4 entity="a-x" '
+            'message="compiler reported success but wrote no output"')
+
     def test_manifest_path_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)
         out = tmp_path / "out"

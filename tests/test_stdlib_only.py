@@ -2,8 +2,11 @@
 plain ``collections.namedtuple`` classes."""
 
 import ast
+import builtins
 import importlib
 import sys
+
+import pytest
 
 from asmsim import errors
 from asmsim.asm_parser import ParserConfig
@@ -203,14 +206,61 @@ def test_one_parser_class():
     assert not set().union(*(callers(path, builds_another_parser) for path in SOURCES))
 
 
+def formats_a_caught_oserror(tree, where):
+    """``where:line`` of each ``raise`` in an ``except`` clause of ``tree`` that
+    catches an OSError, or a subclass of one, as a name that the raised error
+    formats: ``{exc}`` (with any conversion), ``str(exc)``, ``repr(exc)`` or
+    ``format(exc)``."""
+    found = set()
+    for handler in ast.walk(tree):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        caught = [getattr(builtins, ast.unparse(t), None) for t in types]
+        if not any(isinstance(c, type) and issubclass(c, OSError) for c in caught):
+            continue
+        for node in ast.walk(handler):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            for part in ast.walk(node.exc):
+                if isinstance(part, ast.FormattedValue):
+                    values = [part.value]
+                elif (isinstance(part, ast.Call)
+                      and ast.unparse(part.func) in ("str", "repr", "format")):
+                    values = part.args[:1]
+                else:
+                    continue
+                if any(isinstance(v, ast.Name) and v.id == handler.name for v in values):
+                    found.add(f"{where}:{node.lineno}")
+    return found
+
+
 def test_one_reason_rule():
     """``errors.reason`` is the one rule for what an error message says of an
-    OSError: no other function reads ``strerror``, so no message repeats as a
+    OSError: no other function reads ``strerror``, and no error raised where an
+    OSError is caught formats the caught exception, so no message repeats as a
     Python repr the file that the error's entity names."""
     readers = {f"{path.stem}.{node.name}" for path in SOURCES
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
                if isinstance(node, ast.FunctionDef) and "strerror" in ast.unparse(node)}
     assert readers == {"errors.reason"}
+    assert not set().union(*(
+        formats_a_caught_oserror(ast.parse(path.read_text(encoding="utf-8")), path.name)
+        for path in SOURCES))
+
+
+@pytest.mark.parametrize("caught, message, formats", [
+    ("OSError", 'f"cannot run compiler: {exc}"', True),
+    ("(OSError, ValueError)", 'f"cannot read: {exc!r}"', True),
+    ("PermissionError", '"cannot read: " + str(exc)', True),
+    ("OSError", 'f"cannot run compiler: {reason(exc)}"', False),
+    ("ValueError", 'f"not valid JSON: {exc}"', False),
+])
+def test_the_reason_rule_sees_a_caught_oserror_formatted(caught, message, formats):
+    source = (f"try:\n    run()\nexcept {caught} as exc:\n"
+              f"    raise ToolError({message}) from exc\n")
+    found = formats_a_caught_oserror(ast.parse(source), "m.py")
+    assert found == ({"m.py:4"} if formats else set())
 
 
 def test_one_error_class_per_exit_code():
