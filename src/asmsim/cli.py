@@ -20,7 +20,8 @@ from pathlib import Path
 from .asm_parser import parse_assembly
 from .config import ToolConfig, config_from_dict, load_tool_config
 from .corpus import (ManifestData, ProgramEntry, build_grid, build_suite, check_strides,
-                     load_datasets, program_files, read_input, run_study, write_file)
+                     load_datasets, make_dir, program_files, read_input, run_study,
+                     write_file)
 from .errors import (AsmSimError, EmptyProgramError, InputError, ManifestError, ToolError,
                      one_line, reason)
 from .features import (NGram, PatternSet, ProgramFeatures, features_for_program,
@@ -191,11 +192,7 @@ def cmd_extract(args: argparse.Namespace, config: ToolConfig) -> int:
         _write_parts(f"{json.dumps(features_to_dict(file_features(path, config)))}\n"
                      for path in files)
         return 0
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create directory: {reason(exc)}",
-                         entity=str(args.out)) from exc
+    make_dir(args.out)
     used: set[str] = set()
     for path in files:
         dump = features_to_dict(file_features(path, config))

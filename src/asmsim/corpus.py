@@ -123,6 +123,26 @@ def load_json_object(path: Path, what: str, error: type[AsmSimError]) -> dict:
     return doc
 
 
+def make_dir(path: Path, entity: str | None = None) -> None:
+    """Create the directory ``path`` and its parents, if missing; a failure is
+    an :class:`InputError` for ``entity`` (default: the path)."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory: {reason(exc)}",
+                         entity=str(path) if entity is None else entity) from exc
+
+
+def replace_file(partial: Path, final: Path, entity: str) -> None:
+    """Rename the whole file ``partial`` over ``final``; a failure removes
+    ``partial`` and is an :class:`InputError` for ``entity``."""
+    try:
+        os.replace(partial, final)
+    except OSError as exc:
+        partial.unlink(missing_ok=True)
+        raise InputError(f"cannot write file: {reason(exc)}", entity=entity) from exc
+
+
 def write_file(path: Path, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` as they come to ``path``.
 
@@ -147,7 +167,7 @@ def write_file(path: Path, chunks: Iterable[bytes]) -> None:
                     os.chmod(sink.fileno(), stat.S_IMODE(mode))
                 sink.writelines(chunks)
             if not in_place:
-                os.replace(target, final)
+                replace_file(target, final, str(path))
         finally:
             if not in_place:
                 target.unlink(missing_ok=True)  # gone after a rename

@@ -1,14 +1,14 @@
 """Cross-compile corpus sources to assembly, with content-hash caching.
 
-Each source is compiled into ``<out>/cache/<hash>.s`` where the hash
-covers the source bytes, the compiler command, its flags, and the first
-line of the compiler's ``--version`` output; reruns with unchanged inputs
-never invoke the compiler. ``jobs`` compiler processes run at once, each
-distinct hash is compiled once per run, and a compile replaces its cache
-file only on success; partial files of compiles whose process is gone
-are removed. A derived manifest pointing at the assembly files is
-written (atomically, by :func:`corpus.write_file`) next to the cache so
-the study step can consume it directly.
+Each source is compiled into ``<out>/cache/<hash>.s`` where the hash covers the
+source bytes, the compiler command, its flags, and the first line of the compiler's
+``--version`` output; reruns with unchanged inputs never invoke the compiler. ``jobs``
+compiler processes run at once, each distinct hash is compiled once per run, and a
+compile replaces its cache file only on success, by :func:`corpus.replace_file`,
+whose failed rename is exit 2 and leaves no partial file. The partial files of
+compiles whose process is gone are removed. A derived
+manifest pointing at the assembly files is written (atomically, by
+:func:`corpus.write_file`) next to the cache so the study step can consume it directly.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from pathlib import Path
 from threading import Thread
 
 from .config import ToolConfig
-from .corpus import ManifestData, ProgramEntry, read_input, write_file
-from .errors import InputError, ToolError, reason
+from .corpus import ManifestData, ProgramEntry, make_dir, read_input, replace_file, write_file
+from .errors import ToolError, reason
 
 
 CompileOutcome = namedtuple("CompileOutcome", "entry output cached error",
@@ -130,7 +130,7 @@ def compile_entry(entry: ProgramEntry, config: ToolConfig,
     if not partial.is_file():
         return CompileOutcome(entry, None,
                               error="compiler reported success but wrote no output")
-    os.replace(partial, target)
+    replace_file(partial, target, str(target))
     return CompileOutcome(entry, target, cached=False)
 
 
@@ -161,12 +161,7 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     Outcomes are those of a serial run: the first entry with an uncached
     hash compiles it; later ones report a cache hit or the same error.
     """
-    cache_dir = out_dir / "cache"
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create directory: {reason(exc)}",
-                         entity=str(out_dir)) from exc
+    make_dir(cache_dir := out_dir / "cache", str(out_dir))
     remove_stale_partials(cache_dir)
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]

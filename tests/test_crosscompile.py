@@ -482,6 +482,27 @@ class TestCompileCli:
         assert not dead.exists()
         assert live.read_text() == "\tmov r0,"
 
+    def test_cache_entry_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        compiler = f"{sys.executable} {fake_cc}"
+        assert run_cli("compile", manifest, "--out", out, "--cc", compiler).returncode == 0
+        [(_, [first, *_])] = load_datasets(out / "manifest.json").datasets
+        taken = first.path
+        taken.unlink()
+        taken.mkdir()
+        result = run_cli("compile", manifest, "--out", out, "--cc", compiler)
+        assert result.returncode == 2 and result.stdout == b""
+        assert result.stderr.decode().splitlines() == [
+            f'error: code=2 entity="{taken}" message="cannot write file: Is a directory"']
+        assert not list((out / "cache").glob("*.partial.s"))
+
+        taken.rmdir()
+        reruns = [run_cli("compile", manifest, "--out", out, "--cc", compiler)
+                  for _ in range(2)]
+        assert [r.stdout.decode().splitlines()[0] for r in reruns] == [
+            "compiled 1, cached 3, failed 0", "compiled 0, cached 4, failed 0"]
+
     def test_cli_missing_compiler_exit_code(self, tmp_path):
         manifest = make_sources(tmp_path)
         result = run_cli("compile", manifest, "--out", tmp_path / "out", "--cc",

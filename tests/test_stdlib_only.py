@@ -158,6 +158,25 @@ def test_only_read_input_reads_a_file():
     assert readers == {"corpus.read_input"}
 
 
+def test_one_output_rule():
+    """``corpus.make_dir`` is the one maker of an output directory, and
+    ``corpus.replace_file`` the one rename of a whole file over its final name,
+    so that each failure is one InputError, and a failed rename leaves no
+    partial file: no other function calls ``mkdir``, ``os.replace`` or a
+    ``rename``."""
+    def makes_a_dir(call):
+        return getattr(call.func, "attr", None) in ("mkdir", "makedirs")
+
+    def renames(call):
+        return (ast.unparse(call.func) == "os.replace"
+                or getattr(call.func, "attr", None) in ("rename", "renames"))
+
+    assert set().union(*(callers(path, makes_a_dir) for path in SOURCES)) == {
+        "corpus.make_dir"}
+    assert set().union(*(callers(path, renames) for path in SOURCES)) == {
+        "corpus.replace_file"}
+
+
 def test_one_escape_rule():
     """``errors.one_line`` is the one rule that escapes outside text in a line
     asmsim writes: no other function calls ``str.translate``, and no module
