@@ -6,7 +6,7 @@ source bytes, the compiler command, its flags, and the first line of the compile
 compiler processes run at once, each distinct hash is compiled once per run, and a
 compile replaces its cache file only on success, by :func:`corpus.replace_file`,
 whose failed rename is exit 2 and leaves no partial file. The partial files of
-compiles whose process is gone are removed. A derived
+compiles whose process is gone are removed; a directory so named stays. A derived
 manifest pointing at the assembly files is written (atomically, by
 :func:`corpus.write_file`) next to the cache so the study step can consume it directly.
 """
@@ -138,11 +138,11 @@ _PARTIAL = re.compile(r"[0-9a-f]{16}\.(\d{1,9})\.partial\.s")
 
 
 def remove_stale_partials(cache_dir: Path) -> None:
-    """Delete the ``<hash>.<pid>.partial.s`` files of compiles whose process is
-    gone, as a killed run leaves them; a live run's files stay."""
+    """Delete the ``<hash>.<pid>.partial.s`` regular files of compiles whose process
+    is gone, as a killed run leaves them; a live run's files, and a directory, stay."""
     for path in cache_dir.iterdir():
         match = _PARTIAL.fullmatch(path.name)
-        if match is None:
+        if match is None or not path.is_file():
             continue
         try:
             os.kill(int(match[1]), 0)

@@ -12,7 +12,8 @@ does not read, a flag value of the wrong form, a missing argument; others ask
 for help, ``--help`` or ``-h`` at the top level or after the command, which
 ends the parse, so ``cli.main`` returns 0 and writes the help. No FIFO is
 ever the manifest or the config, since reading a pipe that has no writer blocks.
-``compile`` runs ``sh`` as its compiler, and ``--jobs`` stays at 4 or less.
+``compile`` runs ``sh`` as its compiler, and ``--jobs`` stays at 4 or less; its
+cache may already hold a directory named like a stale partial file.
 """
 
 import json
@@ -36,6 +37,9 @@ PROGRAMS = {
 # a file with the program's text, or what stands where the file should be
 PATH_KINDS = ("file", "file", "file", "missing", "directory", "fifo", "long_name")
 LONG_NAME = "n" * 300
+
+# the name of a compile's partial file whose process is gone: no pid_max reaches the pid
+STALE_PARTIAL = "0123456789abcdef.999999999.partial.s"
 
 # compilers that copy the source, fail, or do not exist; sh ignores the
 # compiler_flags appended after its two arguments
@@ -114,10 +118,11 @@ def with_wrong_type(draw, doc):
     return doc
 
 
-def make_program(draw, path):
-    """Whatever the drawn path kind puts at ``path``, and the path that names it:
-    ``path``, or for ``long_name`` one beside it that no file can have."""
-    kind = draw(st.sampled_from(PATH_KINDS))
+def make_program(draw, path, whole=False):
+    """Whatever the drawn path kind, or a file if ``whole``, puts at ``path``, and
+    the path that names it: ``path``, or for ``long_name`` one beside it that no
+    file can have."""
+    kind = "file" if whole else draw(st.sampled_from(PATH_KINDS))
     if kind == "long_name":
         return path.with_name(LONG_NAME + path.name)
     if kind == "file":
@@ -130,10 +135,11 @@ def make_program(draw, path):
     return path
 
 
-def manifest_doc(draw, root):
-    """A 2x2 grid of programs made in ``root``, in the single or the
-    multi-dataset form, with metadata; its name may be a lone surrogate."""
-    programs = [{"id": f"{p}-{a}", "path": make_program(draw, root / f"{p}_{a}.s").name,
+def manifest_doc(draw, root, whole):
+    """A 2x2 grid of programs made in ``root`` (files, if ``whole``), in the single
+    or the multi-dataset form, with metadata; its name may be a lone surrogate."""
+    programs = [{"id": f"{p}-{a}",
+                 "path": make_program(draw, root / f"{p}_{a}.s", whole).name,
                  "programmer": p, "application": a} for a in ("x", "y") for p in ("p", "q")]
     doc = {"name": draw(st.sampled_from(["grid", "grid", "\ud800"])), "programs": programs}
     if draw(st.booleans()):
@@ -166,11 +172,14 @@ def config_doc(draw):
     return {key: draw(values[key]) for key in keys}
 
 
-def write_json_input(draw, path, doc):
+def write_json_input(draw, path, doc, whole=False):
     """``path`` as a JSON file with ``doc`` and a drawn fault, or missing or a
-    directory; never a FIFO."""
-    kind = draw(st.sampled_from(["file", "file", "file", "missing", "directory"]))
-    if kind == "file":
+    directory; never a FIFO. If ``whole``, a JSON file with ``doc`` as it is."""
+    kind = "file" if whole else draw(
+        st.sampled_from(["file", "file", "file", "missing", "directory"]))
+    if whole:
+        path.write_text(json.dumps(doc))
+    elif kind == "file":
         path.write_bytes(faulty_json(draw, with_wrong_type(draw, doc)))
     elif kind == "directory":
         path.mkdir()
@@ -184,12 +193,15 @@ def strides_flag(draw):
 
 
 def build_argv(draw, root):
-    """A drawn command over inputs built in ``root``."""
+    """A drawn command over inputs built in ``root``. A whole ``study`` or ``compile``
+    has a manifest of files as drawn, no config and no usage fault, so that it
+    gets past its checks: with every fault drawn, few of them would."""
     command = draw(st.sampled_from(["study", "compile", "extract", "compare"]))
+    whole = command in ("study", "compile") and draw(st.booleans())
     argv = [command]
     if command in ("study", "compile"):
         manifest = root / "manifest.json"
-        write_json_input(draw, manifest, manifest_doc(draw, root))
+        write_json_input(draw, manifest, manifest_doc(draw, root, whole), whole)
         argv.append(str(manifest))
     elif command == "extract":
         for k in range(draw(st.integers(1, 2))):
@@ -216,16 +228,18 @@ def build_argv(draw, root):
         argv += draw(st.sampled_from([[], ["--out", str(root / "report")],
                                       ["--out", str(root / LONG_NAME)]]))
     if command == "compile":
+        if draw(st.booleans()):  # a directory named like a stale partial file
+            (root / "asm" / "cache" / STALE_PARTIAL).mkdir(parents=True)
         argv += ["--cc", draw(st.sampled_from(COMPILERS)), "--out", str(root / "asm")]
     if command in ("study", "compile"):
         argv += draw(st.sampled_from([[], ["--jobs", "1"], ["--jobs", "4"]]))
     if command == "extract" and draw(st.booleans()):
         argv += ["--out", str(root / draw(st.sampled_from(["json", LONG_NAME])))]
-    if draw(st.booleans()):
+    if not whole and draw(st.booleans()):
         config = root / "config.json"
         write_json_input(draw, config, config_doc(draw))
         argv += ["--config", str(config)]
-    return malformed(draw, argv, positional)
+    return argv if whole else malformed(draw, argv, positional)
 
 
 def malformed(draw, argv, positional):

@@ -475,12 +475,16 @@ class TestCompileCli:
         finished.wait(timeout=30)  # reaped, so its pid names no process
         dead = out / "cache" / f"0123456789abcdef.{finished.pid}.partial.s"
         live = out / "cache" / f"0123456789abcdef.{os.getpid()}.partial.s"
+        held = out / "cache" / f"fedcba9876543210.{finished.pid}.partial.s"
         dead.write_text("\tmov r0,")
         live.write_text("\tmov r0,")
+        held.mkdir()  # named like a dead compile's file, but a directory
         rerun = run_cli("compile", manifest, "--out", out, "--cc", compiler)
+        assert rerun.returncode == 0, rerun.stderr.decode()
         assert rerun.stdout.decode().splitlines()[0] == "compiled 0, cached 4, failed 0"
         assert not dead.exists()
         assert live.read_text() == "\tmov r0,"
+        assert held.is_dir()
 
     def test_cache_entry_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)
