@@ -175,11 +175,11 @@ def config_doc(draw):
 def write_json_input(draw, path, doc, whole=False):
     """``path`` as a JSON file with ``doc`` and a drawn fault, or missing or a
     directory; never a FIFO. If ``whole``, a JSON file with ``doc`` as it is."""
-    kind = "file" if whole else draw(
-        st.sampled_from(["file", "file", "file", "missing", "directory"]))
     if whole:
         path.write_text(json.dumps(doc))
-    elif kind == "file":
+        return
+    kind = draw(st.sampled_from(["file", "file", "file", "missing", "directory"]))
+    if kind == "file":
         path.write_bytes(faulty_json(draw, with_wrong_type(draw, doc)))
     elif kind == "directory":
         path.mkdir()
