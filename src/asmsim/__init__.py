@@ -1,7 +1,7 @@
 """Assembly-level program similarity metrics and corpus grouping studies."""
 
-from .asm_parser import (AssemblyProgram, ParserConfig, is_branch, linear_blocks,
-                         parse_assembly, segment_basic_blocks)
+from .asm_parser import (AssemblyProgram, ParserConfig, linear_blocks, parse_assembly,
+                         segment_basic_blocks)
 from .corpus import (APPLICATION_SPECIFIC, PROGRAMMER_SPECIFIC, TD_LABEL,
                      CorpusGrid, GroupingKind, GroupingScheme, ProgramEntry,
                      StudyReport, StudySuite, Subset, build_grid, build_suite,

@@ -25,14 +25,9 @@ CONDITION_SUFFIXES = frozenset({
     "vs", "vc", "hi", "ls", "ge", "lt", "gt", "le", "al",
 })
 
-# Control-transfer mnemonics for ARM Thumb. `pop {... pc}` also transfers
-# control but only when pc is in the register list, so it is a rule in
-# _OPERAND_BRANCHES rather than listed here.
+# Control-transfer mnemonics for ARM Thumb. `pop {... pc}` branches only when
+# pc is in its register list, so it is a row of _branch_rules instead.
 DEFAULT_BRANCH_MNEMONICS = frozenset({"b", "bl", "blx", "bx", "cbz", "cbnz"})
-
-# Mnemonics that transfer control only when their lowercased operands
-# match a pattern: `pop` with pc in its register list.
-_OPERAND_BRANCHES = {"pop": re.compile(r"\bpc\b")}
 
 # GNU ARM syntax: `@` and `//` introduce comments; `#` introduces an
 # immediate operand and must never be treated as a comment.
@@ -80,11 +75,15 @@ class ParserConfig(namedtuple("ParserConfig", "comment_markers branch_mnemonics 
 
 
 @lru_cache(maxsize=32)
-def branch_set(branch_mnemonics: frozenset[str]) -> frozenset[str]:
-    """Every mnemonic that can branch: the branch mnemonics, bare and with every
-    condition suffix, and the ``_OPERAND_BRANCHES`` keys."""
-    return branch_mnemonics.union(
-        _OPERAND_BRANCHES, {b + s for b in branch_mnemonics for s in CONDITION_SUFFIXES})
+def _branch_rules(branch_mnemonics: frozenset[str]) -> dict[str, re.Pattern[str] | None]:
+    """The leader rule: every mnemonic that can end a basic block, mapped to
+    None if it always does. Those are the branch mnemonics, bare and with
+    each condition suffix. ``pop`` maps instead to the pattern that its
+    lowercased operands must match, pc in its register list; that row wins
+    even where ``pop`` is a branch mnemonic, whose suffixed forms stay."""
+    rules = dict.fromkeys(b + s for b in branch_mnemonics for s in ("", *CONDITION_SUFFIXES))
+    rules["pop"] = re.compile(r"\bpc\b")
+    return rules
 
 
 @lru_cache(maxsize=32)
@@ -219,39 +218,28 @@ def _cut_lines(text: str, comment_markers: frozenset[str]) -> list[str]:
     return text.splitlines()
 
 
-def is_branch(mnemonic: str, operands_raw: str,
-              config: ParserConfig = DEFAULT_CONFIG) -> bool:
-    """True if the instruction can transfer control away from the next line:
-    its mnemonic has an ``_OPERAND_BRANCHES`` rule that its operands match, or
-    has none and is in ``branch_set(config.branch_mnemonics)``."""
-    rule = _OPERAND_BRANCHES.get(mnemonic)
-    if rule is not None:
-        return rule.search(operands_raw.lower()) is not None
-    return mnemonic in branch_set(config.branch_mnemonics)
-
-
 def segment_basic_blocks(program: AssemblyProgram,
                          config: ParserConfig = DEFAULT_CONFIG) -> list[int]:
     """The sorted starts of a program's basic blocks, found with the classic
     leader algorithm: each block runs up to the next start, the last one to
     the end of the program; an empty program has none.
 
-    Leaders are: instruction 0; every instruction at a label index where
-    that label is named in the operands of some branch-class instruction;
-    and every instruction immediately after a branch-class instruction.
-    Labels never referenced by a branch do not create leaders. Indirect
-    branches (bx, blx, pop {...pc}) terminate blocks but contribute no
-    leader targets.
+    Leaders are: instruction 0; every instruction right after one that ends
+    a block, as :func:`_branch_rules` decides; and every instruction at the
+    index of a label named in the operands of one that ends a block, an
+    indirect one included (``blx helper`` makes ``helper:`` a leader). A
+    label that no such instruction names creates no leader.
 
-    One C-level scan of ``program.mnemonics`` finds the branch candidates;
-    :func:`is_branch` runs on those only, and one regex scan over the
-    branches' operands, joined with ``"\\n"`` so that no token spans two
-    of them, finds the labels they name.
+    One C-level scan of ``program.mnemonics`` finds the candidates, the
+    mnemonics with a row; a candidate ends a block when its row is None or
+    matches its operands. One regex scan over those instructions' operands,
+    joined with ``"\\n"`` so that no token spans two of them, finds the
+    labels they name.
     """
     mnemonics, operands, labels = program.mnemonics, program.operands, program.labels
-    candidates = branch_set(config.branch_mnemonics).__contains__
-    branches = [i for i in compress(count(), map(candidates, mnemonics))
-                if is_branch(mnemonics[i], operands[i], config)]
+    rules = _branch_rules(config.branch_mnemonics)
+    branches = [i for i in compress(count(), map(rules.__contains__, mnemonics))
+                if (rule := rules[mnemonics[i]]) is None or rule.search(operands[i].lower())]
     named = labels.keys() & _OPERAND_TOKEN_RE.findall("\n".join(map(operands.__getitem__,
                                                                    branches)))
     starts = sorted({0, *map(labels.__getitem__, named), *map((1).__add__, branches)})

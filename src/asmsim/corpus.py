@@ -317,11 +317,11 @@ def check_strides(grid: CorpusGrid, strides: Sequence[int | None] | None) -> lis
     strides = default_strides(n) if strides is None else list(strides)
     if not strides:
         raise ManifestError("at least one totally-different stride is required")
+    valid = coprime_strides(n)
     for stride in strides:
-        if stride is None or not 1 <= stride < n or math.gcd(stride, n) != 1:
+        if stride not in valid:
             raise ManifestError(
-                f"stride {stride} is invalid for a {n}x{n} grid; valid strides: "
-                f"{coprime_strides(n)}")
+                f"stride {stride} is invalid for a {n}x{n} grid; valid strides: {valid}")
     if len(set(strides)) != len(strides):
         raise ManifestError(f"strides {strides} repeat a stride; each "
                             "totally-different grouping must be distinct")
@@ -473,8 +473,9 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
     order, so identical inputs produce identical reports.
     """
     strides = check_strides(grid, strides)
-    programs = [features.get(entry.id) for entry in grid.entries]
-    for entry, entry_features in zip(grid.entries, programs):
+    entries = grid.entries
+    programs = [features.get(entry.id) for entry in entries]
+    for entry, entry_features in zip(entries, programs):
         if entry_features is None:
             raise ValueError(f"no features for program {entry.id!r}")
         if not entry_features.frequency:
@@ -485,11 +486,11 @@ def run_study(grid: CorpusGrid, features: Mapping[str, ProgramFeatures], *,
     schemes += [totally_different(s) for s in strides]
 
     # each subset's pairs as two id columns; one pair_values call per metric scores
-    # every subset's pairs (as positions in grid.entries), dealt back in that order
+    # every subset's pairs (as positions in entries), dealt back in that order
     subsets = [(scheme, [(subset.label, *zip(*combinations([m.id for m in subset.members], 2)))
                          for subset in enumerate_subsets(grid, scheme)])
                for scheme in schemes]
-    position = {entry.id: k for k, entry in enumerate(grid.entries)}
+    position = {entry.id: k for k, entry in enumerate(entries)}
     positions = [(position[a], position[b]) for _, scheme_subsets in subsets
                  for _, ids_a, ids_b in scheme_subsets for a, b in zip(ids_a, ids_b)]
     metrics: dict[MetricKind, MetricStudy] = {}

@@ -5,8 +5,7 @@ import pytest
 
 from asmsim import asm_parser
 from asmsim.asm_parser import (DEFAULT_COMMENT_MARKERS, ParserConfig, comment_cutters,
-                               is_branch, linear_blocks, parse_assembly,
-                               segment_basic_blocks)
+                               linear_blocks, parse_assembly, segment_basic_blocks)
 from asmsim.errors import InputError, ParseError
 
 import oracles
@@ -14,6 +13,10 @@ import oracles
 
 def rows(program):
     return list(zip(program.mnemonics, program.operands))
+
+
+def blocks_of(text, config=ParserConfig()):
+    return segment_basic_blocks(parse_assembly(text, config), config)
 
 
 class TestParseAssembly:
@@ -283,22 +286,34 @@ class TestCommentCutting:
 
 
 class TestBranchClassification:
+    """Each case segments a two-instruction program, whose second instruction
+    starts a block only if the first ends one."""
+
     @pytest.mark.parametrize("mnemonic", [
         "b", "beq", "bne", "bls", "bge", "bal", "bl", "bleq", "blx", "blxne",
         "bx", "cbz", "cbnz"])
     def test_branches(self, mnemonic):
-        assert is_branch(mnemonic, "somewhere")
+        assert blocks_of(f"\t{mnemonic} somewhere\n\tnop\n") == [0, 1]
 
     @pytest.mark.parametrize("mnemonic", ["bic", "bics", "bkpt", "bfi", "add",
                                           "mov", "push", "ldr"])
     def test_non_branches(self, mnemonic):
-        assert not is_branch(mnemonic, "r0, r1")
+        assert blocks_of(f"\t{mnemonic} r0, r1\n\tnop\n") == [0]
 
     def test_pop_with_pc(self):
-        assert is_branch("pop", "{r4, r5, pc}")
-        assert not is_branch("pop", "{r4, r5}")
+        assert blocks_of("\tpop {r4, r5, pc}\n\tnop\n") == [0, 1]
+        assert blocks_of("\tpop {r4, r5}\n\tnop\n") == [0]
         # pc must be a whole token, not a substring
-        assert not is_branch("pop", "{pcsr}")
+        assert blocks_of("\tpop {pcsr}\n\tnop\n") == [0]
+
+    def test_pop_rule_wins_over_a_listed_pop_whose_suffixes_still_branch(self):
+        config = ParserConfig(branch_mnemonics=frozenset({"b", "pop"}))
+        text = "\tpop {r4}\n\tnop\n\tpopeq {r4}\n\tnop\n\tpop {r4, pc}\n\tnop\n"
+        assert blocks_of(text, config) == [0, 3, 5]
+
+    def test_a_configured_list_takes_the_condition_suffixes(self):
+        config = ParserConfig(branch_mnemonics=frozenset({"jmp"}))
+        assert blocks_of("\tjmpeq out\n\tnop\n", config) == [0, 1]
 
 
 class TestSegmentBasicBlocks:
@@ -326,6 +341,9 @@ class TestSegmentBasicBlocks:
         program = parse_assembly(text)
         assert segment_basic_blocks(program) == [0]
 
+    def test_label_named_by_an_indirect_branch_starts_a_block(self):
+        assert blocks_of("\tblx helper\n\tnop\n\tnop\nhelper:\n\tnop\n") == [0, 1, 3]
+
     def test_branch_to_label_at_end_of_file(self):
         program = parse_assembly("\tb done\n\tnop\ndone:\n")
         assert segment_basic_blocks(program) == [0, 1]
@@ -343,7 +361,7 @@ class TestSegmentBasicBlocks:
             for start, end in spans:
                 assert start < end
                 for mnemonic, operands in rows(program)[start:end - 1]:
-                    assert not is_branch(mnemonic, operands)
+                    assert not oracles.oracle_is_branch(mnemonic, operands)
 
     def test_linear_blocks(self):
         program = parse_assembly("\tmov r0, r1\n\tbeq L\nL:\n\tsub r0, r1\n")
@@ -364,4 +382,3 @@ class TestSegmentBasicBlocks:
         for _ in range(2):
             assert segment_basic_blocks(program, jmp) == [0, 1]
             assert segment_basic_blocks(program, call) == [0, 3]
-            assert is_branch("jmp", "out", jmp) and not is_branch("jmp", "out", call)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asmsim.asm_parser import (AssemblyProgram, ParserConfig, is_branch, linear_blocks,
-                               parse_assembly, segment_basic_blocks)
+from asmsim.asm_parser import (AssemblyProgram, ParserConfig, linear_blocks, parse_assembly,
+                               segment_basic_blocks)
 from asmsim.corpus import (ProgramEntry, build_grid, coprime_strides,
                            enumerate_subsets, APPLICATION_SPECIFIC,
                            PROGRAMMER_SPECIFIC, totally_different)
@@ -56,7 +56,7 @@ class TestParserProperties:
             assert start < end
             for mnemonic, operands in zip(program.mnemonics[start:end - 1],
                                           program.operands[start:end - 1]):
-                assert not is_branch(mnemonic, operands)
+                assert not oracles.oracle_is_branch(mnemonic, operands)
 
     @given(st.integers(0, 10**9))
     def test_blocks_match_leader_oracle(self, seed):

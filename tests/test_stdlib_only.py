@@ -12,6 +12,7 @@ from asmsim import errors
 from asmsim.asm_parser import ParserConfig
 
 from conftest import REPO_ROOT
+from test_readme import readme_block
 
 SOURCES = sorted((REPO_ROOT / "src" / "asmsim").glob("*.py"))
 
@@ -112,6 +113,24 @@ def test_every_import_is_used():
     modules = [path for path in SOURCES if path.name != "__init__.py"]
     assert modules
     assert not set().union(*map(unused_imports, modules))
+
+
+def test_every_export_has_a_reader():
+    """Code that cannot change an output is deleted: every name that
+    ``asmsim/__init__.py`` re-exports is loaded in a ``src/`` module other
+    than ``__init__``, in a file under ``bench/`` or in the README's
+    ``## Library`` example."""
+    init = REPO_ROOT / "src" / "asmsim" / "__init__.py"
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readers = [path.read_text(encoding="utf-8") for path in
+               [*SOURCES, *sorted((REPO_ROOT / "bench").glob("*.py"))] if path != init]
+    readers.append(readme_block("## Library", "python"))
+    loaded = {node.id for text in readers for node in ast.walk(ast.parse(text))
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert exported
+    assert exported - loaded == set()
 
 
 def reads_a_file(call):
