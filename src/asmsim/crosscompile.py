@@ -50,23 +50,21 @@ class CompileResult(namedtuple("CompileResult", "outcomes manifest_path")):
         return sum(1 for o in self.outcomes if o.cached)
 
 
-def build_command(template: str, flags: Sequence[str],
-                  input_path: Path, output_path: Path) -> list[str]:
-    """Expand a command template into argv.
+_PLACEHOLDER = re.compile(r"\{(input|output)\}")  # in a compiler command's words
 
-    ``{input}`` and ``{output}`` placeholders are substituted wherever
-    they appear; a plain command without placeholders gets ``-o <output>
-    <input>`` appended.
-    """
-    argv = shlex.split(template) + list(flags)
-    has_input = any("{input}" in arg for arg in argv)
-    has_output = any("{output}" in arg for arg in argv)
-    argv = [arg.replace("{input}", str(input_path)).replace("{output}", str(output_path))
-            for arg in argv]
-    if not has_output:
-        argv += ["-o", str(output_path)]
-    if not has_input:
-        argv.append(str(input_path))
+
+def build_command(words: Sequence[str], input_path: Path, output_path: Path) -> list[str]:
+    """Fill ``{input}`` and ``{output}`` in a compiler command's ``words``, in
+    one pass and by a function, so neither placeholder text nor a backslash in
+    a path is read again; ``-o <output>`` and ``<input>`` are appended for each
+    placeholder that no word holds."""
+    paths = {"input": str(input_path), "output": str(output_path)}
+    held = {name for word in words for name in _PLACEHOLDER.findall(word)}
+    argv = [_PLACEHOLDER.sub(lambda match: paths[match[1]], word) for word in words]
+    if "output" not in held:
+        argv += ["-o", paths["output"]]
+    if "input" not in held:
+        argv.append(paths["input"])
     return argv
 
 
@@ -79,18 +77,14 @@ def content_hash(source: bytes, template: str, flags: Sequence[str],
     return digest.hexdigest()[:16]
 
 
-def _names_program(word: str) -> bool:
-    return not (word.startswith("-") or "{input}" in word or "{output}" in word)
-
-
-def compiler_version(template: str) -> str | None:
+def compiler_version(words: Sequence[str]) -> str | None:
     """First line of ``<compiler> --version``, if the tool cooperates.
 
-    ``<compiler>`` is the template's leading words, up to the first option or
+    ``<compiler>`` is the command's leading words, up to the first option or
     placeholder, so a wrapped compiler (``ccache gcc``, ``python3 cc.py``,
     ``env CC=clang cc``) reports its own version, not the wrapper's.
     """
-    argv = list(takewhile(_names_program, shlex.split(template)))
+    argv = list(takewhile(lambda w: not (w.startswith("-") or _PLACEHOLDER.search(w)), words))
     if not argv:
         return None
     try:
@@ -103,17 +97,16 @@ def compiler_version(template: str) -> str | None:
     return proc.stdout.splitlines()[0].strip()
 
 
-def compile_entry(entry: ProgramEntry, config: ToolConfig,
+def compile_entry(entry: ProgramEntry, words: Sequence[str],
                   target: Path) -> CompileOutcome:
-    """Compile one entry into the cache file ``target``.
+    """Compile one entry into the cache file ``target`` by the command ``words``.
 
     The compiler writes a name private to this process, which replaces
     ``target`` only on success, so a killed or failed compile never leaves
     a partial ``target`` for a later run to take as a cache hit.
     """
     partial = target.with_name(f"{target.stem}.{os.getpid()}.partial.s")
-    argv = build_command(config.compiler_command, config.compiler_flags,
-                         entry.path, partial)
+    argv = build_command(words, entry.path, partial)
     try:
         proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               text=True, errors="replace")
@@ -165,7 +158,9 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     remove_stale_partials(cache_dir)
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]
-    version = compiler_version(config.compiler_command)
+    words = shlex.split(config.compiler_command)  # the one reading of the command
+    version = compiler_version(words)
+    words += config.compiler_flags
     keys, first = [], {}  # first: the first entry of each hash not in the cache
     for entry in entries:
         source = read_input(entry.path, "source", entry.id)
@@ -179,7 +174,7 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     def work() -> None:
         for key, entry in jobs:
             try:
-                done[key] = compile_entry(entry, config, cache_dir / f"{key}.s")
+                done[key] = compile_entry(entry, words, cache_dir / f"{key}.s")
             except Exception as exc:  # raised below, in entry order
                 done[key] = exc
 

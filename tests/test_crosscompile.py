@@ -124,8 +124,8 @@ def call_count(fake_cc):
     return len(fake_cc.with_name("calls.log").read_text().splitlines())
 
 
-def make_sources(tmp_path):
-    src_dir = tmp_path / "src"
+def make_sources(tmp_path, name="src"):
+    src_dir = tmp_path / name
     src_dir.mkdir()
     programs = []
     for programmer in ("a", "b"):
@@ -147,13 +147,18 @@ def fake_config(fake_cc):
 
 class TestBuildCommand:
     def test_plain_command_gets_output_and_input_appended(self):
-        argv = build_command("cc", ["-S"], Path("in.c"), Path("out.s"))
+        argv = build_command(["cc", "-S"], Path("in.c"), Path("out.s"))
         assert argv == ["cc", "-S", "-o", "out.s", "in.c"]
 
     def test_placeholders_substituted(self):
-        argv = build_command("cc -x {input} --out={output}", [], Path("a.c"),
+        argv = build_command(["cc", "-x", "{input}", "--out={output}"], Path("a.c"),
                              Path("b.s"))
         assert argv == ["cc", "-x", "a.c", "--out=b.s"]
+
+    @pytest.mark.parametrize("source", ["src{output}/a.c", "src\\g<1>/a.c"])
+    def test_placeholder_text_in_a_path_is_left_alone(self, source):
+        argv = build_command(["cc", "{input}", "-o", "{output}"], Path(source), Path("b.s"))
+        assert argv == ["cc", source, "-o", "b.s"]
 
 
 class TestContentHash:
@@ -354,6 +359,21 @@ class TestCompileCli:
         doc = json.loads(study.stdout)
         assert doc["metadata"]["compiler_command"].endswith("fake_cc.py")
 
+    def test_source_under_a_directory_named_like_a_placeholder(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path, "src{output}")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "compiler_command": f"{sys.executable} {fake_cc} -o {{output}} {{input}}",
+            "compiler_flags": []}))
+        out = tmp_path / "out"
+        result = run_cli("compile", manifest, "--out", out, "--config", config)
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.decode().splitlines()[0] == "compiled 4, cached 0, failed 0"
+        [(_, sources)] = load_datasets(manifest).datasets
+        [(_, derived)] = load_datasets(out / "manifest.json").datasets
+        assert {e.id: e.path.read_text() for e in derived} == \
+            {e.id: e.path.read_text() for e in sources}
+
     def test_cli_failure_exit_code(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)
         (tmp_path / "src" / "ax.c").write_text("FAIL\n")
@@ -485,6 +505,22 @@ class TestCompileCli:
         assert not dead.exists()
         assert live.read_text() == "\tmov r0,"
         assert held.is_dir()
+
+    def test_partial_file_of_another_users_process_stays(self, tmp_path, monkeypatch):
+        # os.kill(pid, 0) raises PermissionError for a live process of another user
+        outcomes = {101: PermissionError, 102: ProcessLookupError}
+
+        def kill(pid, sig):
+            raise outcomes[pid]()
+
+        held = tmp_path / "0123456789abcdef.101.partial.s"
+        gone = tmp_path / "0123456789abcdef.102.partial.s"
+        held.write_text("\tmov r0,")
+        gone.write_text("\tmov r0,")
+        monkeypatch.setattr(os, "kill", kill)
+        crosscompile.remove_stale_partials(tmp_path)
+        assert held.read_text() == "\tmov r0,"
+        assert not gone.exists()
 
     def test_cache_entry_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)

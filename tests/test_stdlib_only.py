@@ -196,6 +196,18 @@ def test_one_output_rule():
         "corpus.replace_file"}
 
 
+def test_one_command_reading():
+    """``compile_corpus`` is the one reading of the compiler command, which
+    ``ToolConfig.__new__`` checks as it comes from outside: no other function
+    calls ``shlex.split``, so the placeholders are filled by one rule, in
+    ``crosscompile.build_command``, in words that were split once."""
+    def splits(call):
+        return ast.unparse(call.func) == "shlex.split"
+
+    assert set().union(*(callers(path, splits) for path in SOURCES)) == {
+        "config.__new__", "crosscompile.compile_corpus"}
+
+
 def test_one_escape_rule():
     """``errors.one_line`` is the one rule that escapes outside text in a line
     asmsim writes: no other function calls ``str.translate``, and no module
