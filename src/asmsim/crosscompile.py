@@ -1,14 +1,16 @@
 """Cross-compile corpus sources to assembly, with content-hash caching.
 
-Each source is compiled into ``<out>/cache/<hash>.s`` where the hash covers the
-source bytes, the compiler command, its flags, and the first line of the compiler's
-``--version`` output; reruns with unchanged inputs never invoke the compiler. ``jobs``
-compiler processes run at once, each distinct hash is compiled once per run, and a
-compile replaces its cache file only on success, by :func:`corpus.replace_file`,
-whose failed rename is exit 2 and leaves no partial file. The partial files of
-compiles whose process is gone are removed; a directory so named stays. A derived
-manifest pointing at the assembly files is written (atomically, by
-:func:`corpus.write_file`) next to the cache so the study step can consume it directly.
+Each source is compiled into ``<out>/cache/<hash>.s`` where the hash covers the source
+bytes, the command's words with the flags appended (placeholders unfilled) and the first
+line of the compiler's ``--version`` output, so a command respelled with the same words
+shares the cache and reruns with unchanged inputs never invoke the compiler; entries
+keyed by earlier versions miss once and stay on disk. ``jobs`` compiler processes run at
+once, each distinct hash is compiled once per run, and a compile replaces its cache file
+only on success, by :func:`corpus.replace_file`, whose failed rename is exit 2 and
+leaves no partial file. The partial files of compiles whose process is gone are removed;
+a directory so named stays. A derived manifest pointing at the assembly files is written
+(atomically, by :func:`corpus.write_file`) next to the cache so the study step can
+consume it directly.
 """
 
 from __future__ import annotations
@@ -68,21 +70,18 @@ def build_command(words: Sequence[str], input_path: Path, output_path: Path) -> 
     return argv
 
 
-def content_hash(source: bytes, template: str, flags: Sequence[str],
-                 version: str | None) -> str:
-    digest = hashlib.sha256()
-    digest.update(source)
-    digest.update(b"\x00")
-    digest.update(json.dumps([template, list(flags), version]).encode("utf-8"))
-    return digest.hexdigest()[:16]
+def content_hash(source: bytes, words: Sequence[str], version: str | None) -> str:
+    """Key of ``source`` compiled by the argv template ``words`` under ``version``."""
+    command = json.dumps([list(words), version]).encode("utf-8")
+    return hashlib.sha256(source + b"\x00" + command).hexdigest()[:16]
 
 
 def compiler_version(words: Sequence[str]) -> str | None:
     """First line of ``<compiler> --version``, if the tool cooperates.
 
-    ``<compiler>`` is the command's leading words, up to the first option or
-    placeholder, so a wrapped compiler (``ccache gcc``, ``python3 cc.py``,
-    ``env CC=clang cc``) reports its own version, not the wrapper's.
+    ``<compiler>`` is the leading ``words`` (the command's, then the flags), up to
+    the first option or placeholder, so a wrapped compiler (``ccache gcc``,
+    ``python3 cc.py``, ``env CC=clang cc``) reports its own version, not the wrapper's.
     """
     argv = list(takewhile(lambda w: not (w.startswith("-") or _PLACEHOLDER.search(w)), words))
     if not argv:
@@ -158,25 +157,24 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     remove_stale_partials(cache_dir)
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]
-    words = shlex.split(config.compiler_command)  # the one reading of the command
+    # the one reading of the command: its words, then the flags, placeholders unfilled
+    words = [*shlex.split(config.compiler_command), *config.compiler_flags]
     version = compiler_version(words)
-    words += config.compiler_flags
-    keys, first = [], {}  # first: the first entry of each hash not in the cache
-    for entry in entries:
-        source = read_input(entry.path, "source", entry.id)
-        keys.append(key := content_hash(source, config.compiler_command,
-                                        config.compiler_flags, version))
-        if key not in first and not (cache_dir / f"{key}.s").is_file():
-            first[key] = entry
-    jobs = iter(first.items())  # each next() hands one hash to one worker
-    done: dict[str, CompileOutcome | Exception] = {}
+    targets = [cache_dir / f"{content_hash(read_input(e.path, 'source', e.id), words, version)}.s"
+               for e in entries]
+    first = {}  # the first entry of each cache file not yet written
+    for entry, target in zip(entries, targets):
+        if target not in first and not target.is_file():
+            first[target] = entry
+    jobs = iter(first.items())  # each next() hands one cache file to one worker
+    done: dict[Path, CompileOutcome | Exception] = {}
 
     def work() -> None:
-        for key, entry in jobs:
+        for target, entry in jobs:
             try:
-                done[key] = compile_entry(entry, words, cache_dir / f"{key}.s")
+                done[target] = compile_entry(entry, words, target)
             except Exception as exc:  # raised below, in entry order
-                done[key] = exc
+                done[target] = exc
 
     workers = [Thread(target=work) for _ in range(min(config.jobs, len(first)))]
     for worker in workers:
@@ -185,13 +183,11 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
         worker.join()
 
     outcomes: list[CompileOutcome] = []
-    for entry, key in zip(entries, keys):
-        outcome = done.get(key)
-        if outcome is None:
-            outcome = CompileOutcome(entry, cache_dir / f"{key}.s", cached=True)
-        elif isinstance(outcome, Exception):
+    for entry, target in zip(entries, targets):
+        outcome = done.get(target, CompileOutcome(entry, target, cached=True))
+        if isinstance(outcome, Exception):
             raise outcome
-        elif outcome.entry is not entry:  # a later entry with the same hash
+        if outcome.entry is not entry:  # a later entry with the same cache file
             outcome = outcome._replace(entry=entry, cached=outcome.error is None)
         outcomes.append(outcome)
 

@@ -163,13 +163,18 @@ class TestBuildCommand:
 
 class TestContentHash:
     def test_sensitive_to_inputs(self):
-        base = content_hash(b"src", "cc", ["-S"], "cc 1.0")
-        assert base == content_hash(b"src", "cc", ["-S"], "cc 1.0")
-        assert base != content_hash(b"other", "cc", ["-S"], "cc 1.0")
-        assert base != content_hash(b"src", "cc2", ["-S"], "cc 1.0")
-        assert base != content_hash(b"src", "cc", ["-O2"], "cc 1.0")
-        assert base != content_hash(b"src", "cc", ["-S"], "cc 1.1")
-        assert base != content_hash(b"src", "cc", ["-S"], None)
+        base = content_hash(b"src", ["cc", "-S"], "cc 1.0")
+        assert base == content_hash(b"src", ["cc", "-S"], "cc 1.0")
+        assert base != content_hash(b"other", ["cc", "-S"], "cc 1.0")
+        assert base != content_hash(b"src", ["cc2", "-S"], "cc 1.0")
+        assert base != content_hash(b"src", ["cc", "-O2"], "cc 1.0")
+        assert base != content_hash(b"src", ["cc", "-S"], "cc 1.1")
+        assert base != content_hash(b"src", ["cc", "-S"], None)
+
+    def test_swapped_flags_are_another_key(self):
+        # the compiler is given another argv, so its output may differ
+        assert content_hash(b"src", ["cc", "-S", "-O0", "-O2"], "cc 1.0") != \
+            content_hash(b"src", ["cc", "-S", "-O2", "-O0"], "cc 1.0")
 
 
 class TestCompileCorpus:
@@ -196,6 +201,23 @@ class TestCompileCorpus:
         again = compile_corpus(load_datasets(manifest), config, out)
         assert again.cache_hits == 4
         assert call_count(fake_cc) == first_calls
+
+    @pytest.mark.parametrize("command, flags", [
+        ("{python}  {cc}  ", ()),  # extra spaces between the words
+        ("{python} '{cc}'", ()),  # a word written in quotes
+        ("{python}", ("{cc}",)),  # the script word moved into the flags
+    ])
+    def test_respelled_command_shares_the_cache(self, tmp_path, fake_cc, command, flags):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        compile_corpus(load_datasets(manifest), fake_config(fake_cc), out)
+        names = {"python": sys.executable, "cc": str(fake_cc)}
+        respelled = ToolConfig(compiler_command=command.format(**names),
+                               compiler_flags=tuple(f.format(**names) for f in flags))
+        result = compile_corpus(load_datasets(manifest), respelled, out)
+        assert result.cache_hits == 4 and not result.failures
+        assert call_count(fake_cc) == 4
+        assert len(list((out / "cache").glob("*.s"))) == 4
 
     def test_changed_flags_invalidate_cache(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)

@@ -208,6 +208,28 @@ def test_one_command_reading():
         "config.__new__", "crosscompile.compile_corpus"}
 
 
+def test_one_cache_key():
+    """``compile_corpus`` keys each source's cache file on the word list that it
+    hands to ``compile_entry``, so the key is the argv template that runs and
+    two spellings of one command share the cache: no other function calls
+    ``content_hash``, and that call and the ``compile_entry`` call both pass
+    the name ``words``."""
+    def calls(name):
+        return [node for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func).rpartition(".")[2] == name]
+
+    def keys(call):
+        return ast.unparse(call.func).rpartition(".")[2] == "content_hash"
+
+    assert set().union(*(callers(path, keys) for path in SOURCES)) == {
+        "crosscompile.compile_corpus"}
+    for name in ("content_hash", "compile_entry"):
+        passed = [[ast.unparse(arg) for arg in call.args] for call in calls(name)]
+        assert passed and all("words" in args for args in passed), (name, passed)
+
+
 def test_one_escape_rule():
     """``errors.one_line`` is the one rule that escapes outside text in a line
     asmsim writes: no other function calls ``str.translate``, and no module
