@@ -7,10 +7,10 @@ shares the cache and reruns with unchanged inputs never invoke the compiler; ent
 keyed by earlier versions miss once and stay on disk. ``jobs`` compiler processes run at
 once, each distinct hash is compiled once per run, and a compile replaces its cache file
 only on success, by :func:`corpus.replace_file`, whose failed rename is exit 2 and
-leaves no partial file. The partial files of compiles whose process is gone are removed;
-a directory so named stays. A derived manifest pointing at the assembly files is written
-(atomically, by :func:`corpus.write_file`) next to the cache so the study step can
-consume it directly.
+leaves no partial file. The partial files of compiles whose process is gone are removed,
+best effort: a directory so named, an unlistable cache directory and an undeletable file
+stay. A derived manifest pointing at the assembly files is written (atomically, by
+:func:`corpus.write_file`) next to the cache so the study step can consume it directly.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import shlex
 import subprocess
 from collections import namedtuple
 from collections.abc import Sequence
+from contextlib import suppress
 from itertools import islice, takewhile
 from pathlib import Path
 from threading import Thread
@@ -131,17 +132,20 @@ _PARTIAL = re.compile(r"[0-9a-f]{16}\.(\d{1,9})\.partial\.s")
 
 def remove_stale_partials(cache_dir: Path) -> None:
     """Delete the ``<hash>.<pid>.partial.s`` regular files of compiles whose process
-    is gone, as a killed run leaves them; a live run's files, and a directory, stay."""
-    for path in cache_dir.iterdir():
-        match = _PARTIAL.fullmatch(path.name)
-        if match is None or not path.is_file():
-            continue
-        try:
-            os.kill(int(match[1]), 0)
-        except ProcessLookupError:
-            path.unlink(missing_ok=True)
-        except PermissionError:
-            pass  # alive, under another user
+    is gone, as a killed run leaves them; a live run's files, a directory, and what
+    the sweep cannot list or delete stay, as it is best effort."""
+    with suppress(OSError):  # a cache directory that cannot be listed is not swept
+        for path in cache_dir.iterdir():
+            match = _PARTIAL.fullmatch(path.name)
+            if match is None or not path.is_file():
+                continue
+            try:
+                os.kill(int(match[1]), 0)
+            except ProcessLookupError:
+                with suppress(OSError):  # as another user's file in a sticky directory
+                    path.unlink(missing_ok=True)
+            except PermissionError:
+                pass  # alive, under another user
 
 
 def compile_corpus(manifest: ManifestData, config: ToolConfig,

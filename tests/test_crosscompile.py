@@ -544,6 +544,37 @@ class TestCompileCli:
         assert held.read_text() == "\tmov r0,"
         assert not gone.exists()
 
+    def test_partial_file_that_cannot_be_deleted_stays(self, tmp_path, monkeypatch):
+        # as a dead process's file of another user in a sticky cache directory
+        finished = subprocess.Popen([sys.executable, "-c", ""])
+        finished.wait(timeout=30)  # reaped, so its pid names no process
+        held = tmp_path / f"0123456789abcdef.{finished.pid}.partial.s"
+        held.write_text("\tmov r0,")
+
+        def unlink(path, missing_ok=False):
+            raise PermissionError(13, "Operation not permitted", str(path))
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        crosscompile.remove_stale_partials(tmp_path)
+        monkeypatch.undo()
+        assert held.read_text() == "\tmov r0,"
+
+    def test_cache_directory_that_cannot_be_listed_compiles(self, tmp_path, fake_cc,
+                                                            monkeypatch):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        real_iterdir = Path.iterdir
+
+        def iterdir(path):
+            if path == out / "cache":
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_iterdir(path)
+
+        monkeypatch.setattr(Path, "iterdir", iterdir)
+        result = compile_corpus(load_datasets(manifest), fake_config(fake_cc), out)
+        assert len(result.outcomes) == 4
+        assert not result.failures and result.cache_hits == 0
+
     def test_cache_entry_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)
         out = tmp_path / "out"
