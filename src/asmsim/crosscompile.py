@@ -142,7 +142,7 @@ def remove_stale_partials(cache_dir: Path) -> None:
             try:
                 os.kill(int(match[1]), 0)
             except ProcessLookupError:
-                with suppress(OSError):  # as another user's file in a sticky directory
+                with suppress(OSError):  # another user's file in a sticky directory stays
                     path.unlink(missing_ok=True)
             except PermissionError:
                 pass  # alive, under another user

@@ -170,11 +170,9 @@ class TestContentHash:
         assert base != content_hash(b"src", ["cc", "-O2"], "cc 1.0")
         assert base != content_hash(b"src", ["cc", "-S"], "cc 1.1")
         assert base != content_hash(b"src", ["cc", "-S"], None)
-
-    def test_swapped_flags_are_another_key(self):
-        # the compiler is given another argv, so its output may differ
-        assert content_hash(b"src", ["cc", "-S", "-O0", "-O2"], "cc 1.0") != \
-            content_hash(b"src", ["cc", "-S", "-O2", "-O0"], "cc 1.0")
+        # swapped flags give the compiler another argv
+        assert content_hash(b"src", ["cc", "-S", "-O2"], "cc 1.0") != \
+            content_hash(b"src", ["cc", "-O2", "-S"], "cc 1.0")
 
 
 class TestCompileCorpus:

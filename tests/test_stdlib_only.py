@@ -214,19 +214,15 @@ def test_one_cache_key():
     two spellings of one command share the cache: no other function calls
     ``content_hash``, and that call and the ``compile_entry`` call both pass
     the name ``words``."""
-    def calls(name):
-        return [node for path in SOURCES
-                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-                if isinstance(node, ast.Call)
-                and ast.unparse(node.func).rpartition(".")[2] == name]
+    def named(name):
+        return lambda call: ast.unparse(call.func).rpartition(".")[2] == name
 
-    def keys(call):
-        return ast.unparse(call.func).rpartition(".")[2] == "content_hash"
-
-    assert set().union(*(callers(path, keys) for path in SOURCES)) == {
+    assert set().union(*(callers(path, named("content_hash")) for path in SOURCES)) == {
         "crosscompile.compile_corpus"}
     for name in ("content_hash", "compile_entry"):
-        passed = [[ast.unparse(arg) for arg in call.args] for call in calls(name)]
+        passed = [[ast.unparse(arg) for arg in node.args] for path in SOURCES
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Call) and named(name)(node)]
         assert passed and all("words" in args for args in passed), (name, passed)
 
 
