@@ -15,11 +15,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import stat
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
+from contextlib import suppress
 from enum import Enum
-from itertools import combinations, islice, repeat
+from itertools import combinations, count, islice, repeat
 from pathlib import Path
 
 from .errors import (AsmSimError, EmptyProgramError, InputError, ManifestError,
@@ -123,35 +125,55 @@ def load_json_object(path: Path, what: str, error: type[AsmSimError]) -> dict:
     return doc
 
 
+_serials = count()  # next() is atomic, so no two threads draw one serial
+
+
+def partial_path(final: Path) -> Path:
+    """The name to stage ``final`` under, beside it: unique in this process, and short."""
+    return final.with_name(f".asmsim-{os.getpid()}-{next(_serials)}.partial")
+
+
 def make_dir(path: Path, entity: str | None = None) -> None:
-    """Create the directory ``path`` and its parents, if missing; a failure is
-    an :class:`InputError` for ``entity`` (default: the path)."""
+    """Create the directory ``path`` and its parents, if missing (a failure is an
+    :class:`InputError` for ``entity``, default the path), and delete the
+    :func:`partial_path` files in it of processes that are gone, best effort: a live run's
+    files, a directory, and what cannot be listed or deleted stay."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create directory: {reason(exc)}",
                          entity=str(path) if entity is None else entity) from exc
+    with suppress(OSError):  # a directory that cannot be listed is not swept
+        for file in path.iterdir():
+            match = re.fullmatch(r"\.asmsim-(\d{1,9})-\d+\.partial", file.name)  # by partial_path
+            if match is None or not file.is_file():
+                continue
+            try:
+                os.kill(int(match[1]), 0)
+            except ProcessLookupError:
+                with suppress(OSError):  # another user's file in a sticky directory stays
+                    file.unlink(missing_ok=True)
+            except PermissionError:
+                pass  # alive, under another user
 
 
 def replace_file(partial: Path, final: Path, entity: str) -> None:
-    """Rename the whole file ``partial`` over ``final``; a failure removes
-    ``partial`` and is an :class:`InputError` for ``entity``."""
+    """Rename the whole file ``partial`` over ``final``; a failure is an
+    :class:`InputError` for ``entity``, and the caller removes ``partial``."""
     try:
         os.replace(partial, final)
     except OSError as exc:
-        partial.unlink(missing_ok=True)
         raise InputError(f"cannot write file: {reason(exc)}", entity=entity) from exc
 
 
 def write_file(path: Path, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` as they come to ``path``.
 
-    The file is written under a temporary name beside ``path``, whose length
-    does not depend on ``path``'s, and renamed over it when whole, so a failed
-    write leaves no partial file and an old one unchanged; a symlink is followed
-    first, and the new file takes the old one's permissions. A path that exists
-    but is no regular file, such as ``/dev/null`` or a FIFO, is written in
-    place. Any failure, a symlink loop included, is an :class:`InputError`.
+    The file is written under its :func:`partial_path` and renamed over it when whole,
+    so a failed write leaves no partial file and an old one unchanged; a symlink is
+    followed first, and the new file takes the old one's permissions. A path that exists
+    but is no regular file, such as ``/dev/null`` or a FIFO, is written in place. Any
+    failure, a symlink loop included, is an :class:`InputError`.
     """
     try:
         try:
@@ -160,7 +182,7 @@ def write_file(path: Path, chunks: Iterable[bytes]) -> None:
             mode = 0  # no old file
         in_place = mode != 0 and not stat.S_ISREG(mode)
         final = path.resolve()
-        target = path if in_place else final.with_name(f".asmsim-{os.getpid()}.partial")
+        target = path if in_place else partial_path(final)
         try:
             with open(target, "wb") as sink:
                 if stat.S_ISREG(mode):  # an old file, never in place: keep its permissions

@@ -5,31 +5,27 @@ bytes, the command's words with the flags appended (placeholders unfilled) and t
 line of the compiler's ``--version`` output, so a command respelled with the same words
 shares the cache and reruns with unchanged inputs never invoke the compiler; entries
 keyed by earlier versions miss once and stay on disk. ``jobs`` compiler processes run at
-once, each distinct hash is compiled once per run, and a compile replaces its cache file
-only on success, by :func:`corpus.replace_file`, whose failed rename is exit 2 and
-leaves no partial file. The partial files of compiles whose process is gone are removed,
-best effort: a directory so named, an unlistable cache directory and an undeletable file
-stay. A derived manifest pointing at the assembly files is written (atomically, by
-:func:`corpus.write_file`) next to the cache so the study step can consume it directly.
+once and each distinct hash is compiled once per run. :func:`corpus.make_dir` makes and
+sweeps ``<out>/cache`` and ``<out>``, and a derived manifest of the assembly files is
+written by :func:`corpus.write_file` beside the cache, for the study step to read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import shlex
 import subprocess
 from collections import namedtuple
 from collections.abc import Sequence
-from contextlib import suppress
 from itertools import islice, takewhile
 from pathlib import Path
 from threading import Thread
 
 from .config import ToolConfig
-from .corpus import ManifestData, ProgramEntry, make_dir, read_input, replace_file, write_file
+from .corpus import (ManifestData, ProgramEntry, make_dir, partial_path, read_input,
+                     replace_file, write_file)
 from .errors import ToolError, reason
 
 
@@ -101,51 +97,33 @@ def compile_entry(entry: ProgramEntry, words: Sequence[str],
                   target: Path) -> CompileOutcome:
     """Compile one entry into the cache file ``target`` by the command ``words``.
 
-    The compiler writes a name private to this process, which replaces
-    ``target`` only on success, so a killed or failed compile never leaves
-    a partial ``target`` for a later run to take as a cache hit.
+    The compiler writes ``target``'s :func:`corpus.partial_path`, renamed over
+    ``target`` only on success, so a killed or failed compile never leaves a
+    partial ``target`` for a later run to take as a cache hit.
     """
-    partial = target.with_name(f"{target.stem}.{os.getpid()}.partial.s")
+    partial = partial_path(target)
     argv = build_command(words, entry.path, partial)
     try:
-        proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                              text=True, errors="replace")
-    except FileNotFoundError as exc:
-        raise ToolError(f"compiler not found: {argv[0]}", entity=entry.id) from exc
-    except OSError as exc:
-        raise ToolError(f"cannot run compiler {argv[0]}: {reason(exc)}",
-                        entity=entry.id) from exc
-    if proc.returncode != 0:
-        partial.unlink(missing_ok=True)
-        detail = proc.stderr.strip().splitlines()
-        message = detail[-1] if detail else f"compiler exited with {proc.returncode}"
-        return CompileOutcome(entry, None, error=message)
-    if not partial.is_file():
-        return CompileOutcome(entry, None,
-                              error="compiler reported success but wrote no output")
-    replace_file(partial, target, str(target))
-    return CompileOutcome(entry, target, cached=False)
-
-
-_PARTIAL = re.compile(r"[0-9a-f]{16}\.(\d{1,9})\.partial\.s")
-
-
-def remove_stale_partials(cache_dir: Path) -> None:
-    """Delete the ``<hash>.<pid>.partial.s`` regular files of compiles whose process
-    is gone, as a killed run leaves them; a live run's files, a directory, and what
-    the sweep cannot list or delete stay, as it is best effort."""
-    with suppress(OSError):  # a cache directory that cannot be listed is not swept
-        for path in cache_dir.iterdir():
-            match = _PARTIAL.fullmatch(path.name)
-            if match is None or not path.is_file():
-                continue
-            try:
-                os.kill(int(match[1]), 0)
-            except ProcessLookupError:
-                with suppress(OSError):  # another user's file in a sticky directory stays
-                    path.unlink(missing_ok=True)
-            except PermissionError:
-                pass  # alive, under another user
+        try:
+            proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                  text=True, errors="replace")
+        except FileNotFoundError as exc:
+            raise ToolError(f"compiler not found: {argv[0]}", entity=entry.id) from exc
+        except OSError as exc:
+            raise ToolError(f"cannot run compiler {argv[0]}: {reason(exc)}",
+                            entity=entry.id) from exc
+        if proc.returncode != 0:
+            detail = proc.stderr.strip().splitlines()
+            message = detail[-1] if detail else f"compiler exited with {proc.returncode}"
+            return CompileOutcome(entry, None, error=message)
+        if not partial.is_file():
+            return CompileOutcome(entry, None,
+                                  error="compiler reported success but wrote no output")
+        replace_file(partial, target, str(target))
+        return CompileOutcome(entry, target, cached=False)
+    finally:
+        if not partial.is_dir():  # gone after a rename; a directory the compiler made stays
+            partial.unlink(missing_ok=True)
 
 
 def compile_corpus(manifest: ManifestData, config: ToolConfig,
@@ -158,7 +136,7 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     hash compiles it; later ones report a cache hit or the same error.
     """
     make_dir(cache_dir := out_dir / "cache", str(out_dir))
-    remove_stale_partials(cache_dir)
+    make_dir(out_dir)  # made above with the cache directory: this call only sweeps it
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]
     # the one reading of the command: its words, then the flags, placeholders unfilled

@@ -37,6 +37,14 @@ def run_cli(*args, cwd=None, env_extra=None):
                           capture_output=True, cwd=cwd, env=env)
 
 
+def gone_pid():
+    """The pid of a child process that has exited and been reaped, so that it
+    names no process: that of a killed run's partial file."""
+    finished = subprocess.Popen([sys.executable, "-c", ""])
+    finished.wait(timeout=30)
+    return finished.pid
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES

@@ -16,7 +16,7 @@ from asmsim.cli import _write_parts, build_parser, main, resolve_config, run_man
 from asmsim.config import ToolConfig
 from asmsim.corpus import load_datasets
 from asmsim.errors import InputError
-from conftest import GOLDEN, REPO_ROOT, run_cli
+from conftest import GOLDEN, REPO_ROOT, gone_pid, run_cli
 
 QUOTED = r'"((?:[^"\\]|\\.)*)"'
 DIAGNOSTIC_RE = re.compile(rf"^error: code=(\d+) entity={QUOTED} message={QUOTED}$")
@@ -257,6 +257,18 @@ class TestExtract:
         assert sorted(path.name for path in out.iterdir()) == ["a-2.json", "a.json"]
         assert json.loads((out / "a.json").read_text())["mnemonics"] == ["mov"]
         assert json.loads((out / "a-2.json").read_text())["mnemonics"] == ["add"]
+
+    def test_out_directory_loses_stale_partial_files(self, tmp_path):
+        asm = write_asm(tmp_path / "a.s", "mov r0, r1")
+        out = tmp_path / "dumps"
+        assert run_cli("extract", asm, "--out", out).returncode == 0
+        dead = out / f".asmsim-{gone_pid()}-0.partial"
+        live = out / f".asmsim-{os.getpid()}-0.partial"
+        for partial in (dead, live):
+            partial.write_text('{"mnemonics": [')  # as a run killed while writing
+        result = run_cli("extract", asm, "--out", out)
+        assert result.returncode == 0, result.stderr.decode()
+        assert sorted(path.name for path in out.iterdir()) == [live.name, "a.json"]
 
     def test_lenient_warns_on_stderr(self, tmp_path):
         asm = tmp_path / "a.s"

@@ -13,7 +13,8 @@ for help, ``--help`` or ``-h`` at the top level or after the command, which
 ends the parse, so ``cli.main`` returns 0 and writes the help. No FIFO is
 ever the manifest or the config, since reading a pipe that has no writer blocks.
 ``compile`` runs ``sh`` as its compiler, and ``--jobs`` stays at 4 or less; its
-cache may already hold a directory named like a stale partial file.
+cache, like an ``extract --out`` directory, may already hold a directory named like
+a stale partial file.
 """
 
 import json
@@ -38,8 +39,8 @@ PROGRAMS = {
 PATH_KINDS = ("file", "file", "file", "missing", "directory", "fifo", "long_name")
 LONG_NAME = "n" * 300
 
-# the name of a compile's partial file whose process is gone: no pid_max reaches the pid
-STALE_PARTIAL = "0123456789abcdef.999999999.partial.s"
+# the name of a partial file whose process is gone: no pid_max reaches the pid
+STALE_PARTIAL = ".asmsim-999999999-0.partial"
 
 # compilers that copy the source, fail, or do not exist; sh ignores the
 # compiler_flags appended after its two arguments
@@ -234,7 +235,10 @@ def build_argv(draw, root):
     if command in ("study", "compile"):
         argv += draw(st.sampled_from([[], ["--jobs", "1"], ["--jobs", "4"]]))
     if command == "extract" and draw(st.booleans()):
-        argv += ["--out", str(root / draw(st.sampled_from(["json", LONG_NAME])))]
+        out = draw(st.sampled_from(["json", LONG_NAME]))
+        if out == "json" and draw(st.booleans()):  # a directory named like a stale partial
+            (root / out / STALE_PARTIAL).mkdir(parents=True)
+        argv += ["--out", str(root / out)]
     if not whole and draw(st.booleans()):
         config = root / "config.json"
         write_json_input(draw, config, config_doc(draw))

@@ -2,7 +2,6 @@ import json
 import os
 import shutil
 import signal
-import subprocess
 import sys
 import threading
 import time
@@ -12,12 +11,12 @@ import pytest
 
 from asmsim import crosscompile
 from asmsim.config import ToolConfig
-from asmsim.corpus import load_datasets
+from asmsim.corpus import load_datasets, make_dir
 from asmsim.crosscompile import (CompileOutcome, build_command, compile_corpus,
                                  content_hash)
 from asmsim.errors import InputError, ToolError
 
-from conftest import FIXTURES, run_cli
+from conftest import FIXTURES, gone_pid, run_cli
 
 # Every fake compiler below but VERSIONED_CC starts with this: it answers
 # `--version` as a real compiler does, since the cache key asks for it.
@@ -511,11 +510,10 @@ class TestCompileCli:
         out = tmp_path / "out"
         compiler = f"{sys.executable} {fake_cc}"
         assert run_cli("compile", manifest, "--out", out, "--cc", compiler).returncode == 0
-        finished = subprocess.Popen([sys.executable, "-c", ""])
-        finished.wait(timeout=30)  # reaped, so its pid names no process
-        dead = out / "cache" / f"0123456789abcdef.{finished.pid}.partial.s"
-        live = out / "cache" / f"0123456789abcdef.{os.getpid()}.partial.s"
-        held = out / "cache" / f"fedcba9876543210.{finished.pid}.partial.s"
+        pid = gone_pid()
+        dead = out / "cache" / f".asmsim-{pid}-0.partial"
+        live = out / "cache" / f".asmsim-{os.getpid()}-0.partial"
+        held = out / "cache" / f".asmsim-{pid}-1.partial"
         dead.write_text("\tmov r0,")
         live.write_text("\tmov r0,")
         held.mkdir()  # named like a dead compile's file, but a directory
@@ -526,6 +524,19 @@ class TestCompileCli:
         assert live.read_text() == "\tmov r0,"
         assert held.is_dir()
 
+    def test_stale_partial_file_beside_the_manifest_removed(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        compiler = f"{sys.executable} {fake_cc}"
+        assert run_cli("compile", manifest, "--out", out, "--cc", compiler).returncode == 0
+        written = (out / "manifest.json").read_bytes()
+        dead = out / f".asmsim-{gone_pid()}-0.partial"
+        dead.write_text('{"programs": [')  # as a run killed while writing the manifest
+        rerun = run_cli("compile", manifest, "--out", out, "--cc", compiler)
+        assert rerun.returncode == 0, rerun.stderr.decode()
+        assert not dead.exists()
+        assert (out / "manifest.json").read_bytes() == written
+
     def test_partial_file_of_another_users_process_stays(self, tmp_path, monkeypatch):
         # os.kill(pid, 0) raises PermissionError for a live process of another user
         outcomes = {101: PermissionError, 102: ProcessLookupError}
@@ -533,27 +544,25 @@ class TestCompileCli:
         def kill(pid, sig):
             raise outcomes[pid]()
 
-        held = tmp_path / "0123456789abcdef.101.partial.s"
-        gone = tmp_path / "0123456789abcdef.102.partial.s"
+        held = tmp_path / ".asmsim-101-0.partial"
+        gone = tmp_path / ".asmsim-102-0.partial"
         held.write_text("\tmov r0,")
         gone.write_text("\tmov r0,")
         monkeypatch.setattr(os, "kill", kill)
-        crosscompile.remove_stale_partials(tmp_path)
+        make_dir(tmp_path)
         assert held.read_text() == "\tmov r0,"
         assert not gone.exists()
 
     def test_partial_file_that_cannot_be_deleted_stays(self, tmp_path, monkeypatch):
         # as a dead process's file of another user in a sticky cache directory
-        finished = subprocess.Popen([sys.executable, "-c", ""])
-        finished.wait(timeout=30)  # reaped, so its pid names no process
-        held = tmp_path / f"0123456789abcdef.{finished.pid}.partial.s"
+        held = tmp_path / f".asmsim-{gone_pid()}-0.partial"
         held.write_text("\tmov r0,")
 
         def unlink(path, missing_ok=False):
             raise PermissionError(13, "Operation not permitted", str(path))
 
         monkeypatch.setattr(Path, "unlink", unlink)
-        crosscompile.remove_stale_partials(tmp_path)
+        make_dir(tmp_path)
         monkeypatch.undo()
         assert held.read_text() == "\tmov r0,"
 
@@ -586,7 +595,7 @@ class TestCompileCli:
         assert result.returncode == 2 and result.stdout == b""
         assert result.stderr.decode().splitlines() == [
             f'error: code=2 entity="{taken}" message="cannot write file: Is a directory"']
-        assert not list((out / "cache").glob("*.partial.s"))
+        assert not list((out / "cache").glob("*.partial"))
 
         taken.rmdir()
         reruns = [run_cli("compile", manifest, "--out", out, "--cc", compiler)
@@ -621,6 +630,18 @@ class TestCompileCli:
         assert len(lines) == 4 and lines[-1] == (
             'error: code=4 entity="a-x" '
             'message="compiler reported success but wrote no output"')
+
+    def test_cli_compiler_that_writes_a_directory_is_a_recorded_failure(self, tmp_path):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        result = run_cli("compile", manifest, "--out", out, "--cc",
+                         "sh -c 'mkdir \"$1\"' {input} {output}")
+        assert result.returncode == 4, result.stderr.decode()
+        assert result.stdout.decode().splitlines()[0] == "compiled 0, cached 0, failed 4"
+        assert result.stderr.decode().splitlines()[-1] == (
+            'error: code=4 entity="a-x" '
+            'message="compiler reported success but wrote no output"')
+        assert len([path for path in (out / "cache").iterdir() if path.is_dir()]) == 4
 
     def test_manifest_path_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)

@@ -4,6 +4,7 @@ plain ``collections.namedtuple`` classes."""
 import ast
 import builtins
 import importlib
+import re
 import sys
 
 import pytest
@@ -152,21 +153,27 @@ def reads_a_file(call):
                 and not set(mode.value) & set("r+"))
 
 
-def callers(path, test):
-    """``module.function`` for each function of ``path`` that makes a call for
+def holders(path, test):
+    """``module.function`` for each function of ``path`` that holds a node for
     which ``test`` is true (``module`` for code outside any function)."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{path.stem}.{node.name}"
-        elif isinstance(node, ast.Call) and test(node):
+        elif test(node):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
     return found
+
+
+def callers(path, test):
+    """``module.function`` for each function of ``path`` that makes a call for
+    which ``test`` is true (``module`` for code outside any function)."""
+    return holders(path, lambda node: isinstance(node, ast.Call) and test(node))
 
 
 def test_only_read_input_reads_a_file():
@@ -182,7 +189,11 @@ def test_one_output_rule():
     ``corpus.replace_file`` the one rename of a whole file over its final name,
     so that each failure is one InputError, and a failed rename leaves no
     partial file: no other function calls ``mkdir``, ``os.replace`` or a
-    ``rename``."""
+    ``rename``. ``corpus.partial_path`` is the one name a file is staged under,
+    and ``make_dir``, whose pattern matches that name, the one sweep of those
+    that a killed run leaves: no other function holds a string constant or an
+    f-string part with ``.partial`` as in a file name, and no other function
+    calls ``iterdir`` or ``os.kill``."""
     def makes_a_dir(call):
         return getattr(call.func, "attr", None) in ("mkdir", "makedirs")
 
@@ -194,6 +205,18 @@ def test_one_output_rule():
         "corpus.make_dir"}
     assert set().union(*(callers(path, renames) for path in SOURCES)) == {
         "corpus.replace_file"}
+
+    def names_a_partial(node):  # not `corpus.partial_path`, as a docstring names it
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.search(r"\.partial\b", node.value) is not None)
+
+    def sweeps(call):
+        return (ast.unparse(call.func) == "os.kill"
+                or getattr(call.func, "attr", None) == "iterdir")
+
+    assert set().union(*(holders(path, names_a_partial) for path in SOURCES)) == {
+        "corpus.partial_path", "corpus.make_dir"}
+    assert set().union(*(callers(path, sweeps) for path in SOURCES)) == {"corpus.make_dir"}
 
 
 def test_one_command_reading():
