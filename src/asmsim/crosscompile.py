@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import islice, takewhile
 from pathlib import Path
-from threading import Thread
+from threading import Semaphore, Thread
 
 from .config import ToolConfig
 from .corpus import (ManifestData, ProgramEntry, make_dir, partial_path, read_input,
@@ -150,6 +150,7 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
             first[target] = entry
     jobs = iter(first.items())  # each next() hands one cache file to one worker
     done: dict[Path, CompileOutcome | Exception] = {}
+    ended = Semaphore(0)  # released by each worker as it ends
 
     def work() -> None:
         for target, entry in jobs:
@@ -157,12 +158,19 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
                 done[target] = compile_entry(entry, words, target)
             except Exception as exc:  # raised below, in entry order
                 done[target] = exc
+        ended.release()
 
     workers = [Thread(target=work) for _ in range(min(config.jobs, len(first)))]
     for worker in workers:
         worker.start()
-    for worker in workers:
-        worker.join()
+    # not Thread.join: one that is interrupted marks its thread ended, so the exit kills it
+    try:
+        for _ in workers:
+            ended.acquire()
+    except BaseException:  # an interrupt: each worker ends with the compile it holds
+        for _ in jobs:
+            pass
+        raise
 
     outcomes: list[CompileOutcome] = []
     for entry, target in zip(entries, targets):

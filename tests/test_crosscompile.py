@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -16,7 +17,7 @@ from asmsim.crosscompile import (CompileOutcome, build_command, compile_corpus,
                                  content_hash)
 from asmsim.errors import InputError, ToolError
 
-from conftest import FIXTURES, gone_pid, run_cli
+from conftest import FIXTURES, REPO_ROOT, gone_pid, run_cli
 
 # Every fake compiler below but VERSIONED_CC starts with this: it answers
 # `--version` as a real compiler does, since the cache key asks for it.
@@ -69,6 +70,22 @@ deadline = time.monotonic() + 20
 while len(list(here.glob("started-*"))) < 2:
     if time.monotonic() > deadline:
         sys.exit("fake-cc: no second compile started")
+    time.sleep(0.01)
+out = args[args.index("-o") + 1]
+pathlib.Path(out).write_text(pathlib.Path(args[-1]).read_text())
+"""
+
+# Leaves a started-<source> marker, then copies input to output once a file
+# named `go` exists beside it, so a test decides when each compile ends.
+WAITING_CC = ANSWERS_VERSION + """\
+import pathlib, sys, time
+args = sys.argv[1:]
+here = pathlib.Path(__file__).parent
+(here / ("started-" + pathlib.Path(args[-1]).name)).touch()
+deadline = time.monotonic() + 60
+while not (here / "go").exists():
+    if time.monotonic() > deadline:
+        sys.exit("fake-cc: no go file")
     time.sleep(0.01)
 out = args[args.index("-o") + 1]
 pathlib.Path(out).write_text(pathlib.Path(args[-1]).read_text())
@@ -453,6 +470,47 @@ class TestCompileCli:
         [(_, derived)] = load_datasets(out / "manifest.json").datasets
         assert {e.id: e.path.read_text() for e in derived} == \
             {e.id: e.path.read_text() for e in sources}
+
+    def test_interrupted_compile_starts_no_further_compiles(self, tmp_path):
+        script = tmp_path / "waiting_cc.py"
+        script.write_text(WAITING_CC)
+        src = tmp_path / "src"
+        src.mkdir()
+        programs = []
+        for k in range(8):
+            (src / f"p{k}.c").write_text(f"\tmov r0, #{k}\n\tbx lr\n")
+            programs.append({"id": f"p{k}", "path": f"p{k}.c",
+                             "programmer": f"p{k}", "application": "x"})
+        manifest = src / "manifest.json"
+        manifest.write_text(json.dumps({"programs": programs}))
+        out = tmp_path / "out"
+        stderr = tmp_path / "stderr.txt"
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        with stderr.open("wb") as sink:
+            run = subprocess.Popen(
+                [sys.executable, "-m", "asmsim", "compile", str(manifest), "--out", str(out),
+                 "--jobs", "2", "--cc", f"{sys.executable} {script}"],
+                stdout=subprocess.DEVNULL, stderr=sink, env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.glob("started-*"))) < 2:
+                assert time.monotonic() < deadline and run.poll() is None
+                time.sleep(0.01)
+            run.send_signal(signal.SIGINT)
+            # the traceback is written as the main thread ends, before the
+            # interpreter waits for the compiles in flight
+            while b"KeyboardInterrupt" not in stderr.read_bytes():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            (tmp_path / "go").touch()
+            assert run.wait(timeout=60) == -signal.SIGINT
+        finally:
+            (tmp_path / "go").touch()
+            run.kill()
+            run.wait()
+        assert len(list(tmp_path.glob("started-*"))) == 2
+        assert len(list((out / "cache").glob("*.s"))) == 2
+        assert not list(out.rglob("*.partial"))
 
     @staticmethod
     def assert_upgrade_invalidates_cache(tmp_path, compiler):
