@@ -169,30 +169,31 @@ def replace_file(partial: Path, final: Path, entity: str) -> None:
 def write_file(path: Path, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` as they come to ``path``.
 
-    The file is written under its :func:`partial_path` and renamed over it when whole,
-    so a failed write leaves no partial file and an old one unchanged; a symlink is
-    followed first, and the new file takes the old one's permissions. A path that exists
-    but is no regular file, such as ``/dev/null`` or a FIFO, is written in place. Any
-    failure, a symlink loop included, is an :class:`InputError`.
+    A path that exists but is no regular file, such as ``/dev/null`` or a FIFO, is
+    written in place. Any other is written under its :func:`partial_path` and renamed
+    over it when whole, so a failed write leaves no partial file and an old one
+    unchanged; a symlink is followed first, and the new file takes the old one's
+    permissions. Any failure, a symlink loop included, is an :class:`InputError`.
     """
     try:
         try:
             mode = path.stat().st_mode  # one lookup, which follows a symlink
         except FileNotFoundError:
             mode = 0  # no old file
-        in_place = mode != 0 and not stat.S_ISREG(mode)
+        if mode and not stat.S_ISREG(mode):
+            with open(path, "wb") as sink:
+                sink.writelines(chunks)
+            return
         final = path.resolve()
-        target = path if in_place else partial_path(final)
+        partial = partial_path(final)
         try:
-            with open(target, "wb") as sink:
-                if stat.S_ISREG(mode):  # an old file, never in place: keep its permissions
+            with open(partial, "wb") as sink:
+                if mode:  # an old file: keep its permissions
                     os.chmod(sink.fileno(), stat.S_IMODE(mode))
                 sink.writelines(chunks)
-            if not in_place:
-                replace_file(target, final, str(path))
+            replace_file(partial, final, str(path))
         finally:
-            if not in_place:
-                target.unlink(missing_ok=True)  # gone after a rename
+            partial.unlink(missing_ok=True)  # gone after a rename
     except OSError as exc:
         raise InputError(f"cannot write file: {reason(exc)}", entity=str(path)) from exc
 

@@ -465,6 +465,16 @@ class TestStudy:
         assert stat.S_IMODE(report.stat().st_mode) == 0o600
         assert sorted(tmp_path.rglob("*")) == [link, report.parent, report]
 
+    def test_out_onto_a_dangling_symlink_creates_its_target(self, corpus_manifest, tmp_path):
+        (tmp_path / "reports").mkdir()
+        report = tmp_path / "reports" / "report.md"
+        link = tmp_path / "latest.md"
+        link.symlink_to(report)
+        assert run_cli("study", corpus_manifest, "--out", link).returncode == 0
+        assert link.is_symlink()
+        assert report.read_bytes() == (GOLDEN / "study_3x3.md").read_bytes()
+        assert sorted(tmp_path.rglob("*")) == [link, report.parent, report]
+
     def test_out_that_is_no_regular_file_is_written_in_place(self, corpus_manifest, tmp_path):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)

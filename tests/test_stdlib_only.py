@@ -193,7 +193,9 @@ def test_one_output_rule():
     and ``make_dir``, whose pattern matches that name, the one sweep of those
     that a killed run leaves: no other function holds a string constant or an
     f-string part with ``.partial`` as in a file name, and no other function
-    calls ``iterdir`` or ``os.kill``."""
+    calls ``iterdir`` or ``os.kill``. Each function that stages a file binds
+    the ``partial_path`` result to a name and unlinks that name in a
+    ``finally`` of its own, so no exit path leaves the partial file behind."""
     def makes_a_dir(call):
         return getattr(call.func, "attr", None) in ("mkdir", "makedirs")
 
@@ -217,6 +219,32 @@ def test_one_output_rule():
     assert set().union(*(holders(path, names_a_partial) for path in SOURCES)) == {
         "corpus.partial_path", "corpus.make_dir"}
     assert set().union(*(callers(path, sweeps) for path in SOURCES)) == {"corpus.make_dir"}
+
+    def stages(node):
+        return isinstance(node, ast.Call) and (
+            ast.unparse(node.func).rpartition(".")[2] == "partial_path")
+
+    staged, unlinked, calls, bound = set(), set(), set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls |= set(filter(stages, ast.walk(tree)))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = f"{path.stem}.{function.name}"
+            for node in ast.walk(function):
+                if isinstance(node, (ast.Assign, ast.NamedExpr)) and stages(node.value):
+                    bound.add(node.value)
+                    names = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    staged |= {(owner, ast.unparse(name)) for name in names}
+                elif isinstance(node, ast.Try):
+                    unlinked |= {(owner, ast.unparse(call.func.value))
+                                 for statement in node.finalbody for call in ast.walk(statement)
+                                 if isinstance(call, ast.Call)
+                                 and getattr(call.func, "attr", None) == "unlink"}
+    assert calls == bound, [ast.unparse(call) for call in calls - bound]  # each bound to a name
+    assert {owner for owner, _ in staged} == {"corpus.write_file", "crosscompile.compile_entry"}
+    assert staged <= unlinked, staged - unlinked
 
 
 def test_one_command_reading():
