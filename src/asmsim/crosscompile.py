@@ -19,6 +19,7 @@ import shlex
 import subprocess
 from collections import namedtuple
 from collections.abc import Sequence
+from contextlib import suppress
 from itertools import islice, takewhile
 from pathlib import Path
 from threading import Semaphore, Thread
@@ -117,6 +118,8 @@ def compile_entry(entry: ProgramEntry, words: Sequence[str],
             message = detail[-1] if detail else f"compiler exited with {proc.returncode}"
             return CompileOutcome(entry, None, error=message)
         if not partial.is_file():
+            with suppress(OSError):  # an empty directory the compiler made; a full one stays
+                partial.rmdir()
             return CompileOutcome(entry, None,
                                   error="compiler reported success but wrote no output")
         replace_file(partial, target, str(target))

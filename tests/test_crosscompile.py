@@ -692,14 +692,28 @@ class TestCompileCli:
     def test_cli_compiler_that_writes_a_directory_is_a_recorded_failure(self, tmp_path):
         manifest = make_sources(tmp_path)
         out = tmp_path / "out"
+        for _ in range(2):  # the empty directories are removed, on every run
+            result = run_cli("compile", manifest, "--out", out, "--cc",
+                             "sh -c 'mkdir \"$1\"' {input} {output}")
+            assert result.returncode == 4, result.stderr.decode()
+            assert result.stdout.decode().splitlines()[0] == "compiled 0, cached 0, failed 4"
+            assert result.stderr.decode().splitlines()[-1] == (
+                'error: code=4 entity="a-x" '
+                'message="compiler reported success but wrote no output"')
+            assert [path for path in (out / "cache").iterdir() if path.is_dir()] == []
+
+    def test_cli_compiler_that_fills_a_directory_leaves_it(self, tmp_path):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
         result = run_cli("compile", manifest, "--out", out, "--cc",
-                         "sh -c 'mkdir \"$1\"' {input} {output}")
+                         "sh -c 'mkdir \"$1\" && touch \"$1/x\"' {input} {output}")
         assert result.returncode == 4, result.stderr.decode()
-        assert result.stdout.decode().splitlines()[0] == "compiled 0, cached 0, failed 4"
         assert result.stderr.decode().splitlines()[-1] == (
             'error: code=4 entity="a-x" '
             'message="compiler reported success but wrote no output"')
-        assert len([path for path in (out / "cache").iterdir() if path.is_dir()]) == 4
+        # as the sweep's rule says, a directory so named stays
+        left = [path for path in (out / "cache").iterdir() if path.is_dir()]
+        assert len(left) == 4 and all((path / "x").is_file() for path in left)
 
     def test_manifest_path_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)
