@@ -16,10 +16,10 @@ import hashlib
 import json
 import re
 import shlex
+import shutil
 import subprocess
 from collections import namedtuple
 from collections.abc import Sequence
-from contextlib import suppress
 from itertools import islice, takewhile
 from pathlib import Path
 from threading import Semaphore, Thread
@@ -98,9 +98,9 @@ def compile_entry(entry: ProgramEntry, words: Sequence[str],
                   target: Path) -> CompileOutcome:
     """Compile one entry into the cache file ``target`` by the command ``words``.
 
-    The compiler writes ``target``'s :func:`corpus.partial_path`, renamed over
-    ``target`` only on success, so a killed or failed compile never leaves a
-    partial ``target`` for a later run to take as a cache hit.
+    The compiler writes ``target``'s :func:`corpus.partial_path`, renamed over ``target``
+    only on success, so a killed or failed compile leaves no partial ``target`` to take as
+    a cache hit; what else it leaves at that name, this call's alone, is removed.
     """
     partial = partial_path(target)
     argv = build_command(words, entry.path, partial)
@@ -118,15 +118,15 @@ def compile_entry(entry: ProgramEntry, words: Sequence[str],
             message = detail[-1] if detail else f"compiler exited with {proc.returncode}"
             return CompileOutcome(entry, None, error=message)
         if not partial.is_file():
-            with suppress(OSError):  # an empty directory the compiler made; a full one stays
-                partial.rmdir()
             return CompileOutcome(entry, None,
                                   error="compiler reported success but wrote no output")
         replace_file(partial, target, str(target))
         return CompileOutcome(entry, target, cached=False)
-    finally:
-        if not partial.is_dir():  # gone after a rename; a directory the compiler made stays
-            partial.unlink(missing_ok=True)
+    finally:  # the name is this call's, so whatever the compiler left there goes
+        if partial.is_dir() and not partial.is_symlink():
+            shutil.rmtree(partial, ignore_errors=True)  # best effort, as make_dir's sweep
+        else:
+            partial.unlink(missing_ok=True)  # gone after a rename
 
 
 def compile_corpus(manifest: ManifestData, config: ToolConfig,

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import signal
 import subprocess
@@ -689,31 +690,31 @@ class TestCompileCli:
             'error: code=4 entity="a-x" '
             'message="compiler reported success but wrote no output"')
 
-    def test_cli_compiler_that_writes_a_directory_is_a_recorded_failure(self, tmp_path):
+    @pytest.mark.parametrize("leaves", [
+        'mkdir "$1"',
+        'mkdir "$1" && touch "$1/x"',
+        'mkdir -p "$1/a/b" && touch "$1/x" "$1/a/b/y"',
+        'ln -s "$2" "$1"',  # a symlink to a directory outside <out>
+    ], ids=["empty", "filled", "nested", "symlink"])
+    def test_cli_compiler_that_writes_a_directory_is_a_recorded_failure(self, tmp_path,
+                                                                       leaves):
         manifest = make_sources(tmp_path)
         out = tmp_path / "out"
-        for _ in range(2):  # the empty directories are removed, on every run
-            result = run_cli("compile", manifest, "--out", out, "--cc",
-                             "sh -c 'mkdir \"$1\"' {input} {output}")
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "kept").write_text("kept")
+        # sh ignores the words after its three arguments
+        command = f"sh -c {shlex.quote(leaves)} {{input}} {{output}} {shlex.quote(str(outside))}"
+        for _ in range(2):  # the staging name is the call's, so all it holds goes
+            result = run_cli("compile", manifest, "--out", out, "--cc", command)
             assert result.returncode == 4, result.stderr.decode()
             assert result.stdout.decode().splitlines()[0] == "compiled 0, cached 0, failed 4"
             assert result.stderr.decode().splitlines()[-1] == (
                 'error: code=4 entity="a-x" '
                 'message="compiler reported success but wrote no output"')
-            assert [path for path in (out / "cache").iterdir() if path.is_dir()] == []
-
-    def test_cli_compiler_that_fills_a_directory_leaves_it(self, tmp_path):
-        manifest = make_sources(tmp_path)
-        out = tmp_path / "out"
-        result = run_cli("compile", manifest, "--out", out, "--cc",
-                         "sh -c 'mkdir \"$1\" && touch \"$1/x\"' {input} {output}")
-        assert result.returncode == 4, result.stderr.decode()
-        assert result.stderr.decode().splitlines()[-1] == (
-            'error: code=4 entity="a-x" '
-            'message="compiler reported success but wrote no output"')
-        # as the sweep's rule says, a directory so named stays
-        left = [path for path in (out / "cache").iterdir() if path.is_dir()]
-        assert len(left) == 4 and all((path / "x").is_file() for path in left)
+            assert [path.name for path in (out / "cache").iterdir()] == []
+        assert [path.name for path in outside.iterdir()] == ["kept"]
+        assert (outside / "kept").read_text() == "kept"
 
     def test_manifest_path_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)
