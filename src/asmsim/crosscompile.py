@@ -3,11 +3,12 @@
 Each source is compiled into ``<out>/cache/<hash>.s`` where the hash covers the source
 bytes, the command's words with the flags appended (placeholders unfilled) and the first
 line of the compiler's ``--version`` output, so a command respelled with the same words
-shares the cache and reruns with unchanged inputs never invoke the compiler; entries
-keyed by earlier versions miss once and stay on disk. ``jobs`` compiler processes run at
-once and each distinct hash is compiled once per run. :func:`corpus.make_dir` makes and
-sweeps ``<out>/cache`` and ``<out>``, and a derived manifest of the assembly files is
-written by :func:`corpus.write_file` beside the cache, for the study step to read.
+shares the cache and reruns with unchanged inputs never invoke the compiler. ``jobs``
+compiler processes run at once and each distinct hash is compiled once per run.
+:func:`corpus.make_dir` makes and sweeps ``<out>/cache`` and ``<out>``, and a derived
+manifest of the assembly files is written by :func:`corpus.write_file` beside the cache,
+for the study step to read; after a run with no failed compile, the cache keeps only the
+entries that manifest names.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import shutil
 import subprocess
 from collections import namedtuple
 from collections.abc import Sequence
+from contextlib import suppress
 from itertools import islice, takewhile
 from pathlib import Path
 from threading import Semaphore, Thread
@@ -203,4 +205,10 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     manifest_path = out_dir / "manifest.json"
     # json.dumps escapes every character that is not ASCII
     write_file(manifest_path, [f"{json.dumps(doc, indent=2)}\n".encode()])
+    if all(o.error is None for o in outcomes):  # a failed compile prunes nothing
+        with suppress(OSError):  # best effort, as make_dir's sweep
+            for file in set(cache_dir.iterdir()).difference(targets):
+                if re.fullmatch(r"[0-9a-f]{16}\.s", file.name) and file.is_file():
+                    with suppress(OSError):
+                        file.unlink()
     return CompileResult(outcomes, manifest_path)

@@ -596,6 +596,59 @@ class TestCompileCli:
         assert not dead.exists()
         assert (out / "manifest.json").read_bytes() == written
 
+    @staticmethod
+    def compile_with_flags(tmp_path, fake_cc, manifest, out, flags):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"compiler_command": f"{sys.executable} {fake_cc}",
+                                      "compiler_flags": flags}))
+        return run_cli("compile", manifest, "--out", out, "--config", config)
+
+    def test_cache_keeps_only_the_last_runs_entries(self, tmp_path, fake_cc,
+                                                    corpus_manifest):
+        out = tmp_path / "out"
+        lines = []
+        for flags in (["-DA"], ["-DB"], ["-DA"]):
+            result = self.compile_with_flags(tmp_path, fake_cc, corpus_manifest, out, flags)
+            assert result.returncode == 0, result.stderr.decode()
+            lines.append(result.stdout.decode().splitlines()[0])
+            [(_, derived)] = load_datasets(out / "manifest.json").datasets
+            assert sorted((out / "cache").iterdir()) == sorted(e.path for e in derived)
+        assert lines == ["compiled 9, cached 0, failed 0"] * 3
+        assert call_count(fake_cc) == 27
+
+    def test_run_with_a_failed_compile_prunes_nothing(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        assert self.compile_with_flags(tmp_path, fake_cc, manifest, out,
+                                       ["-DA"]).returncode == 0
+        first = set((out / "cache").iterdir())
+        (tmp_path / "src" / "ax.c").write_text("FAIL\n")
+        result = self.compile_with_flags(tmp_path, fake_cc, manifest, out, ["-DB"])
+        assert result.returncode == 4
+        assert result.stdout.decode().splitlines()[0] == "compiled 3, cached 0, failed 1"
+        cache = set((out / "cache").iterdir())
+        assert first < cache and len(cache) == 7
+
+    def test_prune_deletes_only_files_named_like_an_entry(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        compiler = f"{sys.executable} {fake_cc}"
+        assert run_cli("compile", manifest, "--out", out, "--cc", compiler).returncode == 0
+        cache = out / "cache"
+        entries = set(cache.iterdir())
+        stale = cache / "fedcba9876543210.s"
+        kept = [cache / "notes.txt", cache / "FEDCBA9876543210.s",
+                cache / "fedcba987654321.s", cache / "fedcba9876543210.s.bak",
+                cache / "fedcba9876543210.12345.partial.s"]  # a pre-rule partial file
+        for path in [stale, *kept]:
+            path.write_text("\tbx lr\n")
+        held = cache / "0123456789abcdef.s"  # named like an entry, but a directory
+        held.mkdir()
+        rerun = run_cli("compile", manifest, "--out", out, "--cc", compiler)
+        assert rerun.returncode == 0, rerun.stderr.decode()
+        assert rerun.stdout.decode().splitlines()[0] == "compiled 0, cached 4, failed 0"
+        assert set(cache.iterdir()) == {*entries, *kept, held}
+
     def test_partial_file_of_another_users_process_stays(self, tmp_path, monkeypatch):
         # os.kill(pid, 0) raises PermissionError for a live process of another user
         outcomes = {101: PermissionError, 102: ProcessLookupError}

@@ -193,7 +193,11 @@ def test_one_output_rule():
     and ``make_dir``, whose pattern matches that name, the one sweep of those
     that a killed run leaves: no other function holds a string constant or an
     f-string part with ``.partial`` as in a file name, and no other function
-    calls ``iterdir`` or ``os.kill``. Each function that stages a file binds
+    calls ``os.kill``. Only ``make_dir`` and ``crosscompile.compile_corpus``
+    list a directory (``iterdir``, ``os.scandir`` or ``os.listdir``): the
+    sweep, and the prune of cache entries that a run with no failed compile
+    does not name, whose pattern matches no staging name, so neither deletes
+    what the other leaves. Each function that stages a file binds
     the ``partial_path`` result to a name and unlinks that name in a
     ``finally`` of its own, so no exit path leaves the partial file behind."""
     def makes_a_dir(call):
@@ -212,13 +216,18 @@ def test_one_output_rule():
         return (isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and re.search(r"\.partial\b", node.value) is not None)
 
-    def sweeps(call):
-        return (ast.unparse(call.func) == "os.kill"
+    def kills(call):
+        return ast.unparse(call.func) == "os.kill"
+
+    def lists(call):
+        return (ast.unparse(call.func) in ("os.scandir", "os.listdir")
                 or getattr(call.func, "attr", None) == "iterdir")
 
     assert set().union(*(holders(path, names_a_partial) for path in SOURCES)) == {
         "corpus.partial_path", "corpus.make_dir"}
-    assert set().union(*(callers(path, sweeps) for path in SOURCES)) == {"corpus.make_dir"}
+    assert set().union(*(callers(path, kills) for path in SOURCES)) == {"corpus.make_dir"}
+    assert set().union(*(callers(path, lists) for path in SOURCES)) == {
+        "corpus.make_dir", "crosscompile.compile_corpus"}
 
     def stages(node):
         return isinstance(node, ast.Call) and (
