@@ -7,14 +7,15 @@ shares the cache and reruns with unchanged inputs never invoke the compiler. ``j
 compiler processes run at once and each distinct hash is compiled once per run.
 :func:`corpus.make_dir` makes and sweeps ``<out>/cache`` and ``<out>``, and a derived
 manifest of the assembly files is written by :func:`corpus.write_file` beside the cache,
-for the study step to read; after a run with no failed compile, the cache keeps only the
-entries that manifest names.
+for the study step to read. An entry is a regular file, found by one listing per run;
+after a run with no failed compile, the cache keeps only the entries that manifest names.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import shlex
 import shutil
@@ -100,9 +101,9 @@ def compile_entry(entry: ProgramEntry, words: Sequence[str],
                   target: Path) -> CompileOutcome:
     """Compile one entry into the cache file ``target`` by the command ``words``.
 
-    The compiler writes ``target``'s :func:`corpus.partial_path`, renamed over ``target``
-    only on success, so a killed or failed compile leaves no partial ``target`` to take as
-    a cache hit; what else it leaves at that name, this call's alone, is removed.
+    The compiler writes ``target``'s :func:`corpus.partial_path`, whose regular file is
+    renamed over ``target`` on success, so a killed or failed compile leaves no partial
+    ``target`` to take as a cache hit; what else it leaves at that name is removed.
     """
     partial = partial_path(target)
     argv = build_command(words, entry.path, partial)
@@ -119,16 +120,15 @@ def compile_entry(entry: ProgramEntry, words: Sequence[str],
             detail = proc.stderr.strip().splitlines()
             message = detail[-1] if detail else f"compiler exited with {proc.returncode}"
             return CompileOutcome(entry, None, error=message)
-        if not partial.is_file():
+        if partial.is_symlink() or not partial.is_file():
             return CompileOutcome(entry, None,
                                   error="compiler reported success but wrote no output")
         replace_file(partial, target, str(target))
         return CompileOutcome(entry, target, cached=False)
     finally:  # the name is this call's, so whatever the compiler left there goes
-        if partial.is_dir() and not partial.is_symlink():
-            shutil.rmtree(partial, ignore_errors=True)  # best effort, as make_dir's sweep
-        else:
+        with suppress(OSError):  # a file or a symlink, whose target is not followed
             partial.unlink(missing_ok=True)  # gone after a rename
+        shutil.rmtree(partial, ignore_errors=True)  # a directory, best effort as the sweep
 
 
 def compile_corpus(manifest: ManifestData, config: ToolConfig,
@@ -142,6 +142,10 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     """
     make_dir(cache_dir := out_dir / "cache", str(out_dir))
     make_dir(out_dir)  # made above with the cache directory: this call only sweeps it
+    listed: dict[Path, bool] = {}  # each name but a directory's: is it a regular file?
+    with suppress(OSError), os.scandir(cache_dir) as found:  # unlisted: no hit, no prune
+        listed = {cache_dir / e.name: e.is_file(follow_symlinks=False) for e in found
+                  if not e.is_dir(follow_symlinks=False)}
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]
     # the one reading of the command: its words, then the flags, placeholders unfilled
@@ -151,7 +155,7 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
                for e in entries]
     first = {}  # the first entry of each cache file not yet written
     for entry, target in zip(entries, targets):
-        if target not in first and not target.is_file():
+        if target not in first and not listed.get(target):
             first[target] = entry
     jobs = iter(first.items())  # each next() hands one cache file to one worker
     done: dict[Path, CompileOutcome | Exception] = {}
@@ -206,9 +210,8 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     # json.dumps escapes every character that is not ASCII
     write_file(manifest_path, [f"{json.dumps(doc, indent=2)}\n".encode()])
     if all(o.error is None for o in outcomes):  # a failed compile prunes nothing
-        with suppress(OSError):  # best effort, as make_dir's sweep
-            for file in set(cache_dir.iterdir()).difference(targets):
-                if re.fullmatch(r"[0-9a-f]{16}\.s", file.name) and file.is_file():
-                    with suppress(OSError):
-                        file.unlink()
+        for file in listed.keys() - targets:  # a stale symlink included
+            if re.fullmatch(r"[0-9a-f]{16}\.s", file.name):
+                with suppress(OSError):  # best effort, as make_dir's sweep
+                    file.unlink()
     return CompileResult(outcomes, manifest_path)

@@ -14,11 +14,13 @@ ends the parse, so ``cli.main`` returns 0 and writes the help. No FIFO is
 ever the manifest or the config, since reading a pipe that has no writer blocks.
 ``compile`` runs ``sh`` as its compiler, and ``--jobs`` stays at 4 or less; its
 cache, like an ``extract --out`` directory, may already hold a directory named like
-a stale partial file, which is then the only partial name the cache holds after it.
+a stale partial file, which is then the only partial name the cache holds after it;
+no run leaves a symlink in the cache, whatever its compiler leaves at its output.
 """
 
 import json
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -42,12 +44,13 @@ LONG_NAME = "n" * 300
 # the name of a partial file whose process is gone: no pid_max reaches the pid
 STALE_PARTIAL = ".asmsim-999999999-0.partial"
 
-# compilers that copy the source, fail, leave a filled directory at their
-# output, or do not exist; sh ignores the compiler_flags appended after its
-# two arguments
+# compilers that copy the source, fail, leave a filled directory or a symlink
+# to the source at their output, or do not exist; sh ignores the
+# compiler_flags appended after its two arguments
 COMPILERS = ("sh -c 'cp \"$0\" \"$1\"' {input} {output}",
              "sh -c 'exit 1' {input} {output}",
              "sh -c 'mkdir \"$1\" && touch \"$1/x\"' {input} {output}",
+             "sh -c 'ln -s \"$0\" \"$1\"' {input} {output}",
              "/nonexistent/asmsim-cc {input} {output}")
 
 json_values = st.recursive(
@@ -287,6 +290,7 @@ def test_corrupt_inputs_end_in_one_error_line(data, tmp_path, capfd, monkeypatch
     if cache.is_dir():
         assert {p.name for p in cache.iterdir() if p.name.endswith(".partial")} <= {
             STALE_PARTIAL}, argv
+        assert not [p for p in cache.iterdir() if stat.S_ISLNK(os.lstat(p).st_mode)], argv
     lines = err.splitlines()
     if {"--help", "-h"} & set(argv):
         assert code == 0 and out.startswith("usage: asmsim") and not lines, (argv, lines)

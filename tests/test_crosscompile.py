@@ -649,6 +649,40 @@ class TestCompileCli:
         assert rerun.stdout.decode().splitlines()[0] == "compiled 0, cached 4, failed 0"
         assert set(cache.iterdir()) == {*entries, *kept, held}
 
+    def test_dangling_symlink_named_like_an_entry_is_pruned(self, tmp_path, fake_cc):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        compiler = f"{sys.executable} {fake_cc}"
+        assert run_cli("compile", manifest, "--out", out, "--cc", compiler).returncode == 0
+        cache = out / "cache"
+        entries = set(cache.iterdir())
+        stale = cache / "fedcba9876543210.s"
+        stale.symlink_to(tmp_path / "gone.s")  # a link an older asmsim published, target gone
+        rerun = run_cli("compile", manifest, "--out", out, "--cc", compiler)
+        assert rerun.returncode == 0, rerun.stderr.decode()
+        assert rerun.stdout.decode().splitlines()[0] == "compiled 0, cached 4, failed 0"
+        assert not os.path.lexists(stale)
+        assert set(cache.iterdir()) == entries
+
+    def test_symlink_at_an_entrys_name_is_compiled_again(self, tmp_path, fake_cc,
+                                                         corpus_manifest):
+        out = tmp_path / "out"
+        compiler = f"{sys.executable} {fake_cc}"
+        assert run_cli("compile", corpus_manifest, "--out", out, "--cc",
+                       compiler).returncode == 0
+        [(_, [first, *_])] = load_datasets(out / "manifest.json").datasets
+        outside = tmp_path / "outside.s"
+        outside.write_text("\tmov r0, #7\n")
+        first.path.unlink()
+        first.path.symlink_to(outside)
+        rerun = run_cli("compile", corpus_manifest, "--out", out, "--cc", compiler)
+        assert rerun.returncode == 0, rerun.stderr.decode()
+        assert rerun.stdout.decode().splitlines()[0] == "compiled 1, cached 8, failed 0"
+        assert not first.path.is_symlink() and first.path.is_file()
+        [(_, [source, *_])] = load_datasets(corpus_manifest).datasets
+        assert first.path.read_text() == source.path.read_text()
+        assert outside.read_text() == "\tmov r0, #7\n"
+
     def test_partial_file_of_another_users_process_stays(self, tmp_path, monkeypatch):
         # os.kill(pid, 0) raises PermissionError for a live process of another user
         outcomes = {101: PermissionError, 102: ProcessLookupError}
@@ -682,17 +716,24 @@ class TestCompileCli:
                                                             monkeypatch):
         manifest = make_sources(tmp_path)
         out = tmp_path / "out"
-        real_iterdir = Path.iterdir
+        compile_corpus(load_datasets(manifest), fake_config(fake_cc), out)
+        stale = out / "cache" / "fedcba9876543210.s"
+        stale.write_text("\tbx lr\n")
+        entries = set((out / "cache").iterdir())
+        real_scandir = os.scandir
 
-        def iterdir(path):
-            if path == out / "cache":
+        def scandir(path="."):
+            if Path(path) == out / "cache":
                 raise PermissionError(13, "Permission denied", str(path))
-            return real_iterdir(path)
+            return real_scandir(path)
 
-        monkeypatch.setattr(Path, "iterdir", iterdir)
+        monkeypatch.setattr(os, "scandir", scandir)
         result = compile_corpus(load_datasets(manifest), fake_config(fake_cc), out)
+        monkeypatch.undo()
         assert len(result.outcomes) == 4
         assert not result.failures and result.cache_hits == 0
+        assert call_count(fake_cc) == 8  # every source compiled again
+        assert set((out / "cache").iterdir()) == entries  # and nothing pruned
 
     def test_cache_entry_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)
@@ -768,6 +809,19 @@ class TestCompileCli:
             assert [path.name for path in (out / "cache").iterdir()] == []
         assert [path.name for path in outside.iterdir()] == ["kept"]
         assert (outside / "kept").read_text() == "kept"
+
+    def test_cli_compiler_that_writes_a_symlink_is_a_recorded_failure(self, tmp_path,
+                                                                     corpus_manifest):
+        out = tmp_path / "out"
+        outside = tmp_path / "outside.s"  # a file: only a regular file is an entry
+        outside.write_text("\tmov r0, #1\n")
+        links = shlex.quote('ln -s "$2" "$1"')
+        command = f"sh -c {links} {{input}} {{output}} {shlex.quote(str(outside))}"
+        result = run_cli("compile", corpus_manifest, "--out", out, "--cc", command)
+        assert result.returncode == 4, result.stderr.decode()
+        assert result.stdout.decode().splitlines()[0] == "compiled 0, cached 0, failed 9"
+        assert [path.name for path in (out / "cache").iterdir()] == []
+        assert outside.read_text() == "\tmov r0, #1\n"
 
     def test_manifest_path_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)
