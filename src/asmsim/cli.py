@@ -305,7 +305,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AsmSimError as exc:
         _stderr(exc.diagnostic())
         return exc.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())
