@@ -26,15 +26,8 @@ from .errors import (AsmSimError, EmptyProgramError, InputError, ManifestError, 
                      one_line, reason)
 from .features import (NGram, PatternSet, ProgramFeatures, features_for_program,
                        features_to_dict)
-from .metrics import MetricKind, pair_value
+from .metrics import METRIC_ORDER, MetricKind, pair_value
 from .report import OUTPUT_FORMATS, format_value, render_parts
-
-COMPARE_METRICS = {
-    "jaccard": MetricKind.JACCARD,
-    "cosine": MetricKind.COSINE,
-    "ngram2": MetricKind.EUCLIDEAN2,
-    "ngram3": MetricKind.EUCLIDEAN3,
-}
 
 
 def _parse_strides(value: str) -> list[int]:
@@ -104,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "parser", "ngram_mode")
     p_compare.add_argument("file_a", type=Path)
     p_compare.add_argument("file_b", type=Path)
-    p_compare.add_argument("--metric", choices=[*COMPARE_METRICS, "all"], default="all")
+    p_compare.add_argument("--metric", choices=[*(kind.value for kind in METRIC_ORDER), "all"],
+                           default="all")
     p_compare.add_argument("--format", choices=["text", "json"], default="text",
                            help="output format (default: text)")
 
@@ -211,18 +205,18 @@ def cmd_compare(args: argparse.Namespace, config: ToolConfig) -> int:
     files = [*program_files(args.file_a), *program_files(args.file_b)]
     features = [file_features(file, config) for file in files]
 
-    names = list(COMPARE_METRICS) if args.metric == "all" else [args.metric]
+    kinds = METRIC_ORDER if args.metric == "all" else [MetricKind(args.metric)]
     try:
-        results = {name: pair_value(COMPARE_METRICS[name], *features) for name in names}
+        results = {kind: pair_value(kind, *features) for kind in kinds}
     except EmptyProgramError as exc:
         empty = args.file_b if features[0].frequency else args.file_a
         raise EmptyProgramError(exc.message, entity=str(empty)) from exc
 
     if args.format == "json":
-        _write_parts([json.dumps(results), "\n"])
+        _write_parts([json.dumps({kind.value: value for kind, value in results.items()}), "\n"])
     else:
-        _write_parts(f"{name} {format_value(COMPARE_METRICS[name], value)}\n"
-                     for name, value in results.items())
+        _write_parts(f"{kind.value} {format_value(kind, value)}\n"
+                     for kind, value in results.items())
     return 0
 
 

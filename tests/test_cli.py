@@ -341,7 +341,7 @@ class TestCompare:
         result = run_cli("compare", asm, asm)
         assert result.returncode == 0
         assert result.stdout.decode().splitlines() == [
-            "jaccard 1.0000", "cosine 1.0000", "ngram2 0.00", "ngram3 0.00"]
+            "jaccard 1.0000", "cosine 1.0000", "euclidean2 0.00", "euclidean3 0.00"]
 
     def test_hand_computed_values(self, pair):
         a, b = pair
@@ -350,7 +350,7 @@ class TestCompare:
         # frequencies: dot 1, norms sqrt(3)*sqrt(2)
         # 2-grams {(mov,add),(add,b)} vs {(mov,sub)}; 3-grams {(mov,add,b)} vs {}
         assert result.stdout.decode().splitlines() == [
-            "jaccard 0.2500", "cosine 0.4082", "ngram2 1.73", "ngram3 1.00"]
+            "jaccard 0.2500", "cosine 0.4082", "euclidean2 1.73", "euclidean3 1.00"]
 
     def test_symmetry(self, pair):
         a, b = pair
@@ -363,7 +363,25 @@ class TestCompare:
         result = run_cli("compare", a, b, "--format", "json")
         doc = json.loads(result.stdout)
         assert doc["jaccard"] == 0.25
-        assert set(doc) == {"jaccard", "cosine", "ngram2", "ngram3"}
+        assert set(doc) == {"jaccard", "cosine", "euclidean2", "euclidean3"}
+
+    def test_json_keys_and_values_are_the_study_reports(self, corpus_manifest):
+        """compare names each metric as the study report does, in its order, and
+        scores a pair as the study scores it within its corpus."""
+        report = json.loads(run_cli("study", corpus_manifest, "--format", "json").stdout)
+        metrics = report["datasets"][0]["metrics"]
+        corpus = corpus_manifest.parent
+        result = run_cli("compare", corpus / "ada_checksum.s", corpus / "ada_fib.s",
+                         "--format", "json")
+        assert result.returncode == 0
+        doc = json.loads(result.stdout)
+        assert list(doc) == list(metrics)
+        for name, value in doc.items():
+            [pair] = [pair for subset in
+                      metrics[name]["groupings"]["Programmer Specific"]["subsets"]
+                      for pair in subset["pairs"]
+                      if (pair["a"], pair["b"]) == ("ada-checksum", "ada-fib")]
+            assert pair["value"] == value
 
     def test_empty_program_cosine_exits_3(self, tmp_path):
         empty = tmp_path / "empty.s"
@@ -1062,6 +1080,8 @@ USAGE_ERRORS = {
     "jobs-value": (("compile", "m.json", "--jobs=x"), "argument --jobs: invalid int value: 'x'"),
     "format-value": (("study", "m.json", "--format=yaml"),
                      "argument --format: invalid choice: 'yaml'"),
+    "metric-value": (("compare", "a.s", "b.s", "--metric=ngram2"),
+                     "argument --metric: invalid choice: 'ngram2'"),
     "missing-argument": (("compare", "a.s"), "the following arguments are required: file_b"),
 }
 HELP_COMMANDS = [(), ("extract",), ("compare",), ("compile",), ("study",)]
