@@ -40,8 +40,9 @@ def _parse_strides(value: str) -> list[int]:
 
 # ToolConfig key -> the flag that sets it, whose dest is that key, and its options
 _SETTINGS = {
-    "jobs": ("--jobs", dict(type=int, metavar="N",
-                            help="compiler processes run at once (compile)")),
+    "jobs": ("--jobs", dict(
+        type=int, metavar="N",
+        help="compiler processes run at once (compile; study accepts and ignores it)")),
     "parser": ("--strict", dict(action="store_const", const={"strict": True},
                                 help="abort on unclassifiable assembly lines")),
     "ngram_mode": ("--linear-ngrams", dict(
