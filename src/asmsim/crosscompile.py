@@ -111,8 +111,6 @@ def compile_entry(entry: ProgramEntry, words: Sequence[str],
         try:
             proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                                   text=True, errors="replace")
-        except FileNotFoundError as exc:
-            raise ToolError(f"compiler not found: {argv[0]}", entity=entry.id) from exc
         except OSError as exc:
             raise ToolError(f"cannot run compiler {argv[0]}: {reason(exc)}",
                             entity=entry.id) from exc
@@ -202,9 +200,7 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
                 "compiler_flags": list(config.compiler_flags)}
     if version is not None:
         metadata["compiler_version"] = version
-    doc = ({**derived_datasets[0]} if len(derived_datasets) == 1
-           else {"datasets": derived_datasets})
-    doc["metadata"] = metadata
+    doc = {"datasets": derived_datasets, "metadata": metadata}
 
     manifest_path = out_dir / "manifest.json"
     # json.dumps escapes every character that is not ASCII

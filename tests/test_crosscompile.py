@@ -756,11 +756,40 @@ class TestCompileCli:
         assert [r.stdout.decode().splitlines()[0] for r in reruns] == [
             "compiled 1, cached 3, failed 0", "compiled 0, cached 4, failed 0"]
 
-    def test_cli_missing_compiler_exit_code(self, tmp_path):
-        manifest = make_sources(tmp_path)
-        result = run_cli("compile", manifest, "--out", tmp_path / "out", "--cc",
+    def test_cli_missing_compiler_exit_code(self, tmp_path, corpus_manifest):
+        out = tmp_path / "out"
+        result = run_cli("compile", corpus_manifest, "--out", out, "--cc",
                          "/no/such/compiler")
-        assert result.returncode == 4
+        assert result.returncode == 4 and result.stdout == b""
+        assert not (out / "manifest.json").exists()
+        assert result.stderr.decode().splitlines() == [
+            'error: code=4 entity="ada-checksum" '
+            'message="cannot run compiler /no/such/compiler: No such file or directory"']
+
+    def test_cli_compiler_whose_interpreter_is_missing_cannot_run(self, tmp_path):
+        manifest = make_sources(tmp_path)
+        compiler = tmp_path / "cc.sh"
+        compiler.write_text("#!/no/such/interpreter\nexit 0\n")
+        compiler.chmod(0o755)
+        result = run_cli("compile", manifest, "--out", tmp_path / "out", "--cc", compiler)
+        assert result.returncode == 4 and result.stdout == b""
+        assert result.stderr.decode().splitlines() == [
+            f'error: code=4 entity="a-x" '
+            f'message="cannot run compiler {compiler}: No such file or directory"']
+
+    def test_cli_single_dataset_manifest_is_derived_in_the_datasets_form(self, tmp_path,
+                                                                        fake_cc):
+        manifest = make_sources(tmp_path)
+        manifest.write_text(json.dumps({"name": "grid", **json.loads(manifest.read_text())}))
+        out = tmp_path / "out"
+        result = run_cli("compile", manifest, "--out", out, "--cc",
+                         f"{sys.executable} {fake_cc}")
+        assert result.returncode == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert list(doc) == ["datasets", "metadata"]
+        [dataset] = doc["datasets"]
+        assert dataset["name"] == "grid"
+        assert [p["id"] for p in dataset["programs"]] == ["a-x", "a-y", "b-x", "b-y"]
 
     def test_cli_compiler_without_execute_bit_exits_4(self, tmp_path):
         manifest = make_sources(tmp_path)

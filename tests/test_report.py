@@ -240,30 +240,33 @@ def test_render_json_matches_oracle_layout(suite, fixtures_dir):
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16])
 
 
-def with_subsets(suite, name, subset_draws, grouping_mean, td_mean):
-    """``suite`` with a cosine grouping ``name`` holding one subset per
+def with_subsets(suite, name, subset_draws, grouping_mean, td_mean, kind=MetricKind.COSINE):
+    """``suite`` with a ``kind`` grouping ``name`` holding one subset per
     ``(pairs, mean)`` draw, in a dataset renamed ``name``."""
     report = suite.reports[0]
-    study = report.metrics[MetricKind.COSINE]
+    study = report.metrics[kind]
     subsets = [SubsetSummary(name + str(i), pairs, mean)
                for i, (pairs, mean) in enumerate(subset_draws)]
     groupings = {**study.groupings,
                  name: GroupingResult(PROGRAMMER_SPECIFIC, subsets, grouping_mean)}
     metrics = {**report.metrics,
-               MetricKind.COSINE: study._replace(groupings=groupings, td_mean=td_mean)}
+               kind: study._replace(groupings=groupings, td_mean=td_mean)}
     return suite._replace(reports=[report._replace(dataset=name, metrics=metrics)])
 
 
 def test_render_json_memo_keeps_signed_zeros_apart(suite):
     """0.0 and -0.0 are one dict key with two reprs; repeated ids and values
-    are read back from the memo."""
+    are read back from the memo, for cosine, whose values are not memoised, and
+    for the metrics whose values are."""
     zeros = [PairValue("x", "y", 0.0), PairValue("x", "y", -0.0), PairValue("y", "x", 0.5)]
     signed = [PairValue("y", "x", -0.0), PairValue("x", "x", 0.0), PairValue("x", "y", 0.5)]
     repeated = [PairValue(AWKWARD, "x", 0.1), PairValue(AWKWARD, AWKWARD, 0.1),
                 PairValue("x", AWKWARD, 1e16)]
-    memo_suite = with_subsets(suite, "memo", [(zeros, 0.0), (signed, -0.0), ([], 0.5),
-                                               (repeated, 0.1)], -0.0, 0.0)
-    assert render(memo_suite, "json", {"memo": -0.0}) == oracle_json(memo_suite, {"memo": -0.0})
+    for kind in (MetricKind.COSINE, MetricKind.JACCARD, MetricKind.EUCLIDEAN2):
+        memo_suite = with_subsets(suite, "memo", [(zeros, 0.0), (signed, -0.0), ([], 0.5),
+                                                   (repeated, 0.1)], -0.0, 0.0, kind)
+        assert render(memo_suite, "json", {"memo": -0.0}) == \
+            oracle_json(memo_suite, {"memo": -0.0}), kind
 
 
 @st.composite
