@@ -133,8 +133,8 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
                    out_dir: Path) -> CompileResult:
     """Compile every dataset entry and write the derived manifest.
 
-    Individual compile failures are recorded and skipped so one bad file
-    cannot sink a corpus run; the caller decides how to report them.
+    Individual compile failures are recorded and skipped, for the caller to
+    report; a compiler that cannot start raises once the running compiles end.
     Outcomes are those of a serial run: the first entry with an uncached
     hash compiles it; later ones report a cache hit or the same error.
     """
@@ -163,8 +163,10 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
         for target, entry in jobs:
             try:
                 done[target] = compile_entry(entry, words, target)
-            except Exception as exc:  # raised below, in entry order
+            except Exception as exc:  # raised below, in entry order; no more compiles start
                 done[target] = exc
+                for _ in jobs:
+                    pass
         ended.release()
 
     workers = [Thread(target=work) for _ in range(min(config.jobs, len(first)))]

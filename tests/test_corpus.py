@@ -344,6 +344,13 @@ class TestRunStudy:
             run_study(grid, features)
         assert excinfo.value.entity == "p1a1"
 
+    def test_missing_features_named(self):
+        grid = build_grid(grid_entries(2, 2))
+        features = uniform_features([e.id for e in grid.entries])
+        del features["p0a1"]
+        with pytest.raises(ValueError, match="no features for program 'p0a1'"):
+            run_study(grid, features)
+
     def test_non_square_rejected(self):
         grid = build_grid(grid_entries(2, 3))
         features = uniform_features([e.id for e in grid.entries])

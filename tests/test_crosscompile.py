@@ -330,7 +330,7 @@ class TestCompileCorpus:
     def test_many_workers_compile_each_hash_once(self, tmp_path, monkeypatch, failure):
         """More workers than cores, switching threads as often as they can: every
         distinct source compiles exactly once, every worker ends, and a worker's
-        exception reaches the caller."""
+        exception reaches the caller and ends the run before every source compiled."""
         src = tmp_path / "src"
         src.mkdir()
         programs = []
@@ -344,7 +344,7 @@ class TestCompileCorpus:
         calls, workers = [], set()
 
         def compile_entry(entry, config, target):
-            calls.append(target.name)
+            calls.append((entry.id, target.name))
             workers.add(threading.current_thread())
             time.sleep(0.001)
             if failure is not None and entry.id == "p7":
@@ -364,9 +364,13 @@ class TestCompileCorpus:
                     compile_corpus(load_datasets(manifest), config, tmp_path / "out")
         finally:
             sys.setswitchinterval(interval)
-        assert len(calls) == len(set(calls)) == 40
+        targets = [target for _, target in calls]
+        assert len(targets) == len(set(targets))
         assert 1 < len(workers) <= 8 and not any(w.is_alive() for w in workers)
-        if failure is None:
+        if failure is not None:
+            assert "p7" in dict(calls) and len(calls) < 40
+        else:
+            assert len(calls) == 40
             assert [o.entry.id for o in result.outcomes] == [p["id"] for p in programs]
             assert result.cache_hits == 20 and not result.failures
 
@@ -376,6 +380,26 @@ class TestCompileCorpus:
         with pytest.raises(ToolError) as excinfo:
             compile_corpus(load_datasets(manifest), config, tmp_path / "out")
         assert excinfo.value.exit_code == 4
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_missing_compiler_starts_no_more_compiles(self, tmp_path, monkeypatch,
+                                                      corpus_manifest, jobs):
+        """A compiler that cannot start ends the run after the compiles already
+        started: one ``--version`` probe, then at most one attempt per worker."""
+        run = crosscompile.subprocess.run
+        calls = []
+
+        def spy(argv, **kwargs):
+            calls.append(argv)
+            return run(argv, **kwargs)
+
+        monkeypatch.setattr(crosscompile.subprocess, "run", spy)
+        config = ToolConfig(compiler_command="/no/such/compiler", jobs=jobs)
+        with pytest.raises(ToolError, match="cannot run compiler") as excinfo:
+            compile_corpus(load_datasets(corpus_manifest), config, tmp_path / "out")
+        assert excinfo.value.entity == "ada-checksum"
+        assert calls[0] == ["/no/such/compiler", "--version"]
+        assert len(calls) == 2 if jobs == 1 else 2 <= len(calls) <= 1 + jobs
 
 
 class TestCompileCli:
