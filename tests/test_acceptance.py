@@ -7,6 +7,7 @@ criterion; any failure shows up as a normal pytest failure.
 import json
 import math
 import random
+import re
 import time
 from functools import partial
 from pathlib import Path
@@ -25,7 +26,7 @@ from asmsim.metrics import METRIC_ORDER, MetricKind, pair_value
 import oracles
 import reference_tables
 from conftest import GOLDEN, REPO_ROOT, pair_of, run_cli
-from gen_golden import build_oracle_suite
+from gen_golden import build_oracle_suite, write_gen4
 
 
 def announce(number: int, name: str) -> None:
@@ -239,6 +240,19 @@ class TestCriterion6GoldenRun:
         result = run_cli("study", corpus_manifest, "--format", "json")
         assert result.returncode == 0
         assert result.stdout == golden
+
+    def test_generated_corpus_golden_bytes(self, tmp_path):
+        # study_gen4.md holds the constructs that corpus3x3 lacks; a generator
+        # change that drops them would leave this golden checking nothing
+        manifest = write_gen4(tmp_path)
+        lines = [line for path in sorted(tmp_path.glob("*.s"))
+                 for line in path.read_text(encoding="utf-8").splitlines()]
+        assert sum(1 for line in lines if re.match(r"\s*\d+:", line)) == 460
+        assert sum(1 for line in lines if re.match(r"\s*(mov|ldr)\s+pc\b", line)) == 19
+        assert sum(1 for line in lines if line.startswith("#")) == 54
+        result = run_cli("study", manifest)
+        assert result.returncode == 0
+        assert result.stdout == (GOLDEN / "study_gen4.md").read_bytes()
 
     def test_pipeline_agrees_with_oracle_numbers(self, corpus_manifest):
         entries = load_datasets(corpus_manifest).datasets[0][1]
