@@ -25,9 +25,10 @@ CONDITION_SUFFIXES = frozenset({
     "vs", "vc", "hi", "ls", "ge", "lt", "gt", "le", "al",
 })
 
-# Control-transfer mnemonics for ARM Thumb. `pop {... pc}` branches only when
-# pc is in its register list, so it is a row of _branch_rules instead.
-DEFAULT_BRANCH_MNEMONICS = frozenset({"b", "bl", "blx", "bx", "cbz", "cbnz"})
+# Control-transfer mnemonics for ARM Thumb; the targets of a tbb/tbh jump table,
+# named only by its .byte/.short data, are not read. `pop {... pc}` branches only
+# when pc is in its register list, so it is a row of _branch_rules instead.
+DEFAULT_BRANCH_MNEMONICS = frozenset({"b", "bl", "blx", "bx", "cbz", "cbnz", "tbb", "tbh"})
 
 # GNU ARM syntax: `@` and `//` introduce comments; `#` introduces an
 # immediate operand and must never be treated as a comment.

@@ -92,7 +92,7 @@ def oracle_parse(text: str, config: ParserConfig, *,
 
 # --- naive basic blocks -------------------------------------------------------
 
-ORACLE_BRANCHES = ("b", "bl", "blx", "bx", "cbz", "cbnz")
+ORACLE_BRANCHES = ("b", "bl", "blx", "bx", "cbz", "cbnz", "tbb", "tbh")
 ORACLE_CONDITIONS = ("eq", "ne", "cs", "hs", "cc", "lo", "mi", "pl",
                      "vs", "vc", "hi", "ls", "ge", "lt", "gt", "le", "al")
 
@@ -162,7 +162,7 @@ LLVM_MC_BRANCH_FIXUPS = frozenset({
 LLVM_MC_FIXUP_RE = re.compile(r"\s*@\s+fixup \w+ - offset: \d+, value: (\S+), kind: (\w+)$")
 LLVM_MC_LABEL_RE = re.compile(r"([^\s:@]+):")
 MC_BRANCHES = frozenset(branch + condition
-                        for branch in (*ORACLE_BRANCHES, "tbb", "tbh")
+                        for branch in ORACLE_BRANCHES
                         for condition in ("", *ORACLE_CONDITIONS))
 
 
@@ -447,12 +447,13 @@ PLAIN_MNEMONICS = ("mov", "movs", "add", "adds", "sub", "ldr", "str", "cmp",
                    "and", "orr", "eor", "lsl", "mul", "nop", "push")
 COND_BRANCHES = ("b", "beq", "bne", "bge", "blt", "bls")
 POPS = ("\tpop {r4, pc}", "\tPOP {r4, PC}", "\tpop {r4, r5}", "\tpop {pcsr}")
+TABLE_BRANCHES = ("\ttbb [pc, r0]", "\tTBH.W [pc, r1, lsl #1]")
 
 
 def random_program_text(rng: random.Random, max_instructions: int = 20) -> str:
     """Assembly text with random labels and branch structure, including
     ``pop`` with and without ``pc`` in any case (``POP {r4, PC}``,
-    ``pop {pcsr}``), and two branches in a row whose operand texts end and
+    ``pop {pcsr}``), table branches (``tbb``, ``TBH.W``), and two branches in a row whose operand texts end and
     begin with label characters."""
     count = rng.randint(1, max_instructions)
     label_names = [f".L{k}" for k in range(rng.randint(0, 4))]
@@ -478,7 +479,7 @@ def random_program_text(rng: random.Random, max_instructions: int = 20) -> str:
         elif roll < 0.94:
             body.append("\tbx lr")
         else:
-            body.append(rng.choice(POPS))
+            body.append(rng.choice((*POPS, *TABLE_BRANCHES)))
 
     lines = []
     for index, line in enumerate([*body, None]):

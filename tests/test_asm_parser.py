@@ -291,7 +291,7 @@ class TestBranchClassification:
 
     @pytest.mark.parametrize("mnemonic", [
         "b", "beq", "bne", "bls", "bge", "bal", "bl", "bleq", "blx", "blxne",
-        "bx", "cbz", "cbnz"])
+        "bx", "cbz", "cbnz", "tbb", "tbh", "tbbeq", "tbh.w"])
     def test_branches(self, mnemonic):
         assert blocks_of(f"\t{mnemonic} somewhere\n\tnop\n") == [0, 1]
 

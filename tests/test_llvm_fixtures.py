@@ -33,10 +33,6 @@ SHOWS = {
     "select": r"\tit\tlt\n\tmovlt\t",
     "switch": r"\ttbb\t\[pc, r0\]\n(?s:.*)\t\.byte\t\(\.LBB0_",
 }
-SWITCH = pytest.param("switch", marks=pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 5: asmsim misses the first tbb target; only the jump table's "
-    ".byte data names the block after it, and tbb is no branch to asmsim")))
-NAMES = [SWITCH if name == "switch" else name for name in sorted(SHOWS)]
 
 
 def assembly(name, level):
@@ -59,7 +55,7 @@ def test_each_fixture_shows_what_it_is_for():
         assert parsed(assembly(name, "O0"))[0].mnemonics, name
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", sorted(SHOWS))
 def test_every_machine_block_starts_an_asmsim_block(name):
     for level in LEVELS:
         text = assembly(name, level)

@@ -20,11 +20,11 @@ from conftest import FIXTURES
 
 LLVM_MC = ("llvm-mc", "-triple=thumbv7m-none-eabi", "-show-encoding")
 NAMES = sorted(str(path.relative_to(FIXTURES)) for path in FIXTURES.rglob("*.s"))
-# asmsim misses these leaders until ROADMAP item 5: a numeric label's
-# `Nb`/`Nf` reference, a write to pc and the instruction after tbb
+# asmsim misses these leaders until ROADMAP items 5a and 5b: a numeric label's
+# `Nb`/`Nf` reference and a write to pc
 ITEM_5 = pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 5: 1b names no label, and mov pc/ldr pc/tbb end no block"))
-MISSED = {"conformance_local_labels.s", "llvm/switch.O0.s", "llvm/switch.O2.s"}
+    "ROADMAP items 5a and 5b: 1b names no label, and mov pc/ldr pc end no block"))
+MISSED = {"conformance_local_labels.s"}
 
 pytestmark = pytest.mark.skipif(shutil.which(LLVM_MC[0]) is None,
                                 reason="llvm-mc not installed")

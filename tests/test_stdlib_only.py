@@ -47,7 +47,8 @@ def test_no_module_imports_dataclasses_or_typing():
 RECORDS = {
     "asm_parser.ParserConfig": (("comment_markers", "branch_mnemonics", "strict"), {
         "comment_markers": frozenset({"@", "//"}),
-        "branch_mnemonics": frozenset({"b", "bl", "blx", "bx", "cbz", "cbnz"}),
+        "branch_mnemonics": frozenset({"b", "bl", "blx", "bx", "cbz", "cbnz", "tbb",
+                                       "tbh"}),
         "strict": False}),
     "asm_parser.AssemblyProgram": (("mnemonics", "operands", "labels", "diagnostics"),
                                    {"diagnostics": ()}),
