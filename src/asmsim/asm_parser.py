@@ -25,9 +25,8 @@ CONDITION_SUFFIXES = frozenset({
     "vs", "vc", "hi", "ls", "ge", "lt", "gt", "le", "al",
 })
 
-# Control-transfer mnemonics for ARM Thumb; the targets of a tbb/tbh jump table,
-# named only by its .byte/.short data, are not read. `pop {... pc}` branches only
-# when pc is in its register list, so it is a row of _branch_rules instead.
+# Control-transfer mnemonics for ARM Thumb; a tbb/tbh jump table's targets are not read.
+# `pop {... pc}` branches only when pc is in its register list: a row of _branch_rules.
 DEFAULT_BRANCH_MNEMONICS = frozenset({"b", "bl", "blx", "bx", "cbz", "cbnz", "tbb", "tbh"})
 
 # GNU ARM syntax: `@` and `//` introduce comments; `#` introduces an

@@ -133,28 +133,32 @@ def partial_path(final: Path) -> Path:
     return final.with_name(f".asmsim-{os.getpid()}-{next(_serials)}.partial")
 
 
-def make_dir(path: Path, entity: str | None = None) -> None:
+def make_dir(path: Path, entity: str | None = None) -> dict[str, bool]:
     """Create the directory ``path`` and its parents, if missing (a failure is an
     :class:`InputError` for ``entity``, default the path), and delete the
     :func:`partial_path` files in it of processes that are gone, best effort: a live run's
-    files, a directory, and what cannot be listed or deleted stay."""
+    files, what is no regular file, and what cannot be listed or deleted stay. Return the
+    listing taken before the sweep: each name but a directory's, mapped to whether it is a
+    regular file (a symlink is not followed); ``{}`` if ``path`` cannot be listed."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create directory: {reason(exc)}",
                          entity=str(path) if entity is None else entity) from exc
-    with suppress(OSError):  # a directory that cannot be listed is not swept
-        for file in path.iterdir():
-            match = re.fullmatch(r"\.asmsim-(\d{1,9})-\d+\.partial", file.name)  # by partial_path
-            if match is None or not file.is_file():
-                continue
+    listed: dict[str, bool] = {}
+    with suppress(OSError), os.scandir(path) as found:
+        listed = {e.name: e.is_file(follow_symlinks=False) for e in found
+                  if not e.is_dir(follow_symlinks=False)}
+    for name, regular in listed.items():
+        if regular and (match := re.fullmatch(r"\.asmsim-(\d{1,9})-\d+\.partial", name)):
             try:
                 os.kill(int(match[1]), 0)
             except ProcessLookupError:
                 with suppress(OSError):  # another user's file in a sticky directory stays
-                    file.unlink(missing_ok=True)
+                    (path / name).unlink(missing_ok=True)
             except PermissionError:
                 pass  # alive, under another user
+    return listed
 
 
 def replace_file(partial: Path, final: Path, entity: str) -> None:

@@ -7,15 +7,14 @@ shares the cache and reruns with unchanged inputs never invoke the compiler. ``j
 compiler processes run at once and each distinct hash is compiled once per run.
 :func:`corpus.make_dir` makes and sweeps ``<out>/cache`` and ``<out>``, and a derived
 manifest of the assembly files is written by :func:`corpus.write_file` beside the cache,
-for the study step to read. An entry is a regular file, found by one listing per run;
-after a run with no failed compile, the cache keeps only the entries that manifest names.
+for the study step to read. An entry is a regular file, found by ``make_dir``'s listing
+(one per run); after a run with no failed compile, the cache keeps only the manifest's entries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import shlex
 import shutil
@@ -138,12 +137,8 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     Outcomes are those of a serial run: the first entry with an uncached
     hash compiles it; later ones report a cache hit or the same error.
     """
-    make_dir(cache_dir := out_dir / "cache", str(out_dir))
+    listed = make_dir(cache_dir := out_dir / "cache", str(out_dir))  # unlisted: no hit, no prune
     make_dir(out_dir)  # made above with the cache directory: this call only sweeps it
-    listed: dict[Path, bool] = {}  # each name but a directory's: is it a regular file?
-    with suppress(OSError), os.scandir(cache_dir) as found:  # unlisted: no hit, no prune
-        listed = {cache_dir / e.name: e.is_file(follow_symlinks=False) for e in found
-                  if not e.is_dir(follow_symlinks=False)}
 
     entries = [entry for _, dataset in manifest.datasets for entry in dataset]
     # the one reading of the command: its words, then the flags, placeholders unfilled
@@ -153,7 +148,7 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
                for e in entries]
     first = {}  # the first entry of each cache file not yet written
     for entry, target in zip(entries, targets):
-        if target not in first and not listed.get(target):
+        if target not in first and not listed.get(target.name):
             first[target] = entry
     jobs = iter(first.items())  # each next() hands one cache file to one worker
     done: dict[Path, CompileOutcome | Exception] = {}
@@ -208,8 +203,8 @@ def compile_corpus(manifest: ManifestData, config: ToolConfig,
     # json.dumps escapes every character that is not ASCII
     write_file(manifest_path, [f"{json.dumps(doc, indent=2)}\n".encode()])
     if all(o.error is None for o in outcomes):  # a failed compile prunes nothing
-        for file in listed.keys() - targets:  # a stale symlink included
-            if re.fullmatch(r"[0-9a-f]{16}\.s", file.name):
+        for name in listed.keys() - {target.name for target in targets}:  # a stale symlink too
+            if re.fullmatch(r"[0-9a-f]{16}\.s", name):
                 with suppress(OSError):  # best effort, as make_dir's sweep
-                    file.unlink()
+                    (cache_dir / name).unlink()
     return CompileResult(outcomes, manifest_path)

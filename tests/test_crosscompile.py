@@ -759,6 +759,46 @@ class TestCompileCli:
         assert call_count(fake_cc) == 8  # every source compiled again
         assert set((out / "cache").iterdir()) == entries  # and nothing pruned
 
+    def test_cache_directory_is_listed_once_per_run(self, tmp_path, fake_cc, monkeypatch):
+        manifest = make_sources(tmp_path)
+        out = tmp_path / "out"
+        listed = []
+
+        def spy(real):
+            def lister(path="."):
+                listed.append(Path(path))
+                return real(path)
+            return lister
+
+        monkeypatch.setattr(os, "scandir", spy(os.scandir))
+        monkeypatch.setattr(os, "listdir", spy(os.listdir))
+        for hits in (0, 4):  # cold, then warm
+            listed.clear()
+            result = compile_corpus(load_datasets(manifest), fake_config(fake_cc), out)
+            assert result.cache_hits == hits and not result.failures
+            assert listed.count(out / "cache") == 1
+        monkeypatch.undo()
+        assert call_count(fake_cc) == 4
+
+    def test_make_dir_returns_its_listing(self, tmp_path, monkeypatch):
+        (tmp_path / "entry.s").write_text("\tbx lr\n")
+        (tmp_path / "link.s").symlink_to(tmp_path / "entry.s")
+        (tmp_path / "sub").mkdir()
+        dead = tmp_path / f".asmsim-{gone_pid()}-0.partial"
+        dead.write_text("\tmov r0,")
+        assert make_dir(tmp_path) == {"entry.s": True, "link.s": False, dead.name: True}
+        assert not dead.exists()  # swept, but in the listing taken before the sweep
+
+        dead.write_text("\tmov r0,")
+
+        def scandir(path="."):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        assert make_dir(tmp_path) == {}
+        monkeypatch.undo()
+        assert dead.read_text() == "\tmov r0,"  # a directory that cannot be listed is not swept
+
     def test_cache_entry_that_is_a_directory_exits_2(self, tmp_path, fake_cc):
         manifest = make_sources(tmp_path)
         out = tmp_path / "out"

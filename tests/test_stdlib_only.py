@@ -198,11 +198,12 @@ def test_one_output_rule():
     and ``make_dir``, whose pattern matches that name, the one sweep of those
     that a killed run leaves: no other function holds a string constant or an
     f-string part with ``.partial`` as in a file name, and no other function
-    calls ``os.kill``. Only ``make_dir`` and ``crosscompile.compile_corpus``
-    list a directory (``iterdir``, ``os.scandir`` or ``os.listdir``): the
-    sweep, and the prune of cache entries that a run with no failed compile
-    does not name, whose pattern matches no staging name, so neither deletes
-    what the other leaves. Each function that stages a file binds
+    calls ``os.kill``. Only ``make_dir`` lists a directory (``iterdir``,
+    ``os.scandir`` or ``os.listdir``): ``crosscompile.compile_corpus`` takes
+    its cache hits and its prune of the entries that a run with no failed
+    compile does not name from the listing that ``make_dir`` returns, and
+    the prune's pattern matches no staging name, so neither deletes what
+    the other leaves. Each function that stages a file binds
     the ``partial_path`` result to a name and unlinks that name in a
     ``finally`` of its own, so no exit path leaves the partial file behind."""
     def makes_a_dir(call):
@@ -231,8 +232,7 @@ def test_one_output_rule():
     assert set().union(*(holders(path, names_a_partial) for path in SOURCES)) == {
         "corpus.partial_path", "corpus.make_dir"}
     assert set().union(*(callers(path, kills) for path in SOURCES)) == {"corpus.make_dir"}
-    assert set().union(*(callers(path, lists) for path in SOURCES)) == {
-        "corpus.make_dir", "crosscompile.compile_corpus"}
+    assert set().union(*(callers(path, lists) for path in SOURCES)) == {"corpus.make_dir"}
 
     def stages(node):
         return isinstance(node, ast.Call) and (
