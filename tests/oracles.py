@@ -453,8 +453,8 @@ TABLE_BRANCHES = ("\ttbb [pc, r0]", "\tTBH.W [pc, r1, lsl #1]")
 def random_program_text(rng: random.Random, max_instructions: int = 20) -> str:
     """Assembly text with random labels and branch structure, including
     ``pop`` with and without ``pc`` in any case (``POP {r4, PC}``,
-    ``pop {pcsr}``), table branches (``tbb``, ``TBH.W``), and two branches in a row whose operand texts end and
-    begin with label characters."""
+    ``pop {pcsr}``), table branches (``tbb``, ``TBH.W``), and two branches
+    in a row whose operand texts end and begin with label characters."""
     count = rng.randint(1, max_instructions)
     label_names = [f".L{k}" for k in range(rng.randint(0, 4))]
     label_at = {name: rng.randint(0, count) for name in label_names}
